@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_TARGETS := ./internal/ext4:FuzzExtentTree ./internal/ext4:FuzzRename ./internal/experiments:FuzzReproSpec
 
-.PHONY: all build test race vet bench bench-json bench-check parallel-equivalence profile fuzz check trace-smoke repro-smoke topology-smoke frontend-smoke clean
+.PHONY: all build test race vet bench bench-json bench-check parallel-equivalence profile fuzz check trace-smoke repro-smoke topology-smoke frontend-smoke faults-smoke clean
 
 # The benchmarks the committed snapshot and the throughput gate track:
 # the Fig. 6/9 harnesses, the headline 4 KiB read (steady-state and
@@ -19,8 +19,10 @@ test:
 	$(GO) test ./...
 
 # Race coverage: the experiments package fans sweep cells and whole
-# experiments out to goroutines, and the core/kernel stress tests
-# exercise the fault plane's global counters from parallel machines.
+# experiments out to goroutines (including runs under different fault
+# profiles at once), the core teardown test recycles parallel
+# machines through the shared buffer pools, and the metrics registry
+# takes concurrent adds from parallel cells.
 race:
 	$(GO) test -race ./...
 
@@ -146,12 +148,32 @@ frontend-smoke:
 		grep -q 'fleet' $$tmp/fleet.txt; \
 		echo "frontend-smoke ok"
 
+# faults-smoke pins the fault report end to end through the CLI: a
+# chaos-profile F6 run must render byte-identically at -j1 and -j2,
+# with a nonzero injected-fault total on stderr (tallied in the
+# metrics registry) that is also -j invariant, and a tenant scenario
+# must run under the tenant-storm profile and report its own tally.
+faults-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+		$(GO) build -o $$tmp/bench ./cmd/bypassd-bench; \
+		$$tmp/bench -run F6 -faults chaos -j 1 > $$tmp/a.txt 2> $$tmp/a.err; \
+		$$tmp/bench -run F6 -faults chaos -j 2 > $$tmp/b.txt 2> $$tmp/b.err; \
+		cmp $$tmp/a.txt $$tmp/b.txt; \
+		grep -Eq '^== injected faults: [1-9][0-9]* total \(profile "chaos"\)$$' $$tmp/a.err; \
+		sed -n '/^== injected faults/,$$p' $$tmp/a.err > $$tmp/a.faults; \
+		sed -n '/^== injected faults/,$$p' $$tmp/b.err > $$tmp/b.faults; \
+		cmp $$tmp/a.faults $$tmp/b.faults; \
+		$$tmp/bench -tenants noisy-neighbor-wrr-8 -faults tenant-storm > $$tmp/t.txt 2> $$tmp/t.err; \
+		grep -q 'noisy-neighbor-wrr-8' $$tmp/t.txt; \
+		grep -Eq '^== injected faults: [1-9][0-9]* total \(profile "tenant-storm"\)$$' $$tmp/t.err; \
+		echo "faults-smoke ok"
+
 # check is the default gate: build, vet, full tests (including the
 # statistical tail-claim gates), the race detector over the whole
 # tree, the allocation-budget gate, the parallel determinism gate,
-# the repro-tool round trip, the 2-device topology smoke, and the
-# service-tier smoke.
-check: build vet test race bench-check parallel-equivalence repro-smoke topology-smoke frontend-smoke
+# the repro-tool round trip, the 2-device topology smoke, the
+# service-tier smoke, and the fault-report smoke.
+check: build vet test race bench-check parallel-equivalence repro-smoke topology-smoke frontend-smoke faults-smoke
 
 clean:
 	$(GO) clean ./...

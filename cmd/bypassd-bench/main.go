@@ -68,42 +68,73 @@ func main() {
 	os.Exit(run())
 }
 
-// runTenants executes one multi-tenant scenario — a builtin name or a
-// JSON config file — and prints its per-tenant table. Like the
-// experiment path, the table goes to stdout and is deterministic for
-// a fixed seed; progress goes to stderr.
-func runTenants(nameOrPath string, seed int64, devices, shardWorkers int, faultsP, out string) int {
-	sc, ok := tenants.ByName(nameOrPath)
-	if !ok {
-		var err error
-		sc, err = tenants.Load(nameOrPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-tenants %q: not a builtin scenario (try -list) and %v\n", nameOrPath, err)
-			return 1
+// runScenario executes one -tenants scenario or -frontend fleet — a
+// builtin name or a JSON config file — and prints its table: per
+// tenant or per device. Like the experiment path, the table goes to
+// stdout and is deterministic for a fixed seed; progress goes to
+// stderr.
+func runScenario(tenantsF, frontF string, seed int64, devices, shardWorkers int, faultsP, out string) int {
+	var (
+		desc string
+		play func() (string, error)
+	)
+	if tenantsF != "" {
+		sc, ok := tenants.ByName(tenantsF)
+		if !ok {
+			var err error
+			if sc, err = tenants.Load(tenantsF); err != nil {
+				fmt.Fprintf(os.Stderr, "-tenants %q: not a builtin scenario (try -list) and %v\n", tenantsF, err)
+				return 1
+			}
+		}
+		if devices > 0 {
+			sc.Devices = devices
+		}
+		sc.Faults = faultsP
+		desc = fmt.Sprintf("tenant scenario %s (%d tenants, %d device(s), arbiter %s, seed %d)",
+			sc.Name, len(sc.Tenants), sc.NumDevices(), sc.ArbiterName(), seed)
+		play = func() (string, error) {
+			res, _, err := tenants.RunCountedWorkers(seed, sc, shardWorkers)
+			if err != nil {
+				return "", fmt.Errorf("scenario %s: %w", sc.Name, err)
+			}
+			return tenants.ReportTable(sc, res).String(), nil
+		}
+	} else {
+		fl, ok := frontend.ByName(frontF)
+		if !ok {
+			var err error
+			if fl, err = frontend.Load(frontF); err != nil {
+				fmt.Fprintf(os.Stderr, "-frontend %q: not a builtin fleet (try -list) and %v\n", frontF, err)
+				return 1
+			}
+		}
+		if devices > 0 {
+			fl.Devices = devices
+		}
+		fl.Faults = faultsP
+		desc = fmt.Sprintf("frontend fleet %s (%d users, pool %d, %d device(s), %s admission, seed %d)",
+			fl.Name, fl.Users, fl.Pool, fl.NumDevices(), fl.PolicyName(), seed)
+		play = func() (string, error) {
+			res, _, err := frontend.RunCountedWorkers(seed, fl, shardWorkers)
+			if err != nil {
+				return "", fmt.Errorf("fleet %s: %w", fl.Name, err)
+			}
+			return frontend.ReportTable(fl, res).String(), nil
 		}
 	}
-	if devices > 0 {
-		sc.Devices = devices
-	}
-	if faultsP != "" {
-		if err := faults.Activate(faultsP, seed); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
-		defer faults.Deactivate()
-		fmt.Fprintf(os.Stderr, "== fault profile %q armed (seed %d)\n", faultsP, seed)
-	}
-	fmt.Fprintf(os.Stderr, "== running tenant scenario %s (%d tenants, %d device(s), arbiter %s, seed %d)\n",
-		sc.Name, len(sc.Tenants), sc.NumDevices(), sc.ArbiterName(), seed)
+	fmt.Fprintf(os.Stderr, "== running %s\n", desc)
 	start := time.Now()
-	results, _, err := tenants.RunCountedWorkers(seed, sc, shardWorkers)
+	table, err := play()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario %s: %v\n", sc.Name, err)
+		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 1
 	}
-	table := tenants.ReportTable(sc, results).String()
 	fmt.Print(table)
 	fmt.Fprintf(os.Stderr, "== done (wall time %.1fs)\n", time.Since(start).Seconds())
+	if faultsP != "" {
+		reportFaults(faultsP)
+	}
 	if out != "" {
 		if err := os.WriteFile(out, []byte(table), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
@@ -113,49 +144,21 @@ func runTenants(nameOrPath string, seed int64, devices, shardWorkers int, faults
 	return 0
 }
 
-// runFrontend executes one service-tier fleet — a builtin name or a
-// JSON config file — and prints its per-device table. Like the tenant
-// path, the table goes to stdout and is deterministic for a fixed
-// seed; progress goes to stderr.
-func runFrontend(nameOrPath string, seed int64, devices, shardWorkers int, faultsP, out string) int {
-	fl, ok := frontend.ByName(nameOrPath)
-	if !ok {
-		var err error
-		fl, err = frontend.Load(nameOrPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-frontend %q: not a builtin fleet (try -list) and %v\n", nameOrPath, err)
-			return 1
-		}
+// reportFaults prints the run's injected-fault tally — read from the
+// metrics registry every fire adds to — to stderr, and returns it for
+// the -json fields.
+func reportFaults(profile string) (bySite map[string]int64, total int64) {
+	bySite, total = faults.Fired(metrics.Active())
+	sites := make([]string, 0, len(bySite))
+	for s := range bySite {
+		sites = append(sites, s)
 	}
-	if devices > 0 {
-		fl.Devices = devices
+	sort.Strings(sites)
+	fmt.Fprintf(os.Stderr, "== injected faults: %d total (profile %q)\n", total, profile)
+	for _, s := range sites {
+		fmt.Fprintf(os.Stderr, "==   %-28s %d\n", s, bySite[s])
 	}
-	if faultsP != "" {
-		if err := faults.Activate(faultsP, seed); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
-		defer faults.Deactivate()
-		fmt.Fprintf(os.Stderr, "== fault profile %q armed (seed %d)\n", faultsP, seed)
-	}
-	fmt.Fprintf(os.Stderr, "== running frontend fleet %s (%d users, pool %d, %d device(s), %s admission, seed %d)\n",
-		fl.Name, fl.Users, fl.Pool, fl.NumDevices(), fl.PolicyName(), seed)
-	start := time.Now()
-	res, _, err := frontend.RunCountedWorkers(seed, fl, shardWorkers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleet %s: %v\n", fl.Name, err)
-		return 1
-	}
-	table := frontend.ReportTable(fl, res).String()
-	fmt.Print(table)
-	fmt.Fprintf(os.Stderr, "== done (wall time %.1fs)\n", time.Since(start).Seconds())
-	if out != "" {
-		if err := os.WriteFile(out, []byte(table), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			return 1
-		}
-	}
-	return 0
+	return bySite, total
 }
 
 // run is main minus os.Exit, so the profile-writing defers installed
@@ -233,18 +236,20 @@ func run() int {
 		return 0
 	}
 
-	if *tenantsF != "" {
-		return runTenants(*tenantsF, *seed, *devices, *shardW, *faultsP, *out)
-	}
-	if *frontF != "" {
-		return runFrontend(*frontF, *seed, *devices, *shardW, *faultsP, *out)
-	}
-
 	if *faultsP != "" {
 		if _, ok := faults.ProfileByName(*faultsP); !ok {
 			fmt.Fprintf(os.Stderr, "unknown fault profile %q (try -list)\n", *faultsP)
 			return 1
 		}
+		fmt.Fprintf(os.Stderr, "== fault profile %q armed (seed %d)\n", *faultsP, *seed)
+	}
+	if *metricsF || *faultsP != "" {
+		// Every injected fault adds to the registry: it is the run's
+		// one aggregate fault tally.
+		metrics.Activate()
+	}
+	if *tenantsF != "" || *frontF != "" {
+		return runScenario(*tenantsF, *frontF, *seed, *devices, *shardW, *faultsP, *out)
 	}
 
 	workers := *parallel
@@ -272,9 +277,6 @@ func run() int {
 	if *traceOut != "" {
 		trace.Activate(trace.Options{})
 	}
-	if *metricsF {
-		metrics.Activate()
-	}
 
 	opts := experiments.Options{Quick: !*full, Seed: *seed, Parallelism: workers, Faults: *faultsP, Trials: *trials, Devices: *devices, Workers: *shardW}
 	mode := "quick"
@@ -284,9 +286,6 @@ func run() int {
 	if *trials > 1 {
 		fmt.Fprintf(os.Stderr, "== %d trials per cell (trial k at seed %d+k-derived); tables report mean ± 95%% CI\n",
 			*trials, *seed)
-	}
-	if *faultsP != "" {
-		fmt.Fprintf(os.Stderr, "== fault profile %q armed (seed %d)\n", *faultsP, *seed)
 	}
 
 	runner := &experiments.Runner{
@@ -322,11 +321,6 @@ func run() int {
 	var snap *metrics.Snapshot
 	if *metricsF {
 		reg := metrics.Active()
-		// Fold the fault plane's aggregate counters into the registry so
-		// one render covers every subsystem.
-		for site, n := range faults.GlobalCounts() {
-			reg.Counter("faults_injected_total", "site", site).Add(n)
-		}
 		fmt.Print(reg.Render())
 		fmt.Println()
 		s := reg.Snapshot()
@@ -343,17 +337,10 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "== trace: %d events (%d dropped) -> %s\n", ev, dr, *traceOut)
 		}
 	}
+	var faultsBy map[string]int64
+	var faultsTotal int64
 	if *faultsP != "" {
-		counts := faults.GlobalCounts()
-		sites := make([]string, 0, len(counts))
-		for s := range counts {
-			sites = append(sites, s)
-		}
-		sort.Strings(sites)
-		fmt.Fprintf(os.Stderr, "== injected faults: %d total (profile %q)\n", faults.GlobalTotal(), *faultsP)
-		for _, s := range sites {
-			fmt.Fprintf(os.Stderr, "==   %-28s %d\n", s, counts[s])
-		}
+		faultsBy, faultsTotal = reportFaults(*faultsP)
 	}
 
 	if *out != "" {
@@ -373,8 +360,8 @@ func run() int {
 		}
 		if *faultsP != "" {
 			run.Faults = *faultsP
-			run.FaultsTotal = faults.GlobalTotal()
-			run.FaultsBy = faults.GlobalCounts()
+			run.FaultsTotal = faultsTotal
+			run.FaultsBy = faultsBy
 		}
 		run.Metrics = snap
 		for _, r := range results {

@@ -72,7 +72,9 @@ func runSpec(arg string, parallel int, metricsF bool, traceOut string) int {
 	if traceOut != "" {
 		trace.Activate(trace.Options{})
 	}
-	if metricsF {
+	if metricsF || sp.Faults != "" {
+		// Every injected fault adds to the registry: it is the
+		// replay's fault tally.
 		metrics.Activate()
 	}
 	fmt.Fprintf(os.Stderr, "== replaying %s\n", sp)
@@ -104,13 +106,13 @@ func runSpec(arg string, parallel int, metricsF bool, traceOut string) int {
 		fmt.Print(last.String())
 	}
 	if sp.Faults != "" {
-		counts := faults.GlobalCounts()
+		counts, total := faults.Fired(metrics.Active())
 		sites := make([]string, 0, len(counts))
 		for s := range counts {
 			sites = append(sites, s)
 		}
 		sort.Strings(sites)
-		fmt.Printf("\nfaults injected: %d (profile %q)\n", faults.GlobalTotal(), sp.Faults)
+		fmt.Printf("\nfaults injected: %d (profile %q)\n", total, sp.Faults)
 		for _, s := range sites {
 			fmt.Printf("  %-28s %d\n", s, counts[s])
 		}

@@ -349,9 +349,6 @@ func (d *SSD) Release(owner string) {
 	}
 }
 
-// Claimer reports the current exclusive owner, if any.
-func (d *SSD) Claimer() string { return d.claimer }
-
 // CreateQueue registers a new queue pair with the device. The PASID
 // is bound to the queue at creation time, as the BypassD kernel driver
 // does, so the IOMMU knows whose page tables to walk (paper §3.3).

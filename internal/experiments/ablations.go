@@ -30,7 +30,7 @@ func runA1(o Options) (*Report, error) {
 	points, err := sweepMap(o, len(variants), func(i int) (point, error) {
 		// A 1 MiB working set fits the 256-entry IOTLB, giving the
 		// caching variant its best case.
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, CacheFTEs: variants[i], Seed: o.Seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, CacheFTEs: variants[i], Seed: o.Seed, Faults: o.injector()}, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
 		}})
@@ -71,6 +71,7 @@ func runA1(o Options) (*Report, error) {
 	pwcPoints, err := sweepMap(o, len(pwcSpecs), func(i int) (point, error) {
 		spec := pwcSpecs[i].spec
 		spec.Seed = o.Seed
+		spec.Faults = o.injector()
 		res, err := fio.Run(spec, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
@@ -137,6 +138,7 @@ func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float6
 	if err != nil {
 		return 0, 0, err
 	}
+	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 
 	hist := stats.NewHistogram()
@@ -237,6 +239,7 @@ func runA3(o Options) (*Report, error) {
 		if err != nil {
 			return 0, err
 		}
+		sys.M.SetFaults(o.injector())
 		hist := stats.NewHistogram()
 		var runErr error
 		sys.Sim.Spawn("a3", func(p *sim.Proc) {
@@ -342,6 +345,7 @@ func runA4Once(o Options, serialize bool, ops int) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
+	m.SetFaults(o.injector())
 	defer s.Shutdown()
 	hist := stats.NewHistogram()
 	var runErr error
@@ -406,6 +410,7 @@ func runA5(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 	var syncThr, asyncThr float64
 	var runErr error
@@ -492,6 +497,7 @@ func runA6(o Options) (*Report, error) {
 		if err != nil {
 			return point{}, err
 		}
+		sys.M.SetFaults(o.injector())
 		var fmapT sim.Time
 		var lat sim.Time
 		var runErr error

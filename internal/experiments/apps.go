@@ -29,6 +29,7 @@ func runWT(o Options, system string, wl ycsb.Workload, threads int, keys uint64,
 	if err != nil {
 		return 0, err
 	}
+	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 
 	var runErr error
@@ -250,6 +251,7 @@ func runBPFKV(o Options, mode string, threads int, objects uint64, opsPerThread 
 	if err != nil {
 		return 0, 0, err
 	}
+	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 	st, err := bpfkv.Plan(objects, 6)
 	if err != nil {
@@ -401,6 +403,7 @@ func runKVell(o Options, mode string, wl ycsb.Workload, threads int, items uint6
 	if err != nil {
 		return 0, 0, err
 	}
+	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 
 	hist := stats.NewHistogram()

@@ -42,7 +42,7 @@ func runT6(o Options) (*Report, error) {
 		if c.engine == "" {
 			return runT6XRP(o, ops)
 		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Trace: true}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Faults: o.injector(), Trace: true}, []fio.Group{{
 			Name: "m", Engine: c.engine, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 64 << 20,
 		}})
@@ -107,6 +107,7 @@ func runT6XRP(o Options, ops int) (t6Result, error) {
 	if err != nil {
 		return t6Result{}, err
 	}
+	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 	if sys.M.Trace == nil {
 		sys.M.EnableTrace(trace.NewTracer("xrp"))

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/faults"
 	"repro/internal/stats"
 )
 
@@ -34,8 +35,10 @@ type Options struct {
 	Parallelism int
 	// Faults names a fault-injection profile (faults.Profiles) armed
 	// for every machine the experiments boot; "" disables injection.
-	// Injector streams are seeded from Seed, so a fixed (Seed, Faults)
-	// pair replays byte-for-byte at any Parallelism.
+	// Each machine gets its own injector seeded from Seed (the tenant
+	// and frontend harnesses seed from their cell's trial seed), so a
+	// fixed (Seed, Faults) pair replays byte-for-byte at any
+	// Parallelism.
 	Faults string
 	// Devices narrows the topology-aware experiments to one device
 	// count: T9 runs only the N-device cell instead of its 1→8 ladder.
@@ -68,6 +71,18 @@ func (o Options) workers() int {
 		return 1
 	}
 	return o.Workers
+}
+
+// injector builds a fresh fault injector for one machine from the
+// run's profile, seeded from Seed; nil when no profile is set.
+// Runner.Run rejects an unknown profile before any harness runs, so
+// reaching one here is a caller bug.
+func (o Options) injector() *faults.Injector {
+	inj, err := faults.New(o.Faults, o.Seed)
+	if err != nil {
+		panic(err)
+	}
+	return inj
 }
 
 // Report is an experiment's output.

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 )
 
 // faultTestIDs is a small, fast subset of experiments that exercises
@@ -95,8 +97,8 @@ func TestCleanRunUnaffectedByPriorFaults(t *testing.T) {
 	if before != after {
 		t.Errorf("clean report changed after a faulted run:\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
-	if faulted == before && faults.GlobalTotal() == 0 {
-		t.Log("chaos profile injected nothing into F6 (report identical); counters also zero")
+	if faulted == before {
+		t.Log("chaos profile injected nothing into F6 (report identical)")
 	}
 }
 
@@ -112,27 +114,55 @@ func TestRunUnknownFaultProfile(t *testing.T) {
 	if !strings.Contains(res[0].Err.Error(), "no-such-profile") {
 		t.Fatalf("error %q does not name the bad profile", res[0].Err)
 	}
-	if faults.ActiveName() != "" {
-		t.Fatalf("profile %q left active after failed Activate", faults.ActiveName())
-	}
 }
 
-// TestFaultCountersSurface: a profile with certain-fire rules must
-// record global counters an operator can inspect after the run.
+// TestFaultCountersSurface: a faulted run must leave per-site fire
+// counts in the metrics registry, where an operator inspects them
+// after the run.
 func TestFaultCountersSurface(t *testing.T) {
+	reg := metrics.Activate()
+	defer metrics.Deactivate()
 	_ = runWithFaults(t, "F6", "flaky-media", 42, 1)
-	// Runner deactivates on return but counters persist until the next
-	// Activate resets them.
-	total := faults.GlobalTotal()
-	counts := faults.GlobalCounts()
+	counts, total := faults.Fired(reg)
 	if total == 0 {
 		t.Fatal("flaky-media run recorded no injected faults")
 	}
-	var sum int64
-	for _, n := range counts {
-		sum += n
+	for site := range counts {
+		if !strings.HasPrefix(site, "device/") {
+			t.Errorf("flaky-media fired at %q, outside its device rules", site)
+		}
 	}
-	if sum != total {
-		t.Fatalf("per-site counts sum to %d, total says %d", sum, total)
+}
+
+// TestConcurrentFaultProfiles runs two experiments under different
+// fault profiles at the same time. Each machine owns its injector, so
+// under -race neither run may see the other's profile: both reports
+// must match their sequential renderings byte for byte.
+func TestConcurrentFaultProfiles(t *testing.T) {
+	runs := []struct{ id, profile string }{{"F5", "revoke-storm"}, {"F6", "chaos"}}
+	want := make([]string, len(runs))
+	for i, r := range runs {
+		want[i] = runWithFaults(t, r.id, r.profile, 5, 1)
+	}
+	got := make([]string, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, _ := ByID(r.id)
+			res := (&Runner{Parallelism: 1}).Run([]Experiment{e},
+				Options{Quick: true, Seed: 5, Parallelism: 2, Faults: r.profile})
+			if res[0].Err == nil {
+				got[i] = res[0].Report.String()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if got[i] != want[i] {
+			t.Errorf("%s under %q: concurrent report differs from its sequential run:\n--- sequential ---\n%s\n--- concurrent ---\n%s",
+				r.id, r.profile, want[i], got[i])
+		}
 	}
 }

@@ -64,6 +64,7 @@ func runT10(o Options) (*Report, error) {
 	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
 		c := cells[i]
 		fl := frontend.ServiceFleet(c.policy, c.frac, devices, c.pool, users, requests)
+		fl.Faults = o.Faults
 		res, _, err := frontend.RunCountedWorkers(seed, fl, o.workers())
 		if err != nil {
 			return point{}, err

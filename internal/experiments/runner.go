@@ -43,20 +43,16 @@ type Runner struct {
 
 // Run executes exps with the given options and returns one result per
 // experiment, index-aligned with exps regardless of completion order.
-// When o.Faults names a profile, it is armed for the whole run (every
-// machine any experiment boots) and disarmed afterwards; an unknown
-// profile fails every experiment up front rather than running
-// un-faulted.
+// When o.Faults names a profile, every machine any experiment boots
+// gets its own injector for it (Options.Faults); an unknown profile
+// fails every experiment up front rather than running un-faulted.
 func (r *Runner) Run(exps []Experiment, o Options) []RunResult {
-	if o.Faults != "" {
-		if err := faults.Activate(o.Faults, o.Seed); err != nil {
-			results := make([]RunResult, len(exps))
-			for i, e := range exps {
-				results[i] = RunResult{Experiment: e, Err: err}
-			}
-			return results
+	if _, err := faults.New(o.Faults, o.Seed); err != nil {
+		results := make([]RunResult, len(exps))
+		for i, e := range exps {
+			results[i] = RunResult{Experiment: e, Err: err}
 		}
-		defer faults.Deactivate()
+		return results
 	}
 	workers := r.Parallelism
 	if workers <= 0 {

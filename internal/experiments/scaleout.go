@@ -50,6 +50,7 @@ func runT9(o Options) (*Report, error) {
 	points, err := trialMap(o, len(counts), func(i int, seed int64) (point, error) {
 		devices := counts[i]
 		sc := tenants.ScaleOut(devices, victimOps, hogOps)
+		sc.Faults = o.Faults
 		res, _, err := tenants.RunCountedWorkers(seed, sc, o.workers())
 		if err != nil {
 			return point{}, err

@@ -62,6 +62,7 @@ func runS1Device(o Options, dcfg device.Config, ops int) (syncLat, bypLat sim.Ti
 	if err != nil {
 		return 0, 0, err
 	}
+	m.SetFaults(o.injector())
 	var runErr error
 	s.Spawn("s1", func(p *sim.Proc) {
 		pr := m.NewProcess(ext4.Root)

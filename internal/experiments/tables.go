@@ -28,6 +28,7 @@ func runT1(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 	var total sim.Time
 	var runErr error
@@ -169,6 +170,7 @@ func runT5(o Options) (*Report, error) {
 		if err != nil {
 			return point{}, err
 		}
+		sys.M.SetFaults(o.injector())
 		var openT, warmT, coldT sim.Time
 		var runErr error
 		sys.Sim.Spawn("t5", func(p *sim.Proc) {

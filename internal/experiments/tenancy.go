@@ -62,6 +62,7 @@ func runT7(o Options) (*Report, error) {
 		c := cells[i]
 		sc := tenants.NoisyNeighbor(c.arb, c.hogs, victimOps, hogOps)
 		sc.Tenants[0].Engine = c.eng
+		sc.Faults = o.Faults
 		res, _, err := tenants.RunCountedWorkers(seed, sc, o.workers())
 		if err != nil {
 			return point{}, err
@@ -169,6 +170,7 @@ func runT8(o Options) (*Report, error) {
 	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
 		c := cells[i]
 		sc := tenants.SLOLoad(c.eng, nTenants, c.frac*optaneIOPS, opsPer)
+		sc.Faults = o.Faults
 		res, _, err := tenants.RunCountedWorkers(seed, sc, o.workers())
 		if err != nil {
 			return point{}, err

@@ -66,6 +66,7 @@ func runS2Guests(o Options, ops int) (guest1, guest2, guestSync sim.Time, err er
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	host.SetFaults(o.injector())
 	const nested = 300 * sim.Nanosecond
 	mkGuest := func(name string, devID uint8, baseMB int64) (*kernel.Machine, error) {
 		vf, err := device.Carve(s, host.Dev, name, devID, baseMB<<20/512, (192<<20)/512)

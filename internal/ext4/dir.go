@@ -186,6 +186,7 @@ func (fs *FS) nameiParent(p *sim.Proc, path string, c Cred) (*Inode, string, err
 
 // create makes a new inode linked at path.
 func (fs *FS) create(p *sim.Proc, path string, mode uint16, c Cred) (*Inode, error) {
+	defer fs.lockNamespace(p)()
 	parent, name, err := fs.nameiParent(p, path, c)
 	if err != nil {
 		return nil, err
@@ -252,6 +253,12 @@ func (fs *FS) Lookup(p *sim.Proc, path string, c Cred) (*Inode, error) {
 // freed when the last link drops (open-file lifetime is the kernel's
 // concern; the simulation's workloads close before unlinking).
 func (fs *FS) Unlink(p *sim.Proc, path string, c Cred) error {
+	defer fs.lockNamespace(p)()
+	return fs.unlink(p, path, c)
+}
+
+// unlink is Unlink under a namespace lock the caller holds.
+func (fs *FS) unlink(p *sim.Proc, path string, c Cred) error {
 	parent, name, err := fs.nameiParent(p, path, c)
 	if err != nil {
 		return err

@@ -154,6 +154,9 @@ type FS struct {
 	// commitLock serializes Commit across procs (nil: callers never
 	// overlap commits, e.g. single-proc harnesses).
 	commitLock *sim.Resource
+	// nsLock serializes namespace changes — create, mkdir, unlink,
+	// rename — across procs (nil: callers never overlap them).
+	nsLock *sim.Resource
 
 	// inj is the machine's fault plane (nil = inert); it arms the
 	// journal crash points in writeTransaction.
@@ -180,6 +183,23 @@ func (fs *FS) SetTracer(tr *trace.Tracer) { fs.tr = tr }
 // would interleave with its transaction; the kernel passes a
 // one-unit resource resident on the device's event shard.
 func (fs *FS) SetCommitLock(l *sim.Resource) { fs.commitLock = l }
+
+// SetNamespaceLock installs the lock that serializes namespace
+// changes. Each one reads a directory, yields on I/O, and writes the
+// directory back, so two overlapping changes would lose one's entry;
+// the kernel passes a one-unit resource resident on the device's
+// event shard.
+func (fs *FS) SetNamespaceLock(l *sim.Resource) { fs.nsLock = l }
+
+// lockNamespace takes the namespace lock for p, if one is installed,
+// and returns its release.
+func (fs *FS) lockNamespace(p *sim.Proc) (unlock func()) {
+	if p == nil || fs.nsLock == nil {
+		return func() {}
+	}
+	fs.nsLock.Acquire(p)
+	return fs.nsLock.Release
+}
 
 // ReleaseResources returns the file system's recyclable structures —
 // the block bitmap and every cached inode's file-table fragments — to
@@ -351,15 +371,3 @@ func (fs *FS) DevID() uint8 { return fs.devID }
 
 // now returns the current virtual time for timestamps.
 func (fs *FS) now() sim.Time { return fs.nowFn() }
-
-// FreeBlocks reports the number of allocatable blocks (excluding
-// pending frees).
-func (fs *FS) FreeBlocks() int64 {
-	var used int64
-	for b := int64(0); b < fs.sb.BlockCount; b++ {
-		if fs.bitmap[b/8]&(1<<(b%8)) != 0 {
-			used++
-		}
-	}
-	return fs.sb.BlockCount - used
-}

@@ -17,6 +17,7 @@ var ErrInvalidMove = fmt.Errorf("ext4: cannot move directory into its own subtre
 // workloads don't need). The inode number is stable across the move,
 // so BypassD mappings of the file are unaffected.
 func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string, c Cred) error {
+	defer fs.lockNamespace(p)()
 	oldParent, oldName, err := fs.nameiParent(p, oldPath, c)
 	if err != nil {
 		return err
@@ -75,7 +76,7 @@ func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string, c Cred) error {
 		if dst.IsDir() {
 			return ErrIsDir
 		}
-		if err := fs.Unlink(p, newPath, c); err != nil {
+		if err := fs.unlink(p, newPath, c); err != nil {
 			return err
 		}
 		// Directory contents may have shifted: re-read below.

@@ -7,17 +7,14 @@
 // the disabled configuration structurally identical to a build without
 // fault injection: no RNG draws, no time charges, no allocations.
 //
-// The plane has two halves:
-//
-//   - Injector: per-machine state, created by kernel.NewMachine and
-//     threaded into the device, IOMMU, file system and UserLib. The
-//     simulation runs one goroutine at a time per machine, so the
-//     injector needs no locks for its own counters.
-//   - The process-global active profile (Activate/Deactivate) plus
-//     aggregated fire counters. Machines boot deep inside experiment
-//     harnesses, so the profile is handed down globally rather than
-//     plumbed through every constructor; the aggregate counters are
-//     what bypassd-bench reports.
+// An Injector is a per-machine value: harnesses build one with New
+// (from a builtin profile name and a seed) and attach it with
+// kernel.Machine.SetFaults, which threads it into the device, IOMMU,
+// file system and UserLib. The simulation runs one goroutine at a time
+// per machine, so the injector needs no locks for its own counters.
+// The package keeps no mutable state of its own; the one aggregate
+// tally across machines is the faults_injected_total{site} series of
+// the active metrics registry, which every fire adds to.
 package faults
 
 import (
@@ -25,9 +22,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -190,7 +186,7 @@ func (inj *Injector) decide(site string, queue int) *ruleState {
 	if hit != nil {
 		inj.counts[site]++
 		inj.total++
-		recordGlobal(site)
+		metrics.GetCounter(firedMetric, "site", site).Inc()
 	}
 	return hit
 }
@@ -254,7 +250,7 @@ type Profile struct {
 }
 
 // Built-in profiles. Every machine draws the same seeded stream (see
-// NewFromActive), so probabilities are sized for the ~100-1000
+// New), so probabilities are sized for the ~100-1000
 // decisions a typical quick-mode machine makes: high enough that the
 // shared stream reliably fires inside that window, low enough that the
 // bounded retries (3 per layer) almost never exhaust — experiments
@@ -343,97 +339,39 @@ func ProfileByName(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
-// activeSpec is the process-global fault configuration new machines
-// pick up at boot.
-type activeSpec struct {
-	prof Profile
-	seed int64
-}
-
-var active atomic.Pointer[activeSpec]
-
-// Activate arms the named profile for every machine booted until
-// Deactivate. It resets the global fire counters so a run's report
-// covers exactly that run. An unknown name is an error.
-func Activate(name string, seed int64) error {
-	p, ok := ProfileByName(name)
+// New builds one machine's injector from the named builtin profile,
+// seeded with seed. An empty name returns nil (inert). Harnesses build
+// a fresh injector for every machine they boot, all from the same
+// (profile, seed), so a machine's fault stream depends only on its own
+// deterministic decision sequence — never on how many machines boot
+// or on scheduling across them.
+func New(profile string, seed int64) (*Injector, error) {
+	if profile == "" {
+		return nil, nil
+	}
+	p, ok := ProfileByName(profile)
 	if !ok {
 		var names []string
 		for _, b := range Profiles() {
 			names = append(names, b.Name)
 		}
-		return fmt.Errorf("faults: unknown profile %q (have %s)", name, strings.Join(names, ", "))
+		return nil, fmt.Errorf("faults: unknown profile %q (have %s)", profile, strings.Join(names, ", "))
 	}
-	ResetGlobal()
-	active.Store(&activeSpec{prof: p, seed: seed})
-	return nil
+	inj := NewInjector(seed, p.Rules)
+	inj.profile = p.Name
+	return inj, nil
 }
 
-// Deactivate disarms fault injection for subsequently booted machines.
-func Deactivate() { active.Store(nil) }
+// firedMetric is the counter series every fire adds to, labeled by
+// site, in the active metrics registry.
+const firedMetric = "faults_injected_total"
 
-// ActiveName reports the armed profile name, or "".
-func ActiveName() string {
-	if s := active.Load(); s != nil {
-		return s.prof.Name
+// Fired reads the per-site fire counts r has accumulated (nil when r
+// is nil) and their sum.
+func Fired(r *metrics.Registry) (bySite map[string]int64, total int64) {
+	bySite = r.CounterValues(firedMetric, "site")
+	for _, n := range bySite {
+		total += n
 	}
-	return ""
-}
-
-// NewFromActive builds a machine's injector from the armed profile,
-// or returns nil (inert) when no profile is active. Every machine gets
-// the same seed and rules, so a machine's fault stream depends only on
-// its own deterministic decision sequence — never on how many machines
-// boot or on scheduling across them.
-func NewFromActive() *Injector {
-	s := active.Load()
-	if s == nil {
-		return nil
-	}
-	inj := NewInjector(s.seed, s.prof.Rules)
-	inj.profile = s.prof.Name
-	return inj
-}
-
-// Global aggregated fire counters, reported by bypassd-bench. Machines
-// boot concurrently under parallel sweeps, so these take a lock; the
-// per-injector counters stay lock-free.
-var (
-	globalMu     sync.Mutex
-	globalCounts = make(map[string]int64)
-	globalTotal  int64
-)
-
-func recordGlobal(site string) {
-	globalMu.Lock()
-	globalCounts[site]++
-	globalTotal++
-	globalMu.Unlock()
-}
-
-// ResetGlobal zeroes the aggregated counters.
-func ResetGlobal() {
-	globalMu.Lock()
-	globalCounts = make(map[string]int64)
-	globalTotal = 0
-	globalMu.Unlock()
-}
-
-// GlobalTotal reports the process-wide fire count since the last
-// reset.
-func GlobalTotal() int64 {
-	globalMu.Lock()
-	defer globalMu.Unlock()
-	return globalTotal
-}
-
-// GlobalCounts returns a copy of the process-wide per-site counters.
-func GlobalCounts() map[string]int64 {
-	globalMu.Lock()
-	defer globalMu.Unlock()
-	out := make(map[string]int64, len(globalCounts))
-	for k, v := range globalCounts {
-		out[k] = v
-	}
-	return out
+	return bySite, total
 }

@@ -2,8 +2,10 @@ package faults
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -150,46 +152,41 @@ func TestCounts(t *testing.T) {
 	}
 }
 
-func TestActivateDeactivate(t *testing.T) {
-	defer Deactivate()
-	if err := Activate("no-such-profile", 1); err == nil {
-		t.Fatal("unknown profile accepted")
+func TestNewFromProfile(t *testing.T) {
+	if inj, err := New("", 1); inj != nil || err != nil {
+		t.Fatalf("empty profile = %v, %v; want an inert nil injector", inj, err)
 	}
-	if inj := NewFromActive(); inj != nil {
-		t.Fatal("injector built with no active profile")
+	if _, err := New("no-such-profile", 1); err == nil || !strings.Contains(err.Error(), "no-such-profile") {
+		t.Fatalf("unknown profile error = %v", err)
 	}
-	if err := Activate("flaky-media", 9); err != nil {
-		t.Fatal(err)
+	inj, err := New("flaky-media", 9)
+	if err != nil || inj.ProfileName() != "flaky-media" || !inj.Active() {
+		t.Fatalf("injector = %+v, %v", inj, err)
 	}
-	if ActiveName() != "flaky-media" {
-		t.Fatalf("active = %q", ActiveName())
-	}
-	inj := NewFromActive()
-	if inj == nil || inj.ProfileName() != "flaky-media" {
-		t.Fatalf("injector = %+v", inj)
-	}
-	Deactivate()
-	if ActiveName() != "" || NewFromActive() != nil {
-		t.Fatal("deactivate did not disarm")
+	// Every injector built from one (profile, seed) draws one stream.
+	other, _ := New("flaky-media", 9)
+	for i := 0; i < 200; i++ {
+		if inj.Fire("device/d/media") != other.Fire("device/d/media") {
+			t.Fatalf("decision %d differs between injectors of one (profile, seed)", i)
+		}
 	}
 }
 
-func TestGlobalCountersAggregate(t *testing.T) {
-	ResetGlobal()
+func TestFiresAggregateInRegistry(t *testing.T) {
+	if got, total := Fired(nil); got != nil || total != 0 {
+		t.Fatalf("nil registry read %v, %d", got, total)
+	}
+	reg := metrics.Activate()
+	defer metrics.Deactivate()
 	a := NewInjector(1, []Rule{{Site: "g"}})
-	b := NewInjector(2, []Rule{{Site: "g"}})
+	b := NewInjector(2, []Rule{{Site: "g"}, {Site: "h"}})
 	a.Fire("g")
 	b.Fire("g")
-	b.Fire("g")
-	if GlobalTotal() != 3 {
-		t.Fatalf("global total = %d", GlobalTotal())
-	}
-	if GlobalCounts()["g"] != 3 {
-		t.Fatalf("global counts = %v", GlobalCounts())
-	}
-	ResetGlobal()
-	if GlobalTotal() != 0 || len(GlobalCounts()) != 0 {
-		t.Fatal("reset did not clear")
+	b.Fire("h")
+	b.Fire("unarmed")
+	got, total := Fired(reg)
+	if total != 3 || !reflect.DeepEqual(got, map[string]int64{"g": 2, "h": 1}) {
+		t.Fatalf("registry tally = %v (total %d)", got, total)
 	}
 }
 

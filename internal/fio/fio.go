@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/ext4"
+	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -74,6 +75,10 @@ type Spec struct {
 	PWCHitWalkLatency sim.Time
 	PWCMinTranslation sim.Time
 	Seed              int64
+	// Faults is the fault plane attached to the booted machine; nil
+	// disables injection. An injector belongs to one machine, so
+	// build a fresh one for every Run.
+	Faults *faults.Injector
 	// Trace attaches a span tracer to the machine even when the global
 	// trace plane is off, so GroupResult.Phases is populated.
 	Trace bool
@@ -118,6 +123,7 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 		return nil, err
 	}
 	defer sys.Close()
+	sys.M.SetFaults(spec.Faults)
 	sys.M.MMU.SetFixedVBALatency(spec.VBAFixedLatency)
 	sys.M.MMU.SetCacheFTEs(spec.CacheFTEs)
 	if spec.PWCEntries != 0 || spec.PWCHitWalkLatency != 0 || spec.PWCMinTranslation != 0 {

@@ -166,6 +166,11 @@ type Fleet struct {
 	// Arbiter is the per-device NVMe arbitration policy ("rr" default,
 	// "wrr", "prio").
 	Arbiter string `json:"arbiter,omitempty"`
+
+	// Faults names a fault-injection profile (faults.Profiles) for the
+	// run's machine, seeded from the run's seed; "" disables
+	// injection. It is a run option, not part of the fleet-file schema.
+	Faults string `json:"-"`
 }
 
 // NumDevices is the fleet's device count with the default made
@@ -490,12 +495,17 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 	if err != nil {
 		return nil, 0, err
 	}
+	inj, err := faults.New(fl.Faults, seed)
+	if err != nil {
+		return nil, 0, err
+	}
 
 	sys, err := core.NewN(bk.capacity(fl), ndev)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer sys.Close()
+	sys.M.SetFaults(inj)
 	for _, n := range sys.M.Nodes {
 		n.Dev.SetArbiter(device.ArbiterByName(fl.Arbiter))
 	}

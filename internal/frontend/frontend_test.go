@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -234,9 +233,9 @@ func TestLoadShapes(t *testing.T) {
 // fault profile: spikes fire, the policy sheds harder, and the run
 // still completes without error.
 func TestTenantStorm(t *testing.T) {
+	t.Parallel()
 	fl := testFleet(AdmitCoDel, 1)
-	faults.Activate("tenant-storm", 42)
-	defer faults.Deactivate()
+	fl.Faults = "tenant-storm"
 	res, _, err := RunCountedWorkers(42, fl, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -112,13 +112,14 @@ type DevNode struct {
 // newDevNode wires a booted device and its mounted file system into a
 // topology node: the kernel queue q submits on the device, the file
 // system's runtime I/O goes through the timed kernel block layer, and
-// its journal commits serialize on a lock resident on the node's
-// shard.
+// its journal commits and namespace changes serialize on locks
+// resident on the node's shard.
 func newDevNode(m *Machine, index, shard int, mmu *iommu.IOMMU, dev *device.SSD, fs *ext4.FS, q *nvme.QueuePair) *DevNode {
 	n := &DevNode{Index: index, Shard: shard, MMU: mmu, Dev: dev, FS: fs}
 	n.kq = &kernelQueue{m: m, n: n, q: q, waiters: make(map[uint16]*waiter)}
 	fs.SetBlockIO(&kernelBIO{m: m, n: n})
 	fs.SetCommitLock(m.Sim.NewResourceOn(shard, "jbd2-"+dev.Config().Name, 1))
+	fs.SetNamespaceLock(m.Sim.NewResourceOn(shard, "ns-"+dev.Config().Name, 1))
 	return n
 }
 
@@ -146,9 +147,9 @@ type Machine struct {
 	// Fig. 3) is a silent no-op between devices sharing an ID.
 	nodeByDev map[uint8]*DevNode
 
-	// Faults is the machine's fault plane, built from the globally
-	// active profile at boot and shared with the devices, IOMMU and
-	// file systems. Nil (the untriggered default) is inert.
+	// Faults is the machine's fault plane, attached with SetFaults and
+	// shared with the devices, IOMMUs and file systems. Nil (the
+	// default) is inert.
 	Faults *faults.Injector
 
 	// BlockRetries counts transient device errors the kernel block
@@ -255,7 +256,6 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		writeLocks:  make(map[inoKey]*sim.Resource),
 		nextPASID:   100,
 	}
-	m.Faults = faults.NewFromActive()
 
 	names := make(map[string]bool, len(dcfgs))
 	for i := range dcfgs {
@@ -284,10 +284,8 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		// One IOMMU per node (see DevNode.MMU): the node's ATS traffic
 		// stays on its own event shard.
 		mmu := iommu.New(iommu.DefaultConfig())
-		mmu.SetInjector(m.Faults)
 		dev := device.NewWithStore(s, dcfg, st)
 		dev.AttachIOMMU(mmu)
-		dev.SetInjector(m.Faults)
 
 		if fresh {
 			if err := ext4.Mkfs(&ext4.Direct{St: st}, ext4.DefaultOptions(dcfg.CapacityBytes, dcfg.DevID)); err != nil {
@@ -308,7 +306,6 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 			return nil, err
 		}
 		n := newDevNode(m, i, dcfg.Shard, mmu, dev, fs, q)
-		fs.SetInjector(m.Faults)
 
 		if prev, dup := m.nodeByDev[dcfg.DevID]; dup {
 			return nil, fmt.Errorf("kernel: duplicate DevID %d (%s and %s)",
@@ -327,6 +324,19 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		m.EnableTrace(tr)
 	}
 	return m, nil
+}
+
+// SetFaults attaches inj (nil detaches) as the machine's fault plane:
+// every node's device, IOMMU and file system draws from it. Harnesses
+// call it right after boot, before any traffic; virtual functions
+// carved from a device afterwards inherit it.
+func (m *Machine) SetFaults(inj *faults.Injector) {
+	m.Faults = inj
+	for _, n := range m.Nodes {
+		n.MMU.SetInjector(inj)
+		n.Dev.SetInjector(inj)
+		n.FS.SetInjector(inj)
+	}
 }
 
 // EnableTrace attaches a span tracer to the machine and its file

@@ -129,16 +129,6 @@ func (u *Uring) Wait(p *sim.Proc) UringResult {
 	return r
 }
 
-// TryReap pops a completion if one is ready.
-func (u *Uring) TryReap() (UringResult, bool) {
-	if len(u.cq) == 0 {
-		return UringResult{}, false
-	}
-	r := u.cq[0]
-	u.cq = u.cq[1:]
-	return r, true
-}
-
 // Close stops the polling thread.
 func (u *Uring) Close() {
 	u.closed = true

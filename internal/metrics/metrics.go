@@ -1,12 +1,11 @@
 // Package metrics is the process-wide metrics registry of the
 // observability plane: a unified Counter/Gauge/Histogram API with
 // labeled series behind the ad-hoc tallies the subsystems kept before
-// (userlib.Stats, device/IOMMU counters, fault-plane aggregates).
+// (userlib.Stats, device/IOMMU counters, fault-plane fire counts).
 //
-// The registry follows the faults package's activation pattern:
-// bypassd-bench (or a test) calls Activate before booting machines,
-// and constructors resolve their series handles once at boot via
-// GetCounter/GetGauge/GetHistogram. When no registry is active the
+// The registry is process-global: bypassd-bench (or a test) calls
+// Activate before booting machines, and constructors resolve their
+// series handles once at boot via GetCounter/GetGauge/GetHistogram. When no registry is active the
 // handles are nil, and every method on a nil handle is a no-op — the
 // disabled configuration stays structurally identical to a build
 // without metrics: no locks, no atomics, no allocations.
@@ -282,6 +281,25 @@ func GetHistogram(name string, labels ...string) *Histogram {
 		return r.Histogram(name, labels...)
 	}
 	return nil
+}
+
+// CounterValues returns the values of name's counter series keyed by
+// their one label's value — e.g. CounterValues("faults_injected_total",
+// "site") maps each site to its count. A nil registry reads as empty.
+func (r *Registry) CounterValues(name, label string) map[string]int64 {
+	if r == nil {
+		return nil
+	}
+	pre := name + "{" + label + `="`
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]int64)
+	for k, c := range r.counters {
+		if v, ok := strings.CutPrefix(k, pre); ok && strings.HasSuffix(v, `"}`) {
+			out[strings.TrimSuffix(v, `"}`)] = c.Value()
+		}
+	}
+	return out
 }
 
 // Render returns the registry as sorted plain text, one series per

@@ -41,10 +41,6 @@ func (s *Sim) drainShard(k int) {
 // synced to the latest shard clock so post-run harness reads (metrics
 // snapshots, utilization integrals) see final time.
 func (s *Sim) drainParallel() {
-	// Enqueues during the drain skip noteEnqueue, so the coupled pop's
-	// winner cache must rescan when coupled dispatch resumes.
-	s.winner = -1
-	s.runnerOK = false
 	s.draining = true
 	n := len(s.shards)
 	var cursor atomic.Int64

@@ -101,14 +101,8 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Capacity reports the unit count.
 func (r *Resource) Capacity() int { return r.capacity }
-
-// QueueLen reports the number of procs waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // Utilization reports mean units-in-use divided by capacity since the
 // start of the simulation.

@@ -365,25 +365,13 @@ type Sim struct {
 	// compares against.
 	noShard bool
 
-	// Winner cache for the coupled cross-shard pop: next() remembers
-	// which shard won the last scan and the best key seen anywhere
-	// else (the runner-up). As long as the winner's head stays below
-	// the runner-up the pop is O(1) instead of O(shards); enqueues to
-	// other shards min-update the runner-up incrementally, and only a
-	// winner switch pays a full rescan.
-	winner      int
-	runnerOK    bool
-	runnerAt    Time
-	runnerShard int
-	runnerSeq   uint64
-
 	// workers > 0 with more than one shard arms the parallel drain
 	// (parallel.go): Run drains the shards on that many host
 	// goroutines.
 	workers int
 	// draining is true while drainParallel's workers run. It keeps the
-	// shared winner cache and the stale global clock out of the
-	// enqueue path, and turns the coupled-context APIs into panics.
+	// stale global clock out of the post floor and turns the
+	// coupled-context APIs into panics.
 	draining bool
 
 	killing bool
@@ -393,7 +381,7 @@ type Sim struct {
 // New returns an empty simulation with the clock at zero and a single
 // event shard.
 func New() *Sim {
-	return &Sim{shards: []shard{newShard()}, winner: -1}
+	return &Sim{shards: []shard{newShard()}}
 }
 
 // Now returns the current virtual time of the coupled scheduler. In a
@@ -438,8 +426,6 @@ func (s *Sim) Processed() uint64 {
 // canonical (at, shard, seq) key.
 func (s *Sim) AddShard() int {
 	s.shards = append(s.shards, newShard())
-	s.winner = -1
-	s.runnerOK = false
 	return len(s.shards) - 1
 }
 
@@ -485,23 +471,6 @@ func (s *Sim) routePost(k int, e event) {
 		sh.lane = append(sh.lane, e)
 	} else {
 		sh.events.push(e)
-	}
-	if !s.draining {
-		s.noteEnqueue(k, e.at, e.seq)
-	}
-}
-
-// noteEnqueue keeps the coupled pop's runner-up key fresh: an enqueue
-// to a non-winner shard can only lower that shard's head, so folding
-// its key into the cached runner-up preserves "runner-up ≤ every
-// non-winner head" without rescanning.
-func (s *Sim) noteEnqueue(k int, at Time, seq uint64) {
-	w := s.winner
-	if w < 0 || k == w {
-		return
-	}
-	if !s.runnerOK || keyLess(at, k, seq, s.runnerAt, s.runnerShard, s.runnerSeq) {
-		s.runnerAt, s.runnerShard, s.runnerSeq, s.runnerOK = at, k, seq, true
 	}
 }
 
@@ -580,41 +549,21 @@ func (s *Sim) peekAt() Time {
 // next pops the globally earliest event by the canonical
 // (at, shard, seq) key and records its shard as the current dispatch
 // context; pending must be true. With one shard this is the historical
-// single-queue pop. With several, the winner cache makes the common
-// case — the same shard winning repeatedly — O(1): the full scan runs
-// only when the cached winner empties or its head falls behind the
-// cached runner-up.
+// single-queue pop; with several, one scan of the shard heads. Since
+// multi-shard traffic runs under the parallel drain, the coupled scan
+// only serves setup phases.
 func (s *Sim) next() event {
 	if len(s.shards) == 1 {
 		s.cur = 0
 		return s.shards[0].next()
 	}
-	if w := s.winner; w >= 0 {
-		if at, seq, ok := s.shards[w].peek(); ok &&
-			(!s.runnerOK || keyLess(at, w, seq, s.runnerAt, s.runnerShard, s.runnerSeq)) {
-			s.cur = w
-			return s.shards[w].next()
-		}
-	}
-	best, second := -1, -1
-	var bAt, rAt Time
-	var bSeq, rSeq uint64
+	best := -1
+	var bAt Time
+	var bSeq uint64
 	for i := range s.shards {
-		at, seq, ok := s.shards[i].peek()
-		if !ok {
-			continue
-		}
-		if best < 0 || keyLess(at, i, seq, bAt, best, bSeq) {
-			second, rAt, rSeq = best, bAt, bSeq
+		if at, seq, ok := s.shards[i].peek(); ok && (best < 0 || keyLess(at, i, seq, bAt, best, bSeq)) {
 			best, bAt, bSeq = i, at, seq
-		} else if second < 0 || keyLess(at, i, seq, rAt, second, rSeq) {
-			second, rAt, rSeq = i, at, seq
 		}
-	}
-	s.winner = best
-	s.runnerOK = second >= 0
-	if s.runnerOK {
-		s.runnerAt, s.runnerShard, s.runnerSeq = rAt, second, rSeq
 	}
 	s.cur = best
 	return s.shards[best].next()
@@ -944,8 +893,6 @@ func (s *Sim) RunUntil(t Time) int {
 // functions, or Shutdown will deadlock.
 func (s *Sim) Shutdown() {
 	s.killing = true
-	s.winner = -1
-	s.runnerOK = false
 	for si := range s.shards {
 		sh := &s.shards[si]
 		if sh.events != nil {

@@ -86,6 +86,11 @@ type Scenario struct {
 	// gets its own file system, queues, and arbiter instance.
 	Devices int      `json:"devices,omitempty"`
 	Tenants []Tenant `json:"tenants"`
+	// Faults names a fault-injection profile (faults.Profiles) for the
+	// run's machine, seeded from the run's seed; "" disables
+	// injection. It is a run option, not part of the scenario-file
+	// schema.
+	Faults string `json:"-"`
 }
 
 // NumDevices is the scenario's device count with the default made
@@ -210,6 +215,10 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 			return nil, 0, fmt.Errorf("tenants: %s: SPDK tenants need a single-device scenario", sc.Tenants[i].Name)
 		}
 	}
+	inj, err := faults.New(sc.Faults, seed)
+	if err != nil {
+		return nil, 0, err
+	}
 	capacity := sc.Capacity
 	if capacity == 0 {
 		// Auto-size every device to the largest per-device demand so
@@ -235,6 +244,7 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 		return nil, 0, err
 	}
 	defer sys.Close()
+	sys.M.SetFaults(inj)
 	for _, n := range sys.M.Nodes {
 		n.Dev.SetArbiter(device.ArbiterByName(sc.Arbiter))
 	}

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/nvme"
 	"repro/internal/sim"
 )
@@ -117,12 +117,10 @@ func TestReplayByteIdentical(t *testing.T) {
 // spikes and queue-full backpressure; the run must complete every
 // arrival while the degradation counters record the events.
 func TestTenantStorm(t *testing.T) {
-	if err := faults.Activate("tenant-storm", 3); err != nil {
-		t.Fatal(err)
-	}
-	defer faults.Deactivate()
+	t.Parallel()
 	sc := Scenario{
-		Name: "storm",
+		Name:   "storm",
+		Faults: "tenant-storm",
 		Tenants: []Tenant{{
 			Name: "t0", Engine: core.EngineBypassD, RateOps: 100_000,
 			Ops: 1500, BS: 4096, FileBytes: 8 << 20, QD: 4,
@@ -144,6 +142,10 @@ func TestTenantStorm(t *testing.T) {
 	}
 	if r.PeakBacklog < burstArrivals {
 		t.Errorf("peak backlog %d, want ≥ burst size %d", r.PeakBacklog, burstArrivals)
+	}
+	sc.Faults = "no-such-profile"
+	if _, _, err := RunCountedWorkers(3, sc, 1); err == nil || !strings.Contains(err.Error(), "no-such-profile") {
+		t.Errorf("unknown profile: err = %v, want one naming it", err)
 	}
 }
 

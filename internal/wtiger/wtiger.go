@@ -57,7 +57,6 @@ type Store struct {
 
 	cache *pageCache
 	delta map[uint64][ValSize]byte
-	shard int // event shard of the store's device, where the cache lock lives
 
 	// CacheAccessCost is charged under the cache lock per page
 	// probe/insert — the contention point that caps scaling at high
@@ -124,28 +123,9 @@ func BuildOn(p *sim.Proc, sys *core.System, cpu *sim.CPUSet, devIdx int, cfg Con
 		Keys:            cfg.Keys,
 		cache:           newPageCacheOn(sys.Sim, shard, cfg.CacheBytes),
 		delta:           make(map[uint64][ValSize]byte),
-		shard:           shard,
 		CacheAccessCost: 250 * sim.Nanosecond,
 		cpu:             cpu,
 	}, nil
-}
-
-// Reattach rebuilds the in-memory store state over an existing image
-// (after booting from a snapshot). Tree metadata must match the
-// original Build, and the store stays on its device's shard.
-func (st *Store) Reattach(sys *core.System, cpu *sim.CPUSet, cacheBytes int64) *Store {
-	return &Store{
-		Path:            st.Path,
-		Pages:           st.Pages,
-		Root:            st.Root,
-		Levels:          st.Levels,
-		Keys:            st.Keys,
-		cache:           newPageCacheOn(sys.Sim, st.shard, cacheBytes),
-		delta:           make(map[uint64][ValSize]byte),
-		shard:           st.shard,
-		CacheAccessCost: st.CacheAccessCost,
-		cpu:             cpu,
-	}
 }
 
 // ValueOf is the deterministic value stored for key k at build time.
