@@ -3,6 +3,8 @@ package bypassd
 import (
 	"os"
 	"testing"
+
+	"repro/internal/kvell"
 )
 
 // bootDirect4K boots a system, creates and preallocates /bench, opens
@@ -92,5 +94,54 @@ func TestBootDirect4KReadAllocBudget(t *testing.T) {
 	t.Logf("BootDirect4KRead: %.0f allocs/op (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("BootDirect4KRead allocates %.0f objects/op, budget is %d — the boot path regressed", allocs, budget)
+	}
+}
+
+// TestKVellBypassDAllocBudget pins the kvell request path the frontend
+// fleet drives per request: a warm synchronous BypassD read and write
+// must allocate nothing — the slot is encoded into the worker's buffer
+// and Do reuses its results slice.
+func TestKVellBypassDAllocBudget(t *testing.T) {
+	if os.Getenv("BENCH_CHECK") == "" {
+		t.Skip("set BENCH_CHECK=1 to enforce the allocation budget (make bench-check)")
+	}
+	sys, err := New(1 << 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	var w *kvell.Worker
+	Run(sys, "kvell-boot", func(p *Proc) {
+		st, err := kvell.Build(p, sys, kvell.Config{Items: 1024, Path: "/kvell.db"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if w, err = kvell.NewBypassWorker(p, sys.Lib(sys.NewProcess(RootCred)), st); err != nil {
+			t.Error(err)
+		}
+	})
+	if w == nil {
+		t.Fatal("kvell boot failed")
+	}
+	for _, c := range []struct {
+		name string
+		req  kvell.Request
+	}{
+		{"read", kvell.Request{Key: 7}},
+		{"write", kvell.Request{Write: true, Key: 7, Val: kvell.ValueOf(8)}},
+	} {
+		reqs := []kvell.Request{c.req}
+		do := func(p *Proc) {
+			if res := w.Do(p, reqs); res[0].Err != nil {
+				t.Error(res[0].Err)
+			}
+		}
+		Run(sys, "kvell-warm", do)
+		allocs := testing.AllocsPerRun(20, func() { Run(sys, "kvell-op", do) })
+		t.Logf("kvell BypassD %s: %.0f allocs/op (budget 0)", c.name, allocs)
+		if allocs > 0 {
+			t.Errorf("warm kvell BypassD %s allocates %.0f objects/op, budget is 0", c.name, allocs)
+		}
 	}
 }

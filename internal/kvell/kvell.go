@@ -51,11 +51,10 @@ func ValueOf(k uint64) [ValSize]byte {
 	return v
 }
 
-func encodeSlot(key uint64, val [ValSize]byte) []byte {
-	buf := make([]byte, SlotSize)
-	binary.LittleEndian.PutUint64(buf[:], key)
+// encodeSlot writes key and val into buf, one SlotSize slot.
+func encodeSlot(buf []byte, key uint64, val *[ValSize]byte) {
+	binary.LittleEndian.PutUint64(buf, key)
 	copy(buf[KeySize:], val[:])
-	return buf
 }
 
 // Build creates and populates the slab file with items 0..Items-1,
@@ -99,7 +98,8 @@ func BuildOn(p *sim.Proc, sys *core.System, devIdx int, cfg Config) (*Store, err
 			n = cfg.Items - start
 		}
 		for i := uint64(0); i < n; i++ {
-			copy(batch[i*SlotSize:], encodeSlot(start+i, ValueOf(start+i)))
+			v := ValueOf(start + i)
+			encodeSlot(batch[i*SlotSize:], start+i, &v)
 		}
 		if _, err := pr.Pwrite(p, fd, batch[:n*SlotSize], int64(start)*SlotSize); err != nil {
 			return nil, err
@@ -156,6 +156,8 @@ type Worker struct {
 	bfd int
 
 	bufs [][]byte
+	ops  []kernel.AioOp
+	out  []Result
 }
 
 // NewAioWorker creates a KVell worker with the given queue depth.
@@ -205,15 +207,21 @@ func (w *Worker) slotFor(p *sim.Proc, r *Request) (uint64, bool) {
 
 // Do processes a batch of up to the worker's queue depth, returning
 // per-request results. Latency is measured from batch start (requests
-// wait for their whole batch, the KVell trade-off).
+// wait for their whole batch, the KVell trade-off). The results slice
+// belongs to the worker and is valid until its next Do.
 func (w *Worker) Do(p *sim.Proc, reqs []Request) []Result {
 	if len(reqs) == 0 {
 		return nil
 	}
-	if w.th != nil {
-		return w.doBypass(p, reqs)
+	if cap(w.out) < len(reqs) {
+		w.out = make([]Result, len(reqs))
 	}
-	out := make([]Result, len(reqs))
+	out := w.out[:len(reqs)]
+	clear(out)
+	if w.th != nil {
+		w.doBypass(p, reqs, out)
+		return out
+	}
 	for start := 0; start < len(reqs); start += w.qd {
 		end := start + w.qd
 		if end > len(reqs) {
@@ -226,7 +234,7 @@ func (w *Worker) Do(p *sim.Proc, reqs []Request) []Result {
 
 func (w *Worker) doAioBatch(p *sim.Proc, reqs []Request, out []Result) {
 	batchStart := p.Now()
-	ops := make([]kernel.AioOp, 0, len(reqs))
+	ops := w.ops[:0]
 	for i := range reqs {
 		r := &reqs[i]
 		slot, ok := w.slotFor(p, r)
@@ -236,7 +244,7 @@ func (w *Worker) doAioBatch(p *sim.Proc, reqs []Request, out []Result) {
 		}
 		buf := w.bufs[i%len(w.bufs)]
 		if r.Write {
-			copy(buf, encodeSlot(r.Key, r.Val))
+			encodeSlot(buf, r.Key, &r.Val)
 		}
 		ops = append(ops, kernel.AioOp{
 			FD:    w.fd,
@@ -246,6 +254,7 @@ func (w *Worker) doAioBatch(p *sim.Proc, reqs []Request, out []Result) {
 			Tag:   i,
 		})
 	}
+	w.ops = ops
 	if err := w.ctx.Submit(p, ops); err != nil {
 		for i := range out {
 			if out[i].Err == nil {
@@ -258,18 +267,16 @@ func (w *Worker) doAioBatch(p *sim.Proc, reqs []Request, out []Result) {
 	for got < len(ops) {
 		for _, ev := range w.ctx.GetEvents(p, 1, len(ops)) {
 			i := ev.Tag.(int)
-			res := Result{Latency: p.Now() - batchStart, Err: ev.Err, Found: true}
+			out[i] = Result{Latency: p.Now() - batchStart, Err: ev.Err, Found: true}
 			if !reqs[i].Write && ev.Err == nil {
-				copy(res.Val[:], w.bufs[i%len(w.bufs)][KeySize:])
+				copy(out[i].Val[:], w.bufs[i%len(w.bufs)][KeySize:])
 			}
-			out[i] = res
 			got++
 		}
 	}
 }
 
-func (w *Worker) doBypass(p *sim.Proc, reqs []Request) []Result {
-	out := make([]Result, len(reqs))
+func (w *Worker) doBypass(p *sim.Proc, reqs []Request, out []Result) {
 	for i := range reqs {
 		r := &reqs[i]
 		start := p.Now()
@@ -281,18 +288,16 @@ func (w *Worker) doBypass(p *sim.Proc, reqs []Request) []Result {
 		buf := w.bufs[0]
 		var err error
 		if r.Write {
-			copy(buf, encodeSlot(r.Key, r.Val))
+			encodeSlot(buf, r.Key, &r.Val)
 			_, err = w.th.Pwrite(p, w.bfd, buf, int64(slot)*SlotSize)
 		} else {
 			_, err = w.th.Pread(p, w.bfd, buf, int64(slot)*SlotSize)
 		}
-		res := Result{Latency: p.Now() - start, Err: err, Found: true}
+		out[i] = Result{Latency: p.Now() - start, Err: err, Found: true}
 		if !r.Write && err == nil {
-			copy(res.Val[:], buf[KeySize:])
+			copy(out[i].Val[:], buf[KeySize:])
 		}
-		out[i] = res
 	}
-	return out
 }
 
 // Sector sanity: slots must stay sector aligned.

@@ -5,16 +5,17 @@
 // nanosecond clock instead of wall-clock time, so results are exact and
 // reproducible regardless of the Go runtime's scheduling behaviour.
 //
-// The kernel runs simulated processes (Proc) cooperatively: control
-// transfers between a scheduler context and procs through a strict
-// channel handshake. Events that fire at the same virtual instant run
-// in the order they were posted.
+// The kernel runs simulated processes (Proc) cooperatively: each proc
+// is a runtime coroutine (iter.Pull) that the dispatching context
+// resumes and that yields back when it parks, so control passes
+// without any goroutine handoff. Events that fire at the same virtual
+// instant run in the order they were posted.
 //
 // The dispatch hot path is built for throughput (DESIGN.md §12):
 // same-instant events go through a FIFO staging lane instead of the
-// heap (no sift traffic for wakeup storms), finished procs park their
-// goroutines in a free pool for reuse by later Spawns (no goroutine,
-// stack, or channel churn in steady state), and SpawnArg avoids the
+// heap (no sift traffic for wakeup storms), finished procs idle their
+// coroutines in a free pool for reuse by later Spawns (no coroutine or
+// stack churn in steady state), and SpawnArg avoids the
 // per-spawn closure allocation on the device's per-command path.
 //
 // Multi-device topologies partition the event stream into shards
@@ -70,7 +71,7 @@ type event struct {
 	seq uint64
 	fn  func()
 	// p, when non-nil, marks a proc-resume event: the scheduler calls
-	// resume(p) directly instead of going through a closure. Sleeps and
+	// p.next directly instead of going through a closure. Sleeps and
 	// wakeups dominate the event stream, and allocating a closure for
 	// each showed up at the top of -benchmem profiles. pgen snapshots
 	// p's generation at post time; a mismatch at dispatch marks a stale
@@ -191,18 +192,17 @@ type shard struct {
 	seq       uint64
 	processed uint64
 
-	// Proc machinery: the handshake channel and the pools of procs
-	// whose resume events route through this shard. Per-shard pools
-	// keep spawn/park/finish free of cross-shard traffic in parallel
-	// runs; proc goroutines are shard-resident for their lifetime.
-	yield      chan struct{}
+	// The pools of procs whose resume events route through this shard.
+	// Per-shard pools keep spawn/park/finish free of cross-shard
+	// traffic in parallel runs; proc coroutines are shard-resident for
+	// their lifetime, so only the shard's owner ever resumes them.
 	procs      []*Proc
 	free       []*Proc
 	nextProcID uint64
 }
 
 func newShard() shard {
-	return shard{events: newEventHeap(), yield: make(chan struct{})}
+	return shard{events: newEventHeap()}
 }
 
 // peek reports the shard's earliest queued (at, seq), merging the
@@ -250,33 +250,28 @@ func (sh *shard) idle() bool {
 	return sh.laneOff >= len(sh.lane) && len(sh.events) == 0
 }
 
-// procState tracks where a Proc is in its lifecycle.
-type procState int
-
-const (
-	procNew procState = iota
-	procRunning
-	procParked
-	procDone
-	// procIdle marks a finished proc whose goroutine is parked in the
-	// spawn pool, waiting for a later Spawn to reuse it.
-	procIdle
-)
-
 // Proc is a simulated thread of execution. A Proc may only call
 // blocking methods (Sleep, Cond.Wait, Resource.Acquire, ...) from its
-// own goroutine while it is the running proc.
+// own fn while it is the running proc.
 //
-// Proc objects (and their goroutines) are recycled: when fn returns,
-// the proc parks in its shard's free pool and a later Spawn may hand
+// Proc objects (and their coroutines) are recycled: when fn returns,
+// the proc idles in its shard's free pool and a later Spawn may hand
 // it a new identity. ID() distinguishes logical spawns across reuse —
 // two spawns never share an ID even when they share a *Proc.
 type Proc struct {
 	sim   *Sim
 	name  string
-	wake  chan struct{}
-	state procState
 	trace any
+
+	// next runs the proc's coroutine until it parks or finishes, yield
+	// (called on the coroutine) hands control back to whoever called
+	// next, and stop unwinds it (coro.go).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	// live is true from Spawn until the assignment returns or Shutdown
+	// unwinds it.
+	live bool
 
 	// shard is the event lane the proc's resumes route to. Procs are
 	// shard-resident: the shard is fixed at first allocation (from the
@@ -374,7 +369,6 @@ type Sim struct {
 	// coupled-context APIs into panics.
 	draining bool
 
-	killing bool
 	running bool
 }
 
@@ -574,7 +568,7 @@ func (s *Sim) dispatch(sh *shard, e event) {
 	sh.processed++
 	if e.p != nil {
 		if e.pgen == e.p.gen {
-			s.resume(e.p)
+			e.p.next()
 		}
 		return
 	}
@@ -692,7 +686,7 @@ func (p *Proc) At(at Time, fn func()) {
 }
 
 // allocProcOn hands out a proc resident on shard k for a new logical
-// spawn, recycling a finished proc's object and goroutine when one is
+// spawn, recycling a finished proc's object and coroutine when one is
 // free. Must run on a context that owns shard k (the coupled
 // scheduler, or k's worker during a parallel drain).
 func (s *Sim) allocProcOn(k int, name string) *Proc {
@@ -703,101 +697,52 @@ func (s *Sim) allocProcOn(k int, name string) *Proc {
 		sh.free[n-1] = nil
 		sh.free = sh.free[:n-1]
 		p.name = name
-		p.state = procNew
 	} else {
-		p = &Proc{sim: s, name: name, wake: make(chan struct{}), state: procNew, shard: k}
+		p = &Proc{sim: s, name: name, shard: k}
+		s.newCoroutine(p)
 		sh.procs = append(sh.procs, p)
-		go s.procLoop(p)
 	}
+	p.live = true
 	sh.nextProcID++
 	p.id = uint64(k)<<48 | sh.nextProcID
 	return p
 }
 
-// procLoop is the body of every proc goroutine: serve one assignment,
-// then park in the shard's free pool until the next Spawn reuses the
-// proc (or Shutdown unwinds it).
-func (s *Sim) procLoop(p *Proc) {
-	for {
-		<-p.wake
-		if s.killing {
-			s.finish(p)
-			return
-		}
-		if !s.runAssignment(p) {
-			return
-		}
-	}
-}
-
-// runAssignment executes p's current fn, reporting whether the
-// goroutine should keep serving recycled assignments.
-func (s *Sim) runAssignment(p *Proc) (again bool) {
-	sh := &s.shards[p.shard]
+// runAssignment executes p's current fn on p's coroutine, reporting
+// whether the coroutine should keep serving recycled assignments: false
+// once Shutdown has unwound it. Any other panic propagates out of
+// p.next to the dispatching context.
+func (s *Sim) runAssignment(p *Proc) bool {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); !ok {
-				panic(r)
-			}
-			s.finish(p) // unwound by Shutdown mid-run
-			return
+		if r := recover(); r != nil && r != (killed{}) {
+			panic(r)
 		}
-		if s.killing {
-			s.finish(p)
-			return
-		}
-		// Normal completion: recycle before yielding so the scheduler
-		// may hand the proc straight to the next Spawn. The goroutine
-		// re-parks on p.wake, which the strict handshake guarantees it
-		// reaches before any wake is sent.
-		p.state = procIdle
-		p.gen++
-		p.fn = nil
-		p.fnArg = nil
-		p.arg = nil
-		p.trace = nil
-		sh.free = append(sh.free, p)
-		again = true
-		sh.yield <- struct{}{}
 	}()
-	p.state = procRunning
 	if p.fnArg != nil {
 		p.fnArg(p, p.arg)
 	} else {
 		p.fn(p)
 	}
-	return
-}
-
-// finish marks p done and returns control to the scheduler.
-func (s *Sim) finish(p *Proc) {
-	p.state = procDone
-	s.shards[p.shard].yield <- struct{}{}
-}
-
-// resume hands control to p and blocks the dispatching context until p
-// parks or finishes. It must only run on the context that owns p's
-// shard.
-func (s *Sim) resume(p *Proc) {
-	if p.state == procDone || p.state == procIdle {
-		return
-	}
-	p.state = procRunning
-	p.wake <- struct{}{}
-	<-s.shards[p.shard].yield
+	// Normal completion: recycle before yielding so the scheduler may
+	// hand the proc straight to the next Spawn.
+	p.live = false
+	p.gen++
+	p.fn = nil
+	p.fnArg = nil
+	p.arg = nil
+	p.trace = nil
+	sh := &s.shards[p.shard]
+	sh.free = append(sh.free, p)
+	return true
 }
 
 // park suspends the calling proc until it is resumed. The proc must
 // already have arranged for a wakeup (an event, cond membership, ...).
+// After Shutdown's stop, yield reports false and the proc unwinds.
 func (p *Proc) park() {
-	s := p.sim
-	p.state = procParked
-	s.shards[p.shard].yield <- struct{}{}
-	<-p.wake
-	if s.killing {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
-	p.state = procRunning
 }
 
 // Sleep advances the proc's virtual time by d. d must be >= 0.
@@ -887,12 +832,17 @@ func (s *Sim) RunUntil(t Time) int {
 	return n
 }
 
-// Shutdown unwinds every parked, idle, or not-yet-started proc so
-// their goroutines exit. Pending events are discarded. The simulation
-// must not be used afterwards. Procs must not park inside deferred
-// functions, or Shutdown will deadlock.
+// Shutdown unwinds every parked, idle, or not-yet-started proc, so no
+// coroutine outlives the simulation, then discards pending events
+// (including any that unwinding procs posted from deferred functions).
+// The simulation must not be used afterwards.
 func (s *Sim) Shutdown() {
-	s.killing = true
+	for si := range s.shards {
+		for _, p := range s.shards[si].procs {
+			p.stop()
+			p.live = false
+		}
+	}
 	for si := range s.shards {
 		sh := &s.shards[si]
 		if sh.events != nil {
@@ -906,15 +856,6 @@ func (s *Sim) Shutdown() {
 		sh.laneOff = 0
 		sh.free = nil
 	}
-	for si := range s.shards {
-		sh := &s.shards[si]
-		for _, p := range sh.procs {
-			if p.state == procParked || p.state == procNew || p.state == procIdle {
-				p.wake <- struct{}{}
-				<-s.shards[p.shard].yield
-			}
-		}
-	}
 }
 
 // Live reports the number of procs that have not finished (idle pooled
@@ -923,7 +864,7 @@ func (s *Sim) Live() int {
 	n := 0
 	for si := range s.shards {
 		for _, p := range s.shards[si].procs {
-			if p.state != procDone && p.state != procIdle {
+			if p.live {
 				n++
 			}
 		}

@@ -263,6 +263,52 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 	}
 }
 
+// TestShutdownUnwindsProcParkedInDefer parks procs inside deferred
+// functions while Shutdown unwinds them: each park must unwind again
+// instead of stranding the proc, and the Sleep's resume never runs.
+func TestShutdownUnwindsProcParkedInDefer(t *testing.T) {
+	s := New()
+	c := s.NewCond()
+	woke := 0
+	for i := 0; i < 3; i++ {
+		s.Spawn("deferred", func(p *Proc) {
+			defer func() {
+				p.Sleep(5)
+				woke++
+			}()
+			c.Wait(p)
+		})
+	}
+	s.Run()
+	s.Shutdown()
+	if s.Live() != 0 || woke != 0 {
+		t.Fatalf("after shutdown live = %d, woke = %d; want 0, 0", s.Live(), woke)
+	}
+}
+
+// TestProcPanicReachesRunCaller pins that a panic inside a proc
+// surfaces from Run on the caller's goroutine, where it can be
+// recovered, rather than killing the process from elsewhere.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	s := New()
+	s.Spawn("boom", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run recovered %v, want the proc's panic", got)
+	}
+	s.Shutdown()
+	if s.Live() != 0 {
+		t.Fatalf("live after shutdown = %d, want 0", s.Live())
+	}
+}
+
 func TestSpawnFromProc(t *testing.T) {
 	s := New()
 	var childRan bool
