@@ -6,9 +6,9 @@ FUZZ_TARGETS := ./internal/ext4:FuzzExtentTree ./internal/ext4:FuzzRename ./inte
 
 # The benchmarks the committed snapshot and the throughput gate track:
 # the Fig. 6/9 harnesses, the headline 4 KiB read (steady-state and
-# boot-inclusive), the simulated-IOPS throughput family, and the
-# frontend service tier.
-GATE_BENCH := Fig6LatBW|Fig9Scaling|Direct4KRead|BootDirect4KRead|SimThroughput|FrontendThroughput
+# boot-inclusive), the 64 KiB steady-state read, the simulated-IOPS
+# throughput family, and the frontend service tier.
+GATE_BENCH := Fig6LatBW|Fig9Scaling|Direct4KRead|BootDirect4KRead|Direct64KRead|SimThroughput|FrontendThroughput
 
 all: check
 
@@ -33,7 +33,7 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
 # bench-json regenerates the committed benchmark snapshot: the
-# Fig. 6/9 harnesses, the headline 4 KiB read, the throughput family
+# Fig. 6/9 harnesses, the 4 KiB and 64 KiB reads, the throughput family
 # (single-queue, traced, tenant storm, and the four-SSD sharded core
 # at 1 and 4 workers), and the frontend service tier, with events/sec,
 # wall-ns-per-event, and wall-ns-per-virtual-ns metrics. Set
@@ -45,8 +45,9 @@ bench-json:
 
 # bench-check is the performance regression gate, in three parts:
 #  1. allocation budgets — a steady-state 4 KiB BypassD read must stay
-#     within single-digit allocs/op and the boot-inclusive path within
-#     its budget (Test*AllocBudget), with every arbiter's steady-state
+#     within single-digit allocs/op, a 64 KiB one at zero, and the
+#     boot-inclusive path within its budget (Test*AllocBudget), with
+#     every arbiter's steady-state
 #     grant allocation-free (TestArbiterZeroAllocHotPath);
 #  2. throughput — the gated benchmarks must stay within 25% of the
 #     committed BENCH_PR10.json ns/op (benchjson -check, which takes

@@ -13,11 +13,17 @@ import (
 // The returned handles drive steady-state reads: the system is live
 // and the caller owns sys.Close().
 func bootDirect4K(t testing.TB) (sys *System, io FileIO, fd int, buf []byte) {
+	return bootDirect(t, 4096)
+}
+
+// bootDirect is bootDirect4K with a size-byte read buffer; steady-state
+// reads of that size go at offset size.
+func bootDirect(t testing.TB, size int) (sys *System, io FileIO, fd int, buf []byte) {
 	sys, err := New(1 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf = make([]byte, 4096)
+	buf = make([]byte, size)
 	Run(sys, "boot", func(p *Proc) {
 		pr := sys.NewProcess(RootCred)
 		f, err := pr.Create(p, "/bench", 0o644)
@@ -38,7 +44,7 @@ func bootDirect4K(t testing.TB) (sys *System, io FileIO, fd int, buf []byte) {
 		}
 		fd, _ = io.Open(p, "/bench", false)
 		_, _ = io.Pread(p, fd, buf, 0) // warm
-		if _, err := io.Pread(p, fd, buf, 4096); err != nil {
+		if _, err := io.Pread(p, fd, buf, int64(size)); err != nil {
 			t.Error(err)
 		}
 	})
@@ -76,6 +82,28 @@ func TestDirect4KReadAllocBudget(t *testing.T) {
 	t.Logf("Direct4KRead steady state: %.0f allocs/op (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("steady-state Direct4KRead allocates %.0f objects/op, budget is %d — the hot path regressed", allocs, budget)
+	}
+}
+
+// TestDirect64KReadAllocBudget pins the 64 KiB rung of the read
+// ladder: a warm aligned BypassD read DMAs straight into the caller's
+// buffer, so the steady state allocates nothing at any transfer size.
+func TestDirect64KReadAllocBudget(t *testing.T) {
+	if os.Getenv("BENCH_CHECK") == "" {
+		t.Skip("set BENCH_CHECK=1 to enforce the allocation budget (make bench-check)")
+	}
+	sys, io, fd, buf := bootDirect(t, 64<<10)
+	defer sys.Close()
+	read := func(p *Proc) {
+		if _, err := io.Pread(p, fd, buf, int64(len(buf))); err != nil {
+			t.Error(err)
+		}
+	}
+	Run(sys, "alloc-warm", read) // warm sync.Pools and the proc free list
+	allocs := testing.AllocsPerRun(20, func() { Run(sys, "alloc-check", read) })
+	t.Logf("Direct64KRead steady state: %.0f allocs/op (budget 0)", allocs)
+	if allocs > 0 {
+		t.Fatalf("steady-state Direct64KRead allocates %.0f objects/op, budget is 0", allocs)
 	}
 }
 

@@ -78,13 +78,24 @@ func BenchmarkSupVMSupport(b *testing.B)        { benchExperiment(b, "S2") }
 // region: this is the steady-state cost of a read, the number the
 // zero-alloc work targets (see BenchmarkBootDirect4KRead for the
 // boot-inclusive variant).
-func BenchmarkDirect4KRead(b *testing.B) {
-	sys, io, fd, buf := bootDirect4K(b)
+func BenchmarkDirect4KRead(b *testing.B) { benchDirectRead(b, 4096) }
+
+// BenchmarkDirect64KRead is the same warm read at 64 KiB, the
+// scaleout hog's transfer size: per byte, it shows what the data path
+// costs once the per-op overhead is amortized.
+func BenchmarkDirect64KRead(b *testing.B) {
+	b.SetBytes(64 << 10)
+	benchDirectRead(b, 64<<10)
+}
+
+// benchDirectRead drives warm size-byte BypassD reads, one per op.
+func benchDirectRead(b *testing.B, size int) {
+	sys, io, fd, buf := bootDirect(b, size)
 	defer sys.Close()
 	var virtual Time
 	read := func(p *Proc) {
 		start := p.Now()
-		if _, err := io.Pread(p, fd, buf, 4096); err != nil {
+		if _, err := io.Pread(p, fd, buf, int64(size)); err != nil {
 			b.Error(err)
 		}
 		virtual += p.Now() - start

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/storage"
@@ -96,6 +97,81 @@ func TestUnalignedOverwrites(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatal("RMW overwrite corrupted surrounding data")
+	}
+}
+
+// allocBytesPerOp reports the mean heap bytes one warm call of f
+// allocates.
+func allocBytesPerOp(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// A warm unaligned read or RMW write borrows its bounce buffer from
+// the storage pool instead of allocating one per call. The bound sits
+// at half the bounce buffer: the race detector drops a quarter of
+// sync.Pool puts at random, so a -race run allocates one about every
+// fourth call.
+func TestUnalignedIOBounceBufferPooled(t *testing.T) {
+	fs, _ := newFS(t)
+	in, _ := fs.Create(nil, "/f", 0o644, Root)
+	if _, err := fs.WriteAt(nil, in, 0, make([]byte, 4*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 100)
+	for _, c := range []struct {
+		name   string
+		bounce uint64 // the bounce buffer's size
+		op     func() (int, error)
+	}{
+		{"read", BlockSize, func() (int, error) { return fs.ReadAt(nil, in, BlockSize+100, buf) }},
+		{"rmw-write", BlockSize, func() (int, error) { return fs.WriteAt(nil, in, BlockSize+100, buf) }},
+		{"read-across-blocks", 2 * BlockSize, func() (int, error) { return fs.ReadAt(nil, in, 2*BlockSize-50, buf) }},
+		{"rmw-write-across-blocks", 2 * BlockSize, func() (int, error) { return fs.WriteAt(nil, in, 2*BlockSize-50, buf) }},
+	} {
+		got := allocBytesPerOp(100, func() {
+			if n, err := c.op(); err != nil || n != len(buf) {
+				t.Fatalf("%s: n=%d err=%v", c.name, n, err)
+			}
+		})
+		if got >= c.bounce/2 {
+			t.Errorf("warm unaligned %s allocates %d B/op; the bounce buffer is not pooled", c.name, got)
+		}
+	}
+}
+
+// Pooled RMW buffers recycle dirty, so the write path must clear
+// what it does not overwrite: an unaligned write that allocates fresh
+// blocks still leaves zeros around its payload.
+func TestUnalignedWriteFreshBlocksReadZeroFromDirtyPool(t *testing.T) {
+	fs, _ := newFS(t)
+	in, _ := fs.Create(nil, "/f", 0o644, Root)
+	for _, size := range []int{BlockSize, 2 * BlockSize} {
+		b := storage.GetBuf(size)
+		for i := range b {
+			b[i] = 0xff
+		}
+		storage.PutBuf(b)
+	}
+	patch := bytes.Repeat([]byte{0x42}, 100)
+	const off = BlockSize - 50 // straddles two fresh blocks
+	if _, err := fs.WriteAt(nil, in, off, patch); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 2*BlockSize)
+	if _, err := fs.ReadAt(nil, in, 0, got[:in.Size]); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 2*BlockSize)
+	copy(want[off:], patch)
+	if !bytes.Equal(got[:in.Size], want[:in.Size]) {
+		t.Fatal("fresh blocks around an unaligned write are not zero")
 	}
 }
 

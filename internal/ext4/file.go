@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/pagetable"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // Access checks whether c may open in for reading (and writing when
@@ -64,16 +65,25 @@ func (fs *FS) ReadAt(p *sim.Proc, in *Inode, off int64, buf []byte) (int, error)
 			if err := fs.bio.ReadBlocks(p, disk, want/BlockSize, buf[done:done+want]); err != nil {
 				return int(done), err
 			}
-		} else {
-			tmp := make([]byte, runBlocks*BlockSize)
-			if err := fs.bio.ReadBlocks(p, disk, runBlocks, tmp); err != nil {
-				return int(done), err
-			}
-			copy(buf[done:done+want], tmp[inner:])
+		} else if err := fs.readRun(p, disk, runBlocks, inner, buf[done:done+want]); err != nil {
+			return int(done), err
 		}
 		done += want
 	}
 	return int(done), nil
+}
+
+// readRun reads the runBlocks-block run at disk block disk through a
+// pooled scratch buffer and copies len(dst) bytes from byte inner of
+// it into dst: the unaligned leg of ReadAt.
+func (fs *FS) readRun(p *sim.Proc, disk, runBlocks, inner int64, dst []byte) error {
+	tmp := storage.GetBuf(int(runBlocks * BlockSize))
+	defer storage.PutBuf(tmp)
+	if err := fs.bio.ReadBlocks(p, disk, runBlocks, tmp); err != nil {
+		return err
+	}
+	copy(dst, tmp[inner:])
+	return nil
 }
 
 // ensureAllocated grows the file's block coverage to blocks,
@@ -181,33 +191,8 @@ func (fs *FS) WriteAt(p *sim.Proc, in *Inode, off int64, data []byte) (int, erro
 			if err := fs.bio.WriteBlocks(p, disk, want/BlockSize, data[done:done+want]); err != nil {
 				return int(done), err
 			}
-		} else {
-			// Read-modify-write: only the partial boundary blocks
-			// need their old contents, and only if they predate this
-			// call (fresh blocks read as zero, which tmp already is).
-			tmp := make([]byte, runBlocks*BlockSize)
-			end := inner + want
-			headIdx, tailIdx := int64(0), (end-1)/BlockSize
-			readBoundary := func(idx int64) error {
-				if fb+idx >= oldAlloc {
-					return nil
-				}
-				return fs.bio.ReadBlocks(p, disk+idx, 1, tmp[idx*BlockSize:(idx+1)*BlockSize])
-			}
-			if inner != 0 {
-				if err := readBoundary(headIdx); err != nil {
-					return int(done), err
-				}
-			}
-			if end%BlockSize != 0 && (tailIdx != headIdx || inner == 0) {
-				if err := readBoundary(tailIdx); err != nil {
-					return int(done), err
-				}
-			}
-			copy(tmp[inner:], data[done:done+want])
-			if err := fs.bio.WriteBlocks(p, disk, runBlocks, tmp); err != nil {
-				return int(done), err
-			}
+		} else if err := fs.rmwBlocks(p, disk, fb, runBlocks, inner, oldAlloc, data[done:done+want]); err != nil {
+			return int(done), err
 		}
 		done += want
 	}
@@ -217,6 +202,39 @@ func (fs *FS) WriteAt(p *sim.Proc, in *Inode, off int64, data []byte) (int, erro
 	}
 	in.Mtime = fs.now()
 	return int(done), nil
+}
+
+// rmwBlocks writes payload at byte inner of the runBlocks-block run
+// that starts at file block fb (disk block disk) by read-modify-write
+// through a pooled scratch buffer. Only the partial boundary blocks
+// need their old contents, and only if they predate the write
+// (fb+idx < oldAlloc); fresh blocks read as zero, so the bytes around
+// the payload start cleared.
+func (fs *FS) rmwBlocks(p *sim.Proc, disk, fb, runBlocks, inner, oldAlloc int64, payload []byte) error {
+	tmp := storage.GetBuf(int(runBlocks * BlockSize))
+	defer storage.PutBuf(tmp)
+	end := inner + int64(len(payload))
+	clear(tmp[:inner])
+	clear(tmp[end:])
+	readBoundary := func(idx int64) error {
+		if fb+idx >= oldAlloc {
+			return nil
+		}
+		return fs.bio.ReadBlocks(p, disk+idx, 1, tmp[idx*BlockSize:(idx+1)*BlockSize])
+	}
+	headIdx, tailIdx := int64(0), (end-1)/BlockSize
+	if inner != 0 {
+		if err := readBoundary(headIdx); err != nil {
+			return err
+		}
+	}
+	if end%BlockSize != 0 && (tailIdx != headIdx || inner == 0) {
+		if err := readBoundary(tailIdx); err != nil {
+			return err
+		}
+	}
+	copy(tmp[inner:], payload)
+	return fs.bio.WriteBlocks(p, disk, runBlocks, tmp)
 }
 
 // Fallocate extends the file to size bytes, allocating zeroed blocks

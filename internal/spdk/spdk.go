@@ -104,7 +104,11 @@ func (d *Driver) Lookup(name string) (Region, bool) {
 	return r, ok
 }
 
-// Queue is a per-thread queue pair + DMA buffer.
+// Queue is a per-thread queue pair + DMA buffer. The buffer models
+// SPDK's pinned DMA memory: its size bounds one command, and the
+// virtual clock charges a copy through it. Every SPDK transfer is
+// sector-aligned, so on the host the device moves data straight
+// to and from the caller's buffer.
 type Queue struct {
 	d   *Driver
 	q   *nvme.QueuePair
@@ -186,12 +190,10 @@ func (q *Queue) ReadAt(p *sim.Proc, r Region, buf []byte, off int64) (int, error
 		if chunk > n {
 			chunk = n
 		}
-		dma := q.dma[:chunk]
-		if err := q.do(p, nvme.OpRead, r.Sector+(off+int64(done))/storage.SectorSize, dma); err != nil {
+		if err := q.do(p, nvme.OpRead, r.Sector+(off+int64(done))/storage.SectorSize, buf[done:done+chunk]); err != nil {
 			return done, err
 		}
 		q.d.cpu.Compute(p, q.d.copyCost(chunk))
-		copy(buf[done:done+chunk], dma)
 		done += chunk
 	}
 	return done, nil
@@ -212,10 +214,8 @@ func (q *Queue) WriteAt(p *sim.Proc, r Region, data []byte, off int64) (int, err
 		if chunk > len(q.dma) {
 			chunk = len(q.dma)
 		}
-		dma := q.dma[:chunk]
 		q.d.cpu.Compute(p, q.d.copyCost(chunk))
-		copy(dma, data[done:done+chunk])
-		if err := q.do(p, nvme.OpWrite, r.Sector+(off+int64(done))/storage.SectorSize, dma); err != nil {
+		if err := q.do(p, nvme.OpWrite, r.Sector+(off+int64(done))/storage.SectorSize, data[done:done+chunk]); err != nil {
 			return done, err
 		}
 		done += chunk

@@ -2,9 +2,11 @@ package spdk
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -122,4 +124,90 @@ func TestNoIsolationBetweenRegions(t *testing.T) {
 	})
 	s.Run()
 	s.Shutdown()
+}
+
+// TestTransfersBypassDMABuffer pins the zero-copy contract: every
+// SPDK transfer is sector-aligned, so the device reads into and writes
+// from the caller's buffer and the queue's DMA buffer stays untouched,
+// also when a transfer is chunked at the DMA buffer's size.
+func TestTransfersBypassDMABuffer(t *testing.T) {
+	s := sim.New()
+	cpu, dev := setup(t, s)
+	d, _ := Claim(cpu, dev, DefaultConfig())
+	r, _ := d.CreateFile("data", 4<<20)
+	s.Spawn("app", func(p *sim.Proc) {
+		q, _ := d.NewQueue(p)
+		untouched := bytes.Repeat([]byte{0xa5}, len(q.dma))
+		copy(q.dma, untouched)
+		for _, c := range []struct{ off, n int64 }{
+			{8192, 4096},
+			{512, 1536},
+			{1 << 20, 3 << 20}, // three DMA-buffer-sized commands
+		} {
+			w := make([]byte, c.n)
+			rand.New(rand.NewSource(c.off)).Read(w)
+			if n, err := q.WriteAt(p, r, w, c.off); err != nil || n != len(w) {
+				t.Errorf("write %d@%d: n=%d err=%v", c.n, c.off, n, err)
+				return
+			}
+			got := make([]byte, c.n)
+			if n, err := q.ReadAt(p, r, got, c.off); err != nil || n != len(got) {
+				t.Errorf("read %d@%d: n=%d err=%v", c.n, c.off, n, err)
+				return
+			}
+			if !bytes.Equal(got, w) {
+				t.Errorf("read %d@%d returned wrong bytes", c.n, c.off)
+			}
+			if !bytes.Equal(q.dma, untouched) {
+				t.Errorf("transfer %d@%d staged through the DMA buffer", c.n, c.off)
+			}
+		}
+	})
+	s.Run()
+	s.Shutdown()
+}
+
+// TestFailedTransferLeavesBuffersUntouched pins that handing the
+// device the caller's buffer exposes no partial transfer: a read that
+// fails (after its retries) leaves the caller's buffer as it was, and
+// a failed write leaves the medium as it was.
+func TestFailedTransferLeavesBuffersUntouched(t *testing.T) {
+	for _, kind := range []string{faults.KindMedia, faults.KindTimeout} {
+		t.Run(kind, func(t *testing.T) {
+			s := sim.New()
+			cpu, dev := setup(t, s)
+			d, _ := Claim(cpu, dev, DefaultConfig())
+			r, _ := d.CreateFile("data", 1<<20)
+			s.Spawn("app", func(p *sim.Proc) {
+				q, _ := d.NewQueue(p)
+				old := bytes.Repeat([]byte{0x42}, 4096)
+				if _, err := q.WriteAt(p, r, old, 8192); err != nil {
+					t.Error(err)
+					return
+				}
+				inj := faults.NewInjector(1, []faults.Rule{{Site: faults.DeviceSite("*", kind), Delay: sim.Microsecond}})
+				dev.SetInjector(inj)
+				buf := bytes.Repeat([]byte{0x5a}, 4096)
+				if _, err := q.ReadAt(p, r, buf, 8192); err == nil {
+					t.Error("read succeeded under a persistent fault")
+				}
+				if !bytes.Equal(buf, bytes.Repeat([]byte{0x5a}, 4096)) {
+					t.Error("failed read wrote into the caller's buffer")
+				}
+				if _, err := q.WriteAt(p, r, bytes.Repeat([]byte{0xc3}, 4096), 8192); err == nil {
+					t.Error("write succeeded under a persistent fault")
+				}
+				dev.SetInjector(nil)
+				if inj.Total() == 0 {
+					t.Error("no fault fired")
+				}
+				got := make([]byte, 4096)
+				if _, err := q.ReadAt(p, r, got, 8192); err != nil || !bytes.Equal(got, old) {
+					t.Errorf("failed write reached the medium (err %v)", err)
+				}
+			})
+			s.Run()
+			s.Shutdown()
+		})
+	}
 }

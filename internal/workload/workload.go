@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -72,8 +73,32 @@ type Zipf struct {
 	eta   float64
 }
 
-// zeta computes the generalized harmonic number H_{n,th}.
+// zetaKey keys the zeta cache.
+type zetaKey struct {
+	n  uint64
+	th float64
+}
+
+// zetaCache memoizes zeta across samplers: every fleet boot and every
+// device's generator asks for the same H over the same key space, an
+// O(n) math.Pow sum. The function is pure, so a cached value is
+// bit-identical to a recomputed one; two generators racing on a miss
+// both compute it and store the same float.
+var zetaCache sync.Map // zetaKey -> float64
+
+// zeta returns the generalized harmonic number H_{n,th}.
 func zeta(n uint64, th float64) float64 {
+	k := zetaKey{n, th}
+	if v, ok := zetaCache.Load(k); ok {
+		return v.(float64)
+	}
+	sum := zetaSum(n, th)
+	zetaCache.Store(k, sum)
+	return sum
+}
+
+// zetaSum computes H_{n,th} = sum over i in [1, n] of 1/i^th.
+func zetaSum(n uint64, th float64) float64 {
 	var sum float64
 	for i := uint64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), th)

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -213,5 +214,35 @@ func TestStreamValidation(t *testing.T) {
 	}
 	if !ValidShape("") || !ValidShape(Bursty) || ValidShape("x") {
 		t.Fatal("ValidShape broken")
+	}
+}
+
+// The zeta memo must be invisible: two samplers built concurrently
+// over a key space nobody has asked for yet (a cache miss on both
+// sides, which the race detector checks) get the bit-identical zetan
+// of a fresh sum, and later samplers read it from the cache.
+func TestZipfZetaMemoConcurrent(t *testing.T) {
+	const n, theta = 3<<14 + 7, 0.97
+	want := math.Float64bits(zetaSum(n, theta))
+	var zs [2]*Zipf
+	var wg sync.WaitGroup
+	for i := range zs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			zs[i] = NewZipf(n, theta)
+		}()
+	}
+	wg.Wait()
+	for i, z := range zs {
+		if got := math.Float64bits(z.zetan); got != want {
+			t.Fatalf("sampler %d: zetan bits %x, want %x", i, got, want)
+		}
+	}
+	if _, ok := zetaCache.Load(zetaKey{n, theta}); !ok {
+		t.Fatal("zeta(n, theta) was not memoized")
+	}
+	if got := math.Float64bits(NewZipf(n, theta).zetan); got != want {
+		t.Fatalf("cached zetan bits %x, want %x", got, want)
 	}
 }
