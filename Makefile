@@ -108,7 +108,9 @@ trace-smoke:
 
 # repro-smoke round-trips the anomaly-repro tool on the T7 cell the
 # arbiter gate pins: the same spec must replay byte-identically at
-# -j1 and -j2, and the replayed row must be the wrr victim cell.
+# -j1 and -j2, and the replayed row must be the wrr victim cell. It
+# then replays one quick T10 cell, which must print exactly one data
+# row: a spec that pins a cell's key columns runs only that cell.
 repro-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 		$(GO) build -o $$tmp/repro ./cmd/bypassd-repro; \
@@ -118,6 +120,8 @@ repro-smoke:
 		cmp $$tmp/a.txt $$tmp/b.txt; \
 		grep -q 'wrr' $$tmp/a.txt; \
 		grep -q 'derived seed: 1' $$tmp/a.txt; \
+		$$tmp/repro 'T10:offered=3040,pool=8,policy=codel@seed=1' > $$tmp/t10.txt 2>/dev/null; \
+		test "$$(sed -n '/^---/,$$p' $$tmp/t10.txt | tail -n +2 | grep -c .)" = 1; \
 		echo "repro-smoke ok"
 
 # topology-smoke boots the multi-SSD plane end to end: one quick

@@ -35,10 +35,11 @@ type Options struct {
 	Parallelism int
 	// Faults names a fault-injection profile (faults.Profiles) armed
 	// for every machine the experiments boot; "" disables injection.
-	// Each machine gets its own injector seeded from Seed (the tenant
-	// and frontend harnesses seed from their cell's trial seed), so a
-	// fixed (Seed, Faults) pair replays byte-for-byte at any
-	// Parallelism.
+	// Each machine gets its own injector: every trial cell of the
+	// trial-aware tables seeds it from that trial's seed
+	// (TrialSeed(k)), so trials draw independent faults and a one-trial
+	// replay reproduces them; other harnesses seed it from Seed. A fixed
+	// (Seed, Faults) pair replays byte-for-byte at any Parallelism.
 	Faults string
 	// Devices narrows the topology-aware experiments to one device
 	// count: T9 runs only the N-device cell instead of its 1→8 ladder.
@@ -48,12 +49,12 @@ type Options struct {
 	// Trials is the number of independent seeded repetitions each
 	// sweep cell runs. <= 1 runs the single historical trial and keeps
 	// every table byte-identical to earlier releases. With N > 1, the
-	// trial-aware harnesses (T7, T8, F6, F9) run each cell once per
-	// seed TrialSeed(k) — derived from Seed and the trial index k,
-	// never from execution order — and report cross-seed statistics:
-	// mean ± 95% Student-t confidence intervals and p99/p999 spread
-	// columns. Trials share the Parallelism worker pool with sweep
-	// cells, and reports stay byte-identical at any -j.
+	// trial-aware harnesses (T7, T8, T9, T10, F6, F9) run each cell
+	// once per seed TrialSeed(k) — derived from Seed and the trial
+	// index k, never from execution order — and report cross-seed
+	// statistics: mean ± 95% Student-t confidence intervals and
+	// min..max spread columns. Trials share the Parallelism worker pool
+	// with sweep cells, and reports stay byte-identical at any -j.
 	Trials int
 	// Workers sets how many host goroutines drain the event shards of
 	// each multi-device scenario's traffic phase (the simulator's
@@ -75,10 +76,13 @@ func (o Options) workers() int {
 
 // injector builds a fresh fault injector for one machine from the
 // run's profile, seeded from Seed; nil when no profile is set.
-// Runner.Run rejects an unknown profile before any harness runs, so
-// reaching one here is a caller bug.
-func (o Options) injector() *faults.Injector {
-	inj, err := faults.New(o.Faults, o.Seed)
+func (o Options) injector() *faults.Injector { return o.injectorAt(o.Seed) }
+
+// injectorAt is injector seeded from one trial cell's seed. Runner.Run
+// rejects an unknown profile before any harness runs, so reaching one
+// here is a caller bug.
+func (o Options) injectorAt(seed int64) *faults.Injector {
+	inj, err := faults.New(o.Faults, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -136,6 +140,9 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Options) (*Report, error)
+	// cells declares a trial-aware experiment's tables (registerCells);
+	// nil for harnesses that render their own.
+	cells func(Options) *cellReport
 }
 
 var registry = map[string]Experiment{}

@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/fio"
 	"repro/internal/stats"
-	"repro/internal/tenants"
 )
 
 // A Gate is a tail-latency claim from the evaluation promoted to a
@@ -16,10 +13,31 @@ import (
 // merely the point estimates to order correctly. Gates run in go test
 // and make check, so a claim that only holds for a lucky seed fails
 // the build.
+//
+// A gate is a declaration over two cells of one table: it runs those
+// cells' own functions, and its repro specs are their keys.
 type Gate struct {
 	Name  string
 	Claim string
-	Run   func(Options) (*GateResult, error)
+	// ID is the experiment whose table holds both cells.
+	ID string
+	// Metric is the compared value column's header key ("p99"); Unit
+	// labels it in the verdict ("p99µs").
+	Metric, Unit string
+	// Subject is the cell the claim is about; Other is its baseline.
+	Subject, Other GateSide
+	// Subject's upper 95% bound must fall below Factor × Other's lower
+	// bound — or, with Above, Other's upper bound below Factor ×
+	// Subject's lower bound.
+	Above  bool
+	Factor float64
+}
+
+// A GateSide names one cell of a gate's table.
+type GateSide struct {
+	Label string // the side's name in samples and verdicts
+	Key   string // key columns as repro-spec matches: "hogs=8,arbiter=wrr"
+	Full  string // Key in full mode, when the full table's keys differ
 }
 
 // GateResult carries the verdict plus everything needed to chase a
@@ -33,38 +51,52 @@ type GateResult struct {
 	Repro   []string
 }
 
-// gateTrials pins the trial count a gate runs at: at least the 5
-// independent seeds the claims are stated over, more if the caller
-// asked for more.
-func gateTrials(o Options) Options {
-	if o.Trials < 5 {
-		o.Trials = 5
-	}
-	return o
-}
-
 // Gates returns every statistical gate in a stable order.
 func Gates() []Gate {
 	return []Gate{
 		{
-			Name:  "t7-arbiter-p99",
-			Claim: "WRR victim p99 CI upper bound < flat-RR lower bound (8 hogs, bypassd victim)",
-			Run:   gateT7Arbiter,
+			Name:    "t7-arbiter-p99",
+			Claim:   "WRR victim p99 CI upper bound < flat-RR lower bound (8 hogs, bypassd victim)",
+			ID:      "T7",
+			Metric:  "p99",
+			Unit:    "p99µs",
+			Subject: GateSide{Label: "wrr", Key: "hogs=8,victim=bypassd,arbiter=wrr"},
+			Other:   GateSide{Label: "rr", Key: "hogs=8,victim=bypassd,arbiter=rr"},
+			Factor:  1,
 		},
 		{
-			Name:  "t8-saturation-knee",
-			Claim: "past bypassd's IOPS knee, bypassd p99 CI lower bound > sync upper bound",
-			Run:   gateT8Knee,
+			// Past bypassd's IOPS knee (its ceiling sits ~12% below the
+			// raw-LBA engines', §3.4) while the sync path is not: bypassd
+			// must be WORSE here.
+			Name:    "t8-saturation-knee",
+			Claim:   "past bypassd's IOPS knee, bypassd p99 CI lower bound > sync upper bound",
+			ID:      "T8",
+			Metric:  "p99",
+			Unit:    "p99µs",
+			Subject: GateSide{Label: "bypassd", Key: "offered=1341,engine=bypassd", Full: "offered=1416,engine=bypassd"},
+			Other:   GateSide{Label: "sync", Key: "offered=1341,engine=sync", Full: "offered=1416,engine=sync"},
+			Above:   true,
+			Factor:  1,
 		},
 		{
-			Name:  "f6-read-latency",
-			Claim: "bypassd 4KB read mean latency CI upper bound < 0.75× sync lower bound",
-			Run:   gateF6Latency,
+			Name:    "f6-read-latency",
+			Claim:   "bypassd 4KB read mean latency CI upper bound < 0.75× sync lower bound",
+			ID:      "F6",
+			Metric:  "latency",
+			Unit:    "latµs",
+			Subject: GateSide{Label: "bypassd", Key: "block_size=4KB,engine=bypassd"},
+			Other:   GateSide{Label: "sync", Key: "block_size=4KB,engine=sync"},
+			Factor:  0.75,
 		},
 		{
-			Name:  "f9-uring-collapse",
-			Claim: "io_uring IOPS at 16 threads CI upper bound < its 8-thread lower bound",
-			Run:   gateF9Collapse,
+			Name:    "f9-uring-collapse",
+			Claim:   "io_uring IOPS at 16 threads CI upper bound < its 8-thread lower bound",
+			ID:      "F9",
+			Metric:  "iops",
+			Unit:    "kIOPS",
+			Subject: GateSide{Label: "16T", Key: "threads=16,engine=io_uring"},
+			Other:   GateSide{Label: "8T", Key: "threads=8,engine=io_uring"},
+			Factor:  1,
 		},
 	}
 }
@@ -77,6 +109,80 @@ func GateByName(name string) (Gate, bool) {
 		}
 	}
 	return Gate{}, false
+}
+
+// gateCell is one side of a gate resolved against its table.
+type gateCell struct {
+	Cell
+	metric int     // index of the compared value
+	div    float64 // the metric column's rendering scale
+	match  []ReproKV
+}
+
+// resolve finds the first cell s's key selects in decl.
+func (g Gate) resolve(decl *cellReport, s GateSide, quick bool) (gateCell, error) {
+	key := s.Key
+	if !quick && s.Full != "" {
+		key = s.Full
+	}
+	sp, err := ParseReproSpec(g.ID + ":" + key)
+	if err != nil {
+		return gateCell{}, err
+	}
+	for _, t := range decl.tables {
+		for _, ci := range t.pick(sp.Match, false) {
+			for i, c := range t.cols {
+				if headerKey(c.head) == g.Metric {
+					return gateCell{t.cells[ci], i, c.div(), sp.Match}, nil
+				}
+			}
+		}
+	}
+	return gateCell{}, fmt.Errorf("gate %s: no %s cell %q with a %q column", g.Name, g.ID, key, g.Metric)
+}
+
+// Run executes the gate's two cells for at least 5 trials (more if o
+// asks) and renders the verdict.
+func (g Gate) Run(o Options) (*GateResult, error) {
+	o.Trials = max(o.Trials, 5)
+	e, ok := ByID(g.ID)
+	if !ok || e.cells == nil {
+		return nil, fmt.Errorf("gate %s: %s declares no cells", g.Name, g.ID)
+	}
+	decl := e.cells(o)
+	sides := [2]GateSide{g.Subject, g.Other}
+	var gc [2]gateCell
+	for i, s := range sides {
+		var err error
+		if gc[i], err = g.resolve(decl, s, o.Quick); err != nil {
+			return nil, err
+		}
+	}
+	vals, err := runTrials(o, []Cell{gc[0].Cell, gc[1].Cell})
+	if err != nil {
+		return nil, err
+	}
+	res := &GateResult{Name: g.Name, Samples: map[string][]float64{}}
+	var w [2]stats.Welford
+	for i, s := range sides {
+		xs := make([]float64, len(vals[i]))
+		for k, v := range vals[i] {
+			xs[k] = v[gc[i].metric] / gc[i].div
+			w[i].Add(xs[k])
+		}
+		res.Samples[s.Label] = xs
+	}
+	lo, hi := 0, 1 // the side that must be lower, and the other
+	if g.Above {
+		lo, hi = 1, 0
+	}
+	res.Pass, res.Detail = separated(sides[lo].Label+" "+g.Unit, &w[lo], sides[hi].Label+" "+g.Unit, &w[hi], g.Factor)
+	for i, s := range sides {
+		// The lower side's worst trial is its highest sample.
+		res.Repro = append(res.Repro, ReproSpec{ID: g.ID, Match: gc[i].match, Seed: o.Seed,
+			Trial: worstTrial(res.Samples[s.Label], i == lo), Faults: o.Faults, Full: !o.Quick}.String())
+	}
+	return res, nil
 }
 
 // worstTrial returns the index of the largest (hi=true) or smallest
@@ -103,166 +209,4 @@ func separated(aName string, a *stats.Welford, bName string, b *stats.Welford, f
 	return pass, fmt.Sprintf("%s mean %s upper95 %s %s %slower95 %s (%s mean %s) over %d trials",
 		aName, stats.Fmt(a.Mean()), stats.Fmt(up), map[bool]string{true: "<", false: ">="}[pass],
 		rel, stats.Fmt(lo), bName, stats.Fmt(b.Mean()), a.Count())
-}
-
-func gateT7Arbiter(o Options) (*GateResult, error) {
-	o = gateTrials(o)
-	const hogs = 8
-	victimOps, hogOps := t7Ops(o.Quick)
-	arbs := []string{"rr", "wrr"}
-	pts, err := trialMap(o, len(arbs), func(i int, seed int64) (float64, error) {
-		sc := tenants.NoisyNeighbor(arbs[i], hogs, victimOps, hogOps)
-		sc.Tenants[0].Engine = core.EngineBypassD
-		sc.Faults = o.Faults
-		res, _, err := tenants.RunCountedWorkers(seed, sc, o.workers())
-		if err != nil {
-			return 0, err
-		}
-		return float64(res[0].Sojourn.Summarize().P99) / 1e3, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rr, wrr stats.Welford
-	for _, x := range pts[0] {
-		rr.Add(x)
-	}
-	for _, x := range pts[1] {
-		wrr.Add(x)
-	}
-	pass, detail := separated("wrr p99µs", &wrr, "rr p99µs", &rr, 1)
-	return &GateResult{
-		Name: "t7-arbiter-p99", Pass: pass, Detail: detail,
-		Samples: map[string][]float64{"rr": pts[0], "wrr": pts[1]},
-		Repro: []string{
-			reproFor(o, "T7", "hogs=8,victim=bypassd,arbiter=wrr", worstTrial(pts[1], true)),
-			reproFor(o, "T7", "hogs=8,victim=bypassd,arbiter=rr", worstTrial(pts[0], false)),
-		},
-	}, nil
-}
-
-func gateT8Knee(o Options) (*GateResult, error) {
-	o = gateTrials(o)
-	frac := t8GateFraction(o.Quick)
-	_, opsPer := t8Params(o.Quick)
-	const nTenants = 4
-	engines := []core.Engine{core.EngineSync, core.EngineBypassD}
-	pts, err := trialMap(o, len(engines), func(i int, seed int64) (float64, error) {
-		sc := tenants.SLOLoad(engines[i], nTenants, frac*optaneIOPS, opsPer)
-		sc.Faults = o.Faults
-		res, _, err := tenants.RunCountedWorkers(seed, sc, o.workers())
-		if err != nil {
-			return 0, err
-		}
-		agg := stats.NewHistogram()
-		for _, r := range res {
-			agg.Merge(r.Sojourn)
-		}
-		return float64(agg.Summarize().P99) / 1e3, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sync, byp stats.Welford
-	for _, x := range pts[0] {
-		sync.Add(x)
-	}
-	for _, x := range pts[1] {
-		byp.Add(x)
-	}
-	// Direction flips vs the other gates: bypassd must be WORSE here
-	// (it saturates first, §3.4), so sync's upper bound caps below
-	// bypassd's lower bound.
-	pass, detail := separated("sync p99µs", &sync, "bypassd p99µs", &byp, 1)
-	offered := fmt.Sprintf("%.0f", frac*optaneIOPS/1e3)
-	return &GateResult{
-		Name: "t8-saturation-knee", Pass: pass, Detail: detail,
-		Samples: map[string][]float64{"sync": pts[0], "bypassd": pts[1]},
-		Repro: []string{
-			reproFor(o, "T8", "offered="+offered+",engine=bypassd", worstTrial(pts[1], false)),
-			reproFor(o, "T8", "offered="+offered+",engine=sync", worstTrial(pts[0], true)),
-		},
-	}, nil
-}
-
-func gateF6Latency(o Options) (*GateResult, error) {
-	o = gateTrials(o)
-	engines := []core.Engine{core.EngineSync, core.EngineBypassD}
-	pts, err := trialMap(o, len(engines), func(i int, seed int64) (float64, error) {
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Faults: o.injector()}, []fio.Group{{
-			Name: "m", Engine: engines[i], BS: 4096, Threads: 1,
-			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
-		}})
-		if err != nil {
-			return 0, err
-		}
-		return res["m"].Lat.Mean().Micros(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sync, byp stats.Welford
-	for _, x := range pts[0] {
-		sync.Add(x)
-	}
-	for _, x := range pts[1] {
-		byp.Add(x)
-	}
-	pass, detail := separated("bypassd latµs", &byp, "sync latµs", &sync, 0.75)
-	return &GateResult{
-		Name: "f6-read-latency", Pass: pass, Detail: detail,
-		Samples: map[string][]float64{"sync": pts[0], "bypassd": pts[1]},
-		Repro: []string{
-			reproFor(o, "F6", "block_size=4KB,engine=bypassd", worstTrial(pts[1], true)),
-			reproFor(o, "F6", "block_size=4KB,engine=sync", worstTrial(pts[0], false)),
-		},
-	}, nil
-}
-
-func gateF9Collapse(o Options) (*GateResult, error) {
-	o = gateTrials(o)
-	threads := []int{8, 16}
-	ops := f9Ops(o.Quick)
-	pts, err := trialMap(o, len(threads), func(i int, seed int64) (float64, error) {
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Faults: o.injector()}, []fio.Group{{
-			Name: "m", Engine: core.EngineUring, BS: 4096, Threads: threads[i],
-			OpsPerThread: ops, FileBytes: 16 << 20,
-		}})
-		if err != nil {
-			return 0, err
-		}
-		return res["m"].IOPS() / 1000, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var t8, t16 stats.Welford
-	for _, x := range pts[0] {
-		t8.Add(x)
-	}
-	for _, x := range pts[1] {
-		t16.Add(x)
-	}
-	pass, detail := separated("16T kIOPS", &t16, "8T kIOPS", &t8, 1)
-	return &GateResult{
-		Name: "f9-uring-collapse", Pass: pass, Detail: detail,
-		Samples: map[string][]float64{"8T": pts[0], "16T": pts[1]},
-		Repro: []string{
-			reproFor(o, "F9", "threads=16,engine=io_uring", worstTrial(pts[1], true)),
-			reproFor(o, "F9", "threads=8,engine=io_uring", worstTrial(pts[0], false)),
-		},
-	}, nil
-}
-
-// reproFor renders the canonical repro spec for one trial of a gate's
-// table cell.
-func reproFor(o Options, id, match string, trial int) string {
-	s := fmt.Sprintf("%s:%s@seed=%d", id, match, o.Seed)
-	if trial > 0 {
-		s += fmt.Sprintf(",trial=%d", trial)
-	}
-	if o.Quick {
-		return s
-	}
-	return s + ",full"
 }

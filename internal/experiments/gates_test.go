@@ -61,7 +61,11 @@ func TestGateByName(t *testing.T) {
 // byte-rendered p99.
 func TestGateReproRoundTrip(t *testing.T) {
 	o := Options{Quick: true, Seed: 1, Parallelism: 2}
-	res, err := gateT7Arbiter(o)
+	g, ok := GateByName("t7-arbiter-p99")
+	if !ok {
+		t.Fatal("t7-arbiter-p99 not found")
+	}
+	res, err := g.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

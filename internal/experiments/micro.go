@@ -13,10 +13,10 @@ import (
 
 func init() {
 	register("F5", "IOMMU overhead vs translations per ATS request (Fig. 5)", runF5)
-	register("F6", "FIO single-threaded random-access latency vs bandwidth (Fig. 6)", runF6)
+	registerCells("F6", "FIO single-threaded random-access latency vs bandwidth (Fig. 6)", cellsF6)
 	register("F7", "Random read latency breakdown (Fig. 7)", runF7)
 	register("F8", "Effect of VBA translation latency on read bandwidth (Fig. 8)", runF8)
-	register("F9", "Random read latency and IOPS vs thread count (Fig. 9)", runF9)
+	registerCells("F9", "Random read latency and IOPS vs thread count (Fig. 9)", cellsF9)
 }
 
 func runF5(o Options) (*Report, error) {
@@ -45,89 +45,49 @@ func microOps(quick bool) int {
 	return 400
 }
 
-func runF6(o Options) (*Report, error) {
-	type cell struct {
-		write bool
-		bs    int
-		eng   core.Engine
-	}
-	var cells []cell
-	for _, write := range []bool{false, true} {
-		for _, bs := range blockSizes(o.Quick) {
-			for _, e := range core.AllEngines {
-				cells = append(cells, cell{write, bs, e})
-			}
-		}
-	}
-	type point struct {
-		lat, bw float64
-		s       stats.Summary
-	}
-	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
-		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Faults: o.injector()}, []fio.Group{{
-			Name: "m", Engine: c.eng, Write: c.write, BS: c.bs, Threads: 1,
-			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
-		}})
-		if err != nil {
-			kind := "read"
-			if c.write {
-				kind = "write"
-			}
-			return point{}, fmt.Errorf("F6 %s %s bs=%d: %w", kind, c.eng, c.bs, err)
-		}
-		r := res["m"]
-		return point{r.Lat.Mean().Micros(), r.Bandwidth() / 1e9, r.Lat.Summarize()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+// fioP99Col is the p99 column F6 and F9 add to multi-trial tables.
+var fioP99Col = column{head: "p99 (µs)", scale: 1e3, span: "p99 span (µs)", only: multiTrial}
 
-	rep := &Report{ID: "F6", Title: "single-thread latency vs bandwidth"}
-	var tb *stats.Table
-	lastWrite := false
-	for i, c := range cells {
-		if tb == nil || c.write != lastWrite {
-			kind := "read"
-			if c.write {
-				kind = "write"
-			}
-			title := fmt.Sprintf("Fig. 6: random %s, 1 thread, QD1", kind)
-			if o.trials() == 1 {
-				tb = stats.NewTable(title,
-					"block size", "engine", "latency (µs)", "bandwidth (GB/s)")
-			} else {
-				tb = stats.NewTable(trialTitle(title, o),
-					"block size", "engine", "latency (µs)", "lat ci95",
-					"p99 (µs)", "p99 span (µs)", "bandwidth (GB/s)", "bw ci95")
-			}
-			rep.Tables = append(rep.Tables, tb)
-			lastWrite = c.write
+// fioCell is one single-group fio run at a trial seed, with a fault
+// injector seeded from that same seed so every trial draws its own
+// faults and a one-trial replay reproduces them. Its values are the
+// mean latency (µs), p99 latency (ns) and perf's throughput figure.
+func fioCell(o Options, g fio.Group, perf func(*fio.GroupResult) float64) func(int64) ([]float64, error) {
+	return func(seed int64) ([]float64, error) {
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Faults: o.injectorAt(seed)}, []fio.Group{g})
+		if err != nil {
+			return nil, fmt.Errorf("%s write=%t bs=%d threads=%d: %w", g.Engine, g.Write, g.BS, g.Threads, err)
 		}
-		if o.trials() == 1 {
-			p := points[i][0]
-			tb.AddRow(sizeLabel(int64(c.bs)), string(c.eng), p.lat, p.bw)
-			continue
-		}
-		summaries := make([]stats.Summary, len(points[i]))
-		var lat, bw stats.Welford
-		for t, p := range points[i] {
-			summaries[t] = p.s
-			lat.Add(p.lat)
-			bw.Add(p.bw)
-		}
-		ts := stats.AggregateSummaries(summaries)
-		tb.AddRow(sizeLabel(int64(c.bs)), string(c.eng),
-			lat.Mean(), ciCell(&lat, 1),
-			ts.P99.Mean()/1e3, spanCell(ts.P99Lo, ts.P99Hi, 1e3),
-			bw.Mean(), ciCell(&bw, 1))
+		r := res[g.Name]
+		return []float64{r.Lat.Mean().Micros(), float64(r.Lat.Summarize().P99), perf(r)}, nil
 	}
-	rep.Notes = append(rep.Notes,
-		"expected shape: bypassd ≈ spdk (+~0.55µs reads, ~0 writes); ~30% below sync/libaio; io_uring between")
-	if o.trials() > 1 {
-		rep.Notes = append(rep.Notes, trialNote(o))
+}
+
+func cellsF6(o Options) *cellReport {
+	rep := &cellReport{
+		title: "single-thread latency vs bandwidth",
+		notes: []string{"expected shape: bypassd ≈ spdk (+~0.55µs reads, ~0 writes); ~30% below sync/libaio; io_uring between"},
 	}
-	return rep, nil
+	for _, kind := range []string{"read", "write"} {
+		tb := &cellTable{
+			title: fmt.Sprintf("Fig. 6: random %s, 1 thread, QD1", kind),
+			keys:  []string{"block size", "engine"},
+			cols: []column{{head: "latency (µs)", ci: "lat ci95"}, fioP99Col,
+				{head: "bandwidth (GB/s)", ci: "bw ci95"}},
+		}
+		for _, bs := range blockSizes(o.Quick) {
+			for _, eng := range core.AllEngines {
+				tb.cells = append(tb.cells, Cell{
+					key: []string{sizeLabel(int64(bs)), string(eng)},
+					run: fioCell(o, fio.Group{Name: "m", Engine: eng, Write: kind == "write", BS: bs, Threads: 1,
+						OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20},
+						func(r *fio.GroupResult) float64 { return r.Bandwidth() / 1e9 }),
+				})
+			}
+		}
+		rep.tables = append(rep.tables, tb)
+	}
+	return rep
 }
 
 func runF7(o Options) (*Report, error) {
@@ -228,82 +188,32 @@ func runF8(o Options) (*Report, error) {
 		Notes: []string{"even at 1350ns, bypassd stays well above sync (paper Fig. 8)"}}, nil
 }
 
-// f9Ops is the per-thread op count of an F9 cell, shared with the
-// statistical gates.
-func f9Ops(quick bool) int {
-	if quick {
-		return 80
-	}
-	return 300
-}
-
-func runF9(o Options) (*Report, error) {
-	threads := []int{1, 2, 4, 8, 12, 16, 20, 24}
+func cellsF9(o Options) *cellReport {
+	threads, ops := []int{1, 2, 4, 8, 12, 16, 20, 24}, 300
 	if o.Quick {
-		threads = []int{1, 8, 16}
+		threads, ops = []int{1, 8, 16}, 80
 	}
-	ops := f9Ops(o.Quick)
-	type cell struct {
-		n   int
-		eng core.Engine
+	tb := &cellTable{
+		title: "Fig. 9: 4KB random read scaling",
+		keys:  []string{"threads", "engine"},
+		cols:  []column{{head: "latency (µs)", ci: "lat ci95"}, fioP99Col, {head: "IOPS (K)", ci: "iops ci95"}},
 	}
-	var cells []cell
 	for _, n := range threads {
-		for _, e := range core.AllEngines {
-			cells = append(cells, cell{n, e})
+		for _, eng := range core.AllEngines {
+			tb.cells = append(tb.cells, Cell{
+				key: []string{fmt.Sprint(n), string(eng)},
+				run: fioCell(o, fio.Group{Name: "m", Engine: eng, BS: 4096, Threads: n,
+					OpsPerThread: ops, FileBytes: 16 << 20},
+					func(r *fio.GroupResult) float64 { return r.IOPS() / 1000 }),
+			})
 		}
 	}
-	type point struct {
-		lat, iops float64
-		s         stats.Summary
+	return &cellReport{
+		title: "thread scaling",
+		notes: []string{
+			"bypassd/spdk flat until device saturation (~8 threads), kernel paths saturate ~12",
+			"io_uring collapses past 12 threads: SQPOLL needs a second core per thread",
+		},
+		tables: []*cellTable{tb},
 	}
-	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
-		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Faults: o.injector()}, []fio.Group{{
-			Name: "m", Engine: c.eng, BS: 4096, Threads: c.n,
-			OpsPerThread: ops, FileBytes: 16 << 20,
-		}})
-		if err != nil {
-			return point{}, err
-		}
-		r := res["m"]
-		return point{r.Lat.Mean().Micros(), r.IOPS() / 1000, r.Lat.Summarize()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	notes := []string{
-		"bypassd/spdk flat until device saturation (~8 threads), kernel paths saturate ~12",
-		"io_uring collapses past 12 threads: SQPOLL needs a second core per thread",
-	}
-	const title = "Fig. 9: 4KB random read scaling"
-	if o.trials() == 1 {
-		tb := stats.NewTable(title,
-			"threads", "engine", "latency (µs)", "IOPS (K)")
-		for i, c := range cells {
-			p := points[i][0]
-			tb.AddRow(c.n, string(c.eng), p.lat, p.iops)
-		}
-		return &Report{ID: "F9", Title: "thread scaling", Tables: []*stats.Table{tb}, Notes: notes}, nil
-	}
-
-	tb := stats.NewTable(trialTitle(title, o),
-		"threads", "engine", "latency (µs)", "lat ci95",
-		"p99 (µs)", "p99 span (µs)", "IOPS (K)", "iops ci95")
-	for i, c := range cells {
-		summaries := make([]stats.Summary, len(points[i]))
-		var lat, iops stats.Welford
-		for t, p := range points[i] {
-			summaries[t] = p.s
-			lat.Add(p.lat)
-			iops.Add(p.iops)
-		}
-		ts := stats.AggregateSummaries(summaries)
-		tb.AddRow(c.n, string(c.eng),
-			lat.Mean(), ciCell(&lat, 1),
-			ts.P99.Mean()/1e3, spanCell(ts.P99Lo, ts.P99Hi, 1e3),
-			iops.Mean(), ciCell(&iops, 1))
-	}
-	return &Report{ID: "F9", Title: "thread scaling", Tables: []*stats.Table{tb},
-		Notes: append(notes, trialNote(o))}, nil
 }

@@ -196,7 +196,7 @@ type MatchedCell struct {
 	Row     []string
 }
 
-// ReproRun is the replayed result: the full report (so surrounding
+// ReproRun is the replayed result: the replayed report (so surrounding
 // context is visible) plus just the rows the spec pinned.
 type ReproRun struct {
 	Spec        ReproSpec
@@ -211,6 +211,12 @@ type ReproRun struct {
 // historical single-trial row. trials=N specs re-run the whole
 // aggregation instead. Faults are armed exactly as the Runner arms
 // them, so fault-profile anomalies replay too.
+//
+// An experiment declared as cells runs only the cells whose key
+// columns the spec pins, plus a table's base cell when another of its
+// cells reads it, so the report holds just those rows. Other
+// experiments run whole; in both, constraints on value columns filter
+// the rendered rows.
 func RunRepro(sp ReproSpec, parallelism int) (*ReproRun, error) {
 	e, ok := ByID(sp.ID)
 	if !ok {
@@ -223,6 +229,12 @@ func RunRepro(sp ReproSpec, parallelism int) (*ReproRun, error) {
 	} else {
 		derived = o.TrialSeed(sp.Trial)
 		o.Seed = derived
+	}
+	var headers []string
+	if e.cells != nil {
+		decl, multi := e.cells(o), o.trials() > 1
+		headers = decl.tables[0].headers(multi)
+		e.Run = func(o Options) (*Report, error) { return decl.only(sp.Match, multi).run(e.ID, o) }
 	}
 	res := (&Runner{Parallelism: parallelism}).Run([]Experiment{e}, o)
 	if res[0].Err != nil {
@@ -241,8 +253,11 @@ func RunRepro(sp ReproSpec, parallelism int) (*ReproRun, error) {
 		}
 	}
 	if len(sp.Match) > 0 && len(run.Matches) == 0 {
+		if headers == nil {
+			headers = run.Report.Tables[0].Headers
+		}
 		return nil, fmt.Errorf("spec %s matched no rows of %s (check keys against headers: %s)",
-			sp, sp.ID, strings.Join(run.Report.Tables[0].Headers, ", "))
+			sp, sp.ID, strings.Join(headers, ", "))
 	}
 	return run, nil
 }

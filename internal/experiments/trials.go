@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-	"repro/internal/stats"
-)
+import "fmt"
 
 // trialSeedStride spaces the derived per-trial seeds far apart so the
 // per-cell generators — which further mix the seed with sweep
@@ -34,38 +29,6 @@ func (o Options) trials() int {
 		return 1
 	}
 	return o.Trials
-}
-
-// trialMap fans cells × trials through the sweep runner: cell c's
-// trial k evaluates fn(c, o.TrialSeed(k)), and the returned per-cell
-// slices are trial-ordered. The fan-out is flattened into one
-// sweepMap call, so trials share the Parallelism worker pool with
-// sweep cells and inherit its determinism argument unchanged.
-func trialMap[T any](o Options, cells int, fn func(cell int, seed int64) (T, error)) ([][]T, error) {
-	n := o.trials()
-	flat, err := sweepMap(o, cells*n, func(i int) (T, error) {
-		return fn(i/n, o.TrialSeed(i%n))
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]T, cells)
-	for c := range out {
-		out[c] = flat[c*n : (c+1)*n]
-	}
-	return out, nil
-}
-
-// ciCell renders a Welford accumulator's 95% CI half-width as a
-// "±x" table cell, with values divided by scale (e.g. 1e3 for
-// ns → µs columns).
-func ciCell(w *stats.Welford, scale float64) string {
-	return "±" + stats.Fmt(w.CI95()/scale)
-}
-
-// spanCell renders a min..max spread cell, divided by scale.
-func spanCell(lo, hi sim.Time, scale float64) string {
-	return stats.Fmt(float64(lo)/scale) + ".." + stats.Fmt(float64(hi)/scale)
 }
 
 // trialTitle tags a multi-trial table title with the trial count.

@@ -7,7 +7,7 @@ import (
 )
 
 // trialedIDs are the harnesses with a multi-trial rendering path.
-var trialedIDs = []string{"T7", "T8", "F6", "F9"}
+var trialedIDs = []string{"T7", "T8", "T9", "T10", "F6", "F9"}
 
 func TestTrialSeedDerivation(t *testing.T) {
 	o := Options{Seed: 42}

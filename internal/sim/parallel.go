@@ -39,7 +39,7 @@ func (s *Sim) drainShard(k int) {
 
 // drainParallel is Run's armed body. On exit the global clock is
 // synced to the latest shard clock so post-run harness reads (metrics
-// snapshots, utilization integrals) see final time.
+// snapshots, throughput windows) see final time.
 func (s *Sim) drainParallel() {
 	s.draining = true
 	n := len(s.shards)

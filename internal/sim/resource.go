@@ -5,22 +5,17 @@ package sim
 // proc while all units are in use; Release hands a unit to the oldest
 // waiter.
 //
-// A resource is shard-resident: its busy-time accounting reads the
-// clock of the shard it was created for, and in a parallel drain both
-// its holders and its waiters must live on that shard. Device channel
-// pools and per-inode locks are naturally shard-local; create them
-// with NewResourceOn.
+// A resource is shard-resident: in a parallel drain both its holders
+// and its waiters must live on the shard it was created for. Device
+// channel pools and per-inode locks are naturally shard-local; create
+// them with NewResourceOn.
 type Resource struct {
 	sim      *Sim
 	name     string
-	shard    int
+	shard    int // the resident shard
 	capacity int
 	inUse    int
 	waiters  []*Proc
-
-	// busy-time integration for utilisation reporting
-	lastChange Time
-	busyArea   float64 // integral of inUse over time
 }
 
 // NewResource returns a resource with the given unit count, resident
@@ -43,23 +38,9 @@ func (s *Sim) NewResourceOn(shardIdx int, name string, capacity int) *Resource {
 	return &Resource{sim: s, name: name, shard: shardIdx, capacity: capacity}
 }
 
-// now is the resource's local time: its shard clock or the global
-// clock, whichever is ahead (equal to the global clock under the
-// coupled scheduler).
-func (r *Resource) now() Time {
-	return r.sim.ShardNow(r.shard)
-}
-
-func (r *Resource) account() {
-	now := r.now()
-	r.busyArea += float64(r.inUse) * float64(now-r.lastChange)
-	r.lastChange = now
-}
-
 // Acquire blocks p until a unit is available, then claims it.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.capacity {
-		r.account()
 		r.inUse++
 		return
 	}
@@ -70,7 +51,6 @@ func (r *Resource) Acquire(p *Proc) {
 // TryAcquire claims a unit if one is free, reporting whether it did.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity {
-		r.account()
 		r.inUse++
 		return true
 	}
@@ -90,7 +70,6 @@ func (r *Resource) Release() {
 		r.sim.wake(p) // unit passes to p; inUse unchanged
 		return
 	}
-	r.account()
 	r.inUse--
 }
 
@@ -103,13 +82,3 @@ func (r *Resource) Use(p *Proc, d Time) {
 
 // Capacity reports the unit count.
 func (r *Resource) Capacity() int { return r.capacity }
-
-// Utilization reports mean units-in-use divided by capacity since the
-// start of the simulation.
-func (r *Resource) Utilization() float64 {
-	r.account()
-	if r.lastChange == 0 {
-		return 0
-	}
-	return r.busyArea / float64(r.lastChange) / float64(r.capacity)
-}

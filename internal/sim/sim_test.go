@@ -465,17 +465,3 @@ func TestTimeString(t *testing.T) {
 		}
 	}
 }
-
-func TestUtilization(t *testing.T) {
-	s := New()
-	r := s.NewResource("dev", 1)
-	s.Spawn("u", func(p *Proc) {
-		r.Use(p, 50)
-		p.Sleep(50)
-	})
-	s.Run()
-	u := r.Utilization()
-	if u < 0.45 || u > 0.55 {
-		t.Fatalf("utilization = %f, want ~0.5", u)
-	}
-}

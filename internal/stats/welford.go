@@ -3,8 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/sim"
 )
 
 // Welford is a numerically stable online mean/variance accumulator
@@ -92,52 +90,6 @@ func TCrit95(df int) float64 {
 		return 1.980
 	}
 	return 1.960
-}
-
-// TrialSet aggregates per-seed Summary digests across repeated trials
-// of one experiment cell: a Welford accumulator per metric (all in
-// nanoseconds) plus the observed min..max spread of the tail
-// percentiles. It is the cross-seed surface behind the multi-trial
-// report columns — mean ± CI95 and p99/p999 spread.
-type TrialSet struct {
-	Trials int
-	Mean   Welford
-	P50    Welford
-	P99    Welford
-	P999   Welford
-
-	P99Lo, P99Hi   sim.Time
-	P999Lo, P999Hi sim.Time
-}
-
-// AggregateSummaries folds one Summary per trial into a TrialSet.
-func AggregateSummaries(ss []Summary) TrialSet {
-	var t TrialSet
-	for _, s := range ss {
-		t.Trials++
-		t.Mean.Add(float64(s.Mean))
-		t.P50.Add(float64(s.P50))
-		t.P99.Add(float64(s.P99))
-		t.P999.Add(float64(s.P999))
-		if t.Trials == 1 {
-			t.P99Lo, t.P99Hi = s.P99, s.P99
-			t.P999Lo, t.P999Hi = s.P999, s.P999
-			continue
-		}
-		if s.P99 < t.P99Lo {
-			t.P99Lo = s.P99
-		}
-		if s.P99 > t.P99Hi {
-			t.P99Hi = s.P99
-		}
-		if s.P999 < t.P999Lo {
-			t.P999Lo = s.P999
-		}
-		if s.P999 > t.P999Hi {
-			t.P999Hi = s.P999
-		}
-	}
-	return t
 }
 
 // Fmt renders a float with the same precision rules Table.AddRow

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestWelfordMatchesNaive: the online accumulator must agree with the
@@ -111,40 +109,6 @@ func TestTCrit95(t *testing.T) {
 		}
 	}()
 	TCrit95(0)
-}
-
-func TestAggregateSummaries(t *testing.T) {
-	mk := func(vals ...sim.Time) Summary {
-		h := NewHistogram()
-		for _, v := range vals {
-			h.Add(v)
-		}
-		return h.Summarize()
-	}
-	ss := []Summary{
-		mk(100, 200, 300),
-		mk(1000, 2000, 3000),
-	}
-	ts := AggregateSummaries(ss)
-	if ts.Trials != 2 {
-		t.Fatalf("trials = %d", ts.Trials)
-	}
-	if ts.P99.Count() != 2 || ts.Mean.Count() != 2 {
-		t.Fatal("per-metric accumulators missing samples")
-	}
-	if ts.P99Lo != ss[0].P99 || ts.P99Hi != ss[1].P99 {
-		t.Fatalf("p99 spread %v..%v, want %v..%v", ts.P99Lo, ts.P99Hi, ss[0].P99, ss[1].P99)
-	}
-	if ts.P999Lo > ts.P999Hi {
-		t.Fatalf("p999 spread inverted: %v..%v", ts.P999Lo, ts.P999Hi)
-	}
-	wantMean := (float64(ss[0].Mean) + float64(ss[1].Mean)) / 2
-	if relErr(ts.Mean.Mean(), wantMean) > 1e-9 {
-		t.Fatalf("mean of means = %v, want %v", ts.Mean.Mean(), wantMean)
-	}
-	if empty := AggregateSummaries(nil); empty.Trials != 0 {
-		t.Fatalf("empty aggregation trials = %d", empty.Trials)
-	}
 }
 
 func TestFmtMatchesAddRow(t *testing.T) {
