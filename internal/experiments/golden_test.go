@@ -7,6 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/frontend"
+	"repro/internal/metrics"
+	"repro/internal/tenants"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current code")
@@ -17,6 +21,10 @@ type goldenSuite struct {
 	name string
 	ids  []string
 	o    Options
+	// metrics, when set, names a second golden: the metrics registry
+	// render of the same run, whose faults_injected_total series is
+	// the run's fault tally.
+	metrics string
 }
 
 // goldenSuites lists every committed rendering. T2 counts the repo's
@@ -33,9 +41,9 @@ func goldenSuites() []goldenSuite {
 	chaos.Faults = "chaos"
 	trials.Trials = 3
 	return []goldenSuite{
-		{"quick", quick, base},
-		{"quick-chaos", quick, chaos},
-		{"trials3", []string{"T7", "T8", "T9", "T10", "F6", "F9"}, trials},
+		{"quick", quick, base, ""},
+		{"quick-chaos", quick, chaos, "quick-chaos-metrics"},
+		{"trials3", []string{"T7", "T8", "T9", "T10", "F6", "F9"}, trials, ""},
 	}
 }
 
@@ -88,6 +96,29 @@ func firstTableDiff(got, want string) string {
 	return "outputs are equal"
 }
 
+// checkGolden compares got with testdata/golden/name.txt, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name+".txt")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden %s missing (regenerate with -update): %v", path, err)
+	}
+	if got != string(want) {
+		t.Fatalf("%s diverged from %s; %s", name, path, firstTableDiff(got, string(want)))
+	}
+}
+
 // TestGoldenOutputs pins every table byte for byte against the
 // committed renderings in testdata/golden. A change that means to
 // alter output regenerates them with `go test -run TestGoldenOutputs
@@ -96,24 +127,36 @@ func TestGoldenOutputs(t *testing.T) {
 	for _, s := range goldenSuites() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			got := renderGoldenSuite(t, s)
-			path := filepath.Join("testdata", "golden", s.name+".txt")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if s.metrics == "" {
+				checkGolden(t, s.name, renderGoldenSuite(t, s))
 				return
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("golden %s missing (regenerate with -update): %v", path, err)
-			}
-			if got != string(want) {
-				t.Fatalf("%s diverged from %s; %s", s.name, path, firstTableDiff(got, string(want)))
-			}
+			reg := metrics.Activate()
+			defer metrics.Deactivate()
+			checkGolden(t, s.name, renderGoldenSuite(t, s))
+			checkGolden(t, s.metrics, reg.Render())
 		})
 	}
+}
+
+// TestGoldenScenarios pins the tables bypassd-bench prints for one
+// builtin tenant scenario (-tenants) and one builtin fleet (-frontend)
+// at seed 1.
+func TestGoldenScenarios(t *testing.T) {
+	t.Run("tenants-noisy-neighbor-wrr-8", func(t *testing.T) {
+		sc, _ := tenants.ByName("noisy-neighbor-wrr-8")
+		res, _, err := tenants.RunCountedWorkers(1, sc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "tenants-noisy-neighbor-wrr-8", tenants.ReportTable(sc, res).String())
+	})
+	t.Run("frontend-fleet-codel-2.0x", func(t *testing.T) {
+		fl, _ := frontend.ByName("fleet-codel-2.0x")
+		res, _, err := frontend.RunCountedWorkers(1, fl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "frontend-fleet-codel-2.0x", frontend.ReportTable(fl, res).String())
+	})
 }
