@@ -95,16 +95,29 @@ fuzz:
 		$(GO) test $$pkg -run $$name -fuzz "^$$name$$" -fuzztime $(FUZZTIME); \
 	done
 
-# trace-smoke runs one experiment with the trace plane armed and
-# validates the emitted Chrome trace-event JSON with cmd/tracecheck:
-# the file must parse, contain only X/M phases, and hold real spans.
+# trace-smoke runs experiments and a tenant scenario with per-run
+# observers and validates what they emit with cmd/tracecheck (the
+# Chrome trace-event JSON must parse, contain only X/M phases, and hold
+# real spans). T6+F6 at -j 1 and -j 4 must print byte-identical
+# metrics blocks and write byte-identical traces; the scenario path
+# must honor -metrics, -trace and -json too.
 trace-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 		$(GO) build -o $$tmp/bench ./cmd/bypassd-bench; \
 		$(GO) build -o $$tmp/tracecheck ./cmd/tracecheck; \
-		$$tmp/bench -run T6 -trace $$tmp/trace.json -metrics > $$tmp/out.txt; \
-		grep -q '== metrics ==' $$tmp/out.txt; \
-		$$tmp/tracecheck -min 100 $$tmp/trace.json
+		for j in 1 4; do \
+			$$tmp/bench -run T6,F6 -j $$j -trace $$tmp/t$$j.json -metrics > $$tmp/out$$j.txt; \
+			sed -n '/^== metrics ==/,$$p' $$tmp/out$$j.txt > $$tmp/m$$j.txt; \
+		done; \
+		grep -q 'io_ops_total' $$tmp/m1.txt; \
+		cmp $$tmp/m1.txt $$tmp/m4.txt; \
+		cmp $$tmp/t1.json $$tmp/t4.json; \
+		$$tmp/tracecheck -min 100 $$tmp/t1.json; \
+		$$tmp/bench -tenants noisy-neighbor-wrr-8 -metrics -trace $$tmp/tn.json -json $$tmp/tn-run.json > $$tmp/tn.txt; \
+		grep -q '== metrics ==' $$tmp/tn.txt; \
+		grep -q '"tenant_ops_total' $$tmp/tn-run.json; \
+		$$tmp/tracecheck -min 100 $$tmp/tn.json; \
+		echo "trace-smoke ok"
 
 # repro-smoke round-trips the anomaly-repro tool on the T7 cell the
 # arbiter gate pins: the same spec must replay byte-identically at

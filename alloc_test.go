@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kvell"
 )
 
@@ -19,7 +20,12 @@ func bootDirect4K(t testing.TB) (sys *System, io FileIO, fd int, buf []byte) {
 // bootDirect is bootDirect4K with a size-byte read buffer; steady-state
 // reads of that size go at offset size.
 func bootDirect(t testing.TB, size int) (sys *System, io FileIO, fd int, buf []byte) {
-	sys, err := New(1 << 30)
+	return bootDirectWith(t, size, core.Config{Capacity: 1 << 30})
+}
+
+// bootDirectWith is bootDirect on a system booted from cfg.
+func bootDirectWith(t testing.TB, size int, cfg core.Config) (sys *System, io FileIO, fd int, buf []byte) {
+	sys, err := core.Boot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

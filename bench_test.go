@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/frontend"
 	"repro/internal/tenants"
@@ -130,23 +131,12 @@ const throughputReads = 64
 // events/sec of host wall clock — alongside ns/op. traceOn measures
 // the observability plane's overhead on the same workload.
 func benchSimThroughput(b *testing.B, traceOn bool) {
-	sys, io, fd, buf := bootDirect4K(b)
-	defer sys.Close()
+	cfg := core.Config{Capacity: 1 << 30}
 	if traceOn {
-		// NewFileIO decorates with tracedIO only when the machine has
-		// a tracer, so the traced handle must be created after this.
-		sys.M.EnableTrace(trace.NewTracer("bench"))
-		Run(sys, "boot-traced", func(p *Proc) {
-			tio, err := sys.NewFileIO(p, sys.NewProcess(RootCred), EngineBypassD)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			io = tio
-			fd, _ = io.Open(p, "/bench", false)
-			_, _ = io.Pread(p, fd, buf, 0) // warm
-		})
+		cfg.Trace = trace.NewCollector(trace.Options{})
 	}
+	sys, io, fd, buf := bootDirectWith(b, 4096, cfg)
+	defer sys.Close()
 	var virtual Time
 	batch := func(p *Proc) {
 		start := p.Now()

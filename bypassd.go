@@ -86,7 +86,7 @@ func New(capacityBytes int64) (*System, error) {
 // NewFromImage boots a system over an existing storage image (e.g. a
 // snapshot from System.Snapshot).
 func NewFromImage(capacityBytes int64, img *Store) (*System, error) {
-	return core.NewOn(sim.New(), capacityBytes, img)
+	return core.Boot(core.Config{Capacity: capacityBytes, Image: img})
 }
 
 // Run spawns fn as a simulated thread and drives the simulation until

@@ -36,6 +36,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/frontend"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/internal/tenants"
 	"repro/internal/trace"
 )
@@ -69,86 +70,58 @@ func main() {
 }
 
 // runScenario executes one -tenants scenario or -frontend fleet — a
-// builtin name or a JSON config file — and prints its table: per
-// tenant or per device. Like the experiment path, the table goes to
-// stdout and is deterministic for a fixed seed; progress goes to
-// stderr.
-func runScenario(tenantsF, frontF string, seed int64, devices, shardWorkers int, faultsP, out string) int {
-	var (
-		desc string
-		play func() (string, error)
-	)
+// builtin name or a JSON config file — with the run's observers and
+// returns its table (per tenant or per device) and a description of
+// the run. Like the experiment path, the table is deterministic for a
+// fixed seed.
+func runScenario(tenantsF, frontF string, seed int64, devices, shardWorkers int, faultsP string, reg *metrics.Registry, col *trace.Collector) (*stats.Table, string, error) {
 	if tenantsF != "" {
 		sc, ok := tenants.ByName(tenantsF)
 		if !ok {
 			var err error
 			if sc, err = tenants.Load(tenantsF); err != nil {
-				fmt.Fprintf(os.Stderr, "-tenants %q: not a builtin scenario (try -list) and %v\n", tenantsF, err)
-				return 1
+				return nil, "", fmt.Errorf("-tenants %q: not a builtin scenario (try -list) and %v", tenantsF, err)
 			}
 		}
 		if devices > 0 {
 			sc.Devices = devices
 		}
-		sc.Faults = faultsP
-		desc = fmt.Sprintf("tenant scenario %s (%d tenants, %d device(s), arbiter %s, seed %d)",
+		sc.Faults, sc.Metrics, sc.Trace = faultsP, reg, col
+		desc := fmt.Sprintf("tenant scenario %s (%d tenants, %d device(s), arbiter %s, seed %d)",
 			sc.Name, len(sc.Tenants), sc.NumDevices(), sc.ArbiterName(), seed)
-		play = func() (string, error) {
-			res, _, err := tenants.RunCountedWorkers(seed, sc, shardWorkers)
-			if err != nil {
-				return "", fmt.Errorf("scenario %s: %w", sc.Name, err)
-			}
-			return tenants.ReportTable(sc, res).String(), nil
+		fmt.Fprintf(os.Stderr, "== running %s\n", desc)
+		res, _, err := tenants.RunCountedWorkers(seed, sc, shardWorkers)
+		if err != nil {
+			return nil, desc, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
-	} else {
-		fl, ok := frontend.ByName(frontF)
-		if !ok {
-			var err error
-			if fl, err = frontend.Load(frontF); err != nil {
-				fmt.Fprintf(os.Stderr, "-frontend %q: not a builtin fleet (try -list) and %v\n", frontF, err)
-				return 1
-			}
-		}
-		if devices > 0 {
-			fl.Devices = devices
-		}
-		fl.Faults = faultsP
-		desc = fmt.Sprintf("frontend fleet %s (%d users, pool %d, %d device(s), %s admission, seed %d)",
-			fl.Name, fl.Users, fl.Pool, fl.NumDevices(), fl.PolicyName(), seed)
-		play = func() (string, error) {
-			res, _, err := frontend.RunCountedWorkers(seed, fl, shardWorkers)
-			if err != nil {
-				return "", fmt.Errorf("fleet %s: %w", fl.Name, err)
-			}
-			return frontend.ReportTable(fl, res).String(), nil
+		return tenants.ReportTable(sc, res), desc, nil
+	}
+	fl, ok := frontend.ByName(frontF)
+	if !ok {
+		var err error
+		if fl, err = frontend.Load(frontF); err != nil {
+			return nil, "", fmt.Errorf("-frontend %q: not a builtin fleet (try -list) and %v", frontF, err)
 		}
 	}
+	if devices > 0 {
+		fl.Devices = devices
+	}
+	fl.Faults, fl.Metrics, fl.Trace = faultsP, reg, col
+	desc := fmt.Sprintf("frontend fleet %s (%d users, pool %d, %d device(s), %s admission, seed %d)",
+		fl.Name, fl.Users, fl.Pool, fl.NumDevices(), fl.PolicyName(), seed)
 	fmt.Fprintf(os.Stderr, "== running %s\n", desc)
-	start := time.Now()
-	table, err := play()
+	res, _, err := frontend.RunCountedWorkers(seed, fl, shardWorkers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 1
+		return nil, desc, fmt.Errorf("fleet %s: %w", fl.Name, err)
 	}
-	fmt.Print(table)
-	fmt.Fprintf(os.Stderr, "== done (wall time %.1fs)\n", time.Since(start).Seconds())
-	if faultsP != "" {
-		reportFaults(faultsP)
-	}
-	if out != "" {
-		if err := os.WriteFile(out, []byte(table), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			return 1
-		}
-	}
-	return 0
+	return frontend.ReportTable(fl, res), desc, nil
 }
 
 // reportFaults prints the run's injected-fault tally — read from the
 // metrics registry every fire adds to — to stderr, and returns it for
 // the -json fields.
-func reportFaults(profile string) (bySite map[string]int64, total int64) {
-	bySite, total = faults.Fired(metrics.Active())
+func reportFaults(reg *metrics.Registry, profile string) (bySite map[string]int64, total int64) {
+	bySite, total = faults.Fired(reg)
 	sites := make([]string, 0, len(bySite))
 	for s := range bySite {
 		sites = append(sites, s)
@@ -243,104 +216,134 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "== fault profile %q armed (seed %d)\n", *faultsP, *seed)
 	}
+	// The run's observers: every machine it boots counts in reg and
+	// registers its span tracer with col.
+	var reg *metrics.Registry
 	if *metricsF || *faultsP != "" {
 		// Every injected fault adds to the registry: it is the run's
-		// one aggregate fault tally.
-		metrics.Activate()
+		// one fault tally.
+		reg = metrics.NewRegistry()
 	}
-	if *tenantsF != "" || *frontF != "" {
-		return runScenario(*tenantsF, *frontF, *seed, *devices, *shardW, *faultsP, *out)
+	var col *trace.Collector
+	if *traceOut != "" {
+		col = trace.NewCollector(trace.Options{})
 	}
 
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	var exps []experiments.Experiment
-	bad := 0
-	if *runList == "all" {
-		exps = experiments.All()
-	} else {
-		for _, id := range strings.Split(*runList, ",") {
-			id = strings.TrimSpace(id)
-			e, ok := experiments.ByID(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-				bad++
-				continue
-			}
-			exps = append(exps, e)
-		}
-	}
-
-	if *traceOut != "" {
-		trace.Activate(trace.Options{})
-	}
-
-	opts := experiments.Options{Quick: !*full, Seed: *seed, Parallelism: workers, Faults: *faultsP, Trials: *trials, Devices: *devices, Workers: *shardW}
 	mode := "quick"
 	if *full {
 		mode = "full (paper-scale)"
 	}
-	if *trials > 1 {
-		fmt.Fprintf(os.Stderr, "== %d trials per cell (trial k at seed %d+k-derived); tables report mean ± 95%% CI\n",
-			*trials, *seed)
-	}
-
-	runner := &experiments.Runner{
-		Parallelism: workers,
-		OnStart: func(e experiments.Experiment) {
-			fmt.Fprintf(os.Stderr, "== running %s: %s\n", e.ID, e.Title)
-		},
-		OnDone: func(r experiments.RunResult) {
-			if r.Err != nil {
-				fmt.Fprintf(os.Stderr, "== %s failed after %.1fs: %v\n", r.Experiment.ID, r.Wall.Seconds(), r.Err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "== %s done (wall time %.1fs)\n", r.Experiment.ID, r.Wall.Seconds())
-		},
-	}
-	start := time.Now()
-	results := runner.Run(exps, opts)
-	total := time.Since(start)
-
-	var combined strings.Builder
-	fmt.Fprintf(&combined, "# BypassD reproduction results (%s mode)\n\n", mode)
-	failed := bad
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-			continue
+	var (
+		combined strings.Builder // the -o report
+		jrs      []jsonResult
+		failed   int
+		total    time.Duration
+	)
+	if *tenantsF != "" || *frontF != "" {
+		mode, workers = "scenario", 1
+		start := time.Now()
+		tb, desc, err := runScenario(*tenantsF, *frontF, *seed, *devices, *shardW, *faultsP, reg, col)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%v\n", err)
+			return 1
 		}
-		fmt.Print(r.Report.String())
-		fmt.Println()
-		combined.WriteString(r.Report.String())
-		combined.WriteString("\n")
+		total = time.Since(start)
+		fmt.Print(tb.String())
+		fmt.Fprintf(os.Stderr, "== done (wall time %.1fs)\n", total.Seconds())
+		combined.WriteString(tb.String())
+		rep := experiments.Report{Tables: []*stats.Table{tb}}
+		jrs = []jsonResult{{ID: tb.Title, Title: desc, Headline: rep.Headline(), WallMS: ms(total)}}
+	} else {
+		var exps []experiments.Experiment
+		if *runList == "all" {
+			exps = experiments.All()
+		} else {
+			for _, id := range strings.Split(*runList, ",") {
+				id = strings.TrimSpace(id)
+				e, ok := experiments.ByID(id)
+				if !ok {
+					fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
+					failed++
+					continue
+				}
+				exps = append(exps, e)
+			}
+		}
+		opts := experiments.Options{Quick: !*full, Seed: *seed, Parallelism: workers, Faults: *faultsP, Trials: *trials,
+			Devices: *devices, Workers: *shardW, Metrics: reg, Trace: col}
+		if *trials > 1 {
+			fmt.Fprintf(os.Stderr, "== %d trials per cell (trial k at seed %d+k-derived); tables report mean ± 95%% CI\n",
+				*trials, *seed)
+		}
+		runner := &experiments.Runner{
+			Parallelism: workers,
+			OnStart: func(e experiments.Experiment) {
+				fmt.Fprintf(os.Stderr, "== running %s: %s\n", e.ID, e.Title)
+			},
+			OnDone: func(r experiments.RunResult) {
+				if r.Err != nil {
+					fmt.Fprintf(os.Stderr, "== %s failed after %.1fs: %v\n", r.Experiment.ID, r.Wall.Seconds(), r.Err)
+					return
+				}
+				fmt.Fprintf(os.Stderr, "== %s done (wall time %.1fs)\n", r.Experiment.ID, r.Wall.Seconds())
+			},
+		}
+		start := time.Now()
+		results := runner.Run(exps, opts)
+		total = time.Since(start)
+
+		fmt.Fprintf(&combined, "# BypassD reproduction results (%s mode)\n\n", mode)
+		for _, r := range results {
+			jr := jsonResult{ID: r.Experiment.ID, Title: r.Experiment.Title, WallMS: ms(r.Wall)}
+			if r.Err != nil {
+				jr.Err = r.Err.Error()
+				failed++
+			} else {
+				jr.Headline = r.Report.Headline()
+				fmt.Print(r.Report.String())
+				fmt.Println()
+				combined.WriteString(r.Report.String())
+				combined.WriteString("\n")
+			}
+			jrs = append(jrs, jr)
+		}
+		fmt.Fprintf(os.Stderr, "== total wall time %.1fs (%d experiments, -j %d)\n",
+			total.Seconds(), len(results), workers)
 	}
-	var snap *metrics.Snapshot
+
 	if *metricsF {
-		reg := metrics.Active()
 		fmt.Print(reg.Render())
 		fmt.Println()
-		s := reg.Snapshot()
-		snap = &s
 	}
-	fmt.Fprintf(os.Stderr, "== total wall time %.1fs (%d experiments, -j %d)\n",
-		total.Seconds(), len(results), workers)
 	if *traceOut != "" {
-		if err := trace.WriteFile(*traceOut); err != nil {
+		if err := col.WriteFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "write %s: %v\n", *traceOut, err)
 			failed++
 		} else {
-			ev, dr := trace.CollectedEvents()
+			ev, dr := col.Events()
 			fmt.Fprintf(os.Stderr, "== trace: %d events (%d dropped) -> %s\n", ev, dr, *traceOut)
 		}
 	}
-	var faultsBy map[string]int64
-	var faultsTotal int64
+	run := jsonRun{
+		Mode:        mode,
+		Seed:        *seed,
+		Trials:      *trials,
+		Parallelism: workers,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		TotalWallMS: ms(total),
+		Results:     jrs,
+	}
 	if *faultsP != "" {
-		faultsBy, faultsTotal = reportFaults(*faultsP)
+		run.Faults = *faultsP
+		run.FaultsBy, run.FaultsTotal = reportFaults(reg, *faultsP)
+	}
+	if *metricsF {
+		snap := reg.Snapshot()
+		run.Metrics = &snap
 	}
 
 	if *out != "" {
@@ -350,33 +353,6 @@ func run() int {
 		}
 	}
 	if *jsonOut != "" {
-		run := jsonRun{
-			Mode:        mode,
-			Seed:        *seed,
-			Trials:      opts.Trials,
-			Parallelism: workers,
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			TotalWallMS: float64(total.Microseconds()) / 1000,
-		}
-		if *faultsP != "" {
-			run.Faults = *faultsP
-			run.FaultsTotal = faultsTotal
-			run.FaultsBy = faultsBy
-		}
-		run.Metrics = snap
-		for _, r := range results {
-			jr := jsonResult{
-				ID:     r.Experiment.ID,
-				Title:  r.Experiment.Title,
-				WallMS: float64(r.Wall.Microseconds()) / 1000,
-			}
-			if r.Err != nil {
-				jr.Err = r.Err.Error()
-			} else {
-				jr.Headline = r.Report.Headline()
-			}
-			run.Results = append(run.Results, jr)
-		}
 		data, err := json.MarshalIndent(run, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
@@ -391,3 +367,6 @@ func run() int {
 	}
 	return 0
 }
+
+// ms is d in milliseconds, as the -json fields report wall time.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

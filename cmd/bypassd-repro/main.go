@@ -69,16 +69,17 @@ func runSpec(arg string, parallel int, metricsF bool, traceOut string) int {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
 	}
+	o := experiments.Options{Parallelism: parallel}
 	if traceOut != "" {
-		trace.Activate(trace.Options{})
+		o.Trace = trace.NewCollector(trace.Options{})
 	}
 	if metricsF || sp.Faults != "" {
 		// Every injected fault adds to the registry: it is the
 		// replay's fault tally.
-		metrics.Activate()
+		o.Metrics = metrics.NewRegistry()
 	}
 	fmt.Fprintf(os.Stderr, "== replaying %s\n", sp)
-	run, err := experiments.RunRepro(sp, parallel)
+	run, err := experiments.RunRepro(sp, o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 1
@@ -106,7 +107,7 @@ func runSpec(arg string, parallel int, metricsF bool, traceOut string) int {
 		fmt.Print(last.String())
 	}
 	if sp.Faults != "" {
-		counts, total := faults.Fired(metrics.Active())
+		counts, total := faults.Fired(o.Metrics)
 		sites := make([]string, 0, len(counts))
 		for s := range counts {
 			sites = append(sites, s)
@@ -119,14 +120,14 @@ func runSpec(arg string, parallel int, metricsF bool, traceOut string) int {
 	}
 	if metricsF {
 		fmt.Println()
-		fmt.Print(metrics.Active().Render())
+		fmt.Print(o.Metrics.Render())
 	}
 	if traceOut != "" {
-		if err := trace.WriteFile(traceOut); err != nil {
+		if err := o.Trace.WriteFile(traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "write %s: %v\n", traceOut, err)
 			return 1
 		}
-		ev, dr := trace.CollectedEvents()
+		ev, dr := o.Trace.Events()
 		fmt.Fprintf(os.Stderr, "== trace: %d events (%d dropped) -> %s\n", ev, dr, traceOut)
 	}
 	return 0

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	s := sim.New()
-	host, err := kernel.NewMachine(s, kernel.DefaultConfig(), device.OptaneP5800X(1<<30), nil)
+	host, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{device.OptaneP5800X(1 << 30)}, nil, kernel.Observers{})
 	if err != nil {
 		log.Fatal(err)
 	}

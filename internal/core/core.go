@@ -12,6 +12,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/spdk"
 	"repro/internal/storage"
@@ -54,45 +55,54 @@ type System struct {
 	ownStore bool
 }
 
-// New boots a fresh system with the paper's device and kernel
-// calibration on a new simulation.
-func New(capacityBytes int64) (*System, error) {
-	return NewOn(sim.New(), capacityBytes, nil)
+// Config is the boot config of a system: its topology and the
+// observers its machine is born with.
+type Config struct {
+	// Capacity is each SSD's size in bytes.
+	Capacity int64
+	// Devices is the number of Optane-class SSDs behind the machine's
+	// IOMMUs; < 1 means 1. Each boots on its own fresh store.
+	Devices int
+	// Image is a prebuilt storage image for a single-SSD system to
+	// mount instead of formatting a fresh store.
+	Image *storage.Store
+	// Observers are the machine's fault injector, trace collector and
+	// metrics registry. A nil collector or registry falls back to the
+	// process-global one (trace.Activate, metrics.Activate), if armed.
+	kernel.Observers
 }
 
-// NewOn boots a system on an existing simulation, optionally from a
-// prebuilt storage image.
-func NewOn(s *sim.Sim, capacityBytes int64, st *storage.Store) (*System, error) {
-	m, err := kernel.NewMachine(s, kernel.DefaultConfig(), device.OptaneP5800X(capacityBytes), st)
-	if err != nil {
-		return nil, err
+// Boot boots a system with the paper's device and kernel calibration
+// on a new simulation.
+func Boot(c Config) (*System, error) {
+	if c.Devices < 1 {
+		c.Devices = 1
 	}
-	return &System{Sim: s, M: m, libs: make(map[*kernel.Process]*userlib.Lib), ownStore: st == nil}, nil
-}
-
-// NewN boots a fresh system with devices Optane-class SSDs of
-// capacityBytes each behind one shared IOMMU, on a new simulation.
-// devices == 1 is exactly New (byte-identical event stream).
-func NewN(capacityBytes int64, devices int) (*System, error) {
-	return NewOnN(sim.New(), capacityBytes, devices)
-}
-
-// NewOnN is NewN on an existing simulation. Every device boots with
-// its own fresh store; unique DevIDs are assigned at machine boot.
-func NewOnN(s *sim.Sim, capacityBytes int64, devices int) (*System, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("core: %d devices", devices)
+	if c.Trace == nil {
+		c.Trace = trace.Active()
 	}
-	dcfgs := make([]device.Config, devices)
+	if c.Metrics == nil {
+		c.Metrics = metrics.Active()
+	}
+	dcfgs := make([]device.Config, c.Devices)
 	for i := range dcfgs {
-		dcfgs[i] = device.OptaneP5800X(capacityBytes)
+		dcfgs[i] = device.OptaneP5800X(c.Capacity)
 	}
-	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), dcfgs, nil)
+	var sts []*storage.Store
+	if c.Image != nil {
+		sts = []*storage.Store{c.Image}
+	}
+	s := sim.New()
+	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), dcfgs, sts, c.Observers)
 	if err != nil {
 		return nil, err
 	}
-	return &System{Sim: s, M: m, libs: make(map[*kernel.Process]*userlib.Lib), ownStore: true}, nil
+	return &System{Sim: s, M: m, libs: make(map[*kernel.Process]*userlib.Lib), ownStore: c.Image == nil}, nil
 }
+
+// New boots a fresh single-SSD system of capacityBytes on a new
+// simulation.
+func New(capacityBytes int64) (*System, error) { return Boot(Config{Capacity: capacityBytes}) }
 
 // Devices reports the number of SSDs in the system's topology.
 func (sys *System) Devices() int { return len(sys.M.Nodes) }

@@ -173,12 +173,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			return
 		}
 		// Boot a second system from the snapshot on a fresh sim.
-		s2 := sim.New()
-		sys2, err := NewOn(s2, 1<<30, st)
+		sys2, err := Boot(Config{Capacity: 1 << 30, Image: st})
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		s2 := sys2.Sim
 		s2.Spawn("check", func(q *sim.Proc) {
 			pr2 := sys2.NewProcess(ext4.Root)
 			fd2, err := pr2.Open(q, "/persist", false)

@@ -105,7 +105,7 @@ func TestConcurrentAppendFsync(t *testing.T) {
 	img := sys.M.Dev.Store().Clone()
 	sys.Sim.Shutdown()
 
-	sys2, err := NewOn(sim.New(), capacity, img)
+	sys2, err := Boot(Config{Capacity: capacity, Image: img})
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}

@@ -30,7 +30,7 @@ func runA1(o Options) (*Report, error) {
 	points, err := sweepMap(o, len(variants), func(i int) (point, error) {
 		// A 1 MiB working set fits the 256-entry IOTLB, giving the
 		// caching variant its best case.
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, CacheFTEs: variants[i], Seed: o.Seed, Faults: o.injector()}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, CacheFTEs: variants[i], Seed: o.Seed, Observers: o.observers()}, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
 		}})
@@ -71,7 +71,7 @@ func runA1(o Options) (*Report, error) {
 	pwcPoints, err := sweepMap(o, len(pwcSpecs), func(i int) (point, error) {
 		spec := pwcSpecs[i].spec
 		spec.Seed = o.Seed
-		spec.Faults = o.injector()
+		spec.Observers = o.observers()
 		res, err := fio.Run(spec, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
@@ -134,11 +134,10 @@ func runA2(o Options) (*Report, error) {
 }
 
 func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float64, error) {
-	sys, err := core.New(1 << 30)
+	sys, err := o.boot(1 << 30)
 	if err != nil {
 		return 0, 0, err
 	}
-	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 
 	hist := stats.NewHistogram()
@@ -235,11 +234,10 @@ func runA3(o Options) (*Report, error) {
 	strategies := []string{"kernel", "optimized", "relink"}
 	lats, err := sweepMap(o, len(strategies), func(ci int) (sim.Time, error) {
 		strategy := strategies[ci]
-		sys, err := core.New(1 << 30)
+		sys, err := o.boot(1 << 30)
 		if err != nil {
 			return 0, err
 		}
-		sys.M.SetFaults(o.injector())
 		hist := stats.NewHistogram()
 		var runErr error
 		sys.Sim.Spawn("a3", func(p *sim.Proc) {
@@ -341,11 +339,10 @@ func runA4Once(o Options, serialize bool, ops int) (sim.Time, error) {
 	s := sim.New()
 	dcfg := device.OptaneP5800X(1 << 30)
 	dcfg.SerializeWriteTranslation = serialize
-	m, err := kernel.NewMachine(s, kernel.DefaultConfig(), dcfg, nil)
+	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{dcfg}, nil, o.observers())
 	if err != nil {
 		return 0, err
 	}
-	m.SetFaults(o.injector())
 	defer s.Shutdown()
 	hist := stats.NewHistogram()
 	var runErr error
@@ -406,11 +403,10 @@ func runA5(o Options) (*Report, error) {
 	if o.Quick {
 		writes = 96
 	}
-	sys, err := core.New(1 << 30)
+	sys, err := o.boot(1 << 30)
 	if err != nil {
 		return nil, err
 	}
-	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 	var syncThr, asyncThr float64
 	var runErr error
@@ -493,11 +489,10 @@ func runA6(o Options) (*Report, error) {
 	type point struct{ fmapT, lat sim.Time }
 	points, err := sweepMap(o, len(variants), func(ci int) (point, error) {
 		extent := variants[ci]
-		sys, err := core.New(size*2 + (256 << 20))
+		sys, err := o.boot(size*2 + (256 << 20))
 		if err != nil {
 			return point{}, err
 		}
-		sys.M.SetFaults(o.injector())
 		var fmapT sim.Time
 		var lat sim.Time
 		var runErr error

@@ -25,11 +25,10 @@ var wtSystems = []string{"sync", "xrp", "bypassd"}
 
 // runWT executes one WiredTiger configuration and returns Kops/s.
 func runWT(o Options, system string, wl ycsb.Workload, threads int, keys uint64, cacheBytes int64, opsPerThread int) (float64, error) {
-	sys, err := core.New(1 << 30)
+	sys, err := o.boot(1 << 30)
 	if err != nil {
 		return 0, err
 	}
-	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 
 	var runErr error
@@ -247,11 +246,10 @@ func runF14(o Options) (*Report, error) {
 
 // runBPFKV executes one Fig. 15 configuration.
 func runBPFKV(o Options, mode string, threads int, objects uint64, opsPerThread int) (avg, p999 sim.Time, err error) {
-	sys, err := core.New(1 << 30)
+	sys, err := o.boot(1 << 30)
 	if err != nil {
 		return 0, 0, err
 	}
-	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 	st, err := bpfkv.Plan(objects, 6)
 	if err != nil {
@@ -399,11 +397,10 @@ func runF15(o Options) (*Report, error) {
 
 // runKVell executes one Fig. 16 configuration.
 func runKVell(o Options, mode string, wl ycsb.Workload, threads int, items uint64, opsPerThread int) (kops float64, meanLat sim.Time, err error) {
-	sys, err := core.New(2 << 30)
+	sys, err := o.boot(2 << 30)
 	if err != nil {
 		return 0, 0, err
 	}
-	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 
 	hist := stats.NewHistogram()

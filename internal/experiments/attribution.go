@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ext4"
 	"repro/internal/fio"
+	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -42,7 +43,7 @@ func runT6(o Options) (*Report, error) {
 		if c.engine == "" {
 			return runT6XRP(o, ops)
 		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Faults: o.injector(), Trace: true}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: t6Observers(o)}, []fio.Group{{
 			Name: "m", Engine: c.engine, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 64 << 20,
 		}})
@@ -97,21 +98,27 @@ type t6Result struct {
 	mean sim.Time
 }
 
+// t6Observers are the run's observers with a trace collector always
+// set: T6 reads every machine's span attribution, traced run or not.
+func t6Observers(o Options) kernel.Observers {
+	obs := o.observers()
+	if obs.Trace == nil {
+		obs.Trace = trace.NewCollector(trace.Options{})
+	}
+	return obs
+}
+
 // runT6XRP measures the XRP baseline with a hand-rolled harness: the
 // FileIO interface doesn't expose chained reads, so the cell drives
 // Process.XRPChain directly with single-step chains (a plain 4KB read
 // through the XRP resubmission interface).
 func runT6XRP(o Options, ops int) (t6Result, error) {
 	const fileBytes = 64 << 20
-	sys, err := core.New(256 << 20)
+	sys, err := core.Boot(core.Config{Capacity: 256 << 20, Observers: t6Observers(o)})
 	if err != nil {
 		return t6Result{}, err
 	}
-	sys.M.SetFaults(o.injector())
 	defer sys.Close()
-	if sys.M.Trace == nil {
-		sys.M.EnableTrace(trace.NewTracer("xrp"))
-	}
 	tr := sys.M.Trace
 
 	lat := stats.NewHistogram()

@@ -47,7 +47,7 @@ func TestOneCellReplay(t *testing.T) {
 			keys := decl.tables[ti].keys
 			for _, row := range tb.Rows {
 				sp := keySpec(r.id, keys, row, o)
-				run, err := RunRepro(sp, 2)
+				run, err := RunRepro(sp, Options{Parallelism: 2})
 				if err != nil {
 					t.Fatalf("replay %s: %v", sp, err)
 				}
@@ -81,15 +81,15 @@ func TestReplayValueConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunRepro(sp, 1); err == nil || !strings.Contains(err.Error(), "matched no rows") {
+	if _, err := RunRepro(sp, Options{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), "matched no rows") {
 		t.Fatalf("mismatched key constraint replayed: %v", err)
 	}
 	sp, _ = ParseReproSpec("T9:devices=2,speedup=-@seed=1")
-	if _, err := RunRepro(sp, 1); err == nil || !strings.Contains(err.Error(), "matched no rows") {
+	if _, err := RunRepro(sp, Options{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), "matched no rows") {
 		t.Fatalf("value constraint did not filter the replayed row: %v", err)
 	}
 	sp, _ = ParseReproSpec("T10:bogus=1@seed=1")
-	if _, err := RunRepro(sp, 1); err == nil || !strings.Contains(err.Error(), "goodput") {
+	if _, err := RunRepro(sp, Options{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), "goodput") {
 		t.Fatalf("unknown column must fail naming the headers, got %v", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestFaultedGateTrialsReplay(t *testing.T) {
 			}
 			for k, want := range xs {
 				sp.Trial = k
-				run, err := RunRepro(sp, 1)
+				run, err := RunRepro(sp, Options{Parallelism: 1})
 				if err != nil {
 					t.Fatalf("replay %s: %v", sp, err)
 				}

@@ -14,8 +14,12 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Options tunes experiment scale.
@@ -56,6 +60,12 @@ type Options struct {
 	// min..max spread columns. Trials share the Parallelism worker pool
 	// with sweep cells, and reports stay byte-identical at any -j.
 	Trials int
+	// Metrics and Trace are the run's metrics registry and trace
+	// collector: every machine the experiments boot counts its series
+	// in Metrics and registers its span tracer with Trace. nil leaves
+	// that plane off. Unlike Faults, they never change a report.
+	Metrics *metrics.Registry
+	Trace   *trace.Collector
 	// Workers sets how many host goroutines drain the event shards of
 	// each multi-device scenario's traffic phase (the simulator's
 	// parallel drain; DESIGN.md §15). It is orthogonal to Parallelism:
@@ -74,19 +84,26 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// injector builds a fresh fault injector for one machine from the
-// run's profile, seeded from Seed; nil when no profile is set.
-func (o Options) injector() *faults.Injector { return o.injectorAt(o.Seed) }
+// observers are what every machine of the run is born with: the run's
+// registry and collector, and a fresh injector for the run's fault
+// profile seeded from Seed (none when no profile is set).
+func (o Options) observers() kernel.Observers { return o.observersAt(o.Seed) }
 
-// injectorAt is injector seeded from one trial cell's seed. Runner.Run
-// rejects an unknown profile before any harness runs, so reaching one
-// here is a caller bug.
-func (o Options) injectorAt(seed int64) *faults.Injector {
+// observersAt is observers with the injector seeded from one trial
+// cell's seed. Runner.Run rejects an unknown profile before any
+// harness runs, so reaching one here is a caller bug.
+func (o Options) observersAt(seed int64) kernel.Observers {
 	inj, err := faults.New(o.Faults, seed)
 	if err != nil {
 		panic(err)
 	}
-	return inj
+	return kernel.Observers{Faults: inj, Trace: o.Trace, Metrics: o.Metrics}
+}
+
+// boot boots a single-SSD system of capacity bytes with the run's
+// observers.
+func (o Options) boot(capacity int64) (*core.System, error) {
+	return core.Boot(core.Config{Capacity: capacity, Observers: o.observers()})
 }
 
 // Report is an experiment's output.

@@ -15,14 +15,20 @@ var faultTestIDs = []string{"F5", "F6"}
 
 func runWithFaults(t *testing.T, id, profile string, seed int64, par int) string {
 	t.Helper()
+	return runWith(t, id, Options{Quick: true, Seed: seed, Parallelism: par, Faults: profile})
+}
+
+// runWith runs one experiment through a Runner under o and renders its
+// report.
+func runWith(t *testing.T, id string, o Options) string {
+	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	res := (&Runner{Parallelism: 1}).Run([]Experiment{e},
-		Options{Quick: true, Seed: seed, Parallelism: par, Faults: profile})
+	res := (&Runner{Parallelism: 1}).Run([]Experiment{e}, o)
 	if res[0].Err != nil {
-		t.Fatalf("%s under %q: %v", id, profile, res[0].Err)
+		t.Fatalf("%s under %q: %v", id, o.Faults, res[0].Err)
 	}
 	return res[0].Report.String()
 }
@@ -120,9 +126,8 @@ func TestRunUnknownFaultProfile(t *testing.T) {
 // counts in the metrics registry, where an operator inspects them
 // after the run.
 func TestFaultCountersSurface(t *testing.T) {
-	reg := metrics.Activate()
-	defer metrics.Deactivate()
-	_ = runWithFaults(t, "F6", "flaky-media", 42, 1)
+	reg := metrics.NewRegistry()
+	_ = runWith(t, "F6", Options{Quick: true, Seed: 42, Parallelism: 1, Faults: "flaky-media", Metrics: reg})
 	counts, total := faults.Fired(reg)
 	if total == 0 {
 		t.Fatal("flaky-media run recorded no injected faults")

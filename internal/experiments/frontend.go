@@ -43,7 +43,7 @@ func cellsT10(o Options) *cellReport {
 		for _, pool := range pools {
 			for _, policy := range []frontend.Policy{frontend.AdmitAll, frontend.AdmitToken, frontend.AdmitCoDel} {
 				fl := frontend.ServiceFleet(policy, frac, devices, pool, users, requests)
-				fl.Faults = o.Faults
+				fl.Faults, fl.Metrics, fl.Trace = o.Faults, o.Metrics, o.Trace
 				tb.cells = append(tb.cells, Cell{
 					key: []string{stats.Fmt(fl.RateOps / 1e3), fmt.Sprint(pool), string(policy)},
 					run: func(seed int64) ([]float64, error) {

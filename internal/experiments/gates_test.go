@@ -74,7 +74,7 @@ func TestGateReproRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", res.Repro[0], err)
 	}
-	run, err := RunRepro(sp, 1)
+	run, err := RunRepro(sp, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("replay %q: %v", res.Repro[0], err)
 	}

@@ -131,10 +131,9 @@ func TestGoldenOutputs(t *testing.T) {
 				checkGolden(t, s.name, renderGoldenSuite(t, s))
 				return
 			}
-			reg := metrics.Activate()
-			defer metrics.Deactivate()
+			s.o.Metrics = metrics.NewRegistry()
 			checkGolden(t, s.name, renderGoldenSuite(t, s))
-			checkGolden(t, s.metrics, reg.Render())
+			checkGolden(t, s.metrics, s.o.Metrics.Render())
 		})
 	}
 }

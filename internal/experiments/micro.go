@@ -21,6 +21,7 @@ func init() {
 
 func runF5(o Options) (*Report, error) {
 	u := iommu.New(iommu.DefaultConfig())
+	u.SetObservers(nil, o.Metrics)
 	tb := stats.NewTable("Fig. 5: IOMMU overhead vs translations per request",
 		"translations", "overhead (ns)")
 	for n := 1; n <= 12; n++ {
@@ -54,7 +55,7 @@ var fioP99Col = column{head: "p99 (µs)", scale: 1e3, span: "p99 span (µs)", on
 // mean latency (µs), p99 latency (ns) and perf's throughput figure.
 func fioCell(o Options, g fio.Group, perf func(*fio.GroupResult) float64) func(int64) ([]float64, error) {
 	return func(seed int64) ([]float64, error) {
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Faults: o.injectorAt(seed)}, []fio.Group{g})
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.observersAt(seed)}, []fio.Group{g})
 		if err != nil {
 			return nil, fmt.Errorf("%s write=%t bs=%d threads=%d: %w", g.Engine, g.Write, g.BS, g.Threads, err)
 		}
@@ -104,7 +105,7 @@ func runF7(o Options) (*Report, error) {
 	type split struct{ user, kern, dev, total sim.Time }
 	splits, err := sweepMap(o, len(cells), func(i int) (split, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Faults: o.injector()}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: o.observers()}, []fio.Group{{
 			Name: "m", Engine: c.eng, BS: c.bs, Threads: 1,
 			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
 		}})
@@ -166,7 +167,7 @@ func runF8(o Options) (*Report, error) {
 			g.Engine = core.EngineSync
 			delay = -1
 		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: delay, Seed: o.Seed, Faults: o.injector()}, []fio.Group{g})
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: delay, Seed: o.Seed, Observers: o.observers()}, []fio.Group{g})
 		if err != nil {
 			return 0, err
 		}

@@ -1,22 +1,22 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// runObserved runs the given experiments with the trace and metrics
-// planes armed and returns (rendered reports, rendered trace, rendered
-// metrics).
+// runObserved runs the given experiments with a fresh trace collector
+// and metrics registry and returns (rendered reports, rendered trace,
+// rendered metrics).
 func runObserved(t *testing.T, parallelism int, ids ...string) (string, string, string) {
 	t.Helper()
-	trace.Activate(trace.Options{})
-	reg := metrics.Activate()
-	defer trace.Deactivate()
-	defer metrics.Deactivate()
+	col, reg := trace.NewCollector(trace.Options{}), metrics.NewRegistry()
 
 	var reports strings.Builder
 	for _, id := range ids {
@@ -24,13 +24,13 @@ func runObserved(t *testing.T, parallelism int, ids ...string) (string, string, 
 		if !ok {
 			t.Fatalf("experiment %s not registered", id)
 		}
-		rep, err := e.Run(Options{Quick: true, Seed: 1, Parallelism: parallelism})
+		rep, err := e.Run(Options{Quick: true, Seed: 1, Parallelism: parallelism, Metrics: reg, Trace: col})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		reports.WriteString(rep.String())
 	}
-	tr, err := trace.Render()
+	tr, err := col.Render()
 	if err != nil {
 		t.Fatalf("trace render: %v", err)
 	}
@@ -62,6 +62,70 @@ func TestObservabilityByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestObserversArePerRun runs two experiments at the same time: T6
+// with its own metrics registry and trace collector, F6 with none.
+// Every machine is born with its own run's observers, so under -race
+// neither run may reach the other's: the observed run's registry and
+// trace must equal its sequential run's, and both reports must equal
+// their golden renderings.
+func TestObserversArePerRun(t *testing.T) {
+	quick, err := os.ReadFile(filepath.Join("testdata", "golden", "quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Quick: true, Seed: 1, Parallelism: 2, Workers: 2}
+	observed := func() (rep, tr, reg string, err error) {
+		o := base
+		o.Metrics, o.Trace = metrics.NewRegistry(), trace.NewCollector(trace.Options{})
+		e, _ := ByID("T6")
+		r, err := e.Run(o)
+		if err != nil {
+			return "", "", "", err
+		}
+		b, err := o.Trace.Render()
+		return r.String(), string(b), o.Metrics.Render(), err
+	}
+	wantRep, wantTr, wantReg, err := observed()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		wg                    sync.WaitGroup
+		gotRep, gotTr, gotReg string
+		plain                 *Report
+		errObserved, errPlain error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		gotRep, gotTr, gotReg, errObserved = observed()
+	}()
+	go func() {
+		defer wg.Done()
+		e, _ := ByID("F6")
+		plain, errPlain = e.Run(base)
+	}()
+	wg.Wait()
+	if errObserved != nil || errPlain != nil {
+		t.Fatalf("observed T6: %v; unobserved F6: %v", errObserved, errPlain)
+	}
+	if gotReg != wantReg {
+		t.Errorf("T6 registry differs from its sequential run:\n--- sequential ---\n%s--- concurrent ---\n%s", wantReg, gotReg)
+	}
+	if gotTr != wantTr {
+		t.Error("T6 trace differs from its sequential run")
+	}
+	if !strings.Contains(gotReg, "io_ops_total") || !strings.Contains(gotTr, `"ph":"X"`) {
+		t.Fatalf("observed run recorded nothing:\n%s", gotReg)
+	}
+	for _, rep := range []string{wantRep, gotRep, plain.String()} {
+		if !strings.Contains(string(quick), rep+"\n") {
+			t.Errorf("report differs from its golden rendering:\n%s", rep)
+		}
+	}
+}
+
 // TestTracingDoesNotPerturbReports checks the observer effect is zero:
 // a run with the trace and metrics planes armed renders exactly the
 // same report as a clean run (tracing charges no virtual time).
@@ -75,11 +139,8 @@ func TestTracingDoesNotPerturbReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	trace.Activate(trace.Options{})
-	metrics.Activate()
-	defer trace.Deactivate()
-	defer metrics.Deactivate()
-	observed, err := e.Run(Options{Quick: true, Seed: 1})
+	observed, err := e.Run(Options{Quick: true, Seed: 1,
+		Metrics: metrics.NewRegistry(), Trace: trace.NewCollector(trace.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}

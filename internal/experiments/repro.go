@@ -217,12 +217,16 @@ type ReproRun struct {
 // cells reads it, so the report holds just those rows. Other
 // experiments run whole; in both, constraints on value columns filter
 // the rendered rows.
-func RunRepro(sp ReproSpec, parallelism int) (*ReproRun, error) {
+//
+// run supplies the replay's Parallelism and observers (Metrics, Trace);
+// the spec sets everything else.
+func RunRepro(sp ReproSpec, run Options) (*ReproRun, error) {
 	e, ok := ByID(sp.ID)
 	if !ok {
 		return nil, fmt.Errorf("unknown experiment %q (have: %s)", sp.ID, strings.Join(IDs(), " "))
 	}
-	o := Options{Quick: !sp.Full, Seed: sp.Seed, Parallelism: parallelism, Faults: sp.Faults}
+	o := Options{Quick: !sp.Full, Seed: sp.Seed, Parallelism: run.Parallelism, Faults: sp.Faults,
+		Metrics: run.Metrics, Trace: run.Trace}
 	derived := sp.Seed
 	if sp.Trials > 1 {
 		o.Trials = sp.Trials
@@ -236,30 +240,30 @@ func RunRepro(sp ReproSpec, parallelism int) (*ReproRun, error) {
 		headers = decl.tables[0].headers(multi)
 		e.Run = func(o Options) (*Report, error) { return decl.only(sp.Match, multi).run(e.ID, o) }
 	}
-	res := (&Runner{Parallelism: parallelism}).Run([]Experiment{e}, o)
+	res := (&Runner{Parallelism: o.Parallelism}).Run([]Experiment{e}, o)
 	if res[0].Err != nil {
 		return nil, res[0].Err
 	}
-	run := &ReproRun{Spec: sp, DerivedSeed: derived, Report: res[0].Report}
-	for _, tb := range run.Report.Tables {
+	rr := &ReproRun{Spec: sp, DerivedSeed: derived, Report: res[0].Report}
+	for _, tb := range rr.Report.Tables {
 		keys := make([]string, len(tb.Headers))
 		for i, h := range tb.Headers {
 			keys[i] = headerKey(h)
 		}
 		for _, row := range tb.Rows {
 			if rowMatches(sp.Match, keys, row) {
-				run.Matches = append(run.Matches, MatchedCell{Table: tb.Title, Headers: tb.Headers, Row: row})
+				rr.Matches = append(rr.Matches, MatchedCell{Table: tb.Title, Headers: tb.Headers, Row: row})
 			}
 		}
 	}
-	if len(sp.Match) > 0 && len(run.Matches) == 0 {
+	if len(sp.Match) > 0 && len(rr.Matches) == 0 {
 		if headers == nil {
-			headers = run.Report.Tables[0].Headers
+			headers = rr.Report.Tables[0].Headers
 		}
 		return nil, fmt.Errorf("spec %s matched no rows of %s (check keys against headers: %s)",
 			sp, sp.ID, strings.Join(headers, ", "))
 	}
-	return run, nil
+	return rr, nil
 }
 
 // headerKey normalizes a table header for spec matching: lowercase,

@@ -51,7 +51,7 @@ func cellsT9(o Options) *cellReport {
 			key: []string{fmt.Sprint(devices), fmt.Sprint(2 * devices)},
 			run: func(seed int64) ([]float64, error) {
 				sc := tenants.ScaleOut(devices, victimOps, hogOps)
-				sc.Faults = o.Faults
+				sc.Faults, sc.Metrics, sc.Trace = o.Faults, o.Metrics, o.Trace
 				res, _, err := tenants.RunCountedWorkers(seed, sc, o.workers())
 				if err != nil {
 					return nil, err

@@ -40,7 +40,7 @@ func runF10(o Options) (*Report, error) {
 	}
 	points, err := sweepMap(o, len(cells), func(i int) (point, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Faults: o.injector()}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: o.observers()}, []fio.Group{{
 			Name: "w", Engine: c.eng, Write: true, BS: 4096, Threads: c.n,
 			OpsPerThread: ops, FileBytes: 16 << 20, ProcessPerThread: true,
 		}})
@@ -97,7 +97,7 @@ func runF11(o Options) (*Report, error) {
 				OpsPerThread: 0, FileBytes: 16 << 20, ProcessPerThread: true,
 			})
 		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Faults: o.injector()}, groups)
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: o.observers()}, groups)
 		if err != nil {
 			return 0, err
 		}
@@ -129,11 +129,10 @@ func runF12(o Options) (*Report, error) {
 		bucket = 50 * sim.Millisecond
 	}
 
-	sys, err := core.New(1 << 30)
+	sys, err := o.boot(1 << 30)
 	if err != nil {
 		return nil, err
 	}
-	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 	series := stats.NewSeries(bucket)
 	var runErr error

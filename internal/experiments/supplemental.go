@@ -58,11 +58,10 @@ func runS1(o Options) (*Report, error) {
 func runS1Device(o Options, dcfg device.Config, ops int) (syncLat, bypLat sim.Time, err error) {
 	s := sim.New()
 	defer s.Shutdown()
-	m, err := kernel.NewMachine(s, kernel.DefaultConfig(), dcfg, nil)
+	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{dcfg}, nil, o.observers())
 	if err != nil {
 		return 0, 0, err
 	}
-	m.SetFaults(o.injector())
 	var runErr error
 	s.Spawn("s1", func(p *sim.Proc) {
 		pr := m.NewProcess(ext4.Root)

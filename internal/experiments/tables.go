@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/ext4"
 	"repro/internal/iommu"
 	"repro/internal/sim"
@@ -24,11 +23,10 @@ func init() {
 // runT1 measures one synchronous 4 KiB read and decomposes it using
 // the calibrated layer costs.
 func runT1(o Options) (*Report, error) {
-	sys, err := core.New(1 << 30)
+	sys, err := o.boot(1 << 30)
 	if err != nil {
 		return nil, err
 	}
-	sys.M.SetFaults(o.injector())
 	defer sys.Close()
 	var total sim.Time
 	var runErr error
@@ -137,6 +135,7 @@ func sortStrings(s []string) []string {
 // runT4 reproduces the IOAT DMA experiment.
 func runT4(o Options) (*Report, error) {
 	u := iommu.New(iommu.DefaultConfig())
+	u.SetObservers(nil, o.Metrics)
 	e := iommu.NewDMAEngine(u)
 
 	tb := stats.NewTable("Table 4: IOAT DMA copy latency", "configuration", "latency (ns)")
@@ -166,11 +165,10 @@ func runT5(o Options) (*Report, error) {
 	points, err := sweepMap(o, len(sizes), func(ci int) (point, error) {
 		size := sizes[ci]
 		capacity := size*2 + (256 << 20)
-		sys, err := core.New(capacity)
+		sys, err := o.boot(capacity)
 		if err != nil {
 			return point{}, err
 		}
-		sys.M.SetFaults(o.injector())
 		var openT, warmT, coldT sim.Time
 		var runErr error
 		sys.Sim.Spawn("t5", func(p *sim.Proc) {

@@ -41,7 +41,7 @@ func cellsT7(o Options) *cellReport {
 					run: func(seed int64) ([]float64, error) {
 						sc := tenants.NoisyNeighbor(arb, hogs, victimOps, hogOps)
 						sc.Tenants[0].Engine = eng
-						sc.Faults = o.Faults
+						sc.Faults, sc.Metrics, sc.Trace = o.Faults, o.Metrics, o.Trace
 						res, _, err := tenants.RunCountedWorkers(seed, sc, o.workers())
 						if err != nil {
 							return nil, err
@@ -90,7 +90,7 @@ func cellsT8(o Options) *cellReport {
 				key: []string{fmt.Sprintf("%.0f", frac*optaneIOPS/1e3), string(eng)},
 				run: func(seed int64) ([]float64, error) {
 					sc := tenants.SLOLoad(eng, nTenants, frac*optaneIOPS, opsPer)
-					sc.Faults = o.Faults
+					sc.Faults, sc.Metrics, sc.Trace = o.Faults, o.Metrics, o.Trace
 					res, _, err := tenants.RunCountedWorkers(seed, sc, o.workers())
 					if err != nil {
 						return nil, err

@@ -62,11 +62,10 @@ func runS2(o Options) (*Report, error) {
 func runS2Guests(o Options, ops int) (guest1, guest2, guestSync sim.Time, err error) {
 	s := sim.New()
 	defer s.Shutdown()
-	host, err := kernel.NewMachine(s, kernel.DefaultConfig(), device.OptaneP5800X(1<<30), nil)
+	host, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{device.OptaneP5800X(1 << 30)}, nil, o.observers())
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	host.SetFaults(o.injector())
 	const nested = 300 * sim.Nanosecond
 	mkGuest := func(name string, devID uint8, baseMB int64) (*kernel.Machine, error) {
 		vf, err := device.Carve(s, host.Dev, name, devID, baseMB<<20/512, (192<<20)/512)

@@ -51,9 +51,8 @@ func TestReportsWorkerInvariant(t *testing.T) {
 // rendered rows.
 func TestScaleOutMetricsWorkerInvariant(t *testing.T) {
 	snapshot := func(workers int) (string, uint64) {
-		metrics.Activate()
-		defer metrics.Deactivate()
 		sc := tenants.ScaleOut(4, 200, 200)
+		sc.Metrics = metrics.NewRegistry()
 		res, events, err := tenants.RunCountedWorkers(42, sc, workers)
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +60,7 @@ func TestScaleOutMetricsWorkerInvariant(t *testing.T) {
 		if len(res) == 0 || res[0].Ops == 0 {
 			t.Fatal("scale-out run produced no work")
 		}
-		return metrics.Active().Render(), events
+		return sc.Metrics.Render(), events
 	}
 	refRender, refEvents := snapshot(1)
 	for _, w := range []int{2, 8} {

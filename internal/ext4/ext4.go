@@ -172,11 +172,12 @@ type FS struct {
 	Commits int64
 }
 
-// SetInjector attaches the machine's fault plane.
-func (fs *FS) SetInjector(inj *faults.Injector) { fs.inj = inj }
-
-// SetTracer attaches the machine's span tracer (nil detaches).
-func (fs *FS) SetTracer(tr *trace.Tracer) { fs.tr = tr }
+// SetObservers attaches the machine's fault plane and span tracer and
+// resolves the commit counter from reg; nil arguments are inert. The
+// machine calls it at boot, right after the mount.
+func (fs *FS) SetObservers(inj *faults.Injector, tr *trace.Tracer, reg *metrics.Registry) {
+	fs.inj, fs.tr, fs.mCommits = inj, tr, reg.Counter("ext4_commits_total")
+}
 
 // SetCommitLock installs the lock that serializes journal commits. A
 // commit yields on I/O, and a second proc's commit in that window
@@ -314,7 +315,6 @@ func Mount(p *sim.Proc, bio BlockIO, devID uint8, now func() sim.Time) (*FS, err
 		inodes:      make(map[uint32]*Inode),
 		dirtyInodes: make(map[uint32]bool),
 		dirCache:    make(map[uint32][]DirEntry),
-		mCommits:    metrics.GetCounter("ext4_commits_total"),
 	}
 	if err := fs.sb.unmarshal(buf); err != nil {
 		return nil, err

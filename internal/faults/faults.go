@@ -8,13 +8,14 @@
 // fault injection: no RNG draws, no time charges, no allocations.
 //
 // An Injector is a per-machine value: harnesses build one with New
-// (from a builtin profile name and a seed) and attach it with
-// kernel.Machine.SetFaults, which threads it into the device, IOMMU,
-// file system and UserLib. The simulation runs one goroutine at a time
-// per machine, so the injector needs no locks for its own counters.
-// The package keeps no mutable state of its own; the one aggregate
-// tally across machines is the faults_injected_total{site} series of
-// the active metrics registry, which every fire adds to.
+// (from a builtin profile name and a seed) and boot the machine with
+// it (core.Config, kernel.Observers); the machine threads it into the
+// device, IOMMU, file system and UserLib, and binds its own metrics
+// registry to it. The simulation runs one goroutine at a time per
+// machine, so the injector needs no locks for its own counters. The
+// package keeps no mutable state of its own; the one fault tally is
+// the faults_injected_total{site} series of the machine's registry,
+// which every fire adds to.
 package faults
 
 import (
@@ -118,26 +119,34 @@ func (r *ruleState) matches(site string, queue int) bool {
 // Injector evaluates injection sites for one simulated machine. The
 // zero value of *Injector (nil) is inert; all methods are nil-safe.
 type Injector struct {
-	profile string
-	rules   []*ruleState
-	rng     *rand.Rand
-	counts  map[string]int64
-	total   int64
+	rules []*ruleState
+	rng   *rand.Rand
+
+	// reg is the registry fires are tallied in (Bind); fired caches
+	// its per-site series.
+	reg   *metrics.Registry
+	fired map[string]*metrics.Counter
 }
 
 // NewInjector builds an injector from a rule list. Decisions draw from
 // a PRNG seeded with seed, so two injectors with equal seeds and rules
 // replay identically given the same decision sequence.
 func NewInjector(seed int64, rules []Rule) *Injector {
-	inj := &Injector{
-		rng:    rand.New(rand.NewSource(seed ^ 0x0fa17_b1a5e)),
-		counts: make(map[string]int64),
-	}
+	inj := &Injector{rng: rand.New(rand.NewSource(seed ^ 0x0fa17_b1a5e))}
 	for _, r := range rules {
 		rc := r
 		inj.rules = append(inj.rules, &ruleState{Rule: rc})
 	}
 	return inj
+}
+
+// Bind tallies the injector's fires in r's faults_injected_total{site}
+// series from now on (nil: no tally). The machine an injector is booted
+// with binds its own registry.
+func (inj *Injector) Bind(r *metrics.Registry) {
+	if inj != nil {
+		inj.reg, inj.fired = r, make(map[string]*metrics.Counter)
+	}
 }
 
 // Active reports whether the injector carries any rules. An inactive
@@ -183,10 +192,13 @@ func (inj *Injector) decide(site string, queue int) *ruleState {
 			hit = r
 		}
 	}
-	if hit != nil {
-		inj.counts[site]++
-		inj.total++
-		metrics.GetCounter(firedMetric, "site", site).Inc()
+	if hit != nil && inj.reg != nil {
+		c, ok := inj.fired[site]
+		if !ok {
+			c = inj.reg.Counter(firedMetric, "site", site)
+			inj.fired[site] = c
+		}
+		c.Inc()
 	}
 	return hit
 }
@@ -211,35 +223,6 @@ func (inj *Injector) FireDelayQ(site string, queue int) (sim.Time, bool) {
 		return r.Delay, true
 	}
 	return 0, false
-}
-
-// Total reports how many times this injector fired.
-func (inj *Injector) Total() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.total
-}
-
-// Counts returns a copy of the per-site fire counters.
-func (inj *Injector) Counts() map[string]int64 {
-	if inj == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(inj.counts))
-	for k, v := range inj.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// ProfileName reports the profile this injector was built from ("" for
-// hand-built injectors).
-func (inj *Injector) ProfileName() string {
-	if inj == nil {
-		return ""
-	}
-	return inj.profile
 }
 
 // Profile is a named rule set selectable with bypassd-bench -faults.
@@ -357,13 +340,11 @@ func New(profile string, seed int64) (*Injector, error) {
 		}
 		return nil, fmt.Errorf("faults: unknown profile %q (have %s)", profile, strings.Join(names, ", "))
 	}
-	inj := NewInjector(seed, p.Rules)
-	inj.profile = p.Name
-	return inj, nil
+	return NewInjector(seed, p.Rules), nil
 }
 
 // firedMetric is the counter series every fire adds to, labeled by
-// site, in the active metrics registry.
+// site, in the injector's metrics registry.
 const firedMetric = "faults_injected_total"
 
 // Fired reads the per-site fire counts r has accumulated (nil when r

@@ -17,8 +17,11 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if _, ok := inj.FireDelayQ("device/x/delay", 3); ok {
 		t.Fatal("nil injector fired delay")
 	}
-	if inj.Total() != 0 || inj.Counts() != nil || inj.ProfileName() != "" {
-		t.Fatal("nil injector reported state")
+	reg := metrics.NewRegistry()
+	inj.Bind(reg)
+	inj.Fire("device/x/media")
+	if _, total := Fired(reg); total != 0 {
+		t.Fatal("nil injector tallied a fire")
 	}
 }
 
@@ -49,13 +52,15 @@ func TestPeriodAndOneShot(t *testing.T) {
 
 func TestDefaultRuleFiresAlways(t *testing.T) {
 	inj := NewInjector(1, []Rule{{Site: "x"}})
+	reg := metrics.NewRegistry()
+	inj.Bind(reg)
 	for i := 0; i < 5; i++ {
 		if !inj.Fire("x") {
 			t.Fatalf("decision %d did not fire", i)
 		}
 	}
-	if inj.Total() != 5 {
-		t.Fatalf("total = %d, want 5", inj.Total())
+	if _, total := Fired(reg); total != 5 {
+		t.Fatalf("total = %d, want 5", total)
 	}
 }
 
@@ -142,13 +147,15 @@ func TestProbabilityStreamIndependentOfOtherSites(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	inj := NewInjector(1, []Rule{{Site: "a"}, {Site: "b", Period: 2}})
+	reg := metrics.NewRegistry()
+	inj.Bind(reg)
 	inj.Fire("a")
 	inj.Fire("a")
 	inj.Fire("b")
 	inj.Fire("b")
-	got := inj.Counts()
-	if got["a"] != 2 || got["b"] != 1 || inj.Total() != 3 {
-		t.Fatalf("counts = %v, total = %d", got, inj.Total())
+	got, total := Fired(reg)
+	if got["a"] != 2 || got["b"] != 1 || total != 3 {
+		t.Fatalf("counts = %v, total = %d", got, total)
 	}
 }
 
@@ -160,7 +167,8 @@ func TestNewFromProfile(t *testing.T) {
 		t.Fatalf("unknown profile error = %v", err)
 	}
 	inj, err := New("flaky-media", 9)
-	if err != nil || inj.ProfileName() != "flaky-media" || !inj.Active() {
+	p, _ := ProfileByName("flaky-media")
+	if err != nil || !inj.Active() || len(inj.rules) != len(p.Rules) {
 		t.Fatalf("injector = %+v, %v", inj, err)
 	}
 	// Every injector built from one (profile, seed) draws one stream.
@@ -176,10 +184,11 @@ func TestFiresAggregateInRegistry(t *testing.T) {
 	if got, total := Fired(nil); got != nil || total != 0 {
 		t.Fatalf("nil registry read %v, %d", got, total)
 	}
-	reg := metrics.Activate()
-	defer metrics.Deactivate()
+	reg := metrics.NewRegistry()
 	a := NewInjector(1, []Rule{{Site: "g"}})
 	b := NewInjector(2, []Rule{{Site: "g"}, {Site: "h"}})
+	a.Bind(reg)
+	b.Bind(reg)
 	a.Fire("g")
 	b.Fire("g")
 	b.Fire("h")

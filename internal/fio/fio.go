@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/ext4"
-	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -45,7 +44,8 @@ type GroupResult struct {
 	UserNS   sim.Time // BypassD-only: library+copy time (Fig. 7)
 	DeviceNS sim.Time // BypassD-only: submit-to-completion time
 	// Phases is the Fig. 5 latency attribution for this group's engine
-	// (submit/translate/media/complete); nil unless tracing was on.
+	// (submit/translate/media/complete); nil unless the machine was
+	// traced.
 	Phases *trace.Attribution
 }
 
@@ -75,13 +75,10 @@ type Spec struct {
 	PWCHitWalkLatency sim.Time
 	PWCMinTranslation sim.Time
 	Seed              int64
-	// Faults is the fault plane attached to the booted machine; nil
-	// disables injection. An injector belongs to one machine, so
-	// build a fresh one for every Run.
-	Faults *faults.Injector
-	// Trace attaches a span tracer to the machine even when the global
-	// trace plane is off, so GroupResult.Phases is populated.
-	Trace bool
+	// Observers are the booted machine's observers. An injector
+	// belongs to one machine, so build a fresh one for every Run; with
+	// a trace collector, GroupResult.Phases is populated.
+	Observers kernel.Observers
 }
 
 // SetupFile creates and preallocates one benchmark file for an
@@ -118,12 +115,11 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 		capacity = need*3/2 + (64 << 20)
 		capacity = (capacity + storage.SectorSize - 1) &^ (storage.SectorSize - 1)
 	}
-	sys, err := core.New(capacity)
+	sys, err := core.Boot(core.Config{Capacity: capacity, Observers: spec.Observers})
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
-	sys.M.SetFaults(spec.Faults)
 	sys.M.MMU.SetFixedVBALatency(spec.VBAFixedLatency)
 	sys.M.MMU.SetCacheFTEs(spec.CacheFTEs)
 	if spec.PWCEntries != 0 || spec.PWCHitWalkLatency != 0 || spec.PWCMinTranslation != 0 {
@@ -143,10 +139,6 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 		}
 		sys.M.MMU.SetPWCConfig(entries, hitWalk, minTrans)
 	}
-	if spec.Trace && sys.M.Trace == nil {
-		sys.M.EnableTrace(trace.NewTracer("fio"))
-	}
-
 	results := make(map[string]*GroupResult)
 	for _, g := range groups {
 		if g.BS <= 0 || g.BS%storage.SectorSize != 0 {

@@ -39,6 +39,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -171,6 +172,11 @@ type Fleet struct {
 	// run's machine, seeded from the run's seed; "" disables
 	// injection. It is a run option, not part of the fleet-file schema.
 	Faults string `json:"-"`
+	// Metrics and Trace are the run's metrics registry and trace
+	// collector (nil: the process-global ones, if armed). Run options
+	// too.
+	Metrics *metrics.Registry `json:"-"`
+	Trace   *trace.Collector  `json:"-"`
 }
 
 // NumDevices is the fleet's device count with the default made
@@ -500,12 +506,12 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 		return nil, 0, err
 	}
 
-	sys, err := core.NewN(bk.capacity(fl), ndev)
+	sys, err := core.Boot(core.Config{Capacity: bk.capacity(fl), Devices: ndev,
+		Observers: kernel.Observers{Faults: inj, Trace: fl.Trace, Metrics: fl.Metrics}})
 	if err != nil {
 		return nil, 0, err
 	}
 	defer sys.Close()
-	sys.M.SetFaults(inj)
 	for _, n := range sys.M.Nodes {
 		n.Dev.SetArbiter(device.ArbiterByName(fl.Arbiter))
 	}
@@ -586,8 +592,8 @@ func startDevice(sys *core.System, bk backend, fl Fleet, seed int64, d int, ds *
 	ndev := fl.Devices
 	part := partSize(fl.Users, ndev, d)
 	reqs := reqShare(fl.Requests, ndev, d)
-	mOffered := metrics.GetCounter("frontend_requests_total", "dev", fmt.Sprint(d))
-	mShed := metrics.GetCounter("frontend_shed_total", "dev", fmt.Sprint(d))
+	mOffered := sys.M.Metrics.Counter("frontend_requests_total", "dev", fmt.Sprint(d))
+	mShed := sys.M.Metrics.Counter("frontend_shed_total", "dev", fmt.Sprint(d))
 
 	sys.Sim.SpawnOn(shard, fmt.Sprintf("frontend-gen-%d", d), func(g *sim.Proc) {
 		rng := rand.New(rand.NewSource(seed*104729 + int64(d)*7919 + 29))
@@ -704,9 +710,9 @@ func startWorker(sys *core.System, bk backend, fl Fleet, wi int, pr *kernel.Proc
 		interval = 100 * sim.Microsecond
 	}
 	route := fl.routeCost()
-	mDone := metrics.GetCounter("frontend_completed_total", "dev", fmt.Sprint(d))
-	mShed := metrics.GetCounter("frontend_shed_total", "dev", fmt.Sprint(d))
-	mSojourn := metrics.GetHistogram("frontend_sojourn_ns", "dev", fmt.Sprint(d))
+	mDone := sys.M.Metrics.Counter("frontend_completed_total", "dev", fmt.Sprint(d))
+	mShed := sys.M.Metrics.Counter("frontend_shed_total", "dev", fmt.Sprint(d))
+	mSojourn := sys.M.Metrics.Histogram("frontend_sojourn_ns", "dev", fmt.Sprint(d))
 
 	sys.Sim.SpawnOn(shard, fmt.Sprintf("frontend-w%d", wi), func(w *sim.Proc) {
 		abort := func(err error) {

@@ -147,19 +147,21 @@ type Machine struct {
 	// Fig. 3) is a silent no-op between devices sharing an ID.
 	nodeByDev map[uint8]*DevNode
 
-	// Faults is the machine's fault plane, attached with SetFaults and
-	// shared with the devices, IOMMUs and file systems. Nil (the
-	// default) is inert.
+	// Faults is the machine's fault plane, given at boot and shared
+	// with the devices, IOMMUs and file systems. Nil is inert.
 	Faults *faults.Injector
+
+	// Metrics is the registry every layer of the machine resolves its
+	// series from at boot. Nil is inert.
+	Metrics *metrics.Registry
 
 	// BlockRetries counts transient device errors the kernel block
 	// layer absorbed by resubmitting. Updated atomically: kernel block
 	// I/O can retry on any node's shard.
 	BlockRetries int64
 
-	// Trace is the machine's span tracer, picked up from the globally
-	// armed trace plane at boot (or attached later via EnableTrace).
-	// Nil — the untriggered default — is inert.
+	// Trace is the machine's span tracer, registered at boot with the
+	// boot config's trace collector. Nil is inert.
 	Trace *trace.Tracer
 
 	kq *kernelQueue
@@ -224,11 +226,17 @@ type Attachment struct {
 	key inoKey // owning inode, machine-wide
 }
 
-// NewMachine boots a single-device machine. If st is nil a fresh
-// store is created and formatted; otherwise the existing image is
-// mounted.
-func NewMachine(s *sim.Sim, cfg Config, dcfg device.Config, st *storage.Store) (*Machine, error) {
-	return NewMachineN(s, cfg, []device.Config{dcfg}, []*storage.Store{st})
+// Observers are the observation planes a machine is born with: every
+// layer of the machine takes its fault injector, span tracer and
+// metric series from them at boot. Nil fields are inert.
+type Observers struct {
+	// Faults is the machine's own injector (one per machine; its fire
+	// tally goes to Metrics).
+	Faults *faults.Injector
+	// Trace registers the machine's span tracer.
+	Trace *trace.Collector
+	// Metrics is the registry the machine's series live in.
+	Metrics *metrics.Registry
 }
 
 // NewMachineN boots a machine over a device fleet sharing one IOMMU.
@@ -239,8 +247,10 @@ func NewMachine(s *sim.Sim, cfg Config, dcfg device.Config, st *storage.Store) (
 // event shard; device 0 stays on shard 0, which keeps a one-device
 // boot byte-identical to the pre-topology machine. sts supplies
 // per-device images (a nil slice, or nil entries, format fresh
-// stores). dcfgs is modified in place (DevID/Shard assignment).
-func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.Store) (*Machine, error) {
+// stores). dcfgs is modified in place (DevID/Shard assignment). The
+// machine and every layer in it are wired to obs before the first
+// command.
+func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.Store, obs Observers) (*Machine, error) {
 	if len(sts) != 0 && len(sts) != len(dcfgs) {
 		return nil, fmt.Errorf("kernel: %d stores for %d devices", len(sts), len(dcfgs))
 	}
@@ -255,7 +265,11 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		revoked:     make(map[inoKey]bool),
 		writeLocks:  make(map[inoKey]*sim.Resource),
 		nextPASID:   100,
+		Faults:      obs.Faults,
+		Metrics:     obs.Metrics,
 	}
+	obs.Faults.Bind(obs.Metrics)
+	m.Trace = obs.Trace.Tracer(dcfgs[0].Name, obs.Metrics)
 
 	names := make(map[string]bool, len(dcfgs))
 	for i := range dcfgs {
@@ -284,7 +298,9 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		// One IOMMU per node (see DevNode.MMU): the node's ATS traffic
 		// stays on its own event shard.
 		mmu := iommu.New(iommu.DefaultConfig())
+		mmu.SetObservers(m.Faults, m.Metrics)
 		dev := device.NewWithStore(s, dcfg, st)
+		dev.SetObservers(m.Faults, m.Metrics)
 		dev.AttachIOMMU(mmu)
 
 		if fresh {
@@ -301,6 +317,7 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		if err != nil {
 			return nil, err
 		}
+		fs.SetObservers(m.Faults, m.Trace, m.Metrics)
 		q, err := dev.CreateQueue(0, 4096)
 		if err != nil {
 			return nil, err
@@ -319,35 +336,8 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 	// The CPU pool sizes one lane per event shard, so it must be
 	// created after the device loop added every shard.
 	m.CPU = s.NewCPUSet(cfg.Cores)
-	m.mBlockRetries = metrics.GetCounter("kernel_block_retries_total")
-	if tr := trace.NewFromActive(dcfgs[0].Name); tr != nil {
-		m.EnableTrace(tr)
-	}
+	m.mBlockRetries = m.Metrics.Counter("kernel_block_retries_total")
 	return m, nil
-}
-
-// SetFaults attaches inj (nil detaches) as the machine's fault plane:
-// every node's device, IOMMU and file system draws from it. Harnesses
-// call it right after boot, before any traffic; virtual functions
-// carved from a device afterwards inherit it.
-func (m *Machine) SetFaults(inj *faults.Injector) {
-	m.Faults = inj
-	for _, n := range m.Nodes {
-		n.MMU.SetInjector(inj)
-		n.Dev.SetInjector(inj)
-		n.FS.SetInjector(inj)
-	}
-}
-
-// EnableTrace attaches a span tracer to the machine and its file
-// systems. Harnesses that want attribution without arming the global
-// plane (fio.Spec.Trace, the T6 experiment) call this with a
-// standalone trace.NewTracer.
-func (m *Machine) EnableTrace(tr *trace.Tracer) {
-	m.Trace = tr
-	for _, n := range m.Nodes {
-		n.FS.SetTracer(tr)
-	}
 }
 
 // node routes an inode to the topology node that owns it, via the

@@ -22,7 +22,7 @@ func TestSamePresetFleetDeniesCrossDeviceVBA(t *testing.T) {
 		device.OptaneP5800X(testCap),
 		device.OptaneP5800X(testCap), // same preset, same hardcoded DevID
 	}
-	m, err := NewMachineN(s, DefaultConfig(), dcfgs, nil)
+	m, err := NewMachineN(s, DefaultConfig(), dcfgs, nil, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMixedPresetFleetKeepsPresetDevIDs(t *testing.T) {
 	s := sim.New()
 	dcfgs := []device.Config{device.OptaneP5800X(testCap), device.ZSSD(testCap)}
 	want := []uint8{dcfgs[0].DevID, dcfgs[1].DevID}
-	m, err := NewMachineN(s, DefaultConfig(), dcfgs, nil)
+	m, err := NewMachineN(s, DefaultConfig(), dcfgs, nil, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +113,12 @@ func TestMixedPresetFleetKeepsPresetDevIDs(t *testing.T) {
 
 func TestFleetBootErrors(t *testing.T) {
 	s := sim.New()
-	if _, err := NewMachineN(s, DefaultConfig(), nil, nil); err == nil {
+	if _, err := NewMachineN(s, DefaultConfig(), nil, nil, Observers{}); err == nil {
 		t.Error("empty fleet booted")
 	}
 	if _, err := NewMachineN(s, DefaultConfig(),
 		[]device.Config{device.OptaneP5800X(testCap), device.OptaneP5800X(testCap)},
-		make([]*storage.Store, 1)); err == nil {
+		make([]*storage.Store, 1), Observers{}); err == nil {
 		t.Error("store/device count mismatch accepted")
 	}
 	s.Shutdown()

@@ -34,6 +34,7 @@ func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nest
 		revoked:     make(map[inoKey]bool),
 		writeLocks:  make(map[inoKey]*sim.Resource),
 		nextPASID:   100,
+		Metrics:     host.Metrics, // guests count in the host's registry
 	}
 	m.Dev = vf
 
@@ -41,6 +42,7 @@ func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nest
 	icfg.WalkLatency += nested
 	icfg.MinTranslation += nested
 	m.MMU = iommu.New(icfg)
+	m.MMU.SetObservers(nil, m.Metrics)
 	vf.AttachIOMMU(m.MMU)
 
 	// Boot the guest file system inside the VF window, formatting on
@@ -60,6 +62,7 @@ func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nest
 			return nil, err
 		}
 	}
+	fs.SetObservers(nil, nil, m.Metrics)
 	m.FS = fs
 
 	q, err := vf.CreateQueue(0, 4096)

@@ -13,7 +13,7 @@ import (
 // carveGuests boots a host plus two guests on VF windows.
 func carveGuests(t *testing.T, s *sim.Sim) (*Machine, *Machine, *Machine) {
 	t.Helper()
-	host, err := NewMachine(s, DefaultConfig(), device.OptaneP5800X(1<<30), nil)
+	host, err := NewMachineN(s, DefaultConfig(), []device.Config{device.OptaneP5800X(1 << 30)}, nil, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

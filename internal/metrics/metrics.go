@@ -1,14 +1,18 @@
-// Package metrics is the process-wide metrics registry of the
-// observability plane: a unified Counter/Gauge/Histogram API with
-// labeled series behind the ad-hoc tallies the subsystems kept before
-// (userlib.Stats, device/IOMMU counters, fault-plane fire counts).
+// Package metrics is the metrics registry of the observability plane:
+// a unified Counter/Gauge/Histogram API with labeled series behind the
+// ad-hoc tallies the subsystems kept before (userlib.Stats,
+// device/IOMMU counters, fault-plane fire counts).
 //
-// The registry is process-global: bypassd-bench (or a test) calls
-// Activate before booting machines, and constructors resolve their
-// series handles once at boot via GetCounter/GetGauge/GetHistogram. When no registry is active the
-// handles are nil, and every method on a nil handle is a no-op — the
-// disabled configuration stays structurally identical to a build
-// without metrics: no locks, no atomics, no allocations.
+// A registry is a per-run value: a harness builds one with NewRegistry
+// and boots its machines with it (core.Config, kernel.Observers), and
+// every layer of a machine resolves its series handles once, at boot,
+// from the machine's registry. A nil *Registry resolves nil handles,
+// and every method on a nil handle is a no-op — the disabled
+// configuration stays structurally identical to a build without
+// metrics: no locks, no atomics, no allocations.
+//
+// Activate arms a process-global registry for callers that cannot pass
+// one; core's boot falls back to it for machines booted without one.
 //
 // Series values are sums of per-machine contributions. Machines boot
 // concurrently under parallel sweeps, so Counter/Gauge use atomics and
@@ -135,7 +139,7 @@ const DefaultSeriesCap = 512
 // overflowKey is the fold-target series for a name past its cap.
 func overflowKey(name string) string { return name + `{label="_overflow"}` }
 
-// Registry holds every series created while it was active.
+// Registry holds every series resolved from it.
 type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
@@ -145,8 +149,7 @@ type Registry struct {
 	perName   map[string]int // distinct labeled series per metric name
 }
 
-// NewRegistry returns an empty registry (tests; Activate for the
-// process-global one).
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:  make(map[string]*Counter),
@@ -187,16 +190,15 @@ func (r *Registry) resolveKey(name string, labels []string, known func(string) b
 
 var active atomic.Pointer[Registry]
 
-// Activate installs a fresh process-global registry and returns it.
-// Subsystem constructors resolve their handles from it at boot.
+// Activate installs a fresh process-global registry and returns it:
+// systems booted without a registry of their own use it.
 func Activate() *Registry {
 	r := NewRegistry()
 	active.Store(r)
 	return r
 }
 
-// Deactivate removes the global registry; subsequently booted
-// machines get nil (inert) handles.
+// Deactivate removes the global registry.
 func Deactivate() { active.Store(nil) }
 
 // Active returns the global registry, or nil when metrics are off.
@@ -219,8 +221,12 @@ func seriesKey(name string, labels []string) string {
 	return name + "{" + strings.Join(pairs, ",") + "}"
 }
 
-// Counter resolves (creating on first use) a counter series.
+// Counter resolves (creating on first use) a counter series. A nil
+// registry resolves a nil (inert) handle.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := r.resolveKey(name, labels, func(k string) bool { _, ok := r.counters[k]; return ok })
@@ -232,8 +238,12 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	return c
 }
 
-// Gauge resolves (creating on first use) a gauge series.
+// Gauge resolves (creating on first use) a gauge series; nil on a nil
+// registry.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := r.resolveKey(name, labels, func(k string) bool { _, ok := r.gauges[k]; return ok })
@@ -245,8 +255,12 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return g
 }
 
-// Histogram resolves (creating on first use) a histogram series.
+// Histogram resolves (creating on first use) a histogram series; nil
+// on a nil registry.
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := r.resolveKey(name, labels, func(k string) bool { _, ok := r.hists[k]; return ok })
@@ -256,31 +270,6 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 		r.hists[key] = h
 	}
 	return h
-}
-
-// GetCounter resolves a counter on the active registry, or nil (an
-// inert handle) when metrics are off.
-func GetCounter(name string, labels ...string) *Counter {
-	if r := Active(); r != nil {
-		return r.Counter(name, labels...)
-	}
-	return nil
-}
-
-// GetGauge resolves a gauge on the active registry, or nil.
-func GetGauge(name string, labels ...string) *Gauge {
-	if r := Active(); r != nil {
-		return r.Gauge(name, labels...)
-	}
-	return nil
-}
-
-// GetHistogram resolves a histogram on the active registry, or nil.
-func GetHistogram(name string, labels ...string) *Histogram {
-	if r := Active(); r != nil {
-		return r.Histogram(name, labels...)
-	}
-	return nil
 }
 
 // CounterValues returns the values of name's counter series keyed by

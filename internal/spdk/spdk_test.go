@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -186,7 +187,9 @@ func TestFailedTransferLeavesBuffersUntouched(t *testing.T) {
 					return
 				}
 				inj := faults.NewInjector(1, []faults.Rule{{Site: faults.DeviceSite("*", kind), Delay: sim.Microsecond}})
-				dev.SetInjector(inj)
+				reg := metrics.NewRegistry()
+				inj.Bind(reg)
+				dev.SetObservers(inj, nil)
 				buf := bytes.Repeat([]byte{0x5a}, 4096)
 				if _, err := q.ReadAt(p, r, buf, 8192); err == nil {
 					t.Error("read succeeded under a persistent fault")
@@ -197,8 +200,8 @@ func TestFailedTransferLeavesBuffersUntouched(t *testing.T) {
 				if _, err := q.WriteAt(p, r, bytes.Repeat([]byte{0xc3}, 4096), 8192); err == nil {
 					t.Error("write succeeded under a persistent fault")
 				}
-				dev.SetInjector(nil)
-				if inj.Total() == 0 {
+				dev.SetObservers(nil, nil)
+				if _, total := faults.Fired(reg); total == 0 {
 					t.Error("no fault fired")
 				}
 				got := make([]byte, 4096)

@@ -39,6 +39,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/userlib"
 	"repro/internal/workload"
 )
@@ -91,6 +92,11 @@ type Scenario struct {
 	// injection. It is a run option, not part of the scenario-file
 	// schema.
 	Faults string `json:"-"`
+	// Metrics and Trace are the run's metrics registry and trace
+	// collector (nil: the process-global ones, if armed). Run options
+	// too.
+	Metrics *metrics.Registry `json:"-"`
+	Trace   *trace.Collector  `json:"-"`
 }
 
 // NumDevices is the scenario's device count with the default made
@@ -239,12 +245,12 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 		capacity = need*3/2 + (64 << 20)
 		capacity = (capacity + storage.SectorSize - 1) &^ (storage.SectorSize - 1)
 	}
-	sys, err := core.NewN(capacity, ndev)
+	sys, err := core.Boot(core.Config{Capacity: capacity, Devices: ndev,
+		Observers: kernel.Observers{Faults: inj, Trace: sc.Trace, Metrics: sc.Metrics}})
 	if err != nil {
 		return nil, 0, err
 	}
 	defer sys.Close()
-	sys.M.SetFaults(inj)
 	for _, n := range sys.M.Nodes {
 		n.Dev.SetArbiter(device.ArbiterByName(sc.Arbiter))
 	}
@@ -340,9 +346,10 @@ func startTenant(sys *core.System, pr *kernel.Process, t *Tenant, ti int, seed i
 	if qd < 1 {
 		qd = 1
 	}
-	mOps := metrics.GetCounter("tenant_ops_total", "tenant", t.Name)
-	mMiss := metrics.GetCounter("tenant_slo_miss_total", "tenant", t.Name)
-	mSojourn := metrics.GetHistogram("tenant_sojourn_ns", "tenant", t.Name)
+	reg := sys.M.Metrics
+	mOps := reg.Counter("tenant_ops_total", "tenant", t.Name)
+	mMiss := reg.Counter("tenant_slo_miss_total", "tenant", t.Name)
+	mSojourn := reg.Histogram("tenant_sojourn_ns", "tenant", t.Name)
 
 	sys.Sim.SpawnOn(shard, "tenant-gen-"+t.Name, func(g *sim.Proc) {
 		// One stream per tenant, drawn only here: arrival instants and

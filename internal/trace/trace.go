@@ -24,12 +24,16 @@
 //	            busy-poll on direct paths).
 //
 // Machines are single-threaded under the cooperative scheduler, so a
-// Tracer (one per machine) needs no locks; only the process-global
-// collector that gathers tracers for rendering takes a mutex. Like the
-// faults and metrics planes, tracing is activated process-globally and
-// machines pick it up at boot via NewFromActive — a nil *Tracer (and a
-// nil *IOSpan) is inert, so disabled runs execute the same code paths
-// with nil no-ops and stay byte-identical to a build without tracing.
+// Tracer (one per machine) needs no locks; only the Collector that
+// gathers a run's tracers for rendering takes a mutex. A collector is
+// a per-run value: a harness builds one with NewCollector and boots its
+// machines with it (core.Config, kernel.Observers), and each machine
+// registers its own tracer at boot. A nil *Collector hands out nil
+// tracers, and a nil *Tracer (and a nil *IOSpan) is inert, so disabled
+// runs execute the same code paths with nil no-ops and stay
+// byte-identical to a build without tracing. Activate arms a
+// process-global collector for callers that cannot pass one; core's
+// boot falls back to it for machines booted without one.
 package trace
 
 import (
@@ -97,6 +101,7 @@ type Tracer struct {
 	tidNames []string
 	attr     map[string]*Attribution
 	em       map[string]*engineMetrics
+	reg      *metrics.Registry // the io_* series' registry; nil = none
 
 	// spanFree recycles finished IOSpans: Finish is each span's unique
 	// release point, so StartIO can hand the object to the next op
@@ -104,10 +109,9 @@ type Tracer struct {
 	spanFree []*IOSpan
 }
 
-// NewTracer returns a standalone tracer (not registered with the
-// global collector) — used by harnesses that read attribution
-// directly, e.g. the T6 experiment and fio.Spec.Trace.
-func NewTracer(label string) *Tracer {
+// newTracer returns a tracer that no collector renders and no
+// registry counts.
+func newTracer(label string) *Tracer {
 	return &Tracer{
 		label: label,
 		max:   defaultMaxEvents,
@@ -195,13 +199,13 @@ func (t *Tracer) engineMetrics(engine string) *engineMetrics {
 	if ok {
 		return em
 	}
-	if metrics.Active() != nil {
+	if t.reg != nil {
 		em = &engineMetrics{
-			ops: metrics.GetCounter("io_ops_total", "engine", engine),
-			lat: metrics.GetHistogram("io_latency_ns", "engine", engine),
+			ops: t.reg.Counter("io_ops_total", "engine", engine),
+			lat: t.reg.Histogram("io_latency_ns", "engine", engine),
 		}
 		for i, ph := range PhaseNames {
-			em.ns[i] = metrics.GetCounter("io_ns_total", "engine", engine, "phase", ph)
+			em.ns[i] = t.reg.Counter("io_ns_total", "engine", engine, "phase", ph)
 		}
 	}
 	t.em[engine] = em
@@ -364,9 +368,9 @@ func (sp *IOSpan) Finish(now sim.Time) {
 	t.spanFree = append(t.spanFree, sp)
 }
 
-// --- process-global activation and collection -----------------------
+// --- collection -----------------------------------------------------
 
-// Options configures the global trace plane.
+// Options configures a collector.
 type Options struct {
 	// MaxEvents bounds the spans each machine's tracer retains;
 	// <= 0 means the default (100000). Overflow is counted as dropped
@@ -376,69 +380,70 @@ type Options struct {
 
 const defaultMaxEvents = 100000
 
-type activeState struct {
+// Collector gathers the tracers of one run's machines for rendering.
+// Machines booting concurrently register with it, hence the mutex.
+type Collector struct {
 	max int
+
+	mu      sync.Mutex
+	tracers []*Tracer
 }
 
-var (
-	activeOpts atomic.Pointer[activeState]
-
-	collectMu sync.Mutex
-	collected []*Tracer
-)
-
-// Activate arms tracing process-globally: machines booted afterwards
-// register a tracer (NewFromActive) with the collector. Any previously
-// collected tracers are discarded.
-func Activate(o Options) {
+// NewCollector returns an empty collector.
+func NewCollector(o Options) *Collector {
 	if o.MaxEvents <= 0 {
 		o.MaxEvents = defaultMaxEvents
 	}
-	collectMu.Lock()
-	collected = nil
-	collectMu.Unlock()
-	activeOpts.Store(&activeState{max: o.MaxEvents})
+	return &Collector{max: o.MaxEvents}
 }
 
-// Deactivate disarms tracing; machines booted afterwards get a nil
-// (inert) tracer. Already collected tracers remain renderable.
-func Deactivate() { activeOpts.Store(nil) }
-
-// Enabled reports whether tracing is armed.
-func Enabled() bool { return activeOpts.Load() != nil }
-
-// NewFromActive returns a collector-registered tracer when tracing is
-// armed, else nil. Called once per machine at boot.
-func NewFromActive(label string) *Tracer {
-	st := activeOpts.Load()
-	if st == nil {
+// Tracer registers and returns a new tracer for one machine, labelled
+// label, whose I/O spans also feed reg's io_* series (none when reg is
+// nil). A nil collector returns nil: tracing is off.
+func (c *Collector) Tracer(label string, reg *metrics.Registry) *Tracer {
+	if c == nil {
 		return nil
 	}
-	t := NewTracer(label)
-	t.max = st.max
-	collectMu.Lock()
-	collected = append(collected, t)
-	collectMu.Unlock()
+	t := newTracer(label)
+	t.max, t.reg = c.max, reg
+	c.mu.Lock()
+	c.tracers = append(c.tracers, t)
+	c.mu.Unlock()
 	return t
 }
 
-// --- rendering ------------------------------------------------------
-
-// Render serializes every collected tracer as Chrome trace-event JSON
-// (load via chrome://tracing or Perfetto). Must be called after the
-// run completes. Determinism at any -j: machine boot order varies
-// under parallel sweeps, so each tracer renders to a pid-independent
-// canonical form, tracers are sorted by (label, content), and pids are
-// assigned after the sort — the bytes cannot depend on boot order.
-func Render() ([]byte, error) {
-	collectMu.Lock()
-	trs := append([]*Tracer(nil), collected...)
-	collectMu.Unlock()
-	return RenderTracers(trs)
+// collected snapshots the registered tracers.
+func (c *Collector) collected() []*Tracer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*Tracer(nil), c.tracers...)
 }
 
-// RenderTracers serializes the given tracers (see Render).
-func RenderTracers(trs []*Tracer) ([]byte, error) {
+var active atomic.Pointer[Collector]
+
+// Activate installs a fresh process-global collector: systems booted
+// without a collector of their own register with it.
+func Activate(o Options) { active.Store(NewCollector(o)) }
+
+// Deactivate removes the global collector.
+func Deactivate() { active.Store(nil) }
+
+// Active returns the global collector, or nil when tracing is off.
+func Active() *Collector { return active.Load() }
+
+// --- rendering ------------------------------------------------------
+
+// Render serializes every tracer of the collector as Chrome
+// trace-event JSON (load via chrome://tracing or Perfetto). Must be
+// called after the run completes. Determinism at any -j: machine boot
+// order varies under parallel sweeps, so each tracer renders to a
+// pid-independent canonical form, tracers are sorted by (label,
+// content), and pids are assigned after the sort — the bytes cannot
+// depend on boot order.
+func (c *Collector) Render() ([]byte, error) { return renderTracers(c.collected()) }
+
+// renderTracers serializes the given tracers (see Collector.Render).
+func renderTracers(trs []*Tracer) ([]byte, error) {
 	sorted := append([]*Tracer(nil), trs...)
 	sort.Slice(sorted, func(i, j int) bool { return cmpTracer(sorted[i], sorted[j]) < 0 })
 
@@ -555,20 +560,18 @@ func int64Cmp(a, b int64) int {
 }
 
 // WriteFile renders the collected trace to path.
-func WriteFile(path string) error {
-	out, err := Render()
+func (c *Collector) WriteFile(path string) error {
+	out, err := c.Render()
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, out, 0o644)
 }
 
-// CollectedEvents sums event and dropped counts across collected
-// tracers (progress reporting).
-func CollectedEvents() (events, dropped int64) {
-	collectMu.Lock()
-	defer collectMu.Unlock()
-	for _, t := range collected {
+// Events sums event and dropped counts across the collected tracers
+// (progress reporting).
+func (c *Collector) Events() (events, dropped int64) {
+	for _, t := range c.collected() {
 		events += int64(len(t.events))
 		dropped += t.dropped
 	}

@@ -50,7 +50,7 @@ func TestSpanFromEmptyProc(t *testing.T) {
 // the service window, complete from the CQE gap, submit as the exact
 // residual — phases summing to the duration.
 func TestIOSpanPhasePartition(t *testing.T) {
-	tr := NewTracer("m")
+	tr := newTracer("m")
 	s := sim.New()
 	s.Spawn("app", func(p *sim.Proc) {
 		sp := tr.StartIO(p, "eng", "read")
@@ -104,7 +104,7 @@ func TestIOSpanPhasePartition(t *testing.T) {
 }
 
 func TestServiceEndClampsTranslate(t *testing.T) {
-	tr := NewTracer("m")
+	tr := newTracer("m")
 	s := sim.New()
 	s.Spawn("app", func(p *sim.Proc) {
 		sp := tr.StartIO(p, "eng", "write")
@@ -122,7 +122,7 @@ func TestServiceEndClampsTranslate(t *testing.T) {
 }
 
 func TestEventCapCountsDropped(t *testing.T) {
-	tr := NewTracer("m")
+	tr := newTracer("m")
 	tr.max = 3
 	s := sim.New()
 	s.Spawn("app", func(p *sim.Proc) {
@@ -134,7 +134,7 @@ func TestEventCapCountsDropped(t *testing.T) {
 	if len(tr.Events()) != 3 || tr.Dropped() != 7 {
 		t.Fatalf("events=%d dropped=%d, want 3/7", len(tr.Events()), tr.Dropped())
 	}
-	out, err := RenderTracers([]*Tracer{tr})
+	out, err := renderTracers([]*Tracer{tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestEventCapCountsDropped(t *testing.T) {
 // rendered bytes must not depend on the order machines booted in.
 func TestRenderOrderIndependent(t *testing.T) {
 	mk := func(label string, base sim.Time) *Tracer {
-		tr := NewTracer(label)
+		tr := newTracer(label)
 		s := sim.New()
 		s.Spawn("app", func(p *sim.Proc) {
 			p.Sleep(base)
@@ -157,11 +157,11 @@ func TestRenderOrderIndependent(t *testing.T) {
 		return tr
 	}
 	a, b, c := mk("alpha", 10), mk("beta", 20), mk("alpha", 30)
-	x, err := RenderTracers([]*Tracer{a, b, c})
+	x, err := renderTracers([]*Tracer{a, b, c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := RenderTracers([]*Tracer{c, b, a})
+	y, err := renderTracers([]*Tracer{c, b, a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,27 +173,28 @@ func TestRenderOrderIndependent(t *testing.T) {
 func TestActivateCollectsAndResets(t *testing.T) {
 	Activate(Options{MaxEvents: 5})
 	defer Deactivate()
-	if !Enabled() {
-		t.Fatal("not enabled after Activate")
+	c := Active()
+	if c == nil {
+		t.Fatal("no collector after Activate")
 	}
-	tr := NewFromActive("mach")
+	tr := c.Tracer("mach", nil)
 	if tr == nil || tr.max != 5 {
-		t.Fatalf("NewFromActive = %+v", tr)
+		t.Fatalf("Tracer = %+v", tr)
 	}
 	s := sim.New()
 	s.Spawn("app", func(p *sim.Proc) { tr.Emit(p, "e", "c", 0, 1) })
 	s.Run()
-	if ev, _ := CollectedEvents(); ev != 1 {
+	if ev, _ := c.Events(); ev != 1 {
 		t.Fatalf("collected = %d, want 1", ev)
 	}
-	// Re-activation discards previously collected tracers.
+	// Re-activation starts a fresh, empty collector.
 	Activate(Options{})
-	if ev, _ := CollectedEvents(); ev != 0 {
+	if ev, _ := Active().Events(); ev != 0 {
 		t.Fatalf("collected after re-activate = %d, want 0", ev)
 	}
 	Deactivate()
-	if NewFromActive("x") != nil {
-		t.Fatal("NewFromActive must be nil when disarmed")
+	if Active().Tracer("x", nil) != nil {
+		t.Fatal("a nil collector must hand out nil tracers")
 	}
 }
 
@@ -209,7 +210,7 @@ func TestJSONStringEscaping(t *testing.T) {
 // recycled pointer must not corrupt the next tenant, and a recycled
 // span must carry none of its previous life's phase marks.
 func TestSpanPoolReuseNoAliasing(t *testing.T) {
-	tr := NewTracer("pool")
+	tr := newTracer("pool")
 	s := sim.New()
 	s.Spawn("app", func(p *sim.Proc) {
 		sp1 := tr.StartIO(p, "eng", "read")

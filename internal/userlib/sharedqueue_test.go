@@ -11,7 +11,7 @@ import (
 
 func TestSharedQueueSerializes(t *testing.T) {
 	s := sim.New()
-	m, err := kernel.NewMachine(s, kernel.DefaultConfig(), device.OptaneP5800X(1<<30), nil)
+	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{device.OptaneP5800X(1 << 30)}, nil, kernel.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

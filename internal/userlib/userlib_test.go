@@ -22,7 +22,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	s := sim.New()
-	m, err := kernel.NewMachine(s, kernel.DefaultConfig(), device.OptaneP5800X(testCap), nil)
+	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{device.OptaneP5800X(testCap)}, nil, kernel.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ext4"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -200,13 +201,15 @@ func TestZeroCopyFaultPaths(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			zeroCopyRun(t, data, func(p *sim.Proc, e *env, th *Thread, fd int) {
 				inj := faults.NewInjector(1, c.rules(th))
-				e.m.SetFaults(inj)
+				reg := metrics.NewRegistry()
+				inj.Bind(reg)
+				e.m.Dev.SetObservers(inj, e.m.Metrics) // every rule is a device site
 				buf := sentinelBuf(n)
 				_, rerr := th.Pread(p, fd, buf, off)
 				w := bytes.Repeat([]byte{0xc3}, n)
 				_, werr := th.Pwrite(p, fd, w, off)
-				e.m.SetFaults(nil)
-				if inj.Total() == 0 {
+				e.m.Dev.SetObservers(nil, e.m.Metrics)
+				if _, total := faults.Fired(reg); total == 0 {
 					t.Error("no fault fired")
 					return
 				}
