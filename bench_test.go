@@ -89,6 +89,16 @@ func BenchmarkDirect64KRead(b *testing.B) {
 	benchDirectRead(b, 64<<10)
 }
 
+// reportCounts adds the simulator's work per op since (events,
+// resumes) — a Processed/Resumed snapshot taken before the timed loop:
+// events/op counts every dispatched event, resumes/op the proc resumes
+// (coroutine switches) among them. Unlike ns/op, both are exact.
+func reportCounts(b *testing.B, sys *System, events, resumes uint64) {
+	n := float64(b.N)
+	b.ReportMetric(float64(sys.Sim.Processed()-events)/n, "events/op")
+	b.ReportMetric(float64(sys.Sim.Resumed()-resumes)/n, "resumes/op")
+}
+
 // benchDirectRead drives warm size-byte BypassD reads, one per op.
 func benchDirectRead(b *testing.B, size int) {
 	sys, io, fd, buf := bootDirect(b, size)
@@ -103,11 +113,13 @@ func benchDirectRead(b *testing.B, size int) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	events, resumes := sys.Sim.Processed(), sys.Sim.Resumed()
 	for i := 0; i < b.N; i++ {
 		Run(sys, "bench", read)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(virtual)/float64(b.N), "virtual-ns/op")
+	reportCounts(b, sys, events, resumes)
 }
 
 // BenchmarkBootDirect4KRead is the historical form of the headline
@@ -150,14 +162,14 @@ func benchSimThroughput(b *testing.B, traceOn bool) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	events := sys.Sim.Processed()
+	events, resumes := sys.Sim.Processed(), sys.Sim.Resumed()
 	for i := 0; i < b.N; i++ {
 		Run(sys, "storm", batch)
 	}
 	b.StopTimer()
-	events = sys.Sim.Processed() - events
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(sys.Sim.Processed()-events)/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(float64(virtual)/float64(b.N), "virtual-ns/op")
+	reportCounts(b, sys, events, resumes)
 }
 
 // BenchmarkSimThroughputDirectRead is the dispatch-rate gate: batches

@@ -10,6 +10,12 @@
 // token-bucket variants for the tenancy plane, see arbiter.go) and
 // served by a bounded pool of internal channels.
 //
+// The device is an event-driven engine, not a set of procs: fetch and
+// service run as callbacks on the device's shard, posted at exactly
+// the instants (and in the order) a proc's resumes would be, so the
+// simulation's event stream is the one a proc-based device produces
+// with half the coroutine switches per command.
+//
 // BypassD extension: a submission entry may carry a VBA, in which case
 // the device issues an ATS translation to the attached IOMMU before
 // (reads) or concurrently with (writes) the media access (paper §4.3).
@@ -32,8 +38,8 @@ type Config struct {
 	DevID         uint8
 	CapacityBytes int64
 
-	// Shard is the simulation event shard the device's procs run on
-	// (sim.AddShard). Topology boot assigns one shard per device so
+	// Shard is the simulation event shard the device's callbacks run
+	// on (sim.AddShard). Topology boot assigns one shard per device so
 	// each device's command stream lives in its own lane; 0 — shard 0 —
 	// is the single-device default.
 	Shard int
@@ -107,11 +113,38 @@ func TLCFlash(capacity int64) Config {
 	}
 }
 
-// command is an admitted SQE with its originating queue.
+// command is an admitted SQE with its originating queue, and the
+// state of its service: serve runs it as a stage machine, one stage
+// per event, on this pooled box.
 type command struct {
 	sqe nvme.SQE
 	q   *nvme.QueuePair
+
+	stage  stage
+	status nvme.Status
+	// effTr is the translation time exposed inside the service window
+	// (Fig. 5's "translate" phase): the full walk on reads and
+	// serialized writes, only the non-overlapped excess on overlapped
+	// writes, zero when no VBA is involved.
+	effTr sim.Time
+	segs  []iommu.Segment // resolved media segments, held across the media wait
+
+	// step runs the command's current stage. It is bound once per box
+	// so posting it allocates nothing.
+	step func()
 }
+
+// stage is where a command's service resumes when its step fires.
+type stage uint8
+
+const (
+	stageStart     stage = iota // on a channel: fire delay/timeout, resolve, start media
+	stageAccess                 // after an injected delay: same, minus the delay
+	stageMedia                  // media time elapsed: move data
+	stageFinish                 // error wait elapsed: retire without media access
+	stageFlushWait              // flush parked until in-flight writes drain
+	stageFlushDone              // flush latency elapsed
+)
 
 // Stats aggregates device activity.
 type Stats struct {
@@ -128,18 +161,24 @@ type SSD struct {
 	mmu   *iommu.IOMMU // nil when no VBA support is modelled
 
 	queues   []*nvme.QueuePair
-	arrival  *sim.Cond // doorbell for all queues
-	arb      Arbiter   // queue arbitration policy (FlatRR by default)
-	arbRR    *FlatRR   // devirtualized fast path when arb is the default
-	wakeAt   sim.Time  // pending token-refill re-arbitration, 0 = none
-	channels *sim.Resource
+	arrival  *sim.Cond     // doorbell for all queues
+	arb      Arbiter       // queue arbitration policy (FlatRR by default)
+	arbRR    *FlatRR       // devirtualized fast path when arb is the default
+	wakeAt   sim.Time      // pending token-refill re-arbitration, 0 = none
+	channels *sim.Resource // VFs share their parent's pool and its FIFO
+
+	// held is the admitted command waiting in the channel pool's FIFO
+	// (dispatch parks there, at most one command per device); admitFn
+	// and dispatchFn are the bound callbacks dispatch parks as.
+	held       *command
+	admitFn    func()
+	dispatchFn func()
 
 	writesInFlight int
 	writesDrained  *sim.Cond
 
 	stats   Stats
 	opsByQ  map[int]int64
-	stopped bool
 	claimer string
 
 	// segFree recycles per-command segment buffers between serve
@@ -148,14 +187,9 @@ type SSD struct {
 	// one goroutine at a time.
 	segFree [][]iommu.Segment
 
-	// Per-command spawn path, precomputed once so dispatch allocates
-	// nothing in steady state: the channel-proc name (the old
-	// cfg.Name+"-chan" concat allocated per command), a shared serve
-	// trampoline for sim.SpawnArg (no per-command closure), and a free
-	// list of command boxes handed through the trampoline's arg.
-	chanName string
-	serveFn  func(p *sim.Proc, arg any)
-	cmdFree  []*command
+	// cmdFree recycles command boxes, each with its step bound, so
+	// admission allocates nothing in steady state.
+	cmdFree []*command
 
 	// window offsets every media sector: non-zero for an SR-IOV-style
 	// virtual function carved out of a parent device (§5.2).
@@ -178,7 +212,7 @@ type SSD struct {
 }
 
 // New creates a device backed by a fresh sparse store and starts its
-// dispatcher.
+// command fetch.
 func New(s *sim.Sim, cfg Config) *SSD {
 	return NewWithStore(s, cfg, storage.NewBytes(cfg.CapacityBytes))
 }
@@ -200,24 +234,17 @@ func NewWithStore(s *sim.Sim, cfg Config, st *storage.Store) *SSD {
 		opsByQ:        make(map[int]int64),
 	}
 	d.initSites()
-	d.initHotPath()
-	// The dispatch proc anchors the device's shard: serve procs spawn
-	// from it (inheriting the shard) and doorbell wakeups route to it.
-	s.SpawnOn(cfg.Shard, cfg.Name+"-dispatch", d.dispatch)
+	d.start()
 	return d
 }
 
-// initHotPath precomputes the per-command spawn machinery and the
-// devirtualized arbiter pointer.
-func (d *SSD) initHotPath() {
-	d.chanName = d.cfg.Name + "-chan"
-	d.serveFn = func(p *sim.Proc, arg any) {
-		cb := arg.(*command)
-		c := *cb
-		d.putCmd(cb) // box is free for the next admission; serve owns a copy
-		d.serve(p, c)
-	}
+// start binds the device's callbacks and posts its first dispatch on
+// the device's shard at the current time.
+func (d *SSD) start() {
 	d.arbRR, _ = d.arb.(*FlatRR)
+	d.dispatchFn = d.dispatch
+	d.admitFn = d.admitted
+	d.sim.AtOn(d.cfg.Shard, d.sim.Now(), d.dispatchFn)
 }
 
 // getCmd hands out a command box for one admission.
@@ -228,12 +255,15 @@ func (d *SSD) getCmd() *command {
 		d.cmdFree = d.cmdFree[:n-1]
 		return c
 	}
-	return &command{}
+	c := &command{}
+	c.step = func() { d.serve(c) }
+	return c
 }
 
-// putCmd retires a command box, dropping its Buf/Span references.
+// putCmd retires a command box, dropping its Buf/Span references but
+// keeping its bound step.
 func (d *SSD) putCmd(c *command) {
-	*c = command{}
+	*c = command{step: c.step}
 	d.cmdFree = append(d.cmdFree, c)
 }
 
@@ -287,8 +317,7 @@ func Carve(s *sim.Sim, parent *SSD, name string, devID uint8, baseSector, sector
 	}
 	vf.initSites()
 	vf.SetObservers(parent.inj, parent.reg) // VFs share the machine's observers
-	vf.initHotPath()
-	s.SpawnOn(cfg.Shard, cfg.Name+"-dispatch", vf.dispatch)
+	vf.start()
 	return vf, nil
 }
 
@@ -355,8 +384,8 @@ func (d *SSD) CreateQueue(pasid uint32, depth int) (*nvme.QueuePair, error) {
 		return nil, fmt.Errorf("device %s: queue limit reached", d.cfg.Name)
 	}
 	q := nvme.NewQueuePair(d.sim, len(d.queues)+1, pasid, depth)
-	// All queues ring the shared arrival doorbell so the dispatcher
-	// wakes regardless of which queue was written.
+	// All queues ring the shared arrival doorbell so dispatch runs
+	// regardless of which queue was written.
 	q.Doorbell = d.arrival
 	d.queues = append(d.queues, q)
 	d.mQueues.Add(1)
@@ -393,7 +422,7 @@ func (d *SSD) ArbiterName() string { return d.arb.Name() }
 // arbitrate pops the next command the arbiter grants, reporting
 // ok=false when nothing is eligible (and the refill instant to retry
 // at, if the arbiter is holding back a rate-limited queue).
-func (d *SSD) arbitrate() (command, bool, sim.Time) {
+func (d *SSD) arbitrate() (nvme.SQE, *nvme.QueuePair, bool, sim.Time) {
 	for {
 		var (
 			idx     int
@@ -409,11 +438,11 @@ func (d *SSD) arbitrate() (command, bool, sim.Time) {
 			idx, ok, retryAt = d.arb.Next(d.now(), d.queues)
 		}
 		if !ok {
-			return command{}, false, retryAt
+			return nvme.SQE{}, nil, false, retryAt
 		}
 		q := d.queues[idx]
 		if e, popped := q.PopSQE(); popped {
-			return command{sqe: e, q: q}, true, 0
+			return e, q, true, 0
 		}
 		// The arbiter granted an empty queue (a buggy policy); spin
 		// once more rather than fetch garbage.
@@ -421,8 +450,8 @@ func (d *SSD) arbitrate() (command, bool, sim.Time) {
 }
 
 // scheduleWake arms a timer that rings the arrival doorbell at t, so
-// a dispatcher parked on an all-throttled queue set re-arbitrates
-// when the earliest token refills. Earlier pending timers win; a
+// a dispatch parked on an all-throttled queue set re-arbitrates when
+// the earliest token refills. Earlier pending timers win; a
 // stale later timer fires a harmless spurious broadcast.
 func (d *SSD) scheduleWake(t sim.Time) {
 	if d.wakeAt != 0 && d.wakeAt <= t {
@@ -443,27 +472,43 @@ func (d *SSD) scheduleWake(t sim.Time) {
 func (d *SSD) now() sim.Time { return d.sim.ShardNow(d.cfg.Shard) }
 
 // dispatch is the device's command-fetch engine: admit one command at
-// a time, each onto a free internal channel.
-func (d *SSD) dispatch(p *sim.Proc) {
+// a time, each onto a free internal channel. It runs whenever the
+// doorbell rings while it is parked there, and returns when nothing
+// is eligible (parked on the doorbell) or when the channel pool is
+// exhausted (the admitted command held in the pool's FIFO; admitted
+// resumes the loop).
+func (d *SSD) dispatch() {
 	for {
-		cmd, ok, retryAt := d.arbitrate()
+		e, q, ok, retryAt := d.arbitrate()
 		if !ok {
 			if retryAt > 0 {
 				d.scheduleWake(retryAt)
 			}
-			d.arrival.Wait(p)
-			continue
+			d.arrival.WaitFunc(d.cfg.Shard, d.dispatchFn)
+			return
 		}
-		if cmd.sqe.Opcode == nvme.OpWrite {
+		if e.Opcode == nvme.OpWrite {
 			// Counted at admission so a flush admitted later on
 			// cannot overtake an in-flight write.
 			d.writesInFlight++
 		}
-		d.channels.Acquire(p)
-		cb := d.getCmd()
-		*cb = cmd
-		p.SpawnArg(d.chanName, d.serveFn, cb)
+		c := d.getCmd()
+		c.sqe, c.q = e, q
+		if !d.channels.AcquireFunc(d.cfg.Shard, d.admitFn) {
+			d.held = c
+			return
+		}
+		d.sim.AtOn(d.cfg.Shard, d.now(), c.step)
 	}
+}
+
+// admitted runs when the channel pool hands the held command a unit:
+// its service starts, and dispatch carries on fetching.
+func (d *SSD) admitted() {
+	c := d.held
+	d.held = nil
+	d.sim.AtOn(d.cfg.Shard, d.now(), c.step)
+	d.dispatch()
 }
 
 // serviceTime returns the media time for a transfer.
@@ -480,103 +525,131 @@ func (d *SSD) serviceTime(op nvme.Opcode, bytes int64) sim.Time {
 	}
 }
 
-// serve executes one admitted command on an internal channel.
-func (d *SSD) serve(p *sim.Proc, cmd command) {
-	e := cmd.sqe
-	status := nvme.StatusSuccess
-	sp := e.Span
-	sp.ServiceStart(p.Now())
-	// effTr is the translation time exposed inside the service window
-	// (Fig. 5's "translate" phase): the full walk on reads and
-	// serialized writes, only the non-overlapped excess on overlapped
-	// writes, zero when no VBA is involved.
-	var effTr sim.Time
+// after posts c's step to run stage next, dt from now.
+func (d *SSD) after(c *command, next stage, dt sim.Time) {
+	c.stage = next
+	d.sim.AtOn(d.cfg.Shard, d.now()+dt, c.step)
+}
 
-	switch e.Opcode {
-	case nvme.OpFlush:
-		d.channels.Release() // flush does not occupy a media channel
-		for d.writesInFlight > 0 {
-			d.writesDrained.Wait(p)
-		}
-		p.Sleep(d.cfg.FlushLatency)
-		d.stats.Flushes++
-		d.mFlushes.Inc()
-		sp.ServiceEnd(p.Now(), 0)
-		d.complete(cmd, nvme.StatusSuccess)
-		return
-
-	case nvme.OpRead, nvme.OpWrite, nvme.OpWriteZeroes:
-		if dl, ok := d.inj.FireDelayQ(d.siteDelay, cmd.q.ID); ok {
-			// Injected latency spike: the command still succeeds.
-			if dl == 0 {
-				dl = 50 * sim.Microsecond
+// serve runs the current stage of one admitted command on an internal
+// channel. A stage ends by posting the command's next stage (a media
+// or fault wait) or by retiring it.
+func (d *SSD) serve(c *command) {
+	switch c.stage {
+	case stageStart:
+		c.status = nvme.StatusSuccess
+		c.sqe.Span.ServiceStart(d.now())
+		switch c.sqe.Opcode {
+		case nvme.OpFlush:
+			d.channels.Release() // flush does not occupy a media channel
+			d.flushWait(c)
+		case nvme.OpRead, nvme.OpWrite, nvme.OpWriteZeroes:
+			if dl, ok := d.inj.FireDelayQ(d.siteDelay, c.q.ID); ok {
+				// Injected latency spike: the command still succeeds.
+				if dl == 0 {
+					dl = 50 * sim.Microsecond
+				}
+				d.after(c, stageAccess, dl)
+				return
 			}
-			p.Sleep(dl)
+			d.access(c)
+		default:
+			c.status = nvme.StatusInvalidField
+			d.finish(c)
 		}
-		if dl, ok := d.inj.FireDelayQ(d.siteTimeout, cmd.q.ID); ok {
-			// Injected command timeout: the command hangs on the
-			// channel, then completes with an error and no media
-			// access, like a controller-side abort.
-			if dl == 0 {
-				dl = 500 * sim.Microsecond
-			}
-			p.Sleep(dl)
-			status = nvme.StatusCommandTimeout
-			break
-		}
-		segs, tlat, st := d.resolve(e, cmd.q.PASID)
-		if st != nvme.StatusSuccess {
-			// Translation failed: the error returns to the process
-			// after the ATS exchange, without media access (§5.3).
-			p.Sleep(tlat)
-			effTr = tlat
-			status = st
-			break
-		}
-		bytes := e.Sectors * storage.SectorSize
-		svc := d.serviceTime(e.Opcode, bytes)
-		if e.Opcode == nvme.OpRead {
-			// Reads serialize translation before media access: the
-			// device needs block addresses before reading (§4.3).
-			p.Sleep(tlat + svc)
-			effTr = tlat
-		} else if d.cfg.SerializeWriteTranslation {
-			p.Sleep(tlat + svc)
-			effTr = tlat
-		} else {
-			// Writes overlap translation with the host-to-device
-			// data transfer, so they see no VBA overhead (§4.3);
-			// only a walk outlasting the transfer is exposed.
-			if tlat > svc {
-				effTr = tlat - svc
-				svc = tlat
-			}
-			p.Sleep(svc)
-		}
-		if d.inj.FireQ(d.siteMedia, cmd.q.ID) {
+	case stageAccess:
+		d.access(c)
+	case stageMedia:
+		if d.inj.FireQ(d.siteMedia, c.q.ID) {
 			// Injected media error after full service time. The
 			// transfer does not happen, so a failed write leaves the
 			// medium untouched and a retry observes a clean slate.
-			status = nvme.StatusMediaError
-			d.putSegs(segs)
-			break
+			c.status = nvme.StatusMediaError
+		} else {
+			c.status = d.moveData(c.sqe, c.segs)
 		}
-		status = d.moveData(e, segs)
-		d.putSegs(segs)
-
-	default:
-		status = nvme.StatusInvalidField
+		d.putSegs(c.segs)
+		c.segs = nil
+		d.finish(c)
+	case stageFinish:
+		d.finish(c)
+	case stageFlushWait:
+		d.flushWait(c)
+	case stageFlushDone:
+		d.stats.Flushes++
+		d.mFlushes.Inc()
+		c.sqe.Span.ServiceEnd(d.now(), 0)
+		d.complete(c, nvme.StatusSuccess)
 	}
+}
 
-	if e.Opcode == nvme.OpWrite {
+// access runs a data command's timeout decision and translation, then
+// waits out the media (or error) time.
+func (d *SSD) access(c *command) {
+	e := &c.sqe
+	if dl, ok := d.inj.FireDelayQ(d.siteTimeout, c.q.ID); ok {
+		// Injected command timeout: the command hangs on the channel,
+		// then completes with an error and no media access, like a
+		// controller-side abort.
+		if dl == 0 {
+			dl = 500 * sim.Microsecond
+		}
+		c.status = nvme.StatusCommandTimeout
+		d.after(c, stageFinish, dl)
+		return
+	}
+	segs, tlat, st := d.resolve(*e, c.q.PASID)
+	if st != nvme.StatusSuccess {
+		// Translation failed: the error returns to the process after
+		// the ATS exchange, without media access (§5.3).
+		c.effTr = tlat
+		c.status = st
+		d.after(c, stageFinish, tlat)
+		return
+	}
+	c.segs = segs
+	svc := d.serviceTime(e.Opcode, e.Sectors*storage.SectorSize)
+	if e.Opcode == nvme.OpRead || d.cfg.SerializeWriteTranslation {
+		// Reads serialize translation before media access: the device
+		// needs block addresses before reading (§4.3). The ablation
+		// serializes writes the same way.
+		c.effTr = tlat
+		d.after(c, stageMedia, tlat+svc)
+		return
+	}
+	// Writes overlap translation with the host-to-device data
+	// transfer, so they see no VBA overhead (§4.3); only a walk
+	// outlasting the transfer is exposed.
+	if tlat > svc {
+		c.effTr = tlat - svc
+		svc = tlat
+	}
+	d.after(c, stageMedia, svc)
+}
+
+// flushWait parks a flush until every write admitted so far has
+// retired, then waits out the cache flush.
+func (d *SSD) flushWait(c *command) {
+	if d.writesInFlight > 0 {
+		c.stage = stageFlushWait
+		d.writesDrained.WaitFunc(d.cfg.Shard, c.step)
+		return
+	}
+	d.after(c, stageFlushDone, d.cfg.FlushLatency)
+}
+
+// finish retires a data command: its write no longer holds flushes
+// back, its channel passes on, and its completion is posted.
+func (d *SSD) finish(c *command) {
+	if c.sqe.Opcode == nvme.OpWrite {
 		d.writesInFlight--
 		if d.writesInFlight == 0 {
 			d.writesDrained.Broadcast()
 		}
 	}
 	d.channels.Release()
-	sp.ServiceEnd(p.Now(), effTr)
-	d.complete(cmd, status)
+	c.sqe.Span.ServiceEnd(d.now(), c.effTr)
+	d.complete(c, c.status)
 }
 
 // getSegs returns an empty segment buffer, reusing a retired one when
@@ -676,11 +749,15 @@ func (d *SSD) moveData(e nvme.SQE, segs []iommu.Segment) nvme.Status {
 	return nvme.StatusSuccess
 }
 
-func (d *SSD) complete(cmd command, status nvme.Status) {
+// complete posts c's completion and retires its box.
+func (d *SSD) complete(c *command, status nvme.Status) {
 	if !status.OK() {
 		d.stats.Faults++
 		d.mErrors.Inc()
 	}
-	d.opsByQ[cmd.q.ID]++
-	cmd.q.PostCQE(nvme.CQE{CID: cmd.sqe.CID, Status: status})
+	q := c.q
+	d.opsByQ[q.ID]++
+	cqe := nvme.CQE{CID: c.sqe.CID, Status: status}
+	d.putCmd(c)
+	q.PostCQE(cqe)
 }

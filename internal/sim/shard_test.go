@@ -9,7 +9,7 @@ import (
 // shardScenario drives one randomized workload across a sharded
 // topology and returns its full execution trace. Procs are pinned
 // round-robin across shards (the way a multi-device machine pins each
-// device's procs to its lane), and the workload stresses exactly the
+// device's work to its lane), and the workload stresses exactly the
 // cross-shard cases the (at, seq) merge must get right: same-instant
 // posts landing in different lanes, handlers that post into other
 // procs' shards via cond wakeups, zero-length sleeps, and spawn

@@ -9,14 +9,17 @@
 // is a runtime coroutine (iter.Pull) that the dispatching context
 // resumes and that yields back when it parks, so control passes
 // without any goroutine handoff. Events that fire at the same virtual
-// instant run in the order they were posted.
+// instant run in the order they were posted. Layers that never need a
+// stack (the SSD model) skip procs altogether: they run as callbacks
+// posted with AtOn and park on a Cond or Resource with WaitFunc and
+// AcquireFunc, which keep them in one FIFO with parked procs.
 //
 // The dispatch hot path is built for throughput (DESIGN.md §12):
 // same-instant events go through a FIFO staging lane instead of the
 // heap (no sift traffic for wakeup storms), finished procs idle their
 // coroutines in a free pool for reuse by later Spawns (no coroutine or
 // stack churn in steady state), and SpawnArg avoids the
-// per-spawn closure allocation on the device's per-command path.
+// per-spawn closure allocation on hot spawn paths (kernel AIO helpers).
 //
 // Multi-device topologies partition the event stream into shards
 // (DESIGN.md §14): each shard owns its own heap + staging lane, clock,
@@ -191,6 +194,9 @@ type shard struct {
 	// the historical single-queue order exactly.
 	seq       uint64
 	processed uint64
+	// resumed counts the proc resumes among the processed events: the
+	// coroutine switches, the costliest kind of event.
+	resumed uint64
 
 	// The pools of procs whose resume events route through this shard.
 	// Per-shard pools keep spawn/park/finish free of cross-shard
@@ -413,6 +419,18 @@ func (s *Sim) Processed() uint64 {
 	return n
 }
 
+// Resumed reports how many of the Processed events were proc resumes
+// (a coroutine switch into a proc); the rest ran a callback. Like
+// Processed it sums per-shard counters, so a parallel drain shares no
+// counter between workers.
+func (s *Sim) Resumed() uint64 {
+	var n uint64
+	for i := range s.shards {
+		n += s.shards[i].resumed
+	}
+	return n
+}
+
 // AddShard grows the topology by one event shard and returns its
 // index. Shard 0 exists from construction; a multi-device machine
 // adds one shard per additional device so each device's command
@@ -568,6 +586,7 @@ func (s *Sim) dispatch(sh *shard, e event) {
 	sh.processed++
 	if e.p != nil {
 		if e.pgen == e.p.gen {
+			sh.resumed++
 			e.p.next()
 		}
 		return
@@ -611,7 +630,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnOn is Spawn with an explicit shard affinity: the proc's resume
 // events route through that shard's lane. Topology boot pins each
-// device's procs (and their tenants' workers) to the device's shard.
+// device's tenants' workers to the device's shard.
 func (s *Sim) SpawnOn(shardIdx int, name string, fn func(p *Proc)) *Proc {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		panic(fmt.Sprintf("sim: SpawnOn shard %d of %d", shardIdx, len(s.shards)))
