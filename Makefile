@@ -40,8 +40,8 @@ bench:
 # BASELINE=<old bench output file> to embed a before/after pair.
 bench-json:
 	$(GO) test -bench '$(GATE_BENCH)' -benchmem -run '^$$' . \
-		| $(GO) run ./cmd/benchjson $(if $(BASELINE),-baseline $(BASELINE)) -o BENCH_PR10.json
-	@echo wrote BENCH_PR10.json
+		| $(GO) run ./cmd/benchjson $(if $(BASELINE),-baseline $(BASELINE)) -o BENCH.json
+	@echo wrote BENCH.json
 
 # bench-check is the performance regression gate, in three parts:
 #  1. allocation budgets — a steady-state 4 KiB BypassD read must stay
@@ -50,7 +50,7 @@ bench-json:
 #     every arbiter's steady-state
 #     grant allocation-free (TestArbiterZeroAllocHotPath);
 #  2. throughput — the gated benchmarks must stay within 25% of the
-#     committed BENCH_PR10.json ns/op (benchjson -check, which takes
+#     committed BENCH.json ns/op (benchjson -check, which takes
 #     the min over -count 3 repetitions; min-of-N plus the tolerance
 #     absorbs host noise, so only real regressions fail);
 #  3. parallel speedup — the four-SSD sharded storm at -workers 4 must
@@ -64,7 +64,7 @@ bench-check:
 	BENCH_CHECK=1 $(GO) test -run 'AllocBudget' -count=1 -v .
 	$(GO) test -run TestArbiterZeroAllocHotPath -count=1 -v ./internal/device
 	$(GO) test -bench '$(GATE_BENCH)' -benchmem -benchtime 5x -count 3 -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -check BENCH_PR10.json \
+		| $(GO) run ./cmd/benchjson -check BENCH.json \
 			-speedup 'SimThroughputSharded/w4:SimThroughputSharded/w1:2.5'
 
 # parallel-equivalence is the tentpole determinism gate under the race

@@ -1,11 +1,11 @@
 // Command benchjson converts `go test -bench` text output into a
 // stable JSON document, so benchmark numbers can be committed and
 // diffed across PRs (see `make bench-json`, which writes
-// BENCH_PR10.json).
+// BENCH.json).
 //
 //	go test -bench 'Fig6LatBW' -benchmem -run '^$' . | benchjson -o out.json
 //	benchjson -baseline old-bench.txt -o out.json < new-bench.txt
-//	go test -bench . -run '^$' . | benchjson -check BENCH_PR10.json
+//	go test -bench . -run '^$' . | benchjson -check BENCH.json
 //
 // Every metric pair the testing package prints is kept, including
 // custom b.ReportMetric units such as virtual-ns/op. When a benchmark

@@ -13,8 +13,8 @@
 // The device is an event-driven engine, not a set of procs: fetch and
 // service run as callbacks on the device's shard, posted at exactly
 // the instants (and in the order) a proc's resumes would be, so the
-// simulation's event stream is the one a proc-based device produces
-// with half the coroutine switches per command.
+// simulation's event stream is the one a proc-based device produces,
+// without a coroutine switch on the device's side.
 //
 // BypassD extension: a submission entry may carry a VBA, in which case
 // the device issues an ATS translation to the attached IOMMU before
