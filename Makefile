@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_TARGETS := ./internal/ext4:FuzzExtentTree ./internal/ext4:FuzzRename ./internal/experiments:FuzzReproSpec
 
-.PHONY: all build test race vet bench bench-json bench-check parallel-equivalence profile fuzz check trace-smoke repro-smoke topology-smoke frontend-smoke faults-smoke clean
+.PHONY: all build test race vet bench bench-json bench-check parallel-equivalence profile fuzz check trace-smoke repro-smoke topology-smoke frontend-smoke faults-smoke golden-full clean
 
 # The benchmarks the committed snapshot and the throughput gate track:
 # the Fig. 6/9 harnesses, the headline 4 KiB read (steady-state and
@@ -185,6 +185,20 @@ faults-smoke:
 		grep -q 'noisy-neighbor-wrr-8' $$tmp/t.txt; \
 		grep -Eq '^== injected faults: [1-9][0-9]* total \(profile "tenant-storm"\)$$' $$tmp/t.err; \
 		echo "faults-smoke ok"
+
+# golden-full pins the paper-scale run: every section of a fresh
+# `bypassd-bench -full` report must equal docs/results-full.md. T2
+# (lines of Go) is dropped by experiment ID on both sides, since it
+# counts the repository itself. Takes ~50 s on 2 cores.
+golden-full:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+		$(GO) build -o $$tmp/bench ./cmd/bypassd-bench; \
+		$$tmp/bench -full -j 2 -workers 2 -o $$tmp/full.md > /dev/null 2> $$tmp/full.err || { cat $$tmp/full.err; exit 1; }; \
+		drop='/^### /{skip = ($$0 ~ /^### T2 — /)} !skip'; \
+		awk "$$drop" docs/results-full.md > $$tmp/want.md; \
+		awk "$$drop" $$tmp/full.md > $$tmp/got.md; \
+		diff -u $$tmp/want.md $$tmp/got.md; \
+		echo "golden-full ok"
 
 # check is the default gate: build, vet, full tests (including the
 # statistical tail-claim gates), the race detector over the whole
