@@ -12,125 +12,91 @@ import (
 )
 
 func init() {
-	register("A1", "Ablation: caching FTEs in the IOTLB (paper §4.3, Fig. 8's 350ns point)", runA1)
-	register("A2", "Ablation: per-thread vs shared queue pairs (paper §6.3)", runA2)
-	register("A3", "Ablation: kernel appends vs §5.1 optimized appends", runA3)
-	register("A4", "Ablation: overlapping write translation with data transfer (paper §4.3)", runA4)
+	registerCells("A1", "Ablation: caching FTEs in the IOTLB (paper §4.3, Fig. 8's 350ns point)", cellsA1)
+	registerCells("A2", "Ablation: per-thread vs shared queue pairs (paper §6.3)", cellsA2)
+	registerCells("A3", "Ablation: kernel appends vs §5.1 optimized appends", cellsA3)
+	registerCells("A4", "Ablation: overlapping write translation with data transfer (paper §4.3)", cellsA4)
 	register("A5", "Extension: non-blocking writes (paper §5.1)", runA5)
-	register("A6", "Extension: extent-table IOMMU walker vs page-table FTEs (paper §5.1)", runA6)
+	registerCells("A6", "Extension: extent-table IOMMU walker vs page-table FTEs (paper §5.1)", cellsA6)
 }
 
-func runA1(o Options) (*Report, error) {
+func cellsA1(o Options) *cellReport {
 	ops := 200
 	if o.Quick {
 		ops = 60
 	}
-	variants := []bool{false, true}
-	type point struct{ lat, bw float64 }
-	points, err := sweepMap(o, len(variants), func(i int) (point, error) {
-		// A 1 MiB working set fits the 256-entry IOTLB, giving the
-		// caching variant its best case.
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, CacheFTEs: variants[i], Seed: o.Seed, Observers: o.observers()}, []fio.Group{{
-			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
-			OpsPerThread: ops, FileBytes: 1 << 20,
-		}})
-		if err != nil {
-			return point{}, err
-		}
-		return point{res["m"].Lat.Mean().Micros(), res["m"].Bandwidth() / 1e9}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("A1: 4KB random read with and without FTE caching",
-		"FTE caching", "latency (µs)", "bandwidth (GB/s)")
-	for i, caching := range variants {
-		label := "off (paper default)"
-		if caching {
-			label = "on"
-		}
-		tb.AddRow(label, points[i].lat, points[i].bw)
-	}
-
+	cols := plain("latency (µs)", "bandwidth (GB/s)")
+	tb := &cellTable{title: "A1: 4KB random read with and without FTE caching", keys: []string{"FTE caching"}, cols: cols,
+		cells: []Cell{
+			a1Cell(o, "off (paper default)", fio.Spec{VBAFixedLatency: -1}, ops),
+			a1Cell(o, "on", fio.Spec{VBAFixedLatency: -1, CacheFTEs: true}, ops),
+		}}
 	// Paging-structure-cache sweep: the same workload with the PWC
 	// disabled, at the byte-identity default (hits priced like full
 	// walks), and with hits modeled as a single leaf fetch (~183ns/3
 	// levels saved off the walk and off the 550ns floor).
-	pwcSpecs := []struct {
-		label string
-		spec  fio.Spec
-	}{
-		{"disabled", fio.Spec{VBAFixedLatency: -1, PWCEntries: -1}},
-		{"32 entries, hits priced as full walks (default)", fio.Spec{VBAFixedLatency: -1}},
-		{"32 entries, 61ns hit walk / 430ns floor", fio.Spec{
-			VBAFixedLatency:   -1,
-			PWCHitWalkLatency: 61 * sim.Nanosecond,
-			PWCMinTranslation: 430 * sim.Nanosecond,
-		}},
-	}
-	pwcPoints, err := sweepMap(o, len(pwcSpecs), func(i int) (point, error) {
-		spec := pwcSpecs[i].spec
-		spec.Seed = o.Seed
-		spec.Observers = o.observers()
+	tp := &cellTable{title: "A1b: 4KB random read vs paging-structure cache model", keys: []string{"PWC"}, cols: cols,
+		cells: []Cell{
+			a1Cell(o, "disabled", fio.Spec{VBAFixedLatency: -1, PWCEntries: -1}, ops),
+			a1Cell(o, "32 entries, hits priced as full walks (default)", fio.Spec{VBAFixedLatency: -1}, ops),
+			a1Cell(o, "32 entries, 61ns hit walk / 430ns floor", fio.Spec{
+				VBAFixedLatency:   -1,
+				PWCHitWalkLatency: 61 * sim.Nanosecond,
+				PWCMinTranslation: 430 * sim.Nanosecond,
+			}, ops),
+		}}
+	return &cellReport{title: "IOTLB FTE caching", tables: []*cellTable{tb, tp},
+		notes: []string{
+			"difference is small: caching FTEs in the IOTLB is not critical (paper §6.3)",
+			"default PWC pricing reproduces the pre-PWC figures byte-for-byte (DESIGN.md §10)",
+		}}
+}
+
+// a1Cell is one A1 row: 4KB random reads on BypassD under spec. A 1 MiB
+// working set fits the 256-entry IOTLB, giving FTE caching its best
+// case.
+func a1Cell(o Options, label string, spec fio.Spec, ops int) Cell {
+	return Cell{key: []string{label}, run: func(seed int64) ([]float64, error) {
+		spec := spec
+		spec.Seed, spec.Observers = seed, o.at(seed).observers()
 		res, err := fio.Run(spec, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
 		}})
 		if err != nil {
-			return point{}, err
+			return nil, err
 		}
-		return point{res["m"].Lat.Mean().Micros(), res["m"].Bandwidth() / 1e9}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tp := stats.NewTable("A1b: 4KB random read vs paging-structure cache model",
-		"PWC", "latency (µs)", "bandwidth (GB/s)")
-	for i, v := range pwcSpecs {
-		tp.AddRow(v.label, pwcPoints[i].lat, pwcPoints[i].bw)
-	}
-
-	return &Report{ID: "A1", Title: "IOTLB FTE caching", Tables: []*stats.Table{tb, tp},
-		Notes: []string{
-			"difference is small: caching FTEs in the IOTLB is not critical (paper §6.3)",
-			"default PWC pricing reproduces the pre-PWC figures byte-for-byte (DESIGN.md §10)",
-		}}, nil
+		return []float64{res["m"].Lat.Mean().Micros(), res["m"].Bandwidth() / 1e9}, nil
+	}}
 }
 
-// runA2 compares per-thread queues with one shared, locked queue at 8
-// threads.
-func runA2(o Options) (*Report, error) {
+// cellsA2 compares per-thread queues with one shared, locked queue at
+// 8 threads.
+func cellsA2(o Options) *cellReport {
 	ops := 150
 	if o.Quick {
 		ops = 50
 	}
 	const threads = 8
-	variants := []bool{false, true}
-	type point struct {
-		lat  sim.Time
-		iops float64
+	tb := &cellTable{
+		title: "A2: 4KB reads, 8 threads: per-thread vs shared queue pairs",
+		keys:  []string{"queues"},
+		cols:  plain("latency (µs)", "IOPS (K)"),
 	}
-	points, err := sweepMap(o, len(variants), func(i int) (point, error) {
-		lat, iops, err := runSharedQueues(o, variants[i], threads, ops)
-		if err != nil {
-			return point{}, err
-		}
-		return point{lat, iops}, nil
-	})
-	if err != nil {
-		return nil, err
+	for _, v := range []struct {
+		label  string
+		shared bool
+	}{{"per-thread (paper design)", false}, {"one shared + lock", true}} {
+		tb.cells = append(tb.cells, Cell{key: []string{v.label}, run: func(seed int64) ([]float64, error) {
+			lat, iops, err := runSharedQueues(o.at(seed), v.shared, threads, ops)
+			if err != nil {
+				return nil, err
+			}
+			return []float64{lat.Micros(), iops / 1000}, nil
+		}})
 	}
-	tb := stats.NewTable("A2: 4KB reads, 8 threads: per-thread vs shared queue pairs",
-		"queues", "latency (µs)", "IOPS (K)")
-	for i, shared := range variants {
-		label := "per-thread (paper design)"
-		if shared {
-			label = "one shared + lock"
-		}
-		tb.AddRow(label, points[i].lat.Micros(), points[i].iops/1000)
-	}
-	return &Report{ID: "A2", Title: "queue-per-thread ablation", Tables: []*stats.Table{tb},
-		Notes: []string{"sharing queues serializes the data path and inflates latency (paper §6.3 scaling rationale)"}}, nil
+	return &cellReport{title: "queue-per-thread ablation", tables: []*cellTable{tb},
+		notes: []string{"sharing queues serializes the data path and inflates latency (paper §6.3 scaling rationale)"}}
 }
 
 func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float64, error) {
@@ -223,116 +189,112 @@ func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float6
 	return hist.Mean(), stats.Throughput(int64(total), end-start), nil
 }
 
-// runA3 compares the three append strategies: kernel appends (paper
+// cellsA3 compares the three append strategies: kernel appends (paper
 // default), §5.1's fallocate+overwrite optimization, and the SplitFS
 // relink approach the paper names as the more intrusive alternative.
-func runA3(o Options) (*Report, error) {
+func cellsA3(o Options) *cellReport {
 	appends := 400
 	if o.Quick {
 		appends = 100
 	}
-	strategies := []string{"kernel", "optimized", "relink"}
-	lats, err := sweepMap(o, len(strategies), func(ci int) (sim.Time, error) {
-		strategy := strategies[ci]
-		sys, err := o.boot(1 << 30)
-		if err != nil {
-			return 0, err
-		}
-		hist := stats.NewHistogram()
-		var runErr error
-		sys.Sim.Spawn("a3", func(p *sim.Proc) {
-			pr := sys.NewProcess(ext4.Root)
-			fd0, err := pr.Create(p, "/log", 0o666)
-			if err != nil {
-				runErr = err
-				return
-			}
-			_ = pr.Close(p, fd0)
-			lib := sys.Lib(pr)
-			th, err := lib.NewThread(p)
-			if err != nil {
-				runErr = err
-				return
-			}
-			fd, err := lib.Open(p, "/log", true)
-			if err != nil {
-				runErr = err
-				return
-			}
-			var appender *userlib.StagingAppender
-			if strategy == "relink" {
-				appender, err = lib.NewStagingAppender(p, th, fd, "/log.stg", 64*4096)
-				if err != nil {
-					runErr = err
-					return
-				}
-			}
-			rec := make([]byte, 4096)
-			for i := 0; i < appends; i++ {
-				t0 := p.Now()
-				switch strategy {
-				case "optimized":
-					_, err = th.OptimizedAppend(p, fd, rec, 4<<20)
-				case "relink":
-					_, err = appender.Append(p, rec)
-				default:
-					_, err = th.Write(p, fd, rec)
-				}
-				if err != nil {
-					runErr = err
-					return
-				}
-				hist.Add(p.Now() - t0)
-			}
-		})
-		sys.Sim.Run()
-		sys.Close()
-		if runErr != nil {
-			return 0, runErr
-		}
-		return hist.Mean(), nil
-	})
-	if err != nil {
-		return nil, err
+	tb := &cellTable{title: "A3: 4KB append latency", keys: []string{"strategy"}, cols: plain("mean latency (µs)")}
+	for _, v := range []struct{ strategy, label string }{
+		{"kernel", "kernel appends (paper default)"},
+		{"optimized", "fallocate + userspace overwrites (§5.1)"},
+		{"relink", "staging file + relink (SplitFS-style, §5.1)"},
+	} {
+		tb.cells = append(tb.cells, Cell{key: []string{v.label}, run: func(seed int64) ([]float64, error) {
+			lat, err := runA3(o.at(seed), v.strategy, appends)
+			return []float64{lat.Micros()}, err
+		}})
 	}
-	tb := stats.NewTable("A3: 4KB append latency",
-		"strategy", "mean latency (µs)")
-	for i, strategy := range strategies {
-		label := map[string]string{
-			"kernel":    "kernel appends (paper default)",
-			"optimized": "fallocate + userspace overwrites (§5.1)",
-			"relink":    "staging file + relink (SplitFS-style, §5.1)",
-		}[strategy]
-		tb.AddRow(label, lats[i].Micros())
-	}
-	return &Report{ID: "A3", Title: "append strategies", Tables: []*stats.Table{tb},
-		Notes: []string{"preallocation turns most appends into direct userspace overwrites"}}, nil
+	return &cellReport{title: "append strategies", tables: []*cellTable{tb},
+		notes: []string{"preallocation turns most appends into direct userspace overwrites"}}
 }
 
-// runA4 toggles the device's write-translation overlap.
-func runA4(o Options) (*Report, error) {
+// runA3 times appends of one strategy.
+func runA3(o Options, strategy string, appends int) (sim.Time, error) {
+	sys, err := o.boot(1 << 30)
+	if err != nil {
+		return 0, err
+	}
+	hist := stats.NewHistogram()
+	var runErr error
+	sys.Sim.Spawn("a3", func(p *sim.Proc) {
+		pr := sys.NewProcess(ext4.Root)
+		fd0, err := pr.Create(p, "/log", 0o666)
+		if err != nil {
+			runErr = err
+			return
+		}
+		_ = pr.Close(p, fd0)
+		lib := sys.Lib(pr)
+		th, err := lib.NewThread(p)
+		if err != nil {
+			runErr = err
+			return
+		}
+		fd, err := lib.Open(p, "/log", true)
+		if err != nil {
+			runErr = err
+			return
+		}
+		var appender *userlib.StagingAppender
+		if strategy == "relink" {
+			appender, err = lib.NewStagingAppender(p, th, fd, "/log.stg", 64*4096)
+			if err != nil {
+				runErr = err
+				return
+			}
+		}
+		rec := make([]byte, 4096)
+		for i := 0; i < appends; i++ {
+			t0 := p.Now()
+			switch strategy {
+			case "optimized":
+				_, err = th.OptimizedAppend(p, fd, rec, 4<<20)
+			case "relink":
+				_, err = appender.Append(p, rec)
+			default:
+				_, err = th.Write(p, fd, rec)
+			}
+			if err != nil {
+				runErr = err
+				return
+			}
+			hist.Add(p.Now() - t0)
+		}
+	})
+	sys.Sim.Run()
+	sys.Close()
+	if runErr != nil {
+		return 0, runErr
+	}
+	return hist.Mean(), nil
+}
+
+// cellsA4 toggles the device's write-translation overlap.
+func cellsA4(o Options) *cellReport {
 	ops := 200
 	if o.Quick {
 		ops = 60
 	}
-	variants := []bool{false, true}
-	lats, err := sweepMap(o, len(variants), func(i int) (sim.Time, error) {
-		return runA4Once(o, variants[i], ops)
-	})
-	if err != nil {
-		return nil, err
+	tb := &cellTable{
+		title: "A4: 4KB overwrite latency vs write-translation handling",
+		keys:  []string{"write translation"},
+		cols:  plain("latency (µs)"),
 	}
-	tb := stats.NewTable("A4: 4KB overwrite latency vs write-translation handling",
-		"write translation", "latency (µs)")
-	for i, serialize := range variants {
-		label := "overlapped with transfer (paper design)"
-		if serialize {
-			label = "serialized before transfer"
-		}
-		tb.AddRow(label, lats[i].Micros())
+	for _, v := range []struct {
+		label     string
+		serialize bool
+	}{{"overlapped with transfer (paper design)", false}, {"serialized before transfer", true}} {
+		tb.cells = append(tb.cells, Cell{key: []string{v.label}, run: func(seed int64) ([]float64, error) {
+			lat, err := runA4Once(o.at(seed), v.serialize, ops)
+			return []float64{lat.Micros()}, err
+		}})
 	}
-	return &Report{ID: "A4", Title: "write translation overlap", Tables: []*stats.Table{tb},
-		Notes: []string{"overlap hides the full VBA translation on the write path (paper §4.3)"}}, nil
+	return &cellReport{title: "write translation overlap", tables: []*cellTable{tb},
+		notes: []string{"overlap hides the full VBA translation on the write path (paper §4.3)"}}
 }
 
 func runA4Once(o Options, serialize bool, ops int) (sim.Time, error) {
@@ -476,89 +438,94 @@ func runA5(o Options) (*Report, error) {
 		Notes: []string{"reads overlapping buffered writes wait for retirement (consistency rule)"}}, nil
 }
 
-// runA6 contrasts the two fmap translation structures on a large
+// cellsA6 contrasts the two fmap translation structures on a large
 // file: setup cost and per-read latency.
-func runA6(o Options) (*Report, error) {
+func cellsA6(o Options) *cellReport {
 	size := int64(256 << 20)
 	reads := 150
 	if o.Quick {
 		size = 64 << 20
 		reads = 60
 	}
-	variants := []bool{false, true}
-	type point struct{ fmapT, lat sim.Time }
-	points, err := sweepMap(o, len(variants), func(ci int) (point, error) {
-		extent := variants[ci]
-		sys, err := o.boot(size*2 + (256 << 20))
-		if err != nil {
-			return point{}, err
-		}
-		var fmapT sim.Time
-		var lat sim.Time
-		var runErr error
-		sys.Sim.Spawn("a6", func(p *sim.Proc) {
-			pr := sys.NewProcess(ext4.Root)
-			fd0, err := pr.Create(p, "/a6", 0o666)
-			if err != nil {
-				runErr = err
-				return
-			}
-			if err := pr.Fallocate(p, fd0, size); err != nil {
-				runErr = err
-				return
-			}
-			_ = pr.Fsync(p, fd0)
-			_ = pr.Close(p, fd0)
-			in, _ := sys.M.FS.Lookup(p, "/a6", ext4.Root)
-			in.DropFileTable()
+	tb := &cellTable{
+		title: "A6: translation structure for a large file",
+		keys:  []string{"structure"},
+		cols:  plain("cold fmap (µs)", "4KB read latency (µs)"),
+	}
+	for _, v := range []struct {
+		label  string
+		extent bool
+	}{{"page-table FTEs (paper design)", false}, {"IOMMU extent table (§5.1 alternative)", true}} {
+		tb.cells = append(tb.cells, Cell{key: []string{v.label}, run: func(seed int64) ([]float64, error) {
+			return runA6(o.at(seed), v.extent, size, reads)
+		}})
+	}
+	return &cellReport{title: "translation structures", tables: []*cellTable{tb},
+		notes: []string{"extent tables make fmap O(extents); reads stay within ~100ns of the FTE walk"}}
+}
 
-			cfg := userlib.DefaultConfig()
-			cfg.ExtentFmap = extent
-			lib := userlib.New(sys.NewProcess(ext4.Root), cfg)
-			th, err := lib.NewThread(p)
-			if err != nil {
-				runErr = err
-				return
-			}
-			start := p.Now()
-			fd, err := lib.Open(p, "/a6", false)
-			if err != nil {
-				runErr = err
-				return
-			}
-			fmapT = p.Now() - start
-
-			buf := make([]byte, 4096)
-			rng := newXorshift(uint64(o.Seed) + 11)
-			start = p.Now()
-			for i := 0; i < reads; i++ {
-				off := int64(rng.next()%uint64(size/4096)) * 4096
-				if _, err := th.Pread(p, fd, buf, off); err != nil {
-					runErr = err
-					return
-				}
-			}
-			lat = (p.Now() - start) / sim.Time(reads)
-		})
-		sys.Sim.Run()
-		sys.Close()
-		if runErr != nil {
-			return point{}, runErr
-		}
-		return point{fmapT, lat}, nil
-	})
+// runA6 times a cold fmap of a size-byte file through one translation
+// structure, then the mean of reads random 4KB reads.
+func runA6(o Options, extent bool, size int64, reads int) ([]float64, error) {
+	sys, err := o.boot(size*2 + (256 << 20))
 	if err != nil {
 		return nil, err
 	}
-	tb := stats.NewTable("A6: translation structure for a large file",
-		"structure", "cold fmap (µs)", "4KB read latency (µs)")
-	for i, extent := range variants {
-		label := "page-table FTEs (paper design)"
-		if extent {
-			label = "IOMMU extent table (§5.1 alternative)"
+	var fmapT sim.Time
+	var lat sim.Time
+	var runErr error
+	sys.Sim.Spawn("a6", func(p *sim.Proc) {
+		pr := sys.NewProcess(ext4.Root)
+		fd0, err := pr.Create(p, "/a6", 0o666)
+		if err != nil {
+			runErr = err
+			return
 		}
-		tb.AddRow(label, points[i].fmapT.Micros(), points[i].lat.Micros())
+		if err := pr.Fallocate(p, fd0, size); err != nil {
+			runErr = err
+			return
+		}
+		_ = pr.Fsync(p, fd0)
+		_ = pr.Close(p, fd0)
+		in, err := sys.M.FS.Lookup(p, "/a6", ext4.Root)
+		if err != nil {
+			runErr = err
+			return
+		}
+		in.DropFileTable()
+
+		cfg := userlib.DefaultConfig()
+		cfg.ExtentFmap = extent
+		lib := userlib.New(sys.NewProcess(ext4.Root), cfg)
+		th, err := lib.NewThread(p)
+		if err != nil {
+			runErr = err
+			return
+		}
+		start := p.Now()
+		fd, err := lib.Open(p, "/a6", false)
+		if err != nil {
+			runErr = err
+			return
+		}
+		fmapT = p.Now() - start
+
+		buf := make([]byte, 4096)
+		rng := newXorshift(uint64(o.Seed) + 11)
+		start = p.Now()
+		for i := 0; i < reads; i++ {
+			off := int64(rng.next()%uint64(size/4096)) * 4096
+			if _, err := th.Pread(p, fd, buf, off); err != nil {
+				runErr = err
+				return
+			}
+		}
+		lat = (p.Now() - start) / sim.Time(reads)
+	})
+	sys.Sim.Run()
+	sys.Close()
+	if runErr != nil {
+		return nil, runErr
 	}
-	return &Report{ID: "A6", Title: "translation structures", Tables: []*stats.Table{tb},
-		Notes: []string{"extent tables make fmap O(extents); reads stay within ~100ns of the FTE walk"}}, nil
+	return []float64{fmapT.Micros(), lat.Micros()}, nil
 }

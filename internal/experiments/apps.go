@@ -14,10 +14,10 @@ import (
 )
 
 func init() {
-	register("F13", "WiredTiger YCSB throughput scaling with threads (Fig. 13)", runF13)
-	register("F14", "WiredTiger throughput vs cache size, normalized to sync (Fig. 14)", runF14)
-	register("F15", "BPF-KV avg and p99.9 lookup latency vs threads (Fig. 15)", runF15)
-	register("F16", "KVell throughput and latency under YCSB (Fig. 16)", runF16)
+	registerCells("F13", "WiredTiger YCSB throughput scaling with threads (Fig. 13)", cellsF13)
+	registerCells("F14", "WiredTiger throughput vs cache size, normalized to sync (Fig. 14)", cellsF14)
+	registerCells("F15", "BPF-KV avg and p99.9 lookup latency vs threads (Fig. 15)", cellsF15)
+	registerCells("F16", "KVell throughput and latency under YCSB (Fig. 16)", cellsF16)
 }
 
 // wtSystems are Fig. 13/14's compared systems.
@@ -141,7 +141,7 @@ func wtScale(o Options) (keys uint64, cacheFrac float64, ops int) {
 	return 400_000, 0.13, 1500
 }
 
-func runF13(o Options) (*Report, error) {
+func cellsF13(o Options) *cellReport {
 	threads := []int{1, 2, 4, 8, 16}
 	workloads := []ycsb.Workload{ycsb.A, ycsb.B, ycsb.C, ycsb.D, ycsb.E, ycsb.F}
 	if o.Quick {
@@ -151,51 +151,39 @@ func runF13(o Options) (*Report, error) {
 	keys, frac, ops := wtScale(o)
 	dataBytes := int64(keys/uint64OfLeafCap()) * wtiger.PageSize * 12 / 10
 	cache := int64(float64(dataBytes) * frac)
-
-	type cell struct {
-		wl  ycsb.Workload
-		n   int
-		sys string
+	tb := &cellTable{
+		title: "Fig. 13: WiredTiger YCSB throughput (Kops/s)",
+		keys:  []string{"workload", "threads"},
+		cols:  plain(wtSystems...),
 	}
-	var cells []cell
 	for _, wl := range workloads {
 		for _, n := range threads {
-			for _, sysName := range wtSystems {
-				cells = append(cells, cell{wl, n, sysName})
-			}
+			tb.cells = append(tb.cells, Cell{
+				key: []string{wl.Name, fmt.Sprint(n)},
+				run: func(seed int64) ([]float64, error) {
+					kops := make([]float64, len(wtSystems))
+					for i, sysName := range wtSystems {
+						k, err := runWT(o.at(seed), sysName, wl, n, keys, cache, ops)
+						if err != nil {
+							return nil, fmt.Errorf("F13 %s/%s/%d: %w", wl.Name, sysName, n, err)
+						}
+						kops[i] = k
+					}
+					return kops, nil
+				},
+			})
 		}
 	}
-	kops, err := sweepMap(o, len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		k, err := runWT(o, c.sys, c.wl, c.n, keys, cache, ops)
-		if err != nil {
-			return 0, fmt.Errorf("F13 %s/%s/%d: %w", c.wl.Name, c.sys, c.n, err)
-		}
-		return k, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("Fig. 13: WiredTiger YCSB throughput (Kops/s)",
-		"workload", "threads", "sync", "xrp", "bypassd")
-	for i := 0; i < len(cells); i += len(wtSystems) {
-		c := cells[i]
-		row := []interface{}{c.wl.Name, c.n}
-		for j := range wtSystems {
-			row = append(row, kops[i+j])
-		}
-		tb.AddRow(row...)
-	}
-	return &Report{ID: "F13", Title: "WiredTiger scaling", Tables: []*stats.Table{tb},
-		Notes: []string{
+	return &cellReport{title: "WiredTiger scaling", tables: []*cellTable{tb},
+		notes: []string{
 			"bypassd > xrp > sync on A/B/C/E/F; ~parity on insert-heavy D (little I/O)",
 			"gains shrink at high thread counts as the cache lock becomes the bottleneck",
-		}}, nil
+		}}
 }
 
 func uint64OfLeafCap() uint64 { return uint64(wtiger.LeafCap) }
 
-func runF14(o Options) (*Report, error) {
+func cellsF14(o Options) *cellReport {
 	keys, _, ops := wtScale(o)
 	dataBytes := int64(keys/uint64OfLeafCap()) * wtiger.PageSize * 12 / 10
 	// Paper cache points 2/4/6 GB against a 46 GB store.
@@ -205,43 +193,33 @@ func runF14(o Options) (*Report, error) {
 	if o.Quick {
 		workloads = []ycsb.Workload{ycsb.B, ycsb.C}
 		fracs = fracs[:2]
-		labels = labels[:2]
 	}
-
-	type cell struct {
-		wl    ycsb.Workload
-		label string
-		cache int64
-		sys   string
+	tb := &cellTable{
+		title: "Fig. 14: WiredTiger single-thread throughput vs cache size (normalized to sync)",
+		keys:  []string{"workload", "cache"},
+		cols:  plain(wtSystems...),
 	}
-	var cells []cell
 	for _, wl := range workloads {
 		for i, frac := range fracs {
 			cache := int64(float64(dataBytes) * frac)
-			for _, sysName := range wtSystems {
-				cells = append(cells, cell{wl, labels[i], cache, sysName})
-			}
+			tb.cells = append(tb.cells, Cell{
+				key: []string{wl.Name, labels[i]},
+				run: func(seed int64) ([]float64, error) {
+					kops := make([]float64, len(wtSystems))
+					for j, sysName := range wtSystems {
+						k, err := runWT(o.at(seed), sysName, wl, 1, keys, cache, ops)
+						if err != nil {
+							return nil, fmt.Errorf("F14 %s/%s: %w", wl.Name, sysName, err)
+						}
+						kops[j] = k
+					}
+					return []float64{1.0, kops[1] / kops[0], kops[2] / kops[0]}, nil
+				},
+			})
 		}
 	}
-	kops, err := sweepMap(o, len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		k, err := runWT(o, c.sys, c.wl, 1, keys, c.cache, ops)
-		if err != nil {
-			return 0, fmt.Errorf("F14 %s/%s: %w", c.wl.Name, c.sys, err)
-		}
-		return k, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("Fig. 14: WiredTiger single-thread throughput vs cache size (normalized to sync)",
-		"workload", "cache", "sync", "xrp", "bypassd")
-	for i := 0; i < len(cells); i += len(wtSystems) {
-		c := cells[i]
-		tb.AddRow(c.wl.Name, c.label, 1.0, kops[i+1]/kops[i], kops[i+2]/kops[i])
-	}
-	return &Report{ID: "F14", Title: "cache sensitivity", Tables: []*stats.Table{tb},
-		Notes: []string{"xrp's edge shrinks as the cache grows; bypassd improves every I/O regardless of cache size"}}, nil
+	return &cellReport{title: "cache sensitivity", tables: []*cellTable{tb},
+		notes: []string{"xrp's edge shrinks as the cache grows; bypassd improves every I/O regardless of cache size"}}
 }
 
 // runBPFKV executes one Fig. 15 configuration.
@@ -352,7 +330,7 @@ func (x *xorshift) next() uint64 {
 	return x.s
 }
 
-func runF15(o Options) (*Report, error) {
+func cellsF15(o Options) *cellReport {
 	threads := []int{1, 2, 4, 8, 16, 24}
 	objects := uint64(150_000)
 	ops := 400
@@ -361,38 +339,29 @@ func runF15(o Options) (*Report, error) {
 		objects = 50_000
 		ops = 80
 	}
-	modes := []string{"sync", "xrp", "spdk", "bypassd"}
-	type cell struct {
-		n    int
-		mode string
+	tb := &cellTable{
+		title: "Fig. 15: BPF-KV lookup latency (7 I/Os per lookup)",
+		keys:  []string{"threads", "system"},
+		cols:  plain("avg (µs)", "p99.9 (µs)"),
 	}
-	var cells []cell
 	for _, n := range threads {
-		for _, m := range modes {
-			cells = append(cells, cell{n, m})
+		for _, mode := range []string{"sync", "xrp", "spdk", "bypassd"} {
+			tb.cells = append(tb.cells, Cell{
+				key: []string{fmt.Sprint(n), mode},
+				run: func(seed int64) ([]float64, error) {
+					avg, p999, err := runBPFKV(o.at(seed), mode, n, objects, ops)
+					if err != nil {
+						return nil, fmt.Errorf("F15 %s/%d: %w", mode, n, err)
+					}
+					return []float64{avg.Micros(), p999.Micros()}, nil
+				},
+			})
 		}
 	}
-	type point struct{ avg, p999 sim.Time }
-	points, err := sweepMap(o, len(cells), func(i int) (point, error) {
-		c := cells[i]
-		avg, p999, err := runBPFKV(o, c.mode, c.n, objects, ops)
-		if err != nil {
-			return point{}, fmt.Errorf("F15 %s/%d: %w", c.mode, c.n, err)
-		}
-		return point{avg, p999}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("Fig. 15: BPF-KV lookup latency (7 I/Os per lookup)",
-		"threads", "system", "avg (µs)", "p99.9 (µs)")
-	for i, c := range cells {
-		tb.AddRow(c.n, c.mode, points[i].avg.Micros(), points[i].p999.Micros())
-	}
-	return &Report{ID: "F15", Title: "BPF-KV latency", Tables: []*stats.Table{tb},
-		Notes: []string{
+	return &cellReport{title: "BPF-KV latency", tables: []*cellTable{tb},
+		notes: []string{
 			"spdk < bypassd < xrp << sync at low threads; bypassd ≈ spdk + 7×0.55µs",
-		}}, nil
+		}}
 }
 
 // runKVell executes one Fig. 16 configuration.
@@ -493,7 +462,7 @@ func runKVell(o Options, mode string, wl ycsb.Workload, threads int, items uint6
 	return stats.Throughput(int64(totalOps), end-start) / 1000, hist.Mean(), nil
 }
 
-func runF16(o Options) (*Report, error) {
+func cellsF16(o Options) *cellReport {
 	threads := []int{1, 2, 4, 8, 16}
 	items := uint64(30_000)
 	ops := 512
@@ -503,43 +472,30 @@ func runF16(o Options) (*Report, error) {
 		items = 8_000
 		ops = 128
 	}
-	modes := []string{"kvell_1", "kvell_64", "bypassd"}
-	type cell struct {
-		wl   ycsb.Workload
-		n    int
-		mode string
+	tb := &cellTable{
+		title: "Fig. 16: KVell YCSB throughput and latency",
+		keys:  []string{"workload", "threads", "system"},
+		cols:  plain("Kops/s", "mean latency (µs)"),
 	}
-	var cells []cell
 	for _, wl := range workloads {
 		for _, n := range threads {
-			for _, m := range modes {
-				cells = append(cells, cell{wl, n, m})
+			for _, mode := range []string{"kvell_1", "kvell_64", "bypassd"} {
+				tb.cells = append(tb.cells, Cell{
+					key: []string{wl.Name, fmt.Sprint(n), mode},
+					run: func(seed int64) ([]float64, error) {
+						kops, lat, err := runKVell(o.at(seed), mode, wl, n, items, ops)
+						if err != nil {
+							return nil, fmt.Errorf("F16 %s/%s/%d: %w", wl.Name, mode, n, err)
+						}
+						return []float64{kops, lat.Micros()}, nil
+					},
+				})
 			}
 		}
 	}
-	type point struct {
-		kops float64
-		lat  sim.Time
-	}
-	points, err := sweepMap(o, len(cells), func(i int) (point, error) {
-		c := cells[i]
-		kops, lat, err := runKVell(o, c.mode, c.wl, c.n, items, ops)
-		if err != nil {
-			return point{}, fmt.Errorf("F16 %s/%s/%d: %w", c.wl.Name, c.mode, c.n, err)
-		}
-		return point{kops, lat}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("Fig. 16: KVell YCSB throughput and latency",
-		"workload", "threads", "system", "Kops/s", "mean latency (µs)")
-	for i, c := range cells {
-		tb.AddRow(c.wl.Name, c.n, c.mode, points[i].kops, points[i].lat.Micros())
-	}
-	return &Report{ID: "F16", Title: "KVell", Tables: []*stats.Table{tb},
-		Notes: []string{
+	return &cellReport{title: "KVell", tables: []*cellTable{tb},
+		notes: []string{
 			"kvell_64 trades latency for throughput; bypassd restores low latency and beats kvell_1 throughput",
 			"on write-heavy A, bypassd approaches kvell_64 by dodging the ext4 per-inode write lock",
-		}}, nil
+		}}
 }

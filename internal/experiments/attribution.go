@@ -15,87 +15,86 @@ import (
 )
 
 func init() {
-	register("T6", "Latency attribution by interface: submit/translate/media/complete (Fig. 5 analogue)", runT6)
+	registerCells("T6", "Latency attribution by interface: submit/translate/media/complete (Fig. 5 analogue)", cellsT6)
 }
 
-// runT6 reproduces the paper's Fig. 5-style attribution: where does a
-// 4KB random read's latency go on each interface? Every cell runs
+// cellsT6 reproduces the paper's Fig. 5-style attribution: where does
+// a 4KB random read's latency go on each interface? Every cell runs
 // with tracing forced on for its own machine, so the table is
 // identical whether or not the global trace plane is active. The
 // phase sums are cross-checked against the end-to-end latency
 // histogram: per-interface, the attributed mean must match the
 // measured mean within 1%.
-func runT6(o Options) (*Report, error) {
-	type iface struct {
+func cellsT6(o Options) *cellReport {
+	ops := microOps(o.Quick)
+	tb := &cellTable{
+		title: "Fig. 5 analogue: 4KB random read latency attribution per interface",
+		keys:  []string{"interface"},
+		cols:  plain("submit (µs)", "translate (µs)", "media (µs)", "complete (µs)", "total (µs)", "e2e mean (µs)"),
+	}
+	for _, c := range []struct {
 		display string
 		engine  core.Engine // "" marks the XRP cell (custom harness)
-	}
-	cells := []iface{
+	}{
 		{"BypassD", core.EngineBypassD},
 		{"BIO", core.EngineSync},
 		{"AIO", core.EngineLibaio},
 		{"SPDK", core.EngineSPDK},
 		{"XRP", ""},
-	}
-	ops := microOps(o.Quick)
-	results, err := sweepMap(o, len(cells), func(i int) (t6Result, error) {
-		c := cells[i]
-		if c.engine == "" {
-			return runT6XRP(o, ops)
-		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: t6Observers(o)}, []fio.Group{{
-			Name: "m", Engine: c.engine, BS: 4096, Threads: 1,
-			OpsPerThread: ops, FileBytes: 64 << 20,
+	} {
+		tb.cells = append(tb.cells, Cell{key: []string{c.display}, run: func(seed int64) ([]float64, error) {
+			r, err := runT6(o.at(seed), c.engine, ops)
+			if err != nil {
+				return nil, fmt.Errorf("T6 %s: %w", c.display, err)
+			}
+			a := r.attr
+			if a.Ops == 0 {
+				return nil, fmt.Errorf("T6 %s: attribution recorded no operations", c.display)
+			}
+			n := sim.Time(a.Ops)
+			attrMean := a.Total() / n
+			// Acceptance check: the phase partition must account for the
+			// end-to-end histogram within 1% per interface.
+			if diff := math.Abs(float64(attrMean) - float64(r.mean)); diff > 0.01*float64(r.mean) {
+				return nil, fmt.Errorf("T6 %s: attributed mean %v diverges from measured mean %v by more than 1%%",
+					c.display, attrMean, r.mean)
+			}
+			return []float64{(a.Submit / n).Micros(), (a.Translate / n).Micros(), (a.Media / n).Micros(),
+				(a.Complete / n).Micros(), attrMean.Micros(), r.mean.Micros()}, nil
 		}})
-		if err != nil {
-			return t6Result{}, fmt.Errorf("T6 %s: %w", c.display, err)
-		}
-		r := res["m"]
-		if r.Phases == nil {
-			return t6Result{}, fmt.Errorf("T6 %s: no attribution collected", c.display)
-		}
-		return t6Result{attr: *r.Phases, mean: r.Lat.Mean()}, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-
-	tb := stats.NewTable("Fig. 5 analogue: 4KB random read latency attribution per interface",
-		"interface", "submit (µs)", "translate (µs)", "media (µs)", "complete (µs)", "total (µs)", "e2e mean (µs)")
-	for i, c := range cells {
-		r := results[i]
-		a := r.attr
-		if a.Ops == 0 {
-			return nil, fmt.Errorf("T6 %s: attribution recorded no operations", c.display)
-		}
-		n := sim.Time(a.Ops)
-		attrMean := a.Total() / n
-		// Acceptance check: the phase partition must account for the
-		// end-to-end histogram within 1% per interface.
-		if diff := math.Abs(float64(attrMean) - float64(r.mean)); diff > 0.01*float64(r.mean) {
-			return nil, fmt.Errorf("T6 %s: attributed mean %v diverges from measured mean %v by more than 1%%",
-				c.display, attrMean, r.mean)
-		}
-		tb.AddRow(c.display,
-			(a.Submit / n).Micros(),
-			(a.Translate / n).Micros(),
-			(a.Media / n).Micros(),
-			(a.Complete / n).Micros(),
-			attrMean.Micros(),
-			r.mean.Micros())
-	}
-	return &Report{ID: "T6", Title: "latency attribution", Tables: []*stats.Table{tb},
-		Notes: []string{
+	return &cellReport{title: "latency attribution", tables: []*cellTable{tb},
+		notes: []string{
 			"submit = request build + queueing residual; translate = address translation on the device path",
 			"bypassd translation overlaps DMA on writes and rides the IOTLB on reads, so its translate share stays small",
 			"attributed totals are cross-checked against the e2e histogram mean (must agree within 1%)",
-		}}, nil
+		}}
 }
 
 // t6Result is one interface's attribution plus its measured mean.
 type t6Result struct {
 	attr trace.Attribution
 	mean sim.Time
+}
+
+// runT6 runs one interface's fio reads, or the XRP harness when
+// engine is "".
+func runT6(o Options, engine core.Engine, ops int) (t6Result, error) {
+	if engine == "" {
+		return runT6XRP(o, ops)
+	}
+	res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: t6Observers(o)}, []fio.Group{{
+		Name: "m", Engine: engine, BS: 4096, Threads: 1,
+		OpsPerThread: ops, FileBytes: 64 << 20,
+	}})
+	if err != nil {
+		return t6Result{}, err
+	}
+	r := res["m"]
+	if r.Phases == nil {
+		return t6Result{}, fmt.Errorf("no attribution collected")
+	}
+	return t6Result{attr: *r.Phases, mean: r.Lat.Mean()}, nil
 }
 
 // t6Observers are the run's observers with a trace collector always
@@ -162,11 +161,11 @@ func runT6XRP(o Options, ops int) (t6Result, error) {
 	})
 	sys.Sim.Run()
 	if runErr != nil {
-		return t6Result{}, fmt.Errorf("T6 XRP: %w", runErr)
+		return t6Result{}, runErr
 	}
 	a := tr.Attribution("xrp")
 	if a == nil {
-		return t6Result{}, fmt.Errorf("T6 XRP: no attribution collected")
+		return t6Result{}, fmt.Errorf("no attribution collected")
 	}
 	return t6Result{attr: *a, mean: lat.Mean()}, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/stats"
@@ -64,9 +65,30 @@ var (
 	sloCol  = column{head: "SLO met (%)", fmt: pct1, ci: "slo ci95"}
 )
 
+// plain declares one column per header, each rendered like
+// Table.AddRow's float cells.
+func plain(heads ...string) []column {
+	cols := make([]column, len(heads))
+	for i, h := range heads {
+		cols[i].head = h
+	}
+	return cols
+}
+
 // pct1 and count are the two non-float value formats tables use.
 func pct1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func count(v float64) string { return strconv.FormatInt(int64(v), 10) }
+
+// orNA renders a NaN value — a cell the system cannot run, like the
+// paper's empty bars — as text, and any other value as a float cell.
+func orNA(text string) func(float64) string {
+	return func(v float64) string {
+		if math.IsNaN(v) {
+			return text
+		}
+		return stats.Fmt(v)
+	}
+}
 
 // A cellTable is one rendered table of a trial-aware experiment.
 type cellTable struct {

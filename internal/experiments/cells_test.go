@@ -17,23 +17,21 @@ func keySpec(id string, keys []string, row []string, o Options) ReproSpec {
 	return sp
 }
 
-// TestOneCellReplay replays every row of every trial-aware table from
-// a spec that pins only the row's key columns: the replay must render
-// the identical row, and its report must hold nothing but matched rows
-// (plus T9's 1-device base row, which its speedup column reads).
+// TestOneCellReplay replays every row of every table declared as
+// cells from a spec that pins only the row's key columns: the replay
+// must render the identical row, and its report must hold nothing but
+// matched rows (plus T9's 1-device base row, which its speedup column
+// reads).
 func TestOneCellReplay(t *testing.T) {
-	runs := []struct {
+	type run struct {
 		id string
 		o  Options
-	}{
-		{"T7", Options{Quick: true, Seed: 1}},
-		{"T8", Options{Quick: true, Seed: 1}},
-		{"T9", Options{Quick: true, Seed: 1}},
-		{"T10", Options{Quick: true, Seed: 1}},
-		{"F6", Options{Quick: true, Seed: 1}},
-		{"F9", Options{Quick: true, Seed: 1}},
-		{"T7", Options{Quick: true, Seed: 1, Trials: 3}},
 	}
+	var runs []run
+	for _, id := range trialedIDs() {
+		runs = append(runs, run{id, Options{Quick: true, Seed: 1}})
+	}
+	runs = append(runs, run{"T7", Options{Quick: true, Seed: 1, Trials: 3}})
 	for _, r := range runs {
 		e, _ := ByID(r.id)
 		o := r.o
@@ -71,6 +69,24 @@ func TestOneCellReplay(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// F10's SPDK cells past one process cannot run: the replay of one
+// renders exactly its n/a row.
+func TestReplayNACell(t *testing.T) {
+	sp, err := ParseReproSpec("F10:processes=4,engine=spdk@seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := RunRepro(sp, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"4", "spdk", "n/a (cannot share)"}
+	if len(run.Report.Tables) != 1 || len(run.Report.Tables[0].Rows) != 1 ||
+		len(run.Matches) != 1 || !reflect.DeepEqual(run.Matches[0].Row, want) {
+		t.Fatalf("replay %s: want the one row %q, got:\n%s", sp, want, run.Report)
 	}
 }
 

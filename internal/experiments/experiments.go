@@ -39,11 +39,12 @@ type Options struct {
 	Parallelism int
 	// Faults names a fault-injection profile (faults.Profiles) armed
 	// for every machine the experiments boot; "" disables injection.
-	// Each machine gets its own injector: every trial cell of the
-	// trial-aware tables seeds it from that trial's seed
+	// Each machine gets its own injector: every trial cell of a
+	// table declared as cells seeds it from that trial's seed
 	// (TrialSeed(k)), so trials draw independent faults and a one-trial
-	// replay reproduces them; other harnesses seed it from Seed. A fixed
-	// (Seed, Faults) pair replays byte-for-byte at any Parallelism.
+	// replay reproduces them; the bespoke harnesses (T1, T2, T4, F5,
+	// F12, A5, S2) seed it from Seed. A fixed (Seed, Faults) pair
+	// replays byte-for-byte at any Parallelism.
 	Faults string
 	// Devices narrows the topology-aware experiments to one device
 	// count: T9 runs only the N-device cell instead of its 1→8 ladder.
@@ -52,13 +53,14 @@ type Options struct {
 	Devices int
 	// Trials is the number of independent seeded repetitions each
 	// sweep cell runs. <= 1 runs the single historical trial and keeps
-	// every table byte-identical to earlier releases. With N > 1, the
-	// trial-aware harnesses (T7, T8, T9, T10, F6, F9) run each cell
-	// once per seed TrialSeed(k) — derived from Seed and the trial
-	// index k, never from execution order — and report cross-seed
-	// statistics: mean ± 95% Student-t confidence intervals and
-	// min..max spread columns. Trials share the Parallelism worker pool
-	// with sweep cells, and reports stay byte-identical at any -j.
+	// every table byte-identical to earlier releases. With N > 1, every
+	// harness declared as cells (all but T1, T2, T4, F5, F12, A5 and
+	// S2) runs each cell once per seed TrialSeed(k) — derived from Seed
+	// and the trial index k, never from execution order — and renders
+	// cross-seed means, plus 95% Student-t confidence and min..max
+	// spread columns where a table declares them. Trials share the
+	// Parallelism worker pool with sweep cells, and reports stay
+	// byte-identical at any -j.
 	Trials int
 	// Metrics and Trace are the run's metrics registry and trace
 	// collector: every machine the experiments boot counts its series
@@ -86,18 +88,23 @@ func (o Options) workers() int {
 
 // observers are what every machine of the run is born with: the run's
 // registry and collector, and a fresh injector for the run's fault
-// profile seeded from Seed (none when no profile is set).
-func (o Options) observers() kernel.Observers { return o.observersAt(o.Seed) }
-
-// observersAt is observers with the injector seeded from one trial
-// cell's seed. Runner.Run rejects an unknown profile before any
-// harness runs, so reaching one here is a caller bug.
-func (o Options) observersAt(seed int64) kernel.Observers {
-	inj, err := faults.New(o.Faults, seed)
+// profile seeded from Seed (none when no profile is set). Runner.Run
+// rejects an unknown profile before any harness runs, so reaching one
+// here is a caller bug.
+func (o Options) observers() kernel.Observers {
+	inj, err := faults.New(o.Faults, o.Seed)
 	if err != nil {
 		panic(err)
 	}
 	return kernel.Observers{Faults: inj, Trace: o.Trace, Metrics: o.Metrics}
+}
+
+// at is o with Seed set to one trial cell's seed: a cell's harness
+// code draws its workload and its fault injector from that trial. At
+// trial 0 the seed is Seed itself, so at changes nothing.
+func (o Options) at(seed int64) Options {
+	o.Seed = seed
+	return o
 }
 
 // boot boots a single-SSD system of capacity bytes with the run's

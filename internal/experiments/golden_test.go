@@ -43,7 +43,7 @@ func goldenSuites() []goldenSuite {
 	return []goldenSuite{
 		{"quick", quick, base, ""},
 		{"quick-chaos", quick, chaos, "quick-chaos-metrics"},
-		{"trials3", []string{"T7", "T8", "T9", "T10", "F6", "F9"}, trials, ""},
+		{"trials3", trialedIDs(), trials, ""},
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 func init() {
 	register("F5", "IOMMU overhead vs translations per ATS request (Fig. 5)", runF5)
 	registerCells("F6", "FIO single-threaded random-access latency vs bandwidth (Fig. 6)", cellsF6)
-	register("F7", "Random read latency breakdown (Fig. 7)", runF7)
-	register("F8", "Effect of VBA translation latency on read bandwidth (Fig. 8)", runF8)
+	registerCells("F7", "Random read latency breakdown (Fig. 7)", cellsF7)
+	registerCells("F8", "Effect of VBA translation latency on read bandwidth (Fig. 8)", cellsF8)
 	registerCells("F9", "Random read latency and IOPS vs thread count (Fig. 9)", cellsF9)
 }
 
@@ -55,7 +55,7 @@ var fioP99Col = column{head: "p99 (µs)", scale: 1e3, span: "p99 span (µs)", on
 // mean latency (µs), p99 latency (ns) and perf's throughput figure.
 func fioCell(o Options, g fio.Group, perf func(*fio.GroupResult) float64) func(int64) ([]float64, error) {
 	return func(seed int64) ([]float64, error) {
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.observersAt(seed)}, []fio.Group{g})
+		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{g})
 		if err != nil {
 			return nil, fmt.Errorf("%s write=%t bs=%d threads=%d: %w", g.Engine, g.Write, g.BS, g.Threads, err)
 		}
@@ -91,102 +91,81 @@ func cellsF6(o Options) *cellReport {
 	return rep
 }
 
-func runF7(o Options) (*Report, error) {
-	type cell struct {
-		bs  int
-		eng core.Engine
+func cellsF7(o Options) *cellReport {
+	tb := &cellTable{
+		title: "Fig. 7: random read latency breakdown",
+		keys:  []string{"block size", "system"},
+		cols:  plain("user (µs)", "kernel (µs)", "device (µs)", "total (µs)"),
 	}
-	var cells []cell
 	for _, bs := range blockSizes(o.Quick) {
-		for _, e := range []core.Engine{core.EngineSync, core.EngineBypassD} {
-			cells = append(cells, cell{bs, e})
+		for _, eng := range []core.Engine{core.EngineSync, core.EngineBypassD} {
+			tb.cells = append(tb.cells, Cell{
+				key: []string{sizeLabel(int64(bs)), string(eng)},
+				run: func(seed int64) ([]float64, error) {
+					res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{{
+						Name: "m", Engine: eng, BS: bs, Threads: 1,
+						OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
+					}})
+					if err != nil {
+						return nil, err
+					}
+					r := res["m"]
+					var user, kern, dev sim.Time
+					total := r.Lat.Mean()
+					if eng == core.EngineBypassD {
+						// Instrumented in UserLib: device = submit..complete
+						// (incl. VBA translation); user = the rest.
+						dev = r.DeviceNS / sim.Time(r.Ops)
+						user = total - dev
+					} else {
+						// Sync path: software layers are the calibrated
+						// constants; the rest is device time.
+						cfg := kernel.DefaultConfig()
+						kern = cfg.VFSCost + cfg.BlockLayer + cfg.DriverSubmit +
+							sim.Time((bs-1)/4096)*cfg.VFSPerPage
+						user = cfg.SyscallEnter + cfg.SyscallExit
+						dev = total - kern - user
+					}
+					return []float64{user.Micros(), kern.Micros(), dev.Micros(), total.Micros()}, nil
+				},
+			})
 		}
 	}
-	type split struct{ user, kern, dev, total sim.Time }
-	splits, err := sweepMap(o, len(cells), func(i int) (split, error) {
-		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: o.observers()}, []fio.Group{{
-			Name: "m", Engine: c.eng, BS: c.bs, Threads: 1,
-			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
-		}})
-		if err != nil {
-			return split{}, err
-		}
-		r := res["m"]
-		s := split{total: r.Lat.Mean()}
-		if c.eng == core.EngineBypassD {
-			// Instrumented in UserLib: device = submit..complete
-			// (incl. VBA translation); user = the rest.
-			s.dev = r.DeviceNS / sim.Time(r.Ops)
-			s.user = s.total - s.dev
-		} else {
-			// Sync path: software layers are the calibrated
-			// constants; the rest is device time.
-			cfg := kernel.DefaultConfig()
-			s.kern = cfg.VFSCost + cfg.BlockLayer + cfg.DriverSubmit +
-				sim.Time((c.bs-1)/4096)*cfg.VFSPerPage
-			s.user = cfg.SyscallEnter + cfg.SyscallExit
-			s.dev = s.total - s.kern - s.user
-		}
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("Fig. 7: random read latency breakdown",
-		"block size", "system", "user (µs)", "kernel (µs)", "device (µs)", "total (µs)")
-	for i, c := range cells {
-		s := splits[i]
-		tb.AddRow(sizeLabel(int64(c.bs)), string(c.eng), s.user.Micros(), s.kern.Micros(), s.dev.Micros(), s.total.Micros())
-	}
-	return &Report{ID: "F7", Title: "latency breakdown", Tables: []*stats.Table{tb},
-		Notes: []string{"bypassd 'user' is dominated by the user↔DMA copy at large blocks"}}, nil
+	return &cellReport{title: "latency breakdown", tables: []*cellTable{tb},
+		notes: []string{"bypassd 'user' is dominated by the user↔DMA copy at large blocks"}}
 }
 
-func runF8(o Options) (*Report, error) {
-	delays := []sim.Time{0, 350, 550, 950, 1350}
-	type cell struct {
-		bs    int
-		delay sim.Time // -1 marks the sync reference row
+func cellsF8(o Options) *cellReport {
+	tb := &cellTable{
+		title: "Fig. 8: single-thread read bandwidth vs VBA translation latency",
+		keys:  []string{"block size", "translation (ns)"},
+		cols:  plain("bandwidth (GB/s)"),
 	}
-	var cells []cell
 	for _, bs := range blockSizes(o.Quick) {
-		for _, d := range delays {
-			cells = append(cells, cell{bs, d})
-		}
-		cells = append(cells, cell{bs, -1})
-	}
-	bws, err := sweepMap(o, len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		g := fio.Group{
-			Name: "m", Engine: core.EngineBypassD, BS: c.bs, Threads: 1,
-			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
-		}
-		delay := c.delay
-		if c.delay < 0 { // sync reference
-			g.Engine = core.EngineSync
-			delay = -1
-		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: delay, Seed: o.Seed, Observers: o.observers()}, []fio.Group{g})
-		if err != nil {
-			return 0, err
-		}
-		return res["m"].Bandwidth() / 1e9, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("Fig. 8: single-thread read bandwidth vs VBA translation latency",
-		"block size", "translation (ns)", "bandwidth (GB/s)")
-	for i, c := range cells {
-		if c.delay < 0 {
-			tb.AddRow(sizeLabel(int64(c.bs)), "sync", bws[i])
-		} else {
-			tb.AddRow(sizeLabel(int64(c.bs)), int64(c.delay), bws[i])
+		// A delay of -1 is the sync reference row.
+		for _, delay := range []sim.Time{0, 350, 550, 950, 1350, -1} {
+			g := fio.Group{
+				Name: "m", Engine: core.EngineBypassD, BS: bs, Threads: 1,
+				OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
+			}
+			label := fmt.Sprint(int64(delay))
+			if delay < 0 {
+				g.Engine, label = core.EngineSync, "sync"
+			}
+			tb.cells = append(tb.cells, Cell{
+				key: []string{sizeLabel(int64(bs)), label},
+				run: func(seed int64) ([]float64, error) {
+					res, err := fio.Run(fio.Spec{VBAFixedLatency: delay, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{g})
+					if err != nil {
+						return nil, err
+					}
+					return []float64{res["m"].Bandwidth() / 1e9}, nil
+				},
+			})
 		}
 	}
-	return &Report{ID: "F8", Title: "translation latency sensitivity", Tables: []*stats.Table{tb},
-		Notes: []string{"even at 1350ns, bypassd stays well above sync (paper Fig. 8)"}}, nil
+	return &cellReport{title: "translation latency sensitivity", tables: []*cellTable{tb},
+		notes: []string{"even at 1350ns, bypassd stays well above sync (paper Fig. 8)"}}
 }
 
 func cellsF9(o Options) *cellReport {

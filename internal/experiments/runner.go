@@ -3,7 +3,6 @@ package experiments
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -17,12 +16,12 @@ type RunResult struct {
 	Wall       time.Duration
 }
 
-// Runner executes a set of experiments over a worker pool. Workers
-// pull the next unstarted experiment from a shared index (dynamic
-// scheduling: a worker that finishes a short harness immediately
-// steals the next one rather than idling behind a long one), and
-// results are returned in the callers' submission order, so rendering
-// them is byte-identical to a sequential run.
+// Runner executes a set of experiments over sweepMap's worker pool.
+// Workers pull the next unstarted experiment from a shared index
+// (dynamic scheduling: a worker that finishes a short harness
+// immediately steals the next one rather than idling behind a long
+// one), and results are returned in the callers' submission order, so
+// rendering them is byte-identical to a sequential run.
 //
 // Every experiment boots its own simulated systems and shares no
 // mutable state with the others, which is what makes this safe — the
@@ -58,33 +57,10 @@ func (r *Runner) Run(exps []Experiment, o Options) []RunResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	results := make([]RunResult, len(exps))
-	if workers <= 1 {
-		for i, e := range exps {
-			results[i] = r.runOne(e, o)
-		}
-		return results
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(exps) {
-					return
-				}
-				results[i] = r.runOne(exps[i], o)
-			}
-		}()
-	}
-	wg.Wait()
+	// runOne never fails: each experiment's error stays in its result.
+	results, _ := sweepMap(Options{Parallelism: workers}, len(exps), func(i int) (RunResult, error) {
+		return r.runOne(exps[i], o), nil
+	})
 	return results
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/ext4"
@@ -11,108 +12,86 @@ import (
 )
 
 func init() {
-	register("F10", "Aggregate write bandwidth with multiple writer processes (Fig. 10)", runF10)
-	register("F11", "Read latency with background reader processes (Fig. 11)", runF11)
+	registerCells("F10", "Aggregate write bandwidth with multiple writer processes (Fig. 10)", cellsF10)
+	registerCells("F11", "Read latency with background reader processes (Fig. 11)", cellsF11)
 	register("F12", "Throughput timeline across access revocation (Fig. 12)", runF12)
 }
 
-func runF10(o Options) (*Report, error) {
+func cellsF10(o Options) *cellReport {
 	procs := []int{1, 2, 4, 8, 16}
 	ops := 300
 	if o.Quick {
 		procs = []int{1, 4}
 		ops = 80
 	}
-	engines := []core.Engine{core.EngineSync, core.EngineLibaio, core.EngineUring, core.EngineSPDK, core.EngineBypassD}
-	type cell struct {
-		n   int
-		eng core.Engine
+	tb := &cellTable{
+		title: "Fig. 10: aggregate 4KB write bandwidth, private file per process",
+		keys:  []string{"processes", "engine"},
+		// NaN marks the paper's empty SPDK bars: no multi-process sharing.
+		cols: []column{{head: "bandwidth (MB/s)", fmt: orNA("n/a (cannot share)")}},
 	}
-	var cells []cell
 	for _, n := range procs {
-		for _, e := range engines {
-			cells = append(cells, cell{n, e})
+		for _, eng := range []core.Engine{core.EngineSync, core.EngineLibaio, core.EngineUring, core.EngineSPDK, core.EngineBypassD} {
+			tb.cells = append(tb.cells, Cell{
+				key: []string{fmt.Sprint(n), string(eng)},
+				run: func(seed int64) ([]float64, error) {
+					res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{{
+						Name: "w", Engine: eng, Write: true, BS: 4096, Threads: n,
+						OpsPerThread: ops, FileBytes: 16 << 20, ProcessPerThread: true,
+					}})
+					if err != nil {
+						if eng == core.EngineSPDK && n > 1 {
+							return []float64{math.NaN()}, nil
+						}
+						return nil, err
+					}
+					return []float64{res["w"].Bandwidth() / 1e6}, nil
+				},
+			})
 		}
 	}
-	type point struct {
-		bw float64
-		na bool // the paper's empty SPDK bars: no multi-process sharing
-	}
-	points, err := sweepMap(o, len(cells), func(i int) (point, error) {
-		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: o.observers()}, []fio.Group{{
-			Name: "w", Engine: c.eng, Write: true, BS: 4096, Threads: c.n,
-			OpsPerThread: ops, FileBytes: 16 << 20, ProcessPerThread: true,
-		}})
-		if err != nil {
-			if c.eng == core.EngineSPDK && c.n > 1 {
-				return point{na: true}, nil
-			}
-			return point{}, err
-		}
-		return point{bw: res["w"].Bandwidth() / 1e6}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("Fig. 10: aggregate 4KB write bandwidth, private file per process",
-		"processes", "engine", "bandwidth (MB/s)")
-	for i, c := range cells {
-		if points[i].na {
-			tb.AddRow(c.n, string(c.eng), "n/a (cannot share)")
-		} else {
-			tb.AddRow(c.n, string(c.eng), points[i].bw)
-		}
-	}
-	return &Report{ID: "F10", Title: "device sharing bandwidth", Tables: []*stats.Table{tb},
-		Notes: []string{"bypassd sustains the highest aggregate bandwidth at every process count"}}, nil
+	return &cellReport{title: "device sharing bandwidth", tables: []*cellTable{tb},
+		notes: []string{"bypassd sustains the highest aggregate bandwidth at every process count"}}
 }
 
-func runF11(o Options) (*Report, error) {
+func cellsF11(o Options) *cellReport {
 	readers := []int{0, 1, 2, 4, 8, 12, 16}
 	ops := 300
 	if o.Quick {
 		readers = []int{0, 4, 16}
 		ops = 80
 	}
-	type cell struct {
-		n   int
-		eng core.Engine
+	tb := &cellTable{
+		title: "Fig. 11: 4KB random read latency vs background readers",
+		keys:  []string{"background readers", "system"},
+		cols:  plain("latency (µs)"),
 	}
-	var cells []cell
 	for _, n := range readers {
-		for _, e := range []core.Engine{core.EngineSync, core.EngineBypassD} {
-			cells = append(cells, cell{n, e})
-		}
-	}
-	lats, err := sweepMap(o, len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		groups := []fio.Group{{
-			Name: "fg", Engine: c.eng, BS: 4096, Threads: 1,
-			OpsPerThread: ops, FileBytes: 16 << 20, ProcessPerThread: true,
-		}}
-		if c.n > 0 {
-			groups = append(groups, fio.Group{
-				Name: "bg", Engine: core.EngineSync, BS: 4096, Threads: c.n,
-				OpsPerThread: 0, FileBytes: 16 << 20, ProcessPerThread: true,
+		for _, eng := range []core.Engine{core.EngineSync, core.EngineBypassD} {
+			groups := []fio.Group{{
+				Name: "fg", Engine: eng, BS: 4096, Threads: 1,
+				OpsPerThread: ops, FileBytes: 16 << 20, ProcessPerThread: true,
+			}}
+			if n > 0 {
+				groups = append(groups, fio.Group{
+					Name: "bg", Engine: core.EngineSync, BS: 4096, Threads: n,
+					OpsPerThread: 0, FileBytes: 16 << 20, ProcessPerThread: true,
+				})
+			}
+			tb.cells = append(tb.cells, Cell{
+				key: []string{fmt.Sprint(n), string(eng)},
+				run: func(seed int64) ([]float64, error) {
+					res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.at(seed).observers()}, groups)
+					if err != nil {
+						return nil, err
+					}
+					return []float64{res["fg"].Lat.Mean().Micros()}, nil
+				},
 			})
 		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: o.observers()}, groups)
-		if err != nil {
-			return 0, err
-		}
-		return res["fg"].Lat.Mean().Micros(), nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	tb := stats.NewTable("Fig. 11: 4KB random read latency vs background readers",
-		"background readers", "system", "latency (µs)")
-	for i, c := range cells {
-		tb.AddRow(c.n, string(c.eng), lats[i])
-	}
-	return &Report{ID: "F11", Title: "device-side fairness", Tables: []*stats.Table{tb},
-		Notes: []string{"round-robin queue arbitration keeps bypassd below sync at every load point"}}, nil
+	return &cellReport{title: "device-side fairness", tables: []*cellTable{tb},
+		notes: []string{"round-robin queue arbitration keeps bypassd below sync at every load point"}}
 }
 
 // runF12 traces one reader's throughput across a revocation event:

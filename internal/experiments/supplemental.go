@@ -7,52 +7,48 @@ import (
 	"repro/internal/ext4"
 	"repro/internal/kernel"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/userlib"
 )
 
 func init() {
-	register("S1", "Supplemental: BypassD's benefit across device generations (§1/§2 motivation)", runS1)
+	registerCells("S1", "Supplemental: BypassD's benefit across device generations (§1/§2 motivation)", cellsS1)
 }
 
-// runS1 quantifies the paper's motivating claim — "as devices get
+// cellsS1 quantifies the paper's motivating claim — "as devices get
 // faster, the relative [software] overhead will only worsen" — by
 // measuring the sync-vs-BypassD gap on three device classes: a
 // mainstream TLC SSD, a low-latency NAND device (Z-SSD class), and
 // the Optane-class device of the evaluation.
-func runS1(o Options) (*Report, error) {
+func cellsS1(o Options) *cellReport {
 	ops := 150
 	if o.Quick {
 		ops = 50
 	}
-	devices := []struct {
+	tb := &cellTable{
+		title: "S1: 4KB random read, sync vs bypassd, by device class",
+		keys:  []string{"device"},
+		cols: append(plain("sync (µs)", "bypassd (µs)"),
+			column{head: "improvement", fmt: func(v float64) string { return fmt.Sprintf("%.0f%%", v) }}),
+	}
+	for _, d := range []struct {
 		label string
 		cfg   device.Config
 	}{
 		{"tlc-nvme (~80µs reads)", device.TLCFlash(1 << 30)},
 		{"z-ssd (~12µs reads)", device.ZSSD(1 << 30)},
 		{"optane (~4µs reads)", device.OptaneP5800X(1 << 30)},
+	} {
+		tb.cells = append(tb.cells, Cell{key: []string{d.label}, run: func(seed int64) ([]float64, error) {
+			syncLat, bypLat, err := runS1Device(o.at(seed), d.cfg, ops)
+			if err != nil {
+				return nil, fmt.Errorf("S1 %s: %w", d.label, err)
+			}
+			imp := 100 * (1 - float64(bypLat)/float64(syncLat))
+			return []float64{syncLat.Micros(), bypLat.Micros(), imp}, nil
+		}})
 	}
-	type point struct{ syncLat, bypLat sim.Time }
-	points, err := sweepMap(o, len(devices), func(i int) (point, error) {
-		syncLat, bypLat, err := runS1Device(o, devices[i].cfg, ops)
-		if err != nil {
-			return point{}, fmt.Errorf("S1 %s: %w", devices[i].label, err)
-		}
-		return point{syncLat, bypLat}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("S1: 4KB random read, sync vs bypassd, by device class",
-		"device", "sync (µs)", "bypassd (µs)", "improvement")
-	for i, d := range devices {
-		p := points[i]
-		imp := 100 * (1 - float64(p.bypLat)/float64(p.syncLat))
-		tb.AddRow(d.label, p.syncLat.Micros(), p.bypLat.Micros(), fmt.Sprintf("%.0f%%", imp))
-	}
-	return &Report{ID: "S1", Title: "device generality", Tables: []*stats.Table{tb},
-		Notes: []string{"the software stack is a fixed ~3.8µs tax: negligible on TLC, dominant on Optane"}}, nil
+	return &cellReport{title: "device generality", tables: []*cellTable{tb},
+		notes: []string{"the software stack is a fixed ~3.8µs tax: negligible on TLC, dominant on Optane"}}
 }
 
 func runS1Device(o Options, dcfg device.Config, ops int) (syncLat, bypLat sim.Time, err error) {

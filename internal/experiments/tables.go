@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/ext4"
@@ -17,7 +18,7 @@ func init() {
 	register("T1", "Latency breakdown of 4KB read() on Optane SSD (Table 1)", runT1)
 	register("T2", "Lines of code of the reproduction (Table 2 analogue)", runT2)
 	register("T4", "IOMMU translation overheads: IOAT DMA copy latency (Table 4)", runT4)
-	register("T5", "fmap() overheads by file size (Table 5)", runT5)
+	registerCells("T5", "fmap() overheads by file size (Table 5)", cellsT5)
 }
 
 // runT1 measures one synchronous 4 KiB read and decomposes it using
@@ -117,19 +118,11 @@ func runT2(o Options) (*Report, error) {
 	for k := range counts {
 		keys = append(keys, k)
 	}
-	for _, k := range sortStrings(keys) {
+	sort.Strings(keys)
+	for _, k := range keys {
 		tb.AddRow(k, counts[k])
 	}
 	return &Report{ID: "T2", Title: "implementation size", Tables: []*stats.Table{tb}}, nil
-}
-
-func sortStrings(s []string) []string {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return s
 }
 
 // runT4 reproduces the IOAT DMA experiment.
@@ -155,98 +148,102 @@ func runT4(o Options) (*Report, error) {
 		Notes: []string{"paper: 1120 / 1134 / 1317 ns"}}, nil
 }
 
-// runT5 measures open, open+warm fmap, and open+cold fmap.
-func runT5(o Options) (*Report, error) {
+// cellsT5 measures open, open+warm fmap, and open+cold fmap.
+func cellsT5(o Options) *cellReport {
 	sizes := []int64{4 << 10, 1 << 20, 64 << 20, 256 << 20, 1 << 30}
 	if !o.Quick {
 		sizes = append(sizes, 16<<30)
 	}
-	type point struct{ open, warm, cold sim.Time }
-	points, err := sweepMap(o, len(sizes), func(ci int) (point, error) {
-		size := sizes[ci]
-		capacity := size*2 + (256 << 20)
-		sys, err := o.boot(capacity)
-		if err != nil {
-			return point{}, err
-		}
-		var openT, warmT, coldT sim.Time
-		var runErr error
-		sys.Sim.Spawn("t5", func(p *sim.Proc) {
-			pr := sys.NewProcess(ext4.Root)
-			fd, err := pr.Create(p, "/big", 0o666)
-			if err != nil {
-				runErr = err
-				return
-			}
-			if err := pr.Fallocate(p, fd, size); err != nil {
-				runErr = err
-				return
-			}
-			if err := pr.Fsync(p, fd); err != nil {
-				runErr = err
-				return
-			}
-			if err := pr.Close(p, fd); err != nil {
-				runErr = err
-				return
-			}
-
-			// Row 1: plain open.
-			pr1 := sys.NewProcess(ext4.Root)
-			start := p.Now()
-			ofd, err := pr1.Open(p, "/big", false)
-			if err != nil {
-				runErr = err
-				return
-			}
-			openT = p.Now() - start
-			if err := pr1.Close(p, ofd); err != nil {
-				runErr = err
-				return
-			}
-
-			// Row 3: cold fmap (file table not cached).
-			in, err := sys.M.FS.Lookup(p, "/big", ext4.Root)
-			if err != nil {
-				runErr = err
-				return
-			}
-			in.DropFileTable()
-			pr2 := sys.NewProcess(ext4.Root)
-			start = p.Now()
-			_, base, err := pr2.OpenBypass(p, "/big", false)
-			if err != nil || base == 0 {
-				runErr = fmt.Errorf("cold fmap: base=%d err=%v", base, err)
-				return
-			}
-			coldT = p.Now() - start
-
-			// Row 2: warm fmap (file table cached in the inode).
-			pr3 := sys.NewProcess(ext4.Root)
-			start = p.Now()
-			_, base, err = pr3.OpenBypass(p, "/big", false)
-			if err != nil || base == 0 {
-				runErr = fmt.Errorf("warm fmap: base=%d err=%v", base, err)
-				return
-			}
-			warmT = p.Now() - start
+	tb := &cellTable{
+		title: "Table 5: fmap() overheads",
+		keys:  []string{"file size"},
+		cols:  plain("open (µs)", "open+warm fmap (µs)", "open+cold fmap (µs)"),
+	}
+	for _, size := range sizes {
+		tb.cells = append(tb.cells, Cell{
+			key: []string{sizeLabel(size)},
+			run: func(seed int64) ([]float64, error) { return runT5(o.at(seed), size) },
 		})
-		sys.Sim.Run()
-		sys.Close()
-		if runErr != nil {
-			return point{}, runErr
-		}
-		return point{openT, warmT, coldT}, nil
-	})
+	}
+	return &cellReport{title: "fmap() overheads", notes: []string{"paper 64MB row: 1.74 / 2.76 / 85.51 µs"},
+		tables: []*cellTable{tb}}
+}
+
+// runT5 times the three ways to open one file of size bytes.
+func runT5(o Options, size int64) ([]float64, error) {
+	capacity := size*2 + (256 << 20)
+	sys, err := o.boot(capacity)
 	if err != nil {
 		return nil, err
 	}
-	tb := stats.NewTable("Table 5: fmap() overheads", "file size", "open (µs)", "open+warm fmap (µs)", "open+cold fmap (µs)")
-	for i, size := range sizes {
-		tb.AddRow(sizeLabel(size), points[i].open.Micros(), points[i].warm.Micros(), points[i].cold.Micros())
+	var openT, warmT, coldT sim.Time
+	var runErr error
+	sys.Sim.Spawn("t5", func(p *sim.Proc) {
+		pr := sys.NewProcess(ext4.Root)
+		fd, err := pr.Create(p, "/big", 0o666)
+		if err != nil {
+			runErr = err
+			return
+		}
+		if err := pr.Fallocate(p, fd, size); err != nil {
+			runErr = err
+			return
+		}
+		if err := pr.Fsync(p, fd); err != nil {
+			runErr = err
+			return
+		}
+		if err := pr.Close(p, fd); err != nil {
+			runErr = err
+			return
+		}
+
+		// Row 1: plain open.
+		pr1 := sys.NewProcess(ext4.Root)
+		start := p.Now()
+		ofd, err := pr1.Open(p, "/big", false)
+		if err != nil {
+			runErr = err
+			return
+		}
+		openT = p.Now() - start
+		if err := pr1.Close(p, ofd); err != nil {
+			runErr = err
+			return
+		}
+
+		// Row 3: cold fmap (file table not cached).
+		in, err := sys.M.FS.Lookup(p, "/big", ext4.Root)
+		if err != nil {
+			runErr = err
+			return
+		}
+		in.DropFileTable()
+		pr2 := sys.NewProcess(ext4.Root)
+		start = p.Now()
+		_, base, err := pr2.OpenBypass(p, "/big", false)
+		if err != nil || base == 0 {
+			runErr = fmt.Errorf("cold fmap: base=%d err=%v", base, err)
+			return
+		}
+		coldT = p.Now() - start
+
+		// Row 2: warm fmap (file table cached in the inode).
+		pr3 := sys.NewProcess(ext4.Root)
+		start = p.Now()
+		_, base, err = pr3.OpenBypass(p, "/big", false)
+		if err != nil || base == 0 {
+			runErr = fmt.Errorf("warm fmap: base=%d err=%v", base, err)
+			return
+		}
+		warmT = p.Now() - start
+	})
+	sys.Sim.Run()
+	sys.Close()
+	if runErr != nil {
+		return nil, runErr
 	}
-	return &Report{ID: "T5", Title: "fmap() overheads", Tables: []*stats.Table{tb},
-		Notes: []string{"paper 64MB row: 1.74 / 2.76 / 85.51 µs"}}, nil
+	return []float64{openT.Micros(), warmT.Micros(), coldT.Micros()}, nil
 }
 
 func sizeLabel(b int64) string {

@@ -6,8 +6,17 @@ import (
 	"testing"
 )
 
-// trialedIDs are the harnesses with a multi-trial rendering path.
-var trialedIDs = []string{"T7", "T8", "T9", "T10", "F6", "F9"}
+// trialedIDs lists, in run order, the harnesses declared as cells:
+// the ones with a multi-trial rendering path.
+func trialedIDs() []string {
+	var ids []string
+	for _, e := range All() {
+		if e.cells != nil {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
+}
 
 func TestTrialSeedDerivation(t *testing.T) {
 	o := Options{Seed: 42}
@@ -37,7 +46,7 @@ func TestTrialSeedDerivation(t *testing.T) {
 func TestMultiTrialTablesDeterministic(t *testing.T) {
 	render := func(par int) string {
 		var b strings.Builder
-		for _, id := range trialedIDs {
+		for _, id := range trialedIDs() {
 			e, ok := ByID(id)
 			if !ok {
 				t.Fatalf("experiment %s not registered", id)
@@ -69,7 +78,7 @@ func TestMultiTrialTablesDeterministic(t *testing.T) {
 // take the historical single-trial path, byte for byte, with none of
 // the CI columns.
 func TestTrialsDefaultByteIdentical(t *testing.T) {
-	for _, id := range trialedIDs {
+	for _, id := range trialedIDs() {
 		e, _ := ByID(id)
 		def, err := e.Run(Options{Quick: true, Seed: 1})
 		if err != nil {
