@@ -48,7 +48,13 @@ func (pr *Process) FmapRegion(p *sim.Proc, fd int) (uint64, error) {
 		return 0, nil
 	}
 	if f.Bypass != nil {
-		return f.Bypass.Base, nil
+		if !f.Bypass.Revoked {
+			return f.Bypass.Base, nil
+		}
+		// As in Fmap: re-map past an attachment a Revoke withdrew; the
+		// new attachment's open-count replaces the dead one's.
+		f.Bypass = nil
+		in.BypassOpens--
 	}
 
 	span := uint64(in.AllocatedBlocks()) * ext4.BlockSize

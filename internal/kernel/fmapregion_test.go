@@ -185,3 +185,73 @@ func TestFmapRegionGrowth(t *testing.T) {
 	s.Run()
 	s.Shutdown()
 }
+
+// After Revoke then Restore, fmap on the same descriptor must re-map
+// rather than hand back the withdrawn base: on both the FTE and the
+// extent-table path, a direct read through the returned VBA succeeds.
+func TestFmapAfterRevokeRestore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fmap func(pr *Process, p *sim.Proc, fd int) (uint64, error)
+	}{
+		{"fte", (*Process).Fmap},
+		{"region", (*Process).FmapRegion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, m := newMachine(t)
+			pr := m.NewProcess(ext4.Root)
+			data := make([]byte, 16384)
+			for i := range data {
+				data[i] = byte(i / 5)
+			}
+			s.Spawn("app", func(p *sim.Proc) {
+				mkFile(t, p, pr, "/f", data)
+				fd, err := openNoFmap(p, pr, "/f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if base, err := tc.fmap(pr, p, fd); err != nil || base == 0 {
+					t.Errorf("first fmap: base=%d err=%v", base, err)
+					return
+				}
+				in, err := m.FS.Lookup(p, "/f", pr.Cred)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m.Revoke(in)
+				m.Restore(in)
+				base, err := tc.fmap(pr, p, fd)
+				if err != nil || base == 0 {
+					t.Errorf("fmap after restore: base=%d err=%v", base, err)
+					return
+				}
+				q, err := pr.CreateUserQueue(p, 16)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				buf := make([]byte, 4096)
+				if err := q.Submit(nvme.SQE{Opcode: nvme.OpRead, CID: 1, UseVBA: true, VBA: base + 4096, Sectors: 8, Buf: buf}); err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					if c, ok := q.PopCQE(); ok {
+						if !c.Status.OK() {
+							t.Errorf("read after restore: %v", c.Status)
+						}
+						break
+					}
+					q.CQReady.Wait(p)
+				}
+				if !bytes.Equal(buf, data[4096:8192]) {
+					t.Error("read after restore returned wrong data")
+				}
+			})
+			s.Run()
+			s.Shutdown()
+		})
+	}
+}
