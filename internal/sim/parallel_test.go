@@ -145,7 +145,6 @@ func TestParallelDrainCoupledAPIsPanic(t *testing.T) {
 		"After":       func(s *Sim) { s.After(0, func() {}) },
 		"Spawn":       func(s *Sim) { s.Spawn("x", func(*Proc) {}) },
 		"SpawnAt":     func(s *Sim) { s.SpawnAt(s.Now(), "x", func(*Proc) {}) },
-		"SpawnArg":    func(s *Sim) { s.SpawnArg("x", func(*Proc, any) {}, nil) },
 		"NewResource": func(s *Sim) { s.NewResource("x", 1) },
 	}
 	for api, call := range calls {

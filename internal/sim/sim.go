@@ -651,19 +651,6 @@ func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnArg is Spawn for hot paths: fn is a shared, pre-built function
-// value and arg carries the per-spawn state, so spawning allocates no
-// closure. Pointer-typed args avoid the interface boxing allocation.
-// Like Spawn, it panics inside a parallel drain (use Proc.SpawnArg).
-func (s *Sim) SpawnArg(name string, fn func(p *Proc, arg any), arg any) *Proc {
-	s.coupledOnly("SpawnArg")
-	p := s.allocProcOn(s.curShard(), name)
-	p.fnArg = fn
-	p.arg = arg
-	s.postResume(s.now, p)
-	return p
-}
-
 // curShard is the spawn affinity of the coupled dispatch context.
 func (s *Sim) curShard() int {
 	if s.noShard {
@@ -683,7 +670,10 @@ func (p *Proc) Spawn(name string, fn func(q *Proc)) *Proc {
 	return q
 }
 
-// SpawnArg is the closure-free Spawn from a proc context.
+// SpawnArg is Proc.Spawn for hot paths: fn is a shared, pre-built
+// function value and arg carries the per-spawn state, so spawning
+// allocates no closure. Pointer-typed args avoid the interface boxing
+// allocation.
 func (p *Proc) SpawnArg(name string, fn func(q *Proc, arg any), arg any) *Proc {
 	s := p.sim
 	q := s.allocProcOn(p.shard, name)

@@ -188,7 +188,6 @@ func ValidShape(name Shape) bool {
 
 // StreamConfig describes one arrival stream.
 type StreamConfig struct {
-	Proc    Process // default Poisson
 	RateOps float64 // mean offered rate, requests/sec
 	Shape   Shape   // default Steady
 
@@ -197,10 +196,9 @@ type StreamConfig struct {
 	Period sim.Time // one "day"; default 100ms of virtual time
 
 	// Bursty knobs.
-	Factor    float64  // burst rate multiplier; default 8
-	BurstLen  sim.Time // mean burst length; default 200µs
-	BurstOff  sim.Time // mean calm gap between bursts; default 2ms
-	BurstProc Process  // unused; reserved
+	Factor   float64  // burst rate multiplier; default 8
+	BurstLen sim.Time // mean burst length; default 200µs
+	BurstOff sim.Time // mean calm gap between bursts; default 2ms
 }
 
 // Stream generates one seeded arrival stream with a (possibly
@@ -224,9 +222,6 @@ type Stream struct {
 func NewStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.RateOps <= 0 {
 		return nil, fmt.Errorf("workload: rate must be positive, got %g", cfg.RateOps)
-	}
-	if !ValidProcess(cfg.Proc) {
-		return nil, fmt.Errorf("workload: unknown arrival process %q", cfg.Proc)
 	}
 	if !ValidShape(cfg.Shape) {
 		return nil, fmt.Errorf("workload: unknown load shape %q", cfg.Shape)
@@ -307,12 +302,11 @@ func (s *Stream) rateAt(rng *rand.Rand, t sim.Time) float64 {
 }
 
 // Next returns the gap from now to the stream's next arrival. Steady
-// streams are exactly Interarrival; shaped streams thin a Poisson
-// envelope at the peak rate, so Fixed pacing only applies to the
-// steady shape.
+// streams draw Poisson interarrivals; shaped streams thin a Poisson
+// envelope at the peak rate.
 func (s *Stream) Next(rng *rand.Rand, now sim.Time) sim.Time {
 	if s.cfg.Shape == "" || s.cfg.Shape == Steady {
-		return Interarrival(rng, s.cfg.Proc, s.cfg.RateOps)
+		return Interarrival(rng, Poisson, s.cfg.RateOps)
 	}
 	t := now
 	for {

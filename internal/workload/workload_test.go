@@ -200,7 +200,6 @@ func TestStreamValidation(t *testing.T) {
 	for _, cfg := range []StreamConfig{
 		{RateOps: 0},
 		{RateOps: -5},
-		{RateOps: 10, Proc: "weibull"},
 		{RateOps: 10, Shape: "square"},
 		{RateOps: 10, Shape: Diurnal, Amp: 1.5},
 		{RateOps: 10, Shape: Bursty, Factor: 0.5},
