@@ -5,6 +5,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/fio"
+	"repro/internal/iommu"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -28,8 +29,8 @@ func cellsA1(o Options) *cellReport {
 	cols := plain("latency (µs)", "bandwidth (GB/s)")
 	tb := &cellTable{title: "A1: 4KB random read with and without FTE caching", keys: []string{"FTE caching"}, cols: cols,
 		cells: []Cell{
-			a1Cell(o, "off (paper default)", fio.Spec{VBAFixedLatency: -1}, ops),
-			a1Cell(o, "on", fio.Spec{VBAFixedLatency: -1, CacheFTEs: true}, ops),
+			a1Cell(o, "off (paper default)", nil, ops),
+			a1Cell(o, "on", func(c *iommu.Config) { c.CacheFTEs = true }, ops),
 		}}
 	// Paging-structure-cache sweep: the same workload with the PWC
 	// disabled, at the byte-identity default (hits priced like full
@@ -37,12 +38,10 @@ func cellsA1(o Options) *cellReport {
 	// levels saved off the walk and off the 550ns floor).
 	tp := &cellTable{title: "A1b: 4KB random read vs paging-structure cache model", keys: []string{"PWC"}, cols: cols,
 		cells: []Cell{
-			a1Cell(o, "disabled", fio.Spec{VBAFixedLatency: -1, PWCEntries: -1}, ops),
-			a1Cell(o, "32 entries, hits priced as full walks (default)", fio.Spec{VBAFixedLatency: -1}, ops),
-			a1Cell(o, "32 entries, 61ns hit walk / 430ns floor", fio.Spec{
-				VBAFixedLatency:   -1,
-				PWCHitWalkLatency: 61 * sim.Nanosecond,
-				PWCMinTranslation: 430 * sim.Nanosecond,
+			a1Cell(o, "disabled", func(c *iommu.Config) { c.PWCEntries = 0 }, ops),
+			a1Cell(o, "32 entries, hits priced as full walks (default)", nil, ops),
+			a1Cell(o, "32 entries, 61ns hit walk / 430ns floor", func(c *iommu.Config) {
+				c.PWCHitWalkLatency, c.PWCMinTranslation = 61*sim.Nanosecond, 430*sim.Nanosecond
 			}, ops),
 		}}
 	return &cellReport{title: "IOTLB FTE caching", tables: []*cellTable{tb, tp},
@@ -52,13 +51,12 @@ func cellsA1(o Options) *cellReport {
 		}}
 }
 
-// a1Cell is one A1 row: 4KB random reads on BypassD under spec. A 1 MiB
-// working set fits the 256-entry IOTLB, giving FTE caching its best
-// case.
-func a1Cell(o Options, label string, spec fio.Spec, ops int) Cell {
+// a1Cell is one A1 row: 4KB random reads on BypassD with the IOMMU
+// configuration edited by mmu. A 1 MiB working set fits the 256-entry
+// IOTLB, giving FTE caching its best case.
+func a1Cell(o Options, label string, mmu func(*iommu.Config), ops int) Cell {
 	return Cell{key: []string{label}, run: func(seed int64) ([]float64, error) {
-		spec := spec
-		spec.Seed, spec.Observers = seed, o.at(seed).observers()
+		spec := fio.Spec{IOMMU: mmu, Seed: seed, Observers: o.at(seed).observers()}
 		res, err := fio.Run(spec, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
@@ -107,60 +105,24 @@ func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float6
 	defer sys.Close()
 
 	hist := stats.NewHistogram()
-	var runErr error
 	var start, end sim.Time
 	total := 0
-	started := 0
-	barrier := sys.Sim.NewCond()
-
-	sys.Sim.Spawn("a2", func(p *sim.Proc) {
-		pr := sys.NewProcess(ext4.Root)
-		fd, err := pr.Create(p, "/a2", 0o666)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Fallocate(p, fd, 64<<20); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Fsync(p, fd); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Close(p, fd); err != nil {
-			runErr = err
-			return
+	err = sys.M.Drive("a2", 1, func(p *sim.Proc, fail func(error)) error {
+		if err := mkfile(p, sys.NewProcess(ext4.Root), "/a2", 64<<20); err != nil {
+			return err
 		}
 
 		worker := sys.NewProcess(ext4.Root)
 		cfg := userlib.DefaultConfig()
 		cfg.ShareQueues = shared
 		lib := userlib.New(worker, cfg)
-		for t := 0; t < threads; t++ {
-			t := t
-			sys.Sim.Spawn("a2-worker", func(w *sim.Proc) {
-				th, err := lib.NewThread(w)
-				var lfd int
-				if err == nil {
-					lfd, err = lib.Open(w, "/a2", false)
-				}
-				started++
-				if err != nil {
-					runErr = err
-					if started == threads {
-						barrier.Broadcast()
-					}
-					return
-				}
-				if started == threads {
-					barrier.Broadcast()
-				} else {
-					barrier.Wait(w)
-				}
-				if runErr != nil {
-					return
-				}
+		startThreads(sys, "a2-worker", threads, fail, func(w *sim.Proc, t int) (func() error, error) {
+			th, err := lib.NewThread(w)
+			var lfd int
+			if err == nil {
+				lfd, err = lib.Open(w, "/a2", false)
+			}
+			return func() error {
 				if start == 0 {
 					start = w.Now()
 				}
@@ -170,8 +132,7 @@ func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float6
 					off := int64(rng.next()%(64<<20/4096)) * 4096
 					t0 := w.Now()
 					if _, err := th.Pread(w, lfd, buf, off); err != nil {
-						runErr = err
-						return
+						return err
 					}
 					hist.Add(w.Now() - t0)
 					total++
@@ -179,12 +140,13 @@ func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float6
 				if e := w.Now(); e > end {
 					end = e
 				}
-			})
-		}
+				return nil
+			}, err
+		})
+		return nil
 	})
-	sys.Sim.Run()
-	if runErr != nil {
-		return 0, 0, runErr
+	if err != nil {
+		return 0, 0, err
 	}
 	return hist.Mean(), stats.Throughput(int64(total), end-start), nil
 }
@@ -218,33 +180,29 @@ func runA3(o Options, strategy string, appends int) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer sys.Close()
 	hist := stats.NewHistogram()
-	var runErr error
-	sys.Sim.Spawn("a3", func(p *sim.Proc) {
+	err = sys.M.Drive("a3", 1, func(p *sim.Proc, _ func(error)) error {
 		pr := sys.NewProcess(ext4.Root)
 		fd0, err := pr.Create(p, "/log", 0o666)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		_ = pr.Close(p, fd0)
 		lib := sys.Lib(pr)
 		th, err := lib.NewThread(p)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		fd, err := lib.Open(p, "/log", true)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		var appender *userlib.StagingAppender
 		if strategy == "relink" {
 			appender, err = lib.NewStagingAppender(p, th, fd, "/log.stg", 64*4096)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		rec := make([]byte, 4096)
@@ -259,16 +217,14 @@ func runA3(o Options, strategy string, appends int) (sim.Time, error) {
 				_, err = th.Write(p, fd, rec)
 			}
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			hist.Add(p.Now() - t0)
 		}
+		return nil
 	})
-	sys.Sim.Run()
-	sys.Close()
-	if runErr != nil {
-		return 0, runErr
+	if err != nil {
+		return 0, err
 	}
 	return hist.Mean(), nil
 }
@@ -307,36 +263,19 @@ func runA4Once(o Options, serialize bool, ops int) (sim.Time, error) {
 	}
 	defer s.Shutdown()
 	hist := stats.NewHistogram()
-	var runErr error
-	s.Spawn("a4", func(p *sim.Proc) {
+	err = m.Drive("a4", 1, func(p *sim.Proc, _ func(error)) error {
 		pr := m.NewProcess(ext4.Root)
-		fd, err := pr.Create(p, "/a4", 0o666)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Fallocate(p, fd, 16<<20); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Fsync(p, fd); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Close(p, fd); err != nil {
-			runErr = err
-			return
+		if err := mkfile(p, pr, "/a4", 16<<20); err != nil {
+			return err
 		}
 		lib := userlib.New(pr, userlib.DefaultConfig())
 		th, err := lib.NewThread(p)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		lfd, err := lib.Open(p, "/a4", true)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		buf := make([]byte, 4096)
 		rng := newXorshift(uint64(o.Seed) + 5)
@@ -344,15 +283,14 @@ func runA4Once(o Options, serialize bool, ops int) (sim.Time, error) {
 			off := int64(rng.next()%(16<<20/4096)) * 4096
 			t0 := p.Now()
 			if _, err := th.Pwrite(p, lfd, buf, off); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			hist.Add(p.Now() - t0)
 		}
+		return nil
 	})
-	s.Run()
-	if runErr != nil {
-		return 0, runErr
+	if err != nil {
+		return 0, err
 	}
 	return hist.Mean(), nil
 }
@@ -371,64 +309,49 @@ func runA5(o Options) (*Report, error) {
 	}
 	defer sys.Close()
 	var syncThr, asyncThr float64
-	var runErr error
-	sys.Sim.Spawn("a5", func(p *sim.Proc) {
+	err = sys.M.Drive("a5", 1, func(p *sim.Proc, _ func(error)) error {
 		pr := sys.NewProcess(ext4.Root)
-		fd0, err := pr.Create(p, "/a5", 0o666)
-		if err != nil {
-			runErr = err
-			return
+		if err := mkfile(p, pr, "/a5", int64(writes)*4096); err != nil {
+			return err
 		}
-		if err := pr.Fallocate(p, fd0, int64(writes)*4096); err != nil {
-			runErr = err
-			return
-		}
-		_ = pr.Fsync(p, fd0)
-		_ = pr.Close(p, fd0)
 
 		lib := sys.Lib(pr)
 		th, err := lib.NewThread(p)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		fd, err := lib.Open(p, "/a5", true)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		buf := make([]byte, 4096)
 
 		start := p.Now()
 		for i := 0; i < writes; i++ {
 			if _, err := th.Pwrite(p, fd, buf, int64(i)*4096); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		syncThr = float64(writes) / (p.Now() - start).Seconds()
 
 		w, err := lib.NewAsyncWriter(p, 16, 4096)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		start = p.Now()
 		for i := 0; i < writes; i++ {
 			if _, err := w.Pwrite(p, fd, buf, int64(i)*4096); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		if err := w.Drain(p); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		asyncThr = float64(writes) / (p.Now() - start).Seconds()
+		return nil
 	})
-	sys.Sim.Run()
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	tb := stats.NewTable("A5: 4KB overwrite throughput, 1 thread",
 		"write mode", "Kops/s")
@@ -471,26 +394,16 @@ func runA6(o Options, extent bool, size int64, reads int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Close()
 	var fmapT sim.Time
 	var lat sim.Time
-	var runErr error
-	sys.Sim.Spawn("a6", func(p *sim.Proc) {
-		pr := sys.NewProcess(ext4.Root)
-		fd0, err := pr.Create(p, "/a6", 0o666)
-		if err != nil {
-			runErr = err
-			return
+	err = sys.M.Drive("a6", 1, func(p *sim.Proc, _ func(error)) error {
+		if err := mkfile(p, sys.NewProcess(ext4.Root), "/a6", size); err != nil {
+			return err
 		}
-		if err := pr.Fallocate(p, fd0, size); err != nil {
-			runErr = err
-			return
-		}
-		_ = pr.Fsync(p, fd0)
-		_ = pr.Close(p, fd0)
 		in, err := sys.M.FS.Lookup(p, "/a6", ext4.Root)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		in.DropFileTable()
 
@@ -499,14 +412,12 @@ func runA6(o Options, extent bool, size int64, reads int) ([]float64, error) {
 		lib := userlib.New(sys.NewProcess(ext4.Root), cfg)
 		th, err := lib.NewThread(p)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		start := p.Now()
 		fd, err := lib.Open(p, "/a6", false)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		fmapT = p.Now() - start
 
@@ -516,16 +427,14 @@ func runA6(o Options, extent bool, size int64, reads int) ([]float64, error) {
 		for i := 0; i < reads; i++ {
 			off := int64(rng.next()%uint64(size/4096)) * 4096
 			if _, err := th.Pread(p, fd, buf, off); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		lat = (p.Now() - start) / sim.Time(reads)
+		return nil
 	})
-	sys.Sim.Run()
-	sys.Close()
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return []float64{fmapT.Micros(), lat.Micros()}, nil
 }

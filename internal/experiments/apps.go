@@ -31,53 +31,31 @@ func runWT(o Options, system string, wl ycsb.Workload, threads int, keys uint64,
 	}
 	defer sys.Close()
 
-	var runErr error
 	var start, end sim.Time
 	totalOps := 0
-	started := 0
-	barrier := sys.Sim.NewCond()
-
-	sys.Sim.Spawn("wt-main", func(p *sim.Proc) {
+	err = sys.M.Drive("wt-main", 1, func(p *sim.Proc, fail func(error)) error {
 		st, err := wtiger.Build(p, sys, sys.M.CPU, wtiger.Config{
 			Keys: keys, CacheBytes: cacheBytes, Path: "/wt.db",
 		})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		pr := sys.NewProcess(ext4.Root)
-		for t := 0; t < threads; t++ {
-			t := t
-			sys.Sim.Spawn("wt-worker", func(w *sim.Proc) {
-				var conn *wtiger.Conn
-				var err error
-				switch system {
-				case "xrp":
-					conn, err = st.NewXRPConn(w, pr)
-				default:
-					io, e2 := sys.NewFileIO(w, pr, core.Engine(system))
-					if e2 != nil {
-						err = e2
-					} else {
-						conn, err = st.NewConn(w, io)
-					}
-				}
-				started++
-				if err != nil {
-					runErr = err
-					if started == threads {
-						barrier.Broadcast()
-					}
-					return
-				}
-				if started == threads {
-					barrier.Broadcast()
+		startThreads(sys, "wt-worker", threads, fail, func(w *sim.Proc, t int) (func() error, error) {
+			var conn *wtiger.Conn
+			var err error
+			switch system {
+			case "xrp":
+				conn, err = st.NewXRPConn(w, pr)
+			default:
+				io, e2 := sys.NewFileIO(w, pr, core.Engine(system))
+				if e2 != nil {
+					err = e2
 				} else {
-					barrier.Wait(w)
+					conn, err = st.NewConn(w, io)
 				}
-				if runErr != nil {
-					return
-				}
+			}
+			return func() error {
 				gen := ycsb.NewGenerator(wl, keys, o.Seed*131+int64(t))
 				// Warm the cache to steady state before measuring
 				// (the paper's runs measure a warmed store).
@@ -111,8 +89,7 @@ func runWT(o Options, system string, wl ycsb.Workload, threads int, keys uint64,
 						}
 					}
 					if err != nil {
-						runErr = fmt.Errorf("wt %s op %v key %d: %w", system, op.Type, op.Key, err)
-						return
+						return fmt.Errorf("wt %s op %v key %d: %w", system, op.Type, op.Key, err)
 					}
 					if measuring {
 						totalOps++
@@ -121,12 +98,13 @@ func runWT(o Options, system string, wl ycsb.Workload, threads int, keys uint64,
 				if e := w.Now(); e > end {
 					end = e
 				}
-			})
-		}
+				return nil
+			}, err
+		})
+		return nil
 	})
-	sys.Sim.Run()
-	if runErr != nil {
-		return 0, runErr
+	if err != nil {
+		return 0, err
 	}
 	if end <= start {
 		return 0, fmt.Errorf("wt: empty measurement window")
@@ -235,81 +213,56 @@ func runBPFKV(o Options, mode string, threads int, objects uint64, opsPerThread 
 	}
 
 	hist := stats.NewHistogram()
-	var runErr error
-	started := 0
-	barrier := sys.Sim.NewCond()
-
-	sys.Sim.Spawn("kv-main", func(p *sim.Proc) {
+	err = sys.M.Drive("kv-main", 1, func(p *sim.Proc, fail func(error)) error {
 		pr := sys.NewProcess(ext4.Root)
 		if mode == "spdk" {
 			d, err := sys.SPDK()
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			q, err := d.NewQueue(p)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if err := st.LoadSPDK(p, d, q, "/kv.db"); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		} else {
 			if err := st.LoadFS(p, sys, "/kv.db"); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
-		for t := 0; t < threads; t++ {
-			t := t
-			sys.Sim.Spawn("kv-worker", func(w *sim.Proc) {
-				var conn *bpfkv.Conn
-				var err error
-				switch mode {
-				case "xrp":
-					conn, err = st.NewXRPConn(w, pr)
-				default:
-					io, e2 := sys.NewFileIO(w, pr, core.Engine(mode))
-					if e2 != nil {
-						err = e2
-					} else {
-						conn, err = st.NewConn(w, io)
-					}
-				}
-				started++
-				if err != nil {
-					runErr = err
-					if started == threads {
-						barrier.Broadcast()
-					}
-					return
-				}
-				if started == threads {
-					barrier.Broadcast()
+		startThreads(sys, "kv-worker", threads, fail, func(w *sim.Proc, t int) (func() error, error) {
+			var conn *bpfkv.Conn
+			var err error
+			switch mode {
+			case "xrp":
+				conn, err = st.NewXRPConn(w, pr)
+			default:
+				io, e2 := sys.NewFileIO(w, pr, core.Engine(mode))
+				if e2 != nil {
+					err = e2
 				} else {
-					barrier.Wait(w)
+					conn, err = st.NewConn(w, io)
 				}
-				if runErr != nil {
-					return
-				}
+			}
+			return func() error {
 				rng := newXorshift(uint64(o.Seed)*2654435761 + uint64(t) + 1)
 				for i := 0; i < opsPerThread; i++ {
 					key := rng.next() % objects
 					t0 := w.Now()
 					if _, _, err := conn.Get(w, key); err != nil {
-						runErr = err
-						return
+						return err
 					}
 					hist.Add(w.Now() - t0)
 				}
-			})
-		}
+				return nil
+			}, err
+		})
+		return nil
 	})
-	sys.Sim.Run()
-	if runErr != nil {
-		return 0, 0, runErr
+	if err != nil {
+		return 0, 0, err
 	}
 	return hist.Mean(), hist.Percentile(99.9), nil
 }
@@ -373,50 +326,28 @@ func runKVell(o Options, mode string, wl ycsb.Workload, threads int, items uint6
 	defer sys.Close()
 
 	hist := stats.NewHistogram()
-	var runErr error
 	var start, end sim.Time
 	totalOps := 0
-	started := 0
-	barrier := sys.Sim.NewCond()
-
-	sys.Sim.Spawn("kvell-main", func(p *sim.Proc) {
+	err = sys.M.Drive("kvell-main", 1, func(p *sim.Proc, fail func(error)) error {
 		st, err := kvell.Build(p, sys, kvell.Config{Items: items, Path: "/kvell.db"})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		pr := sys.NewProcess(ext4.Root)
-		for t := 0; t < threads; t++ {
-			t := t
-			sys.Sim.Spawn("kvell-worker", func(w *sim.Proc) {
-				var worker *kvell.Worker
-				var err error
-				qd := 1
-				switch mode {
-				case "kvell_1":
-					worker, err = kvell.NewAioWorker(w, sys, st, pr, 1)
-				case "kvell_64":
-					qd = 64
-					worker, err = kvell.NewAioWorker(w, sys, st, pr, 64)
-				default:
-					worker, err = kvell.NewBypassWorker(w, sys.Lib(pr), st)
-				}
-				started++
-				if err != nil {
-					runErr = err
-					if started == threads {
-						barrier.Broadcast()
-					}
-					return
-				}
-				if started == threads {
-					barrier.Broadcast()
-				} else {
-					barrier.Wait(w)
-				}
-				if runErr != nil {
-					return
-				}
+		startThreads(sys, "kvell-worker", threads, fail, func(w *sim.Proc, t int) (func() error, error) {
+			var worker *kvell.Worker
+			var err error
+			qd := 1
+			switch mode {
+			case "kvell_1":
+				worker, err = kvell.NewAioWorker(w, sys, st, pr, 1)
+			case "kvell_64":
+				qd = 64
+				worker, err = kvell.NewAioWorker(w, sys, st, pr, 64)
+			default:
+				worker, err = kvell.NewBypassWorker(w, sys.Lib(pr), st)
+			}
+			return func() error {
 				if start == 0 {
 					start = w.Now()
 				}
@@ -438,8 +369,7 @@ func runKVell(o Options, mode string, wl ycsb.Workload, threads int, items uint6
 					}
 					for _, res := range worker.Do(w, reqs) {
 						if res.Err != nil {
-							runErr = res.Err
-							return
+							return res.Err
 						}
 						hist.Add(res.Latency)
 					}
@@ -449,12 +379,13 @@ func runKVell(o Options, mode string, wl ycsb.Workload, threads int, items uint6
 				if e := w.Now(); e > end {
 					end = e
 				}
-			})
-		}
+				return nil
+			}, err
+		})
+		return nil
 	})
-	sys.Sim.Run()
-	if runErr != nil {
-		return 0, 0, runErr
+	if err != nil {
+		return 0, 0, err
 	}
 	if end <= start {
 		return 0, 0, fmt.Errorf("kvell: empty window")

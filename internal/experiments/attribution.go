@@ -83,7 +83,7 @@ func runT6(o Options, engine core.Engine, ops int) (t6Result, error) {
 	if engine == "" {
 		return runT6XRP(o, ops)
 	}
-	res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Observers: t6Observers(o)}, []fio.Group{{
+	res, err := fio.Run(fio.Spec{Seed: o.Seed, Observers: t6Observers(o)}, []fio.Group{{
 		Name: "m", Engine: engine, BS: 4096, Threads: 1,
 		OpsPerThread: ops, FileBytes: 64 << 20,
 	}})
@@ -121,21 +121,17 @@ func runT6XRP(o Options, ops int) (t6Result, error) {
 	tr := sys.M.Trace
 
 	lat := stats.NewHistogram()
-	var runErr error
-	sys.Sim.Spawn("t6-xrp", func(p *sim.Proc) {
+	err = sys.M.Drive("t6-xrp", 1, func(p *sim.Proc, _ func(error)) error {
 		pr := sys.NewProcess(ext4.Root)
 		fd, err := pr.Create(p, "/xrp", 0o666)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := pr.Fallocate(p, fd, fileBytes); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := pr.Sync(p); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		rng := rand.New(rand.NewSource(o.Seed*7919 + 9973))
 		buf := make([]byte, 4096)
@@ -150,18 +146,14 @@ func runT6XRP(o Options, ops int) (t6Result, error) {
 			p.SetTraceCtx(nil)
 			sp.Finish(p.Now())
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			lat.Add(p.Now() - t0)
 		}
-		if err := pr.Close(p, fd); err != nil {
-			runErr = err
-		}
+		return pr.Close(p, fd)
 	})
-	sys.Sim.Run()
-	if runErr != nil {
-		return t6Result{}, runErr
+	if err != nil {
+		return t6Result{}, err
 	}
 	a := tr.Attribution("xrp")
 	if a == nil {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -111,6 +112,57 @@ func (o Options) at(seed int64) Options {
 // observers.
 func (o Options) boot(capacity int64) (*core.System, error) {
 	return core.Boot(core.Config{Capacity: capacity, Observers: o.observers()})
+}
+
+// mkfile creates path, preallocates size bytes and makes the file
+// durable: the data file of the fmap and direct-I/O harnesses.
+func mkfile(p *sim.Proc, pr *kernel.Process, path string, size int64) error {
+	fd, err := pr.Create(p, path, 0o666)
+	if err != nil {
+		return err
+	}
+	if err := pr.Fallocate(p, fd, size); err != nil {
+		return err
+	}
+	if err := pr.Fsync(p, fd); err != nil {
+		return err
+	}
+	return pr.Close(p, fd)
+}
+
+// startThreads spawns n worker procs named name behind one start gate,
+// so every thread's measured work begins after all have set up. Thread
+// t first calls open, which returns its body; the last thread to open
+// releases the others. A thread whose open fails reports the error
+// through fail and never waits, and once any thread has failed, the
+// threads leaving the gate skip their bodies.
+func startThreads(sys *core.System, name string, n int, fail func(error), open func(w *sim.Proc, t int) (func() error, error)) {
+	started, failed := 0, false
+	report := func(err error) {
+		failed = true
+		fail(err)
+	}
+	gate := sys.Sim.NewCond()
+	for t := 0; t < n; t++ {
+		sys.Sim.Spawn(name, func(w *sim.Proc) {
+			body, err := open(w, t)
+			started++
+			if err != nil {
+				report(err)
+			}
+			if started == n {
+				gate.Broadcast()
+			} else if err == nil {
+				gate.Wait(w)
+			}
+			if failed {
+				return
+			}
+			if err := body(); err != nil {
+				report(err)
+			}
+		})
+	}
 }
 
 // Report is an experiment's output.

@@ -55,7 +55,7 @@ var fioP99Col = column{head: "p99 (µs)", scale: 1e3, span: "p99 span (µs)", on
 // mean latency (µs), p99 latency (ns) and perf's throughput figure.
 func fioCell(o Options, g fio.Group, perf func(*fio.GroupResult) float64) func(int64) ([]float64, error) {
 	return func(seed int64) ([]float64, error) {
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{g})
+		res, err := fio.Run(fio.Spec{Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{g})
 		if err != nil {
 			return nil, fmt.Errorf("%s write=%t bs=%d threads=%d: %w", g.Engine, g.Write, g.BS, g.Threads, err)
 		}
@@ -102,7 +102,7 @@ func cellsF7(o Options) *cellReport {
 			tb.cells = append(tb.cells, Cell{
 				key: []string{sizeLabel(int64(bs)), string(eng)},
 				run: func(seed int64) ([]float64, error) {
-					res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{{
+					res, err := fio.Run(fio.Spec{Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{{
 						Name: "m", Engine: eng, BS: bs, Threads: 1,
 						OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
 					}})
@@ -155,7 +155,7 @@ func cellsF8(o Options) *cellReport {
 			tb.cells = append(tb.cells, Cell{
 				key: []string{sizeLabel(int64(bs)), label},
 				run: func(seed int64) ([]float64, error) {
-					res, err := fio.Run(fio.Spec{VBAFixedLatency: delay, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{g})
+					res, err := fio.Run(fio.Spec{IOMMU: func(c *iommu.Config) { c.FixedVBALatency = delay }, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{g})
 					if err != nil {
 						return nil, err
 					}

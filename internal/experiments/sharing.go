@@ -35,7 +35,7 @@ func cellsF10(o Options) *cellReport {
 			tb.cells = append(tb.cells, Cell{
 				key: []string{fmt.Sprint(n), string(eng)},
 				run: func(seed int64) ([]float64, error) {
-					res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{{
+					res, err := fio.Run(fio.Spec{Seed: seed, Observers: o.at(seed).observers()}, []fio.Group{{
 						Name: "w", Engine: eng, Write: true, BS: 4096, Threads: n,
 						OpsPerThread: ops, FileBytes: 16 << 20, ProcessPerThread: true,
 					}})
@@ -81,7 +81,7 @@ func cellsF11(o Options) *cellReport {
 			tb.cells = append(tb.cells, Cell{
 				key: []string{fmt.Sprint(n), string(eng)},
 				run: func(seed int64) ([]float64, error) {
-					res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed, Observers: o.at(seed).observers()}, groups)
+					res, err := fio.Run(fio.Spec{Seed: seed, Observers: o.at(seed).observers()}, groups)
 					if err != nil {
 						return nil, err
 					}
@@ -114,27 +114,11 @@ func runF12(o Options) (*Report, error) {
 	}
 	defer sys.Close()
 	series := stats.NewSeries(bucket)
-	var runErr error
 	var directBefore, fellBack bool
 
-	sys.Sim.Spawn("f12", func(p *sim.Proc) {
-		pr := sys.NewProcess(ext4.Root)
-		fd, err := pr.Create(p, "/shared", 0o666)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Fallocate(p, fd, 64<<20); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Fsync(p, fd); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Close(p, fd); err != nil {
-			runErr = err
-			return
+	err = sys.M.Drive("f12", 1, func(p *sim.Proc, fail func(error)) error {
+		if err := mkfile(p, sys.NewProcess(ext4.Root), "/shared", 64<<20); err != nil {
+			return err
 		}
 
 		start := p.Now()
@@ -146,7 +130,7 @@ func runF12(o Options) (*Report, error) {
 		sys.Sim.Spawn("interferer", func(q *sim.Proc) {
 			q.Sleep(revokeAt)
 			if _, err := other.Open(q, "/shared", false); err != nil {
-				runErr = err
+				fail(err)
 			}
 		})
 
@@ -155,13 +139,11 @@ func runF12(o Options) (*Report, error) {
 		lib := sys.Lib(reader)
 		th, err := lib.NewThread(p)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		rfd, err := lib.Open(p, "/shared", false)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		st, _ := lib.State(rfd)
 		directBefore = st.Direct()
@@ -171,16 +153,15 @@ func runF12(o Options) (*Report, error) {
 			off := (rngOff * 127) % (64 << 20 / 4096) * 4096
 			rngOff++
 			if _, err := th.Pread(p, rfd, buf, off); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			series.Record(p.Now()-start, 1)
 		}
 		fellBack = !st.Direct()
+		return nil
 	})
-	sys.Sim.Run()
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	if !directBefore || !fellBack {
 		return nil, fmt.Errorf("F12: revocation flow broken (direct=%v fellBack=%v)", directBefore, fellBack)

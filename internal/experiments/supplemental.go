@@ -58,35 +58,24 @@ func runS1Device(o Options, dcfg device.Config, ops int) (syncLat, bypLat sim.Ti
 	if err != nil {
 		return 0, 0, err
 	}
-	var runErr error
-	s.Spawn("s1", func(p *sim.Proc) {
+	err = m.Drive("s1", 1, func(p *sim.Proc, _ func(error)) error {
 		pr := m.NewProcess(ext4.Root)
-		fd, err := pr.Create(p, "/s1", 0o666)
-		if err != nil {
-			runErr = err
-			return
+		if err := mkfile(p, pr, "/s1", 16<<20); err != nil {
+			return err
 		}
-		if err := pr.Fallocate(p, fd, 16<<20); err != nil {
-			runErr = err
-			return
-		}
-		_ = pr.Fsync(p, fd)
-		_ = pr.Close(p, fd)
 
 		rng := newXorshift(uint64(o.Seed) + 99)
 		buf := make([]byte, 4096)
 
 		sfd, err := pr.Open(p, "/s1", false)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		start := p.Now()
 		for i := 0; i < ops; i++ {
 			off := int64(rng.next()%(16<<20/4096)) * 4096
 			if _, err := pr.Pread(p, sfd, buf, off); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		syncLat = (p.Now() - start) / sim.Time(ops)
@@ -95,24 +84,21 @@ func runS1Device(o Options, dcfg device.Config, ops int) (syncLat, bypLat sim.Ti
 		lib := userlib.New(m.NewProcess(ext4.Root), userlib.DefaultConfig())
 		th, err := lib.NewThread(p)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		bfd, err := lib.Open(p, "/s1", false)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		start = p.Now()
 		for i := 0; i < ops; i++ {
 			off := int64(rng.next()%(16<<20/4096)) * 4096
 			if _, err := th.Pread(p, bfd, buf, off); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		bypLat = (p.Now() - start) / sim.Time(ops)
+		return nil
 	})
-	s.Run()
-	return syncLat, bypLat, runErr
+	return syncLat, bypLat, err
 }

@@ -30,37 +30,31 @@ func runT1(o Options) (*Report, error) {
 	}
 	defer sys.Close()
 	var total sim.Time
-	var runErr error
-	sys.Sim.Spawn("t1", func(p *sim.Proc) {
+	err = sys.M.Drive("t1", 1, func(p *sim.Proc, _ func(error)) error {
 		pr := sys.NewProcess(ext4.Root)
 		fd, err := pr.Create(p, "/t1", 0o644)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := pr.Fallocate(p, fd, 1<<20); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := pr.Fsync(p, fd); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		buf := make([]byte, 4096)
 		if _, err := pr.Pread(p, fd, buf, 0); err != nil { // warm extents
-			runErr = err
-			return
+			return err
 		}
 		start := p.Now()
 		if _, err := pr.Pread(p, fd, buf, 4096); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		total = p.Now() - start
+		return nil
 	})
-	sys.Sim.Run()
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 
 	cfg := sys.M.Cfg
@@ -176,26 +170,11 @@ func runT5(o Options, size int64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Close()
 	var openT, warmT, coldT sim.Time
-	var runErr error
-	sys.Sim.Spawn("t5", func(p *sim.Proc) {
-		pr := sys.NewProcess(ext4.Root)
-		fd, err := pr.Create(p, "/big", 0o666)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Fallocate(p, fd, size); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Fsync(p, fd); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Close(p, fd); err != nil {
-			runErr = err
-			return
+	err = sys.M.Drive("t5", 1, func(p *sim.Proc, _ func(error)) error {
+		if err := mkfile(p, sys.NewProcess(ext4.Root), "/big", size); err != nil {
+			return err
 		}
 
 		// Row 1: plain open.
@@ -203,28 +182,24 @@ func runT5(o Options, size int64) ([]float64, error) {
 		start := p.Now()
 		ofd, err := pr1.Open(p, "/big", false)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		openT = p.Now() - start
 		if err := pr1.Close(p, ofd); err != nil {
-			runErr = err
-			return
+			return err
 		}
 
 		// Row 3: cold fmap (file table not cached).
 		in, err := sys.M.FS.Lookup(p, "/big", ext4.Root)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		in.DropFileTable()
 		pr2 := sys.NewProcess(ext4.Root)
 		start = p.Now()
 		_, base, err := pr2.OpenBypass(p, "/big", false)
 		if err != nil || base == 0 {
-			runErr = fmt.Errorf("cold fmap: base=%d err=%v", base, err)
-			return
+			return fmt.Errorf("cold fmap: base=%d err=%v", base, err)
 		}
 		coldT = p.Now() - start
 
@@ -233,15 +208,13 @@ func runT5(o Options, size int64) ([]float64, error) {
 		start = p.Now()
 		_, base, err = pr3.OpenBypass(p, "/big", false)
 		if err != nil || base == 0 {
-			runErr = fmt.Errorf("warm fmap: base=%d err=%v", base, err)
-			return
+			return fmt.Errorf("warm fmap: base=%d err=%v", base, err)
 		}
 		warmT = p.Now() - start
+		return nil
 	})
-	sys.Sim.Run()
-	sys.Close()
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return []float64{openT.Micros(), warmT.Micros(), coldT.Micros()}, nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/ext4"
+	"repro/internal/iommu"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -61,20 +62,11 @@ func (r *GroupResult) Bandwidth() float64 { return stats.BytesPerSec(r.Bytes, r.
 // Spec is a complete experiment.
 type Spec struct {
 	Capacity int64 // device size; 0 = auto-size from the groups
-	// VBAFixedLatency overrides the IOMMU translation delay
-	// (Fig. 8); negative keeps the computed model.
-	VBAFixedLatency sim.Time
-	CacheFTEs       bool
-	// PWCEntries sizes the IOMMU's paging-structure cache for ablation
-	// sweeps: 0 keeps the default, negative disables the cache.
-	PWCEntries int
-	// PWCHitWalkLatency / PWCMinTranslation model a PWC hit as a
-	// cheaper walk (DESIGN.md §10). Zero keeps the default sentinels
-	// (PWC hits charged like full walks — the byte-identity default);
-	// negative forces the sentinel explicitly.
-	PWCHitWalkLatency sim.Time
-	PWCMinTranslation sim.Time
-	Seed              int64
+	// IOMMU, when set, edits the booted machine's IOMMU configuration
+	// before any I/O: the Fig. 8 fixed translation delay, FTE caching
+	// and the paging-structure-cache model of the A1 ablations.
+	IOMMU func(*iommu.Config)
+	Seed  int64
 	// Observers are the booted machine's observers. An injector
 	// belongs to one machine, so build a fresh one for every Run; with
 	// a trace collector, GroupResult.Phases is populated.
@@ -120,24 +112,10 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	sys.M.MMU.SetFixedVBALatency(spec.VBAFixedLatency)
-	sys.M.MMU.SetCacheFTEs(spec.CacheFTEs)
-	if spec.PWCEntries != 0 || spec.PWCHitWalkLatency != 0 || spec.PWCMinTranslation != 0 {
+	if spec.IOMMU != nil {
 		cfg := sys.M.MMU.Config()
-		entries := cfg.PWCEntries
-		if spec.PWCEntries > 0 {
-			entries = spec.PWCEntries
-		} else if spec.PWCEntries < 0 {
-			entries = 0
-		}
-		hitWalk, minTrans := cfg.PWCHitWalkLatency, cfg.PWCMinTranslation
-		if spec.PWCHitWalkLatency != 0 {
-			hitWalk = spec.PWCHitWalkLatency
-		}
-		if spec.PWCMinTranslation != 0 {
-			minTrans = spec.PWCMinTranslation
-		}
-		sys.M.MMU.SetPWCConfig(entries, hitWalk, minTrans)
+		spec.IOMMU(&cfg)
+		sys.M.MMU.SetConfig(cfg)
 	}
 	results := make(map[string]*GroupResult)
 	for _, g := range groups {

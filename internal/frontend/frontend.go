@@ -29,7 +29,6 @@ package frontend
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -487,10 +486,10 @@ func reqShare(requests, ndev, d int) int {
 // RunCountedWorkers executes a fleet on one freshly booted system and
 // additionally reports the number of simulator events dispatched (the
 // throughput suite's numerator). Setup (mounts, store builds, pool
-// processes) runs coupled; on multi-device fleets the traffic phase
-// then runs under the parallel drain on up to workers host goroutines
-// (workers < 1 counts as 1), exactly like the tenants plane. Results
-// are byte-identical at any worker count.
+// processes) runs coupled; Machine.Drive then runs the traffic phase of
+// a multi-device fleet under the parallel drain on up to workers host
+// goroutines (workers < 1 counts as 1), exactly like the tenants
+// plane. Results are byte-identical at any worker count.
 func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, error) {
 	fl, err := fl.normalized()
 	if err != nil {
@@ -527,32 +526,19 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 		}
 	}
 
-	var errMu sync.Mutex
-	var runErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
-
-	sys.Sim.Spawn("frontend-setup", func(p *sim.Proc) {
+	err = sys.M.Drive("frontend-setup", workers, func(p *sim.Proc, fail func(error)) error {
 		// Coupled phase: per-device mounts, store builds, and the
 		// worker-process pool, in device order.
 		for d := 0; d < ndev; d++ {
 			root := sys.NewProcessOn(ext4.Root, d)
 			if err := root.Mkdir(p, "/frontend", 0o777); err != nil {
-				fail(err)
-				return
+				return err
 			}
 			if err := bk.build(p, sys, d, fl); err != nil {
-				fail(err)
-				return
+				return err
 			}
 			if err := root.Sync(p); err != nil {
-				fail(err)
-				return
+				return err
 			}
 		}
 		prs := make([]*kernel.Process, fl.Pool)
@@ -565,14 +551,10 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 		for wi := 0; wi < fl.Pool; wi++ {
 			startWorker(sys, bk, fl, wi, prs[wi], states[wi%ndev], res.Devices[wi%ndev], fail)
 		}
-		if ndev > 1 {
-			sys.M.ArmParallel(workers)
-		}
+		return nil
 	})
-	sys.Sim.Run()
-	sys.M.DisarmParallel()
-	if runErr != nil {
-		return nil, 0, runErr
+	if err != nil {
+		return nil, 0, err
 	}
 	for d := 0; d < ndev; d++ {
 		for _, word := range states[d].served {

@@ -254,25 +254,12 @@ func (u *IOMMU) countDenial()  { u.denials++; u.mDenials.Inc() }
 // Config returns the active configuration.
 func (u *IOMMU) Config() Config { return u.cfg }
 
-// SetFixedVBALatency adjusts the Fig. 8 override at runtime.
-func (u *IOMMU) SetFixedVBALatency(d sim.Time) { u.cfg.FixedVBALatency = d }
-
-// SetCacheFTEs toggles FTE caching in the IOTLB (ablation; paper
-// §4.3 argues it is unnecessary).
-func (u *IOMMU) SetCacheFTEs(on bool) { u.cfg.CacheFTEs = on }
-
-// SetPWCConfig adjusts the paging-structure-cache model at runtime
-// (the Fig. 8-style sensitivity sweeps). entries <= 0 disables the
-// cache; hitWalk and minTranslation follow the Config sentinel rule
-// (negative = same as WalkLatency / MinTranslation). Cached paths are
-// dropped so a sweep cell starts cold.
-func (u *IOMMU) SetPWCConfig(entries int, hitWalk, minTranslation sim.Time) {
-	u.cfg.PWCEntries = entries
-	u.cfg.PWCHitWalkLatency = hitWalk
-	u.cfg.PWCMinTranslation = minTranslation
-	for p := range u.pwc {
-		delete(u.pwc, p)
-	}
+// SetConfig replaces the configuration at runtime, for the
+// sensitivity sweeps and ablations (Fig. 8, A1). Cached
+// paging-structure paths are dropped so a sweep cell starts cold.
+func (u *IOMMU) SetConfig(cfg Config) {
+	u.cfg = cfg
+	clear(u.pwc)
 }
 
 // RegisterPASID binds a process page table to a PASID, as the kernel

@@ -366,28 +366,47 @@ func (m *Machine) writeLock(in *ext4.Inode) *sim.Resource {
 	return l
 }
 
-// ArmParallel arms the simulator's parallel drain for a shard-confined
-// traffic phase and returns the worker count actually granted. On a
-// single-node machine it is a no-op (returns 1). The request is
-// degraded to one worker — the drain still runs, shard after shard,
-// so fault-free results stay invariant across worker counts — when a
-// machine-wide observer that the parallel path cannot serve race-free
-// is attached: an armed fault profile (shared rule state and PRNG) or
-// a span tracer.
-func (m *Machine) ArmParallel(workers int) int {
-	if len(m.Nodes) < 2 {
-		return 1
+// Drive runs one simulated phase on m to idle: it spawns setup as a
+// proc named name, runs the simulation, and returns the first error
+// setup returned or any proc passed to fail.
+//
+// setup runs coupled and may spawn the phase's traffic procs. When it
+// returns nil on a multi-node machine, Drive arms the parallel drain
+// for the rest of the run, which setup's procs must keep
+// shard-confined (DESIGN.md §15), on up to workers host goroutines.
+// The request is degraded to one worker — the drain still runs, shard
+// after shard, so fault-free results stay invariant across worker
+// counts — when a machine-wide observer that the parallel path cannot
+// serve race-free is attached: an armed fault profile (shared rule
+// state and PRNG) or a span tracer. The simulator is coupled again
+// when Drive returns. fail is safe to call from concurrently draining
+// shards.
+func (m *Machine) Drive(name string, workers int, setup func(p *sim.Proc, fail func(error)) error) error {
+	var mu sync.Mutex
+	var first error
+	fail := func(err error) {
+		mu.Lock()
+		if first == nil {
+			first = err
+		}
+		mu.Unlock()
 	}
-	workers = max(workers, 1)
-	if m.Faults.Active() || m.Trace != nil {
-		workers = 1
-	}
-	m.Sim.ArmParallel(workers)
-	return workers
+	m.Sim.Spawn(name, func(p *sim.Proc) {
+		if err := setup(p, fail); err != nil {
+			fail(err)
+			return
+		}
+		if len(m.Nodes) > 1 {
+			if m.Faults.Active() || m.Trace != nil {
+				workers = 1
+			}
+			m.Sim.ArmParallel(workers)
+		}
+	})
+	m.Sim.Run()
+	m.Sim.DisarmParallel()
+	return first
 }
-
-// DisarmParallel returns the simulator to coupled dispatch.
-func (m *Machine) DisarmParallel() { m.Sim.DisarmParallel() }
 
 // invalidateRange drops pasid's cached translations for [va, va+bytes)
 // on every IOMMU that may hold them. Coupled phases fan out to all

@@ -26,7 +26,6 @@ package tenants
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -201,11 +200,11 @@ func (t *Tenant) validate() error {
 // simulator events dispatched — the numerator of the throughput
 // suite's events/sec metric. The setup phase (mkdirs, file
 // preallocation, syncs, process creation) always runs coupled; on a
-// multi-device scenario the traffic phase then runs under the
-// simulator's parallel drain on up to workers host goroutines
-// (workers < 1 counts as 1). Results are byte-identical at every
-// worker count; single-device scenarios never arm and keep their
-// historical coupled schedule.
+// multi-device scenario Machine.Drive then runs the traffic phase
+// under the simulator's parallel drain on up to workers host
+// goroutines (workers < 1 counts as 1). Results are byte-identical at
+// every worker count; single-device scenarios never arm and keep
+// their historical coupled schedule.
 func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64, error) {
 	if len(sc.Tenants) == 0 {
 		return nil, 0, fmt.Errorf("tenants: scenario %q has no tenants", sc.Name)
@@ -260,20 +259,10 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 	for i := range sc.Tenants {
 		results[i] = &Result{Tenant: sc.Tenants[i], Sojourn: stats.NewHistogram()}
 	}
-	// fail records the first error. Workers on different shards may
-	// race to report during a parallel traffic phase, hence the lock
-	// (the happy path never takes it).
-	var errMu sync.Mutex
-	var runErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
-
-	sys.Sim.Spawn("tenants-setup", func(p *sim.Proc) {
+	// Tenant pipelines are device-affine (everything a tenant does
+	// happens on its device's shard), which is exactly the confinement
+	// contract of the parallel drain Drive arms once setup is done.
+	err = sys.M.Drive("tenants-setup", workers, func(p *sim.Proc, fail func(error)) error {
 		// One superuser process per device: a process's file-system
 		// view is its node's mount, so each device gets its own
 		// /tenants tree. At one device this is the historical setup
@@ -282,21 +271,18 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 		for d := 0; d < ndev; d++ {
 			roots[d] = sys.NewProcessOn(ext4.Root, d)
 			if err := roots[d].Mkdir(p, "/tenants", 0o777); err != nil {
-				fail(err)
-				return
+				return err
 			}
 		}
 		for ti := range sc.Tenants {
 			t := &sc.Tenants[ti]
 			if err := fio.SetupFile(p, sys, roots[sc.placement(ti)], tenantPath(ti), t.Engine, t.FileBytes); err != nil {
-				fail(err)
-				return
+				return err
 			}
 		}
 		for d := 0; d < ndev; d++ {
 			if err := roots[d].Sync(p); err != nil {
-				fail(err)
-				return
+				return err
 			}
 		}
 		for ti := range sc.Tenants {
@@ -308,20 +294,10 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 			procs[ti] = pr
 			startTenant(sys, pr, &sc.Tenants[ti], ti, seed, results[ti], fail)
 		}
-		// Setup is done; arm the parallel drain for the traffic phase.
-		// Tenant pipelines are device-affine (everything a tenant does
-		// happens on its device's shard), which is exactly the
-		// confinement contract the drain relies on. Arming takes
-		// effect once this proc yields — every event up to here ran
-		// coupled.
-		if ndev > 1 {
-			sys.M.ArmParallel(workers)
-		}
+		return nil
 	})
-	sys.Sim.Run()
-	sys.M.DisarmParallel()
-	if runErr != nil {
-		return nil, 0, runErr
+	if err != nil {
+		return nil, 0, err
 	}
 	for ti := range sc.Tenants {
 		if sc.Tenants[ti].Engine == core.EngineBypassD {
