@@ -179,3 +179,60 @@ func TestKVellBypassDAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestKVellLibaioAllocBudget pins the kvell libaio path, the Fig. 16
+// baseline: kernel AIO spawns one helper proc per op with a body bound
+// once per pooled request, so a warm batch allocates the same few
+// objects (the reaped events of each io_getevents) however many ops
+// it carries. A per-op allocation in the helper spawn breaks the
+// QD64 budget.
+func TestKVellLibaioAllocBudget(t *testing.T) {
+	if os.Getenv("BENCH_CHECK") == "" {
+		t.Skip("set BENCH_CHECK=1 to enforce the allocation budget (make bench-check)")
+	}
+	sys, err := New(1 << 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	var st *kvell.Store
+	Run(sys, "kvell-boot", func(p *Proc) {
+		if st, err = kvell.Build(p, sys, kvell.Config{Items: 1024, Path: "/kvell.db"}); err != nil {
+			t.Error(err)
+		}
+	})
+	if st == nil {
+		t.Fatal("kvell boot failed")
+	}
+	for _, c := range []struct {
+		qd     int
+		budget float64
+	}{{1, 2}, {64, 4}} {
+		var w *kvell.Worker
+		Run(sys, "kvell-worker", func(p *Proc) {
+			if w, err = kvell.NewAioWorker(p, sys, st, sys.NewProcess(RootCred), c.qd); err != nil {
+				t.Error(err)
+			}
+		})
+		if w == nil {
+			t.Fatalf("QD%d worker setup failed", c.qd)
+		}
+		reqs := make([]kvell.Request, c.qd)
+		for i := range reqs {
+			reqs[i] = kvell.Request{Key: uint64(i)}
+		}
+		do := func(p *Proc) {
+			for _, res := range w.Do(p, reqs) {
+				if res.Err != nil {
+					t.Error(res.Err)
+				}
+			}
+		}
+		Run(sys, "kvell-warm", do)
+		allocs := testing.AllocsPerRun(20, func() { Run(sys, "kvell-batch", do) })
+		t.Logf("kvell libaio QD%d: %.0f allocs/batch (budget %.0f)", c.qd, allocs, c.budget)
+		if allocs > c.budget {
+			t.Errorf("warm kvell libaio QD%d batch allocates %.0f objects, budget is %.0f", c.qd, allocs, c.budget)
+		}
+	}
+}

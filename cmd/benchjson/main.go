@@ -25,7 +25,10 @@
 // more than 25% slower — host timings on shared CI machines are
 // noisy, so small drifts must not fail the gate). Repeated lines for
 // one benchmark (go test -count N) collapse to the minimum ns/op
-// before comparison. Benchmarks missing from either side are
+// before comparison. The deterministic per-op counts events/op and
+// resumes/op (simulator events and proc resumes) are gated exactly:
+// every line of a benchmark whose snapshot row reports a count must
+// report the same value. Benchmarks missing from either side are
 // reported but do not fail the check.
 package main
 
@@ -213,19 +216,26 @@ func checkSpeedup(w io.Writer, cur benchRun, spec string, minCores int) int {
 	return fails
 }
 
+// countMetrics are the per-op counts -check gates exactly: the
+// simulator dispatches the same events and proc resumes per op on
+// every host and at every -benchtime.
+var countMetrics = []string{"events/op", "resumes/op"}
+
 // checkAgainst compares cur to the committed snapshot, enforcing the
-// ns/op tolerance. When the run carries repeated lines for one
-// benchmark (go test -count N), the minimum ns/op wins — min over
-// repetitions is the standard noise-robust estimator, so a loaded
-// host needs every repetition to be slow before the gate trips. It
-// returns the number of failures and prints one line per benchmark
-// to w.
+// ns/op tolerance and exact per-op counts. When the run carries
+// repeated lines for one benchmark (go test -count N), the minimum
+// ns/op wins — min over repetitions is the standard noise-robust
+// estimator, so a loaded host needs every repetition to be slow before
+// the gate trips — while every repetition must match the counts. It
+// returns the number of failures and prints one line per benchmark,
+// plus one per count mismatch, to w.
 func checkAgainst(w io.Writer, cur benchRun, snap output, tolerance float64) int {
 	snapshot := map[string]benchLine{}
 	for _, b := range snap.Run.Benchmarks {
 		snapshot[b.Name] = b
 	}
 	best := map[string]benchLine{}
+	lines := map[string][]benchLine{}
 	var order []string
 	for _, b := range cur.Benchmarks {
 		prev, ok := best[b.Name]
@@ -235,6 +245,7 @@ func checkAgainst(w io.Writer, cur benchRun, snap output, tolerance float64) int
 		if !ok || b.Metrics["ns/op"] < prev.Metrics["ns/op"] {
 			best[b.Name] = b
 		}
+		lines[b.Name] = append(lines[b.Name], b)
 	}
 	failures := 0
 	seen := map[string]bool{}
@@ -245,6 +256,19 @@ func checkAgainst(w io.Writer, cur benchRun, snap output, tolerance float64) int
 		if !ok {
 			fmt.Fprintf(w, "  NEW   %-28s %.0f ns/op (not in snapshot)\n", b.Name, b.Metrics["ns/op"])
 			continue
+		}
+		for _, unit := range countMetrics {
+			want, ok := base.Metrics[unit]
+			if !ok {
+				continue
+			}
+			for _, l := range lines[name] {
+				if got, ok := l.Metrics[unit]; !ok || got != want {
+					fmt.Fprintf(w, "  FAIL  %-28s %g -> %g %s (must match exactly)\n", name, want, got, unit)
+					failures++
+					break
+				}
+			}
 		}
 		now, baseNs := b.Metrics["ns/op"], base.Metrics["ns/op"]
 		if baseNs <= 0 {
@@ -275,7 +299,7 @@ func run() int {
 	var (
 		outPath   = flag.String("o", "", "write JSON here instead of stdout")
 		baseline  = flag.String("baseline", "", "optional prior `go test -bench` text output to embed under \"baseline\"")
-		checkPath = flag.String("check", "", "committed snapshot JSON to gate ns/op against; exits 1 on regression beyond -tolerance")
+		checkPath = flag.String("check", "", "committed snapshot JSON to gate against; exits 1 on an ns/op regression beyond -tolerance or an events/op or resumes/op mismatch")
 		tolerance = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression in -check mode")
 		speedup   = flag.String("speedup", "", "in -check mode, also enforce 'numerator:denominator:min' parallel speedup between two benchmarks of this run (skipped below -speedup-cores host CPUs)")
 		minCores  = flag.Int("speedup-cores", 4, "host CPUs required before the -speedup floor is enforced rather than skipped")
@@ -304,7 +328,7 @@ func run() int {
 			n += checkSpeedup(os.Stdout, cur, *speedup, *minCores)
 		}
 		if n > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond tolerance\n", n)
+			fmt.Fprintf(os.Stderr, "benchjson: %d check(s) failed\n", n)
 			return 1
 		}
 		return 0

@@ -27,13 +27,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var failure error
-	sys.Sim.Spawn("inspect", func(p *sim.Proc) {
-		failure = inspect(p, sys, *size)
+	err = sys.M.Drive("inspect", 1, func(p *sim.Proc, _ func(error)) error {
+		return inspect(p, sys, *size)
 	})
-	sys.Sim.Run()
-	if failure != nil {
-		fmt.Fprintln(os.Stderr, failure)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }

@@ -32,6 +32,28 @@ func preload(t *testing.T, d *SSD, qos []nvme.QoS, depth int) []*nvme.QueuePair 
 	return qs
 }
 
+// snapshotAt posts a callback at virtual time t that records every
+// queue's service count then: the mid-drain view the arbiter bounds
+// check. The counts are filled in once Run passes t.
+func snapshotAt(s *sim.Sim, d *SSD, qs []*nvme.QueuePair, t sim.Time) []int64 {
+	counts := make([]int64, len(qs))
+	s.AtOn(0, t, func() {
+		for i, q := range qs {
+			counts[i] = d.OpsOnQueue(q.ID)
+		}
+	})
+	return counts
+}
+
+// spread returns the smallest and largest of counts.
+func spread(counts []int64) (lo, hi int64) {
+	lo, hi = counts[0], counts[0]
+	for _, c := range counts[1:] {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	return lo, hi
+}
+
 // TestFlatRRSaturatedEqualService is the fairness regression test for
 // the default arbiter: with every queue persistently non-empty, the
 // starting-index rotation must hand out equal service counts — a scan
@@ -45,22 +67,11 @@ func TestFlatRRSaturatedEqualService(t *testing.T) {
 	// Mid-drain: roughly half the commands are done; every queue is
 	// still backlogged, so service counts must match to within the
 	// commands still in flight on the six channels.
-	s.RunUntil(300 * sim.Microsecond)
-	lo, hi := int64(1<<62), int64(0)
-	for _, q := range qs {
-		c := d.OpsOnQueue(q.ID)
-		if c < lo {
-			lo = c
-		}
-		if c > hi {
-			hi = c
-		}
-	}
-	if lo == 0 || hi-lo > int64(d.Config().Channels) {
+	mid := snapshotAt(s, d, qs, 300*sim.Microsecond)
+	s.Run()
+	if lo, hi := spread(mid); lo == 0 || hi-lo > int64(d.Config().Channels) {
 		t.Fatalf("saturated RR service counts spread [%d,%d], want equal within %d", lo, hi, d.Config().Channels)
 	}
-
-	s.Run()
 	for _, q := range qs {
 		if c := d.OpsOnQueue(q.ID); c != depth {
 			t.Fatalf("queue %d served %d, want %d", q.ID, c, depth)
@@ -78,8 +89,10 @@ func TestWRRWeightedShares(t *testing.T) {
 	qs := preload(t, d, []nvme.QoS{{Weight: 3}, {Weight: 1}}, 400)
 
 	// Short of the heavy queue's drain point, so both stay backlogged.
-	s.RunUntil(150 * sim.Microsecond)
-	heavy, light := d.OpsOnQueue(qs[0].ID), d.OpsOnQueue(qs[1].ID)
+	mid := snapshotAt(s, d, qs, 150*sim.Microsecond)
+	s.Run()
+	s.Shutdown()
+	heavy, light := mid[0], mid[1]
 	if light == 0 {
 		t.Fatal("light queue starved under WRR")
 	}
@@ -87,8 +100,6 @@ func TestWRRWeightedShares(t *testing.T) {
 	if ratio < 2.5 || ratio > 3.5 {
 		t.Fatalf("WRR share ratio = %.2f (%d/%d), want ~3", ratio, heavy, light)
 	}
-	s.Run()
-	s.Shutdown()
 }
 
 // TestWRREqualWeightsEqualService: with uniform weights the fair
@@ -99,22 +110,12 @@ func TestWRREqualWeightsEqualService(t *testing.T) {
 	d.SetArbiter(NewWRR())
 	qs := preload(t, d, make([]nvme.QoS, 4), 256)
 
-	s.RunUntil(300 * sim.Microsecond)
-	lo, hi := int64(1<<62), int64(0)
-	for _, q := range qs {
-		c := d.OpsOnQueue(q.ID)
-		if c < lo {
-			lo = c
-		}
-		if c > hi {
-			hi = c
-		}
-	}
-	if lo == 0 || hi-lo > int64(d.Config().Channels) {
-		t.Fatalf("equal-weight WRR service counts spread [%d,%d]", lo, hi)
-	}
+	mid := snapshotAt(s, d, qs, 300*sim.Microsecond)
 	s.Run()
 	s.Shutdown()
+	if lo, hi := spread(mid); lo == 0 || hi-lo > int64(d.Config().Channels) {
+		t.Fatalf("equal-weight WRR service counts spread [%d,%d]", lo, hi)
+	}
 }
 
 // TestTokenPrioStrictPriority: a backlogged priority-0 queue starves a
@@ -127,14 +128,14 @@ func TestTokenPrioStrictPriority(t *testing.T) {
 
 	// ~42 grants fit in 25µs on six 3.5µs channels: all must go to
 	// the high-priority queue while it is still backlogged.
-	s.RunUntil(25 * sim.Microsecond)
-	if hi := d.OpsOnQueue(qs[0].ID); hi < 30 {
+	mid := snapshotAt(s, d, qs, 25*sim.Microsecond)
+	s.Run()
+	if hi := mid[0]; hi < 30 {
 		t.Fatalf("priority-0 queue served %d in 25µs, want ≥30", hi)
 	}
-	if lo := d.OpsOnQueue(qs[1].ID); lo != 0 {
+	if lo := mid[1]; lo != 0 {
 		t.Fatalf("priority-1 queue served %d while priority-0 backlogged, want 0", lo)
 	}
-	s.Run()
 	if a, b := d.OpsOnQueue(qs[0].ID), d.OpsOnQueue(qs[1].ID); a != 64 || b != 64 {
 		t.Fatalf("final service counts %d/%d, want 64/64", a, b)
 	}
@@ -153,17 +154,17 @@ func TestTokenPrioRateLimit(t *testing.T) {
 	}, 400)
 
 	const window = 1 * sim.Millisecond
-	s.RunUntil(window)
-	capped := d.OpsOnQueue(qs[1].ID)
+	mid := snapshotAt(s, d, qs, window)
+	s.Run()
+	s.Shutdown()
+	capped := mid[1]
 	// 100k ops/s over 1ms = 100 tokens, plus the burst allowance.
 	if capped < 90 || capped > 110 {
 		t.Fatalf("rate-capped queue served %d in %v, want ~100-104", capped, window)
 	}
-	if open := d.OpsOnQueue(qs[0].ID); open < 3*capped {
+	if open := mid[0]; open < 3*capped {
 		t.Fatalf("uncapped queue served %d vs capped %d, want the spare bandwidth", open, capped)
 	}
-	s.Run()
-	s.Shutdown()
 }
 
 // TestTokenPrioRefillWake: when every backlogged queue is throttled,

@@ -116,7 +116,7 @@ func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float6
 		cfg := userlib.DefaultConfig()
 		cfg.ShareQueues = shared
 		lib := userlib.New(worker, cfg)
-		startThreads(sys, "a2-worker", threads, fail, func(w *sim.Proc, t int) (func() error, error) {
+		fio.StartThreads(sys, threads, func(int) string { return "a2-worker" }, fail, func(w *sim.Proc, t int) (func() error, error) {
 			th, err := lib.NewThread(w)
 			var lfd int
 			if err == nil {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bpfkv"
 	"repro/internal/core"
 	"repro/internal/ext4"
+	"repro/internal/fio"
 	"repro/internal/kvell"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -41,7 +42,7 @@ func runWT(o Options, system string, wl ycsb.Workload, threads int, keys uint64,
 			return err
 		}
 		pr := sys.NewProcess(ext4.Root)
-		startThreads(sys, "wt-worker", threads, fail, func(w *sim.Proc, t int) (func() error, error) {
+		fio.StartThreads(sys, threads, func(int) string { return "wt-worker" }, fail, func(w *sim.Proc, t int) (func() error, error) {
 			var conn *wtiger.Conn
 			var err error
 			switch system {
@@ -232,7 +233,7 @@ func runBPFKV(o Options, mode string, threads int, objects uint64, opsPerThread 
 				return err
 			}
 		}
-		startThreads(sys, "kv-worker", threads, fail, func(w *sim.Proc, t int) (func() error, error) {
+		fio.StartThreads(sys, threads, func(int) string { return "kv-worker" }, fail, func(w *sim.Proc, t int) (func() error, error) {
 			var conn *bpfkv.Conn
 			var err error
 			switch mode {
@@ -334,7 +335,7 @@ func runKVell(o Options, mode string, wl ycsb.Workload, threads int, items uint6
 			return err
 		}
 		pr := sys.NewProcess(ext4.Root)
-		startThreads(sys, "kvell-worker", threads, fail, func(w *sim.Proc, t int) (func() error, error) {
+		fio.StartThreads(sys, threads, func(int) string { return "kvell-worker" }, fail, func(w *sim.Proc, t int) (func() error, error) {
 			var worker *kvell.Worker
 			var err error
 			qd := 1

@@ -130,41 +130,6 @@ func mkfile(p *sim.Proc, pr *kernel.Process, path string, size int64) error {
 	return pr.Close(p, fd)
 }
 
-// startThreads spawns n worker procs named name behind one start gate,
-// so every thread's measured work begins after all have set up. Thread
-// t first calls open, which returns its body; the last thread to open
-// releases the others. A thread whose open fails reports the error
-// through fail and never waits, and once any thread has failed, the
-// threads leaving the gate skip their bodies.
-func startThreads(sys *core.System, name string, n int, fail func(error), open func(w *sim.Proc, t int) (func() error, error)) {
-	started, failed := 0, false
-	report := func(err error) {
-		failed = true
-		fail(err)
-	}
-	gate := sys.Sim.NewCond()
-	for t := 0; t < n; t++ {
-		sys.Sim.Spawn(name, func(w *sim.Proc) {
-			body, err := open(w, t)
-			started++
-			if err != nil {
-				report(err)
-			}
-			if started == n {
-				gate.Broadcast()
-			} else if err == nil {
-				gate.Wait(w)
-			}
-			if failed {
-				return
-			}
-			if err := body(); err != nil {
-				report(err)
-			}
-		})
-	}
-}
-
 // Report is an experiment's output.
 type Report struct {
 	ID     string

@@ -58,7 +58,7 @@ func TestCommitOverlapsNamespaceChange(t *testing.T) {
 
 	s := sim.New()
 	fs.bio = &slowBIO{BlockIO: fs.bio, lat: sim.Microsecond}
-	fs.SetCommitLock(s.NewResource("jbd2", 1))
+	fs.SetCommitLock(s.NewResourceOn(0, "jbd2", 1))
 	dataA := bytes.Repeat([]byte{0xa}, BlockSize)
 	dataB := bytes.Repeat([]byte{0xb}, BlockSize)
 	var errs []error

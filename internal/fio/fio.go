@@ -96,6 +96,44 @@ func SetupFile(p *sim.Proc, sys *core.System, root *kernel.Process, path string,
 	return root.Close(p, fd)
 }
 
+// filePath is the private file of group gi's worker ti.
+func filePath(gi, ti int) string { return fmt.Sprintf("/fio/g%d-w%d", gi, ti) }
+
+// StartThreads spawns n worker procs behind one start gate, so every
+// thread's measured work begins after all have set up; name(t) names
+// thread t's proc. Thread t first calls open, which returns its body;
+// the last thread to open releases the others. A thread whose open
+// fails reports the error through fail and never waits, and once any
+// thread has failed, the threads leaving the gate skip their bodies.
+func StartThreads(sys *core.System, n int, name func(t int) string, fail func(error), open func(w *sim.Proc, t int) (func() error, error)) {
+	started, failed := 0, false
+	report := func(err error) {
+		failed = true
+		fail(err)
+	}
+	gate := sys.Sim.NewCond()
+	for t := 0; t < n; t++ {
+		sys.Sim.Spawn(name(t), func(w *sim.Proc) {
+			body, err := open(w, t)
+			started++
+			if err != nil {
+				report(err)
+			}
+			if started == n {
+				gate.Broadcast()
+			} else if err == nil {
+				gate.Wait(w)
+			}
+			if failed {
+				return
+			}
+			if err := body(); err != nil {
+				report(err)
+			}
+		})
+	}
+}
+
 // Run executes the groups on one freshly booted system.
 func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 	capacity := spec.Capacity
@@ -134,7 +172,6 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 		results[g.Name] = &GroupResult{Lat: stats.NewHistogram()}
 	}
 
-	var setupErr error
 	finite := 0
 	for _, g := range groups {
 		if g.OpsPerThread > 0 {
@@ -145,139 +182,121 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 		return nil, fmt.Errorf("fio: at least one group must have finite ops")
 	}
 
+	// thread is one worker: its group, its private file, and the
+	// process it runs in.
+	type thread struct {
+		g    Group
+		gi   int
+		ti   int
+		proc *kernel.Process
+	}
 	done := 0
 	stop := false
-	started := 0
-	total := 0
-	for _, g := range groups {
-		total += g.Threads
-	}
-	startCond := sys.Sim.NewCond()
-
-	sys.Sim.Spawn("fio-setup", func(p *sim.Proc) {
+	err = sys.M.Drive("fio-setup", 1, func(p *sim.Proc, fail func(error)) error {
 		root := sys.NewProcess(ext4.Root)
 		if err := root.Mkdir(p, "/fio", 0o777); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		for gi, g := range groups {
 			for ti := 0; ti < g.Threads; ti++ {
-				path := fmt.Sprintf("/fio/g%d-w%d", gi, ti)
-				if err := SetupFile(p, sys, root, path, g.Engine, g.FileBytes); err != nil {
-					setupErr = err
-					return
+				if err := SetupFile(p, sys, root, filePath(gi, ti), g.Engine, g.FileBytes); err != nil {
+					return err
 				}
 			}
 		}
 		if err := root.Sync(p); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 
-		// Launch the workers.
+		var threads []thread
 		for gi, g := range groups {
-			g := g
-			res := results[g.Name]
-			var shared = sys.NewProcess(ext4.Root)
+			shared := sys.NewProcess(ext4.Root)
 			for ti := 0; ti < g.Threads; ti++ {
-				ti := ti
-				path := fmt.Sprintf("/fio/g%d-w%d", gi, ti)
 				proc := shared
 				if g.ProcessPerThread {
 					proc = sys.NewProcess(ext4.Root)
 				}
-				seed := spec.Seed*7919 + int64(gi)*104729 + int64(ti)
-				sys.Sim.Spawn("fio-"+g.Name, func(w *sim.Proc) {
-					io, err := sys.NewFileIO(w, proc, g.Engine)
-					if err != nil {
-						setupErr = err
-						started++
-						if started == total {
-							startCond.Broadcast()
-						}
-						return
-					}
-					fd, err := io.Open(w, path, true)
-					if err != nil {
-						setupErr = err
-						started++
-						if started == total {
-							startCond.Broadcast()
-						}
-						return
-					}
-					rng := rand.New(rand.NewSource(seed))
-					// Pooled worker buffer; cleared so written file
-					// content matches a fresh zero-filled allocation.
-					buf := device.GetDMABuf(g.BS)
-					defer device.PutDMABuf(buf)
-					clear(buf)
-					blocks := g.FileBytes / int64(g.BS)
-
-					started++
-					if started == total {
-						startCond.Broadcast()
-					} else {
-						startCond.Wait(w)
-					}
-					if setupErr != nil {
-						return
-					}
-					if g.StartDelay > 0 {
-						w.Sleep(g.StartDelay)
-					}
-					if res.Start == 0 {
-						res.Start = w.Now()
-					}
-
-					var devBase, userBase sim.Time
-					if th, ok := core.BypassThread(io); ok {
-						devBase, userBase = th.DeviceNS, th.UserNS
-					}
-					for op := 0; ; op++ {
-						if g.OpsPerThread > 0 {
-							if op >= g.OpsPerThread {
-								break
-							}
-						} else if stop {
-							break
-						}
-						off := rng.Int63n(blocks) * int64(g.BS)
-						t0 := w.Now()
-						var err error
-						if g.Write {
-							_, err = io.Pwrite(w, fd, buf, off)
-						} else {
-							_, err = io.Pread(w, fd, buf, off)
-						}
-						if err != nil {
-							setupErr = fmt.Errorf("fio %s worker %d: %w", g.Name, ti, err)
-							break
-						}
-						res.Lat.Add(w.Now() - t0)
-						res.Ops++
-						res.Bytes += int64(g.BS)
-					}
-					if th, ok := core.BypassThread(io); ok {
-						res.DeviceNS += th.DeviceNS - devBase
-						res.UserNS += th.UserNS - userBase
-					}
-					if end := w.Now(); end > res.End {
-						res.End = end
-					}
-					if g.OpsPerThread > 0 {
-						done++
-						if done == finite {
-							stop = true
-						}
-					}
-				})
+				threads = append(threads, thread{g: g, gi: gi, ti: ti, proc: proc})
 			}
 		}
+		name := func(t int) string { return "fio-" + threads[t].g.Name }
+		StartThreads(sys, len(threads), name, fail, func(w *sim.Proc, t int) (func() error, error) {
+			th := threads[t]
+			g := th.g
+			io, err := sys.NewFileIO(w, th.proc, g.Engine)
+			if err != nil {
+				return nil, err
+			}
+			fd, err := io.Open(w, filePath(th.gi, th.ti), true)
+			if err != nil {
+				return nil, err
+			}
+			return func() error {
+				res := results[g.Name]
+				rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(th.gi)*104729 + int64(th.ti)))
+				// Pooled worker buffer; cleared so written file
+				// content matches a fresh zero-filled allocation.
+				buf := device.GetDMABuf(g.BS)
+				defer device.PutDMABuf(buf)
+				clear(buf)
+				blocks := g.FileBytes / int64(g.BS)
+				if g.StartDelay > 0 {
+					w.Sleep(g.StartDelay)
+				}
+				if res.Start == 0 {
+					res.Start = w.Now()
+				}
+
+				var devBase, userBase sim.Time
+				if bt, ok := core.BypassThread(io); ok {
+					devBase, userBase = bt.DeviceNS, bt.UserNS
+				}
+				var opErr error
+				for op := 0; ; op++ {
+					if g.OpsPerThread > 0 {
+						if op >= g.OpsPerThread {
+							break
+						}
+					} else if stop {
+						break
+					}
+					off := rng.Int63n(blocks) * int64(g.BS)
+					t0 := w.Now()
+					if g.Write {
+						_, opErr = io.Pwrite(w, fd, buf, off)
+					} else {
+						_, opErr = io.Pread(w, fd, buf, off)
+					}
+					if opErr != nil {
+						opErr = fmt.Errorf("fio %s worker %d: %w", g.Name, th.ti, opErr)
+						break
+					}
+					res.Lat.Add(w.Now() - t0)
+					res.Ops++
+					res.Bytes += int64(g.BS)
+				}
+				if bt, ok := core.BypassThread(io); ok {
+					res.DeviceNS += bt.DeviceNS - devBase
+					res.UserNS += bt.UserNS - userBase
+				}
+				if end := w.Now(); end > res.End {
+					res.End = end
+				}
+				// A failed finite worker still counts, or the
+				// background groups would never stop.
+				if g.OpsPerThread > 0 {
+					done++
+					if done == finite {
+						stop = true
+					}
+				}
+				return opErr
+			}, nil
+		})
+		return nil
 	})
-	sys.Sim.Run()
-	if setupErr != nil {
-		return nil, setupErr
+	if err != nil {
+		return nil, err
 	}
 	if tr := sys.M.Trace; tr != nil {
 		for _, g := range groups {

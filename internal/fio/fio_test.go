@@ -1,10 +1,13 @@
 package fio
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/iommu"
+	"repro/internal/kernel"
 	"repro/internal/sim"
 )
 
@@ -146,6 +149,28 @@ func TestBackgroundGroupStopsWithForeground(t *testing.T) {
 	// Foreground latency under contention exceeds the idle latency.
 	if res["fg"].Lat.Mean() < 5*sim.Microsecond {
 		t.Fatalf("fg latency %v implausibly low under background load", res["fg"].Lat.Mean())
+	}
+}
+
+// TestFailedForegroundStopsBackground fails the foreground worker
+// mid-run with media errors on the kernel queue it alone uses (the
+// background group submits on its own BypassD queue): the failed
+// worker must still count toward stopping the background group, so
+// Run ends and returns the worker's error.
+func TestFailedForegroundStopsBackground(t *testing.T) {
+	inj := faults.NewInjector(1, []faults.Rule{{Site: "device/*/media", Queue: 1, Start: 40}})
+	_, err := Run(Spec{Observers: kernel.Observers{Faults: inj}}, []Group{
+		{
+			Name: "fg", Engine: core.EngineSync, BS: 4096, Threads: 1,
+			OpsPerThread: 1000, FileBytes: 8 << 20,
+		},
+		{
+			Name: "bg", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
+			FileBytes: 8 << 20,
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "fio fg worker 0") {
+		t.Fatalf("Run error = %v, want the fg worker's media error", err)
 	}
 }
 

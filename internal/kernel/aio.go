@@ -47,13 +47,15 @@ type AioContext struct {
 	reqFree []*aioReq
 }
 
-// aioReq carries one submitted op to its helper proc via SpawnArg —
-// the per-op closure this replaces was a top allocation site.
+// aioReq carries one submitted op to its helper proc. run is the
+// helper body, bound once when the box is made, so a spawn allocates
+// no per-op closure (TestKVellLibaioAllocBudget pins this).
 type aioReq struct {
 	c    *AioContext
 	op   AioOp
 	segs []sectorSeg
 	sp   *trace.IOSpan
+	run  func(*sim.Proc)
 }
 
 // NewAioContext creates a context.
@@ -69,7 +71,9 @@ func (c *AioContext) getReq() *aioReq {
 		c.reqFree = c.reqFree[:n-1]
 		return r
 	}
-	return &aioReq{c: c}
+	r := &aioReq{c: c}
+	r.run = r.exec
+	return r
 }
 
 // putReq retires a request box, keeping its segment buffer for reuse.
@@ -128,15 +132,14 @@ func (c *AioContext) Submit(p *sim.Proc, ops []AioOp) error {
 		// The span belongs to the submitting proc; capture it here so
 		// the helper proc's submissions mark the right request.
 		req.sp = trace.SpanFrom(p)
-		p.SpawnArg("aio-op", aioRun, req)
+		p.Spawn("aio-op", req.run)
 	}
 	return nil
 }
 
-// aioRun is the shared helper-proc body: execute one submitted op's
-// device commands, post its result, and retire the request box.
-func aioRun(w *sim.Proc, arg any) {
-	req := arg.(*aioReq)
+// exec is the helper-proc body: execute one submitted op's device
+// commands, post its result, and retire the request box.
+func (req *aioReq) exec(w *sim.Proc) {
 	c := req.c
 	pr := c.pr
 	opcode := nvme.OpRead

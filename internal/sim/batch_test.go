@@ -38,9 +38,9 @@ func laneScenario(seed int64, noLane bool) []string {
 					trace(tag+":sleep", p)
 				case 2: // cross-post: a handler that posts another handler
 					step := step
-					s.After(0, func() {
+					s.AtOn(0, s.Now(), func() {
 						log = append(log, fmt.Sprintf("%d:p%d.%d:post", s.Now(), i, step))
-						s.After(0, func() {
+						s.AtOn(0, s.Now(), func() {
 							log = append(log, fmt.Sprintf("%d:p%d.%d:post2", s.Now(), i, step))
 						})
 					})

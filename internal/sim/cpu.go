@@ -53,9 +53,6 @@ func (c *CPUSet) lane(p *Proc) *int {
 	return &c.demand[k]
 }
 
-// Cores reports the per-shard core count.
-func (c *CPUSet) Cores() int { return c.cores }
-
 // dilation returns the processor-sharing slowdown factor for the
 // given demand level.
 func (c *CPUSet) dilation(demand int) float64 {

@@ -48,14 +48,14 @@ func confinedScenario(seed int64, shards, workers int) [][]string {
 				tag := fmt.Sprintf("p%d.%d", i, step)
 				switch rng.Intn(6) {
 				case 0:
-					p.Yield()
+					p.Sleep(0)
 					tr(k, p.Now(), tag+":yield")
 				case 1:
 					p.Sleep(Time(1 + rng.Intn(window)))
 					tr(k, p.Now(), tag+":sleep")
 				case 2: // same-shard timer
 					at := p.Now()
-					p.After(Time(rng.Intn(window)), func() {
+					s.AtOn(k, at+Time(rng.Intn(window)), func() {
 						tr(k, p.sim.ShardNow(k), tag+":after")
 					})
 					tr(k, at, tag+":armed")
@@ -135,36 +135,26 @@ func TestParallelDrainMatchesRerun(t *testing.T) {
 	}
 }
 
-// TestParallelDrainCoupledAPIsPanic checks that every API routing by
-// the coupled dispatch context or the global clock — both stale while
-// workers drain — panics when a proc calls it inside an armed run,
-// instead of silently posting onto whichever shard ran last.
+// TestParallelDrainCoupledAPIsPanic checks that Sim.Spawn, the one API
+// that reads the global clock (stale while workers drain), panics when
+// a proc calls it inside an armed run instead of spawning at the wrong
+// time.
 func TestParallelDrainCoupledAPIsPanic(t *testing.T) {
-	calls := map[string]func(s *Sim){
-		"At":          func(s *Sim) { s.At(s.Now(), func() {}) },
-		"After":       func(s *Sim) { s.After(0, func() {}) },
-		"Spawn":       func(s *Sim) { s.Spawn("x", func(*Proc) {}) },
-		"SpawnAt":     func(s *Sim) { s.SpawnAt(s.Now(), "x", func(*Proc) {}) },
-		"NewResource": func(s *Sim) { s.NewResource("x", 1) },
+	s := New()
+	s.AddShard()
+	s.ArmParallel(2)
+	var got any
+	s.SpawnOn(1, "caller", func(p *Proc) {
+		p.Sleep(10) // run the shard clock ahead of the global one
+		defer func() { got = recover() }()
+		s.Spawn("x", func(*Proc) {})
+	})
+	s.Run()
+	s.Shutdown()
+	if got == nil {
+		t.Fatal("Sim.Spawn inside a parallel drain did not panic")
 	}
-	for api, call := range calls {
-		s := New()
-		s.AddShard()
-		s.ArmParallel(2)
-		var got any
-		s.SpawnOn(1, "caller", func(p *Proc) {
-			p.Sleep(10) // run the shard clock ahead of the global one
-			defer func() { got = recover() }()
-			call(s)
-		})
-		s.Run()
-		s.Shutdown()
-		if got == nil {
-			t.Errorf("Sim.%s inside a parallel drain did not panic", api)
-			continue
-		}
-		if msg := fmt.Sprint(got); !strings.Contains(msg, "Sim."+api+" called during a parallel drain") {
-			t.Errorf("Sim.%s: unexpected panic %q", api, msg)
-		}
+	if msg := fmt.Sprint(got); !strings.Contains(msg, "Sim.Spawn called during a parallel drain") {
+		t.Fatalf("Sim.Spawn: unexpected panic %q", msg)
 	}
 }

@@ -21,16 +21,9 @@ type Resource struct {
 	waiters  []waiter
 }
 
-// NewResource returns a resource with the given unit count, resident
-// on the current coupled dispatch context's shard. It panics inside a
-// parallel drain, where that context is stale; use NewResourceOn.
-func (s *Sim) NewResource(name string, capacity int) *Resource {
-	s.coupledOnly("NewResource")
-	return s.NewResourceOn(s.curShard(), name, capacity)
-}
-
-// NewResourceOn is NewResource with an explicit shard residence —
-// topology boot pins each device's pools to the device's shard.
+// NewResourceOn returns a resource with the given unit count, resident
+// on shard shardIdx — topology boot pins each device's pools to the
+// device's shard.
 func (s *Sim) NewResourceOn(shardIdx int, name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
@@ -69,15 +62,6 @@ func (r *Resource) AcquireFunc(shard int, fn func()) bool {
 	return false
 }
 
-// TryAcquire claims a unit if one is free, reporting whether it did.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns a unit. If procs or callbacks are waiting, ownership
 // transfers directly to the oldest waiter (the unit never becomes
 // free).
@@ -95,13 +79,3 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// Use acquires a unit, holds it for d, and releases it.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}
-
-// Capacity reports the unit count.
-func (r *Resource) Capacity() int { return r.capacity }

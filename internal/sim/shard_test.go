@@ -29,9 +29,9 @@ func shardScenario(seed int64, shards int, noShard bool) []string {
 
 	const procs = 8
 	for i := 0; i < procs; i++ {
-		i := i
+		i, k := i, i%shards
 		rng := rand.New(rand.NewSource(seed + int64(i)))
-		s.SpawnOn(i%shards, fmt.Sprintf("p%d", i), func(p *Proc) {
+		s.SpawnOn(k, fmt.Sprintf("p%d", i), func(p *Proc) {
 			for step := 0; step < 30; step++ {
 				tag := fmt.Sprintf("p%d.%d", i, step)
 				switch rng.Intn(6) {
@@ -43,20 +43,20 @@ func shardScenario(seed int64, shards int, noShard bool) []string {
 					trace(tag+":sleep", p)
 				case 2: // cross-post: a handler that posts another handler
 					step := step
-					s.After(0, func() {
+					s.AtOn(k, s.Now(), func() {
 						log = append(log, fmt.Sprintf("%d:p%d.%d:post", s.Now(), i, step))
-						s.After(0, func() {
+						s.AtOn(k, s.Now(), func() {
 							log = append(log, fmt.Sprintf("%d:p%d.%d:post2", s.Now(), i, step))
 						})
 					})
 					trace(tag+":after", p)
 				case 3: // same-instant spawn burst (children inherit the shard)
-					for k := 0; k < 2; k++ {
-						k := k
-						s.Spawn("child", func(c *Proc) {
-							trace(fmt.Sprintf("p%d.%d:child%d", i, step, k), c)
+					for n := 0; n < 2; n++ {
+						n := n
+						p.Spawn("child", func(c *Proc) {
+							trace(fmt.Sprintf("p%d.%d:child%d", i, step, n), c)
 							c.Sleep(0)
-							trace(fmt.Sprintf("p%d.%d:child%d-end", i, step, k), c)
+							trace(fmt.Sprintf("p%d.%d:child%d-end", i, step, n), c)
 						})
 					}
 					trace(tag+":spawned", p)
@@ -130,9 +130,9 @@ func TestShardDispatchEquivalenceProperty(t *testing.T) {
 }
 
 // TestShardAffinity checks the routing contract: SpawnOn pins a proc's
-// lane, Spawn inherits the spawning context's shard, and timers posted
-// from a proc land on its shard — so a device's whole event stream
-// stays in its lane without any caller bookkeeping.
+// lane, Proc.Spawn inherits the spawning proc's shard, Sim.Spawn always
+// lands on shard 0, and a timer posted with AtOn dispatches from the
+// shard it names — so a device's whole event stream stays in its lane.
 func TestShardAffinity(t *testing.T) {
 	s := New()
 	if got := s.AddShard(); got != 1 {
@@ -141,52 +141,32 @@ func TestShardAffinity(t *testing.T) {
 	if got := s.Shards(); got != 2 {
 		t.Fatalf("Shards = %d, want 2", got)
 	}
-	var childShard, timerShard int
+	childShard, simChildShard := -1, -1
+	var timerClock Time
 	s.SpawnOn(1, "dev", func(p *Proc) {
-		if p.shard != 1 {
-			t.Errorf("SpawnOn proc on shard %d, want 1", p.shard)
+		if p.Shard() != 1 {
+			t.Errorf("SpawnOn proc on shard %d, want 1", p.Shard())
 		}
-		s.Spawn("serve", func(c *Proc) {
-			childShard = c.shard
+		p.Spawn("serve", func(c *Proc) {
+			childShard = c.Shard()
 		})
-		s.After(5, func() {
-			timerShard = s.cur
+		s.Spawn("setup", func(c *Proc) {
+			simChildShard = c.Shard()
+		})
+		s.AtOn(p.Shard(), p.Now()+5, func() {
+			timerClock = s.shards[1].now
 		})
 		p.Sleep(10)
 	})
 	s.Run()
 	if childShard != 1 {
-		t.Errorf("inherited child shard = %d, want 1", childShard)
+		t.Errorf("Proc.Spawn child shard = %d, want 1", childShard)
 	}
-	if timerShard != 1 {
-		t.Errorf("timer dispatched with current shard %d, want 1", timerShard)
+	if simChildShard != 0 {
+		t.Errorf("Sim.Spawn child shard = %d, want 0", simChildShard)
 	}
-	s.Shutdown()
-}
-
-// TestShardRunUntil checks the cross-shard peek used by RunUntil: the
-// earliest event must be found in whichever shard holds it.
-func TestShardRunUntil(t *testing.T) {
-	s := New()
-	s.AddShard()
-	var order []string
-	s.SpawnOn(1, "late", func(p *Proc) {
-		p.Sleep(20)
-		order = append(order, "late")
-	})
-	s.SpawnOn(0, "early", func(p *Proc) {
-		p.Sleep(5)
-		order = append(order, "early")
-	})
-	if n := s.RunUntil(10); n == 0 {
-		t.Fatal("RunUntil processed nothing")
-	}
-	if len(order) != 1 || order[0] != "early" {
-		t.Fatalf("order after RunUntil(10) = %v, want [early]", order)
-	}
-	s.Run()
-	if len(order) != 2 || order[1] != "late" {
-		t.Fatalf("order after Run = %v, want [early late]", order)
+	if timerClock != 5 {
+		t.Errorf("shard 1 clock at timer dispatch = %v, want 5", timerClock)
 	}
 	s.Shutdown()
 }

@@ -18,8 +18,8 @@
 // same-instant events go through a FIFO staging lane instead of the
 // heap (no sift traffic for wakeup storms), finished procs idle their
 // coroutines in a free pool for reuse by later Spawns (no coroutine or
-// stack churn in steady state), and SpawnArg avoids the
-// per-spawn closure allocation on hot spawn paths (kernel AIO helpers).
+// stack churn in steady state). Hot spawn paths avoid a per-spawn
+// closure by binding their body once per pooled request (kernel AIO).
 //
 // Multi-device topologies partition the event stream into shards
 // (DESIGN.md §14): each shard owns its own heap + staging lane, clock,
@@ -280,8 +280,8 @@ type Proc struct {
 	live bool
 
 	// shard is the event lane the proc's resumes route to. Procs are
-	// shard-resident: the shard is fixed at first allocation (from the
-	// spawning context, or pinned with SpawnOn) and recycling reuses
+	// shard-resident: the shard is fixed at first allocation (the
+	// spawning proc's, or the one SpawnOn pins) and recycling reuses
 	// the proc only for spawns on the same shard.
 	shard int
 
@@ -290,18 +290,11 @@ type Proc struct {
 	id  uint64
 	gen uint64
 
-	// Exactly one of fn / fnArg is set per assignment. fnArg+arg is the
-	// closure-free spawn variant (SpawnArg).
-	fn    func(p *Proc)
-	fnArg func(p *Proc, arg any)
-	arg   any
+	fn func(p *Proc)
 }
 
 // Name returns the name given at spawn time.
 func (p *Proc) Name() string { return p.name }
-
-// Sim returns the simulation this proc belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
 
 // Now returns the proc's current virtual time: its shard's clock or
 // the global clock, whichever is ahead. Under the coupled scheduler
@@ -352,12 +345,6 @@ type Sim struct {
 	// the clock cannot pass a queued at == now entry), so entries
 	// never go stale.
 	shards []shard
-	// cur is the shard of the currently dispatching context under the
-	// coupled scheduler: contextless fn posts route to it, and spawned
-	// procs inherit it as their affinity. It is stale in a parallel
-	// drain, so the APIs that read it panic there — armed workloads
-	// use the Proc-context and explicit-shard posting APIs.
-	cur int
 	// noLane forces every post through the heap — the one-at-a-time
 	// reference dispatcher the lane equivalence test compares against.
 	noLane bool
@@ -371,8 +358,8 @@ type Sim struct {
 	// goroutines.
 	workers int
 	// draining is true while drainParallel's workers run. It keeps the
-	// stale global clock out of the post floor and turns the
-	// coupled-context APIs into panics.
+	// stale global clock out of the post floor and makes Sim.Spawn,
+	// which reads that clock, panic.
 	draining bool
 
 	running bool
@@ -498,27 +485,6 @@ func (s *Sim) postFloor(k int) Time {
 	return floor
 }
 
-// coupledOnly guards the APIs that route by the coupled dispatch
-// context (s.cur) or the global clock (s.now). Both are stale while a
-// parallel drain runs, so a call there would land on whichever shard
-// the coupled scheduler dispatched last, at the wrong time; it panics
-// instead.
-func (s *Sim) coupledOnly(api string) {
-	if s.draining {
-		panic("sim: Sim." + api + " called during a parallel drain; use the Proc method or the explicit-shard variant")
-	}
-}
-
-// post schedules fn to run at time at on the current coupled dispatch
-// context's shard. fn executes on the scheduler goroutine; it must not
-// block.
-func (s *Sim) post(at Time, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, s.now))
-	}
-	s.routePost(s.cur, event{at: at, fn: fn})
-}
-
 // postOn posts e on shard k, refusing a timestamp below postFloor(k).
 func (s *Sim) postOn(k int, e event) {
 	if floor := s.postFloor(k); e.at < floor {
@@ -543,31 +509,15 @@ func (s *Sim) pending() bool {
 	return false
 }
 
-// peekAt returns the timestamp of the earliest queued event; pending
-// must be true.
-func (s *Sim) peekAt() Time {
-	best := Time(0)
-	found := false
-	for i := range s.shards {
-		if at, _, ok := s.shards[i].peek(); ok {
-			if !found || at < best {
-				best, found = at, true
-			}
-		}
-	}
-	return best
-}
-
 // next pops the globally earliest event by the canonical
-// (at, shard, seq) key and records its shard as the current dispatch
-// context; pending must be true. With one shard this is the historical
+// (at, shard, seq) key and returns it with the index of its shard;
+// pending must be true. With one shard this is the historical
 // single-queue pop; with several, one scan of the shard heads. Since
 // multi-shard traffic runs under the parallel drain, the coupled scan
 // only serves setup phases.
-func (s *Sim) next() event {
+func (s *Sim) next() (event, int) {
 	if len(s.shards) == 1 {
-		s.cur = 0
-		return s.shards[0].next()
+		return s.shards[0].next(), 0
 	}
 	best := -1
 	var bAt Time
@@ -577,8 +527,7 @@ func (s *Sim) next() event {
 			best, bAt, bSeq = i, at, seq
 		}
 	}
-	s.cur = best
-	return s.shards[best].next()
+	return s.shards[best].next(), best
 }
 
 // dispatch runs one event on sh.
@@ -594,38 +543,24 @@ func (s *Sim) dispatch(sh *shard, e event) {
 	e.fn()
 }
 
-// At schedules fn to run at absolute virtual time at, on the current
-// coupled dispatch context's shard. fn runs in scheduler context and
-// must not block; spawn a proc for blocking work. It panics inside a
-// parallel drain (use Proc.At or AtOn).
-func (s *Sim) At(at Time, fn func()) {
-	s.coupledOnly("At")
-	s.post(at, fn)
-}
-
-// After schedules fn to run d nanoseconds from now, on the current
-// coupled dispatch context's shard. It panics inside a parallel drain
-// (use Proc.After).
-func (s *Sim) After(d Time, fn func()) {
-	s.coupledOnly("After")
-	s.post(s.now+d, fn)
-}
-
-// AtOn schedules fn at absolute time at on an explicit shard. It is
-// the shard-safe variant for layers that hold a shard index rather
-// than a Proc context (a device's wakeup timer): in a parallel drain
-// the caller must be executing on that same shard.
+// AtOn schedules fn at absolute time at on shard k. fn runs in
+// scheduler context and must not block; spawn a proc for blocking
+// work. It is the one way to post a callback (a device's wakeup
+// timer): in a parallel drain the caller must be executing on shard k.
 func (s *Sim) AtOn(k int, at Time, fn func()) {
 	s.postOn(k, event{at: at, fn: fn})
 }
 
-// Spawn creates a proc that begins executing fn at the current virtual
-// time. It may be called before Run or from inside coupled dispatch.
-// The proc inherits the spawning context's shard. It panics inside a
-// parallel drain; from a running proc there, use Proc.Spawn.
+// Spawn creates a proc on shard 0 that begins executing fn at the
+// current virtual time. It may be called before Run or from inside
+// coupled dispatch. It reads the global clock, which is stale in a
+// parallel drain, so it panics there; from a running proc, use
+// Proc.Spawn.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	s.coupledOnly("Spawn")
-	return s.SpawnAt(s.now, name, fn)
+	if s.draining {
+		panic("sim: Sim.Spawn called during a parallel drain; use Proc.Spawn")
+	}
+	return s.SpawnOn(0, name, fn)
 }
 
 // SpawnOn is Spawn with an explicit shard affinity: the proc's resume
@@ -641,24 +576,6 @@ func (s *Sim) SpawnOn(shardIdx int, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnAt creates a proc that begins executing fn at virtual time at.
-// Like Spawn, it panics inside a parallel drain.
-func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
-	s.coupledOnly("SpawnAt")
-	p := s.allocProcOn(s.curShard(), name)
-	p.fn = fn
-	s.postResume(at, p)
-	return p
-}
-
-// curShard is the spawn affinity of the coupled dispatch context.
-func (s *Sim) curShard() int {
-	if s.noShard {
-		return 0
-	}
-	return s.cur
-}
-
 // Spawn creates a proc on the calling proc's shard, starting at the
 // calling proc's current time. This is the spawn to use from procs in
 // parallel workloads: it touches only shard-local state.
@@ -668,30 +585,6 @@ func (p *Proc) Spawn(name string, fn func(q *Proc)) *Proc {
 	q.fn = fn
 	s.postResume(p.Now(), q)
 	return q
-}
-
-// SpawnArg is Proc.Spawn for hot paths: fn is a shared, pre-built
-// function value and arg carries the per-spawn state, so spawning
-// allocates no closure. Pointer-typed args avoid the interface boxing
-// allocation.
-func (p *Proc) SpawnArg(name string, fn func(q *Proc, arg any), arg any) *Proc {
-	s := p.sim
-	q := s.allocProcOn(p.shard, name)
-	q.fnArg = fn
-	q.arg = arg
-	s.postResume(p.Now(), q)
-	return q
-}
-
-// After schedules fn d nanoseconds after the calling proc's current
-// time, on the proc's shard. fn runs in scheduler context.
-func (p *Proc) After(d Time, fn func()) {
-	p.At(p.Now()+d, fn)
-}
-
-// At schedules fn at absolute time at on the calling proc's shard.
-func (p *Proc) At(at Time, fn func()) {
-	p.sim.postOn(p.shard, event{at: at, fn: fn})
 }
 
 // allocProcOn hands out a proc resident on shard k for a new logical
@@ -727,18 +620,12 @@ func (s *Sim) runAssignment(p *Proc) bool {
 			panic(r)
 		}
 	}()
-	if p.fnArg != nil {
-		p.fnArg(p, p.arg)
-	} else {
-		p.fn(p)
-	}
+	p.fn(p)
 	// Normal completion: recycle before yielding so the scheduler may
 	// hand the proc straight to the next Spawn.
 	p.live = false
 	p.gen++
 	p.fn = nil
-	p.fnArg = nil
-	p.arg = nil
 	p.trace = nil
 	sh := &s.shards[p.shard]
 	sh.free = append(sh.free, p)
@@ -763,10 +650,6 @@ func (p *Proc) Sleep(d Time) {
 	s.postResume(p.Now()+d, p)
 	p.park()
 }
-
-// Yield lets all other events scheduled at the current instant on the
-// proc's shard run before the proc continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // wake schedules p to be resumed now as seen from p's shard. Under the
 // coupled scheduler that is the global clock, the historical "wake at
@@ -799,18 +682,12 @@ func (s *Sim) Run() {
 			s.drainParallel()
 			continue
 		}
-		s.step()
+		e, k := s.next()
+		s.now = e.at
+		sh := &s.shards[k]
+		sh.now = e.at
+		s.dispatch(sh, e)
 	}
-}
-
-// step dispatches the globally earliest event under the coupled
-// scheduler; pending must be true.
-func (s *Sim) step() {
-	e := s.next()
-	s.now = e.at
-	sh := &s.shards[s.cur]
-	sh.now = e.at
-	s.dispatch(sh, e)
 }
 
 // ParallelArmed reports whether the parallel drain is armed: the next
@@ -819,26 +696,6 @@ func (s *Sim) step() {
 // side effects to coupled phases.
 func (s *Sim) ParallelArmed() bool {
 	return len(s.shards) > 1 && s.workers > 0
-}
-
-// RunUntil processes events with timestamps <= t, then sets the clock
-// to t. It returns the number of events processed. RunUntil always
-// dispatches coupled (no parallel drain): it is a harness-stepping API.
-func (s *Sim) RunUntil(t Time) int {
-	if s.running {
-		panic("sim: RunUntil is not reentrant")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-	n := 0
-	for s.pending() && s.peekAt() <= t {
-		s.step()
-		n++
-	}
-	if s.now < t {
-		s.now = t
-	}
-	return n
 }
 
 // Shutdown unwinds every parked, idle, or not-yet-started proc, so no

@@ -32,7 +32,7 @@ func TestZeroSleepRunsLaterEventsFirst(t *testing.T) {
 	var order []string
 	s.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	s.Spawn("b", func(p *Proc) {
@@ -53,7 +53,7 @@ func TestEventsFireInTimestampOrder(t *testing.T) {
 	times := []Time{30, 10, 20, 10, 40}
 	for _, d := range times {
 		d := d
-		s.After(d, func() { fired = append(fired, d) })
+		s.AtOn(0, d, func() { fired = append(fired, d) })
 	}
 	s.Run()
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
@@ -69,7 +69,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.After(7, func() { order = append(order, i) })
+		s.AtOn(0, 7, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {
@@ -144,11 +144,13 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	s := New()
-	r := s.NewResource("dev", 1)
+	r := s.NewResourceOn(0, "dev", 1)
 	var done []Time
 	for i := 0; i < 3; i++ {
 		s.Spawn("u", func(p *Proc) {
-			r.Use(p, 10)
+			r.Acquire(p)
+			p.Sleep(10)
+			r.Release()
 			done = append(done, p.Now())
 		})
 	}
@@ -163,11 +165,13 @@ func TestResourceSerializes(t *testing.T) {
 
 func TestResourceParallelism(t *testing.T) {
 	s := New()
-	r := s.NewResource("dev", 2)
+	r := s.NewResourceOn(0, "dev", 2)
 	var done []Time
 	for i := 0; i < 4; i++ {
 		s.Spawn("u", func(p *Proc) {
-			r.Use(p, 10)
+			r.Acquire(p)
+			p.Sleep(10)
+			r.Release()
 			done = append(done, p.Now())
 		})
 	}
@@ -183,11 +187,12 @@ func TestResourceParallelism(t *testing.T) {
 
 func TestResourceFIFOHandoff(t *testing.T) {
 	s := New()
-	r := s.NewResource("lock", 1)
+	r := s.NewResourceOn(0, "lock", 1)
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		s.SpawnAt(Time(i), "u", func(p *Proc) {
+		s.Spawn("u", func(p *Proc) {
+			p.Sleep(Time(i))
 			r.Acquire(p)
 			order = append(order, i)
 			p.Sleep(100)
@@ -202,21 +207,6 @@ func TestResourceFIFOHandoff(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	s := New()
-	r := s.NewResource("x", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on free resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestReleaseIdlePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -224,27 +214,8 @@ func TestReleaseIdlePanics(t *testing.T) {
 		}
 	}()
 	s := New()
-	r := s.NewResource("x", 1)
+	r := s.NewResourceOn(0, "x", 1)
 	r.Release()
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	fired := 0
-	s.After(10, func() { fired++ })
-	s.After(20, func() { fired++ })
-	s.After(30, func() { fired++ })
-	n := s.RunUntil(20)
-	if n != 2 || fired != 2 {
-		t.Fatalf("RunUntil(20) processed %d events (fired=%d), want 2", n, fired)
-	}
-	if s.Now() != 20 {
-		t.Fatalf("clock = %v, want 20", s.Now())
-	}
-	s.Run()
-	if fired != 3 {
-		t.Fatalf("after Run fired = %d, want 3", fired)
-	}
 }
 
 func TestShutdownUnwindsParkedProcs(t *testing.T) {
@@ -386,12 +357,16 @@ func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		s := New()
 		rng := rand.New(rand.NewSource(seed))
-		r := s.NewResource("dev", 3)
+		r := s.NewResourceOn(0, "dev", 3)
 		var out []Time
 		for i := 0; i < 50; i++ {
 			d := Time(rng.Intn(100) + 1)
-			s.SpawnAt(Time(rng.Intn(50)), "w", func(p *Proc) {
-				r.Use(p, d)
+			start := Time(rng.Intn(50))
+			s.Spawn("w", func(p *Proc) {
+				p.Sleep(start)
+				r.Acquire(p)
+				p.Sleep(d)
+				r.Release()
 				out = append(out, p.Now())
 			})
 		}
@@ -418,7 +393,7 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 			return true
 		}
 		s := New()
-		r := s.NewResource("dev", 1)
+		r := s.NewResourceOn(0, "dev", 1)
 		type span struct{ start, end Time }
 		var spans []span
 		var total Time

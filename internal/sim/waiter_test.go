@@ -54,14 +54,14 @@ func waiterScenario(callback []bool) (log []string, events, resumes uint64) {
 		p.Sleep(10)
 		cond.Signal()
 		logf("%d: signal, seq %d", p.Now(), seq())
-		p.After(0, func() { logf("%d: marker", s.Now()) })
+		s.AtOn(0, p.Now(), func() { logf("%d: marker", s.Now()) })
 		cond.Signal()
 		cond.Signal()
 		logf("%d: signal x2, seq %d", p.Now(), seq())
 		p.Sleep(1)
 		cond.Broadcast()
 		logf("%d: broadcast, seq %d", p.Now(), seq())
-		p.After(0, func() { logf("%d: marker", s.Now()) })
+		s.AtOn(0, p.Now(), func() { logf("%d: marker", s.Now()) })
 	})
 	s.Run()
 	s.Shutdown()

@@ -54,38 +54,25 @@ type Config struct {
 	// (§5.1 alternate-data-structure enhancement) instead of
 	// page-table FTEs.
 	ExtentFmap bool
-
-	// MaxRetries bounds the direct path's recovery attempts per
-	// operation — transient-error resubmissions and refmaps alike —
-	// before the file degrades to the kernel interface. <= 0 means
-	// the default (3).
-	MaxRetries int
-	// RetryBackoff is the first retry's delay; each further retry
-	// doubles it. <= 0 means the default (5 µs).
-	RetryBackoff sim.Time
-	// MaxBackoff caps the doubled delay. Without the cap a large
-	// MaxRetries overflows sim.Time into a negative sleep (which the
-	// scheduler rejects by panicking). <= 0 means the default (1 ms).
-	MaxBackoff sim.Time
 }
 
-// Retry defaults, applied by New when the Config leaves them unset.
+// The direct path's recovery budget: at most maxRetries attempts per
+// operation — transient-error resubmissions and refmaps alike — before
+// the file degrades to the kernel interface. The first retry waits
+// firstBackoff and each further one twice as long.
 const (
-	defaultMaxRetries   = 3
-	defaultRetryBackoff = 5 * sim.Microsecond
-	defaultMaxBackoff   = 1 * sim.Millisecond
+	maxRetries   = 3
+	firstBackoff = 5 * sim.Microsecond
 )
 
 // DefaultConfig returns the calibration documented in DESIGN.md.
 func DefaultConfig() Config {
 	return Config{
-		LibOverhead:  150 * sim.Nanosecond,
-		CopyBase:     60 * sim.Nanosecond,
-		CopyBW:       10.7,
-		QueueDepth:   256,
-		DMABufBytes:  1 << 20,
-		MaxRetries:   defaultMaxRetries,
-		RetryBackoff: defaultRetryBackoff,
+		LibOverhead: 150 * sim.Nanosecond,
+		CopyBase:    60 * sim.Nanosecond,
+		CopyBW:      10.7,
+		QueueDepth:  256,
+		DMABufBytes: 1 << 20,
 	}
 }
 
@@ -160,15 +147,6 @@ func (l *Lib) countInjected() { l.Stats.InjectedFaults++; l.mInjected.Inc() }
 
 // New creates the library instance for a process.
 func New(pr *kernel.Process, cfg Config) *Lib {
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = defaultMaxRetries
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = defaultRetryBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = defaultMaxBackoff
-	}
 	reg := pr.M.Metrics
 	return &Lib{
 		Proc:      pr,
@@ -360,22 +338,9 @@ func (t *Thread) doVBA(p *sim.Proc, op nvme.Opcode, vba uint64, buf []byte) nvme
 	}
 }
 
-// backoff returns the exponential delay before retry n (1-based),
-// clamped to MaxBackoff. The clamp is checked before each doubling so
-// a large n cannot overflow sim.Time into a negative sleep.
-func (l *Lib) backoff(n int) sim.Time {
-	d := l.cfg.RetryBackoff
-	for i := 1; i < n; i++ {
-		if d >= l.cfg.MaxBackoff/2 {
-			return l.cfg.MaxBackoff
-		}
-		d *= 2
-	}
-	if d > l.cfg.MaxBackoff {
-		d = l.cfg.MaxBackoff
-	}
-	return d
-}
+// backoff returns the exponential delay before retry n (1-based, at
+// most maxRetries): 5, 10 and 20 µs.
+func backoff(n int) sim.Time { return firstBackoff << (n - 1) }
 
 // degrade routes the file to the kernel interface permanently (the
 // fallback leg of the §3.6 state machine) and counts the event.
@@ -416,13 +381,13 @@ func (t *Thread) vbaRetry(p *sim.Proc, fs *FileState, op nvme.Opcode, alignedOff
 			// Injected submission backpressure: treat exactly like a
 			// full ring — back off, then resubmit.
 			l.countInjected()
-			if retries >= l.cfg.MaxRetries {
+			if retries >= maxRetries {
 				l.degrade(fs)
 				return nvme.StatusCommandTimeout, true
 			}
 			retries++
 			l.countRetry()
-			p.Sleep(l.backoff(retries))
+			p.Sleep(backoff(retries))
 			continue
 		}
 		st = t.doVBA(p, op, fs.Base+uint64(alignedOff), dma)
@@ -432,7 +397,7 @@ func (t *Thread) vbaRetry(p *sim.Proc, fs *FileState, op nvme.Opcode, alignedOff
 		case st == nvme.StatusTranslationFault || st == nvme.StatusAccessDenied:
 			// Revocation or a spurious IOMMU fault: re-issue fmap()
 			// and resubmit (paper §3.6).
-			if refmaps >= l.cfg.MaxRetries || inj.Fire(faults.SiteRefmapExhaust) {
+			if refmaps >= maxRetries || inj.Fire(faults.SiteRefmapExhaust) {
 				l.degrade(fs)
 				return st, true
 			}
@@ -448,13 +413,13 @@ func (t *Thread) vbaRetry(p *sim.Proc, fs *FileState, op nvme.Opcode, alignedOff
 			// Media error or command timeout — only the fault plane
 			// produces these.
 			l.countInjected()
-			if retries >= l.cfg.MaxRetries {
+			if retries >= maxRetries {
 				l.degrade(fs)
 				return st, true
 			}
 			retries++
 			l.countRetry()
-			p.Sleep(l.backoff(retries))
+			p.Sleep(backoff(retries))
 		default:
 			return st, false // hard error: caller reports it
 		}

@@ -375,42 +375,17 @@ func TestFsyncDirect(t *testing.T) {
 	e.s.Shutdown()
 }
 
-// Regression: backoff doubled its delay without a cap, so a large
-// retry count overflowed sim.Time into a negative duration and the
-// simulator panicked on the negative sleep. The delay must now clamp
-// at Config.MaxBackoff for any retry index.
+// The fixed retry budget bounds the backoff: it doubles from 5 µs over
+// the three retries and never exceeds 20 µs, so no retry index can
+// overflow sim.Time into a negative sleep.
 func TestBackoffClampsAtMaxBackoff(t *testing.T) {
-	e := newEnv(t)
-	for n := 1; n <= 200; n++ {
-		d := e.l.backoff(n)
-		if d <= 0 {
-			t.Fatalf("backoff(%d) = %v: overflowed past the cap", n, d)
+	want := []sim.Time{5 * sim.Microsecond, 10 * sim.Microsecond, 20 * sim.Microsecond}
+	if len(want) != maxRetries {
+		t.Fatalf("pinned %d backoffs for a budget of %d retries", len(want), maxRetries)
+	}
+	for n, w := range want {
+		if got := backoff(n + 1); got != w {
+			t.Fatalf("backoff(%d) = %v, want %v", n+1, got, w)
 		}
-		if d > e.l.cfg.MaxBackoff {
-			t.Fatalf("backoff(%d) = %v exceeds cap %v", n, d, e.l.cfg.MaxBackoff)
-		}
-	}
-	if got := e.l.backoff(200); got != e.l.cfg.MaxBackoff {
-		t.Fatalf("backoff(200) = %v, want the cap %v", got, e.l.cfg.MaxBackoff)
-	}
-
-	// A custom cap is honored, the sequence never decreases, and an
-	// unset cap falls back to the default.
-	cfg := DefaultConfig()
-	cfg.MaxBackoff = 40 * sim.Microsecond
-	l := New(e.l.Proc, cfg)
-	var prev sim.Time
-	for n := 1; n <= 20; n++ {
-		d := l.backoff(n)
-		if d < prev {
-			t.Fatalf("backoff(%d) = %v decreased from %v", n, d, prev)
-		}
-		prev = d
-	}
-	if got := l.backoff(100); got != 40*sim.Microsecond {
-		t.Fatalf("backoff with 40µs cap = %v", got)
-	}
-	if New(e.l.Proc, Config{}).cfg.MaxBackoff != defaultMaxBackoff {
-		t.Fatal("zero MaxBackoff should clamp to the default")
 	}
 }
