@@ -18,7 +18,7 @@ import (
 
 func main() {
 	s := sim.New()
-	host, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{device.OptaneP5800X(1 << 30)}, nil, kernel.Observers{})
+	host, err := kernel.NewMachineN(s, []device.Config{device.OptaneP5800X(1 << 30)}, nil, kernel.Observers{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		guests[i], err = kernel.NewGuestMachine(s, kernel.DefaultConfig(), host, vf, 300*sim.Nanosecond)
+		guests[i], err = kernel.NewGuestMachine(s, host, vf, 300*sim.Nanosecond)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func main() {
 			_ = pr.Fsync(p, fd)
 			_ = pr.Close(p, fd)
 
-			lib := userlib.New(g.NewProcess(ext4.Root), userlib.DefaultConfig())
+			lib := userlib.New(g.NewProcess(ext4.Root), userlib.Config{})
 			th, err := lib.NewThread(p)
 			if err != nil {
 				log.Fatal(err)

@@ -93,7 +93,7 @@ func Boot(c Config) (*System, error) {
 		sts = []*storage.Store{c.Image}
 	}
 	s := sim.New()
-	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), dcfgs, sts, c.Observers)
+	m, err := kernel.NewMachineN(s, dcfgs, sts, c.Observers)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func (sys *System) Lib(pr *kernel.Process) *userlib.Lib {
 	defer sys.libsMu.Unlock()
 	l, ok := sys.libs[pr]
 	if !ok {
-		l = userlib.New(pr, userlib.DefaultConfig())
+		l = userlib.New(pr, userlib.Config{})
 		sys.libs[pr] = l
 	}
 	return l
@@ -155,7 +155,7 @@ func (sys *System) Lib(pr *kernel.Process) *userlib.Lib {
 // exclusively on first use. It fails if the device is already shared.
 func (sys *System) SPDK() (*spdk.Driver, error) {
 	if sys.spdk == nil {
-		d, err := spdk.Claim(sys.M.CPU, sys.M.Dev, spdk.DefaultConfig())
+		d, err := spdk.Claim(sys.M.CPU, sys.M.Dev)
 		if err != nil {
 			return nil, err
 		}

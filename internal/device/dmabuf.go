@@ -1,6 +1,28 @@
 package device
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/sim"
+)
+
+// The resources and copy model of a userspace I/O channel, shared by
+// UserLib threads and SPDK queues: each thread gets a UserQueueDepth
+// queue pair and a DMABufBytes pinned buffer, and every direct transfer
+// stages through that buffer at CopyCost on the virtual clock.
+const (
+	UserQueueDepth = 256
+	DMABufBytes    = 1 << 20
+
+	copyBase sim.Time = 60 * sim.Nanosecond
+	copyBW   float64  = 10.7 // bytes per nanosecond
+)
+
+// CopyCost models one memcpy of n bytes between a user buffer and a
+// DMA buffer (Fig. 7's dominant "user" component).
+func CopyCost(n int) sim.Time {
+	return copyBase + sim.Time(float64(n)/copyBW)
+}
 
 // DMA buffer recycling. Every UserLib thread and SPDK queue pins a
 // megabyte-class DMA buffer; experiment sweeps boot thousands of them,

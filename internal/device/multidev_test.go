@@ -10,7 +10,9 @@ import (
 )
 
 // TestCrossDeviceVBADenied verifies the DevID check of paper Fig. 3:
-// two SSDs share one IOMMU; a file's FTEs carry device 1's ID, so a
+// two SSDs attach to one IOMMU here (a booted machine gives each
+// device its own IOMMU with every PASID registered on each, which
+// denies the same way); a file's FTEs carry device 1's ID, so a
 // request carrying that VBA on device 2's queue must be denied — "a
 // malicious process does not use the VBA to access files on another
 // device" (§3.4).

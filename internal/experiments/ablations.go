@@ -113,9 +113,7 @@ func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float6
 		}
 
 		worker := sys.NewProcess(ext4.Root)
-		cfg := userlib.DefaultConfig()
-		cfg.ShareQueues = shared
-		lib := userlib.New(worker, cfg)
+		lib := userlib.New(worker, userlib.Config{ShareQueues: shared})
 		fio.StartThreads(sys, threads, func(int) string { return "a2-worker" }, fail, func(w *sim.Proc, t int) (func() error, error) {
 			th, err := lib.NewThread(w)
 			var lfd int
@@ -257,7 +255,7 @@ func runA4Once(o Options, serialize bool, ops int) (sim.Time, error) {
 	s := sim.New()
 	dcfg := device.OptaneP5800X(1 << 30)
 	dcfg.SerializeWriteTranslation = serialize
-	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{dcfg}, nil, o.observers())
+	m, err := kernel.NewMachineN(s, []device.Config{dcfg}, nil, o.observers())
 	if err != nil {
 		return 0, err
 	}
@@ -268,7 +266,7 @@ func runA4Once(o Options, serialize bool, ops int) (sim.Time, error) {
 		if err := mkfile(p, pr, "/a4", 16<<20); err != nil {
 			return err
 		}
-		lib := userlib.New(pr, userlib.DefaultConfig())
+		lib := userlib.New(pr, userlib.Config{})
 		th, err := lib.NewThread(p)
 		if err != nil {
 			return err
@@ -407,9 +405,7 @@ func runA6(o Options, extent bool, size int64, reads int) ([]float64, error) {
 		}
 		in.DropFileTable()
 
-		cfg := userlib.DefaultConfig()
-		cfg.ExtentFmap = extent
-		lib := userlib.New(sys.NewProcess(ext4.Root), cfg)
+		lib := userlib.New(sys.NewProcess(ext4.Root), userlib.Config{ExtentFmap: extent})
 		th, err := lib.NewThread(p)
 		if err != nil {
 			return err

@@ -120,10 +120,9 @@ func cellsF7(o Options) *cellReport {
 					} else {
 						// Sync path: software layers are the calibrated
 						// constants; the rest is device time.
-						cfg := kernel.DefaultConfig()
-						kern = cfg.VFSCost + cfg.BlockLayer + cfg.DriverSubmit +
-							sim.Time((bs-1)/4096)*cfg.VFSPerPage
-						user = cfg.SyscallEnter + cfg.SyscallExit
+						kern = kernel.VFSCost + kernel.BlockLayer + kernel.DriverSubmit +
+							sim.Time((bs-1)/4096)*kernel.VFSPerPage
+						user = kernel.SyscallEnter + kernel.SyscallExit
 						dev = total - kern - user
 					}
 					return []float64{user.Micros(), kern.Micros(), dev.Micros(), total.Micros()}, nil

@@ -24,13 +24,14 @@ func t9Counts(o Options) []int {
 
 // cellsT9 grows the machine from one SSD to eight, keeping the offered
 // load per device fixed (one 4 KiB victim + one 64 KiB hog each, the
-// T7 pairing) — weak scaling. The fleet shares one IOMMU and the host
-// cores; queues, arbitration, and media are per-device, so aggregate
-// throughput should track the device count while each victim's p99
-// stays where the single-device machine put it. Every cell runs on
-// the same seed, so the device-count rows are paired: identical
-// per-tenant arrival processes, more devices. The speedup column
-// divides by the 1-device row, which is the table's base cell.
+// T7 pairing) — weak scaling. The fleet shares the host cores; the
+// IOMMU (one per root complex), queues, arbitration, and media are
+// per-device, so aggregate throughput should track the device count
+// while each victim's p99 stays where the single-device machine put
+// it. Every cell runs on the same seed, so the device-count rows are
+// paired: identical per-tenant arrival processes, more devices. The
+// speedup column divides by the 1-device row, which is the table's
+// base cell.
 func cellsT9(o Options) *cellReport {
 	counts := t9Counts(o)
 	victimOps, hogOps := 1000, 1000

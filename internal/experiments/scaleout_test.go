@@ -9,7 +9,7 @@ import (
 // TestT9ScaleOutSpeedup is the tentpole acceptance criterion at the
 // table layer: with one victim+hog pair per device, aggregate IOPS at
 // 4 devices must be at least 2x the single-device machine — the
-// shared IOMMU and host cores must not serialize the fleet.
+// shared host cores must not serialize the fleet.
 func TestT9ScaleOutSpeedup(t *testing.T) {
 	rep, _ := runTenancy(t, "T9", 1)
 	tb := rep.Tables[0]

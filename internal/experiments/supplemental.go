@@ -54,7 +54,7 @@ func cellsS1(o Options) *cellReport {
 func runS1Device(o Options, dcfg device.Config, ops int) (syncLat, bypLat sim.Time, err error) {
 	s := sim.New()
 	defer s.Shutdown()
-	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{dcfg}, nil, o.observers())
+	m, err := kernel.NewMachineN(s, []device.Config{dcfg}, nil, o.observers())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -81,7 +81,7 @@ func runS1Device(o Options, dcfg device.Config, ops int) (syncLat, bypLat sim.Ti
 		syncLat = (p.Now() - start) / sim.Time(ops)
 		_ = pr.Close(p, sfd)
 
-		lib := userlib.New(m.NewProcess(ext4.Root), userlib.DefaultConfig())
+		lib := userlib.New(m.NewProcess(ext4.Root), userlib.Config{})
 		th, err := lib.NewThread(p)
 		if err != nil {
 			return err

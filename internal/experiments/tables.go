@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ext4"
 	"repro/internal/iommu"
+	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -57,18 +58,17 @@ func runT1(o Options) (*Report, error) {
 		return nil, err
 	}
 
-	cfg := sys.M.Cfg
-	device := total - cfg.SyscallEnter - cfg.VFSCost - cfg.BlockLayer - cfg.DriverSubmit - cfg.SyscallExit
+	device := total - kernel.SyscallEnter - kernel.VFSCost - kernel.BlockLayer - kernel.DriverSubmit - kernel.SyscallExit
 	tb := stats.NewTable("Table 1: 4KB read() latency breakdown", "layer", "time (ns)", "% of total")
 	row := func(name string, t sim.Time) {
 		tb.AddRow(name, int64(t), fmt.Sprintf("%.0f%%", 100*float64(t)/float64(total)))
 	}
-	row("Kernel user mode switch", cfg.SyscallEnter)
-	row("VFS + ext4", cfg.VFSCost)
-	row("Block I/O layer", cfg.BlockLayer)
-	row("NVMe driver", cfg.DriverSubmit)
+	row("Kernel user mode switch", kernel.SyscallEnter)
+	row("VFS + ext4", kernel.VFSCost)
+	row("Block I/O layer", kernel.BlockLayer)
+	row("NVMe driver", kernel.DriverSubmit)
 	row("Device time", device)
-	row("User kernel mode switch", cfg.SyscallExit)
+	row("User kernel mode switch", kernel.SyscallExit)
 	tb.AddRow("Total", int64(total), "100%")
 	return &Report{ID: "T1", Title: "4KB sync read breakdown", Tables: []*stats.Table{tb},
 		Notes: []string{"paper: 7850 ns total, 51% device time"}}, nil

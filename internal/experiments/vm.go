@@ -62,7 +62,7 @@ func runS2(o Options) (*Report, error) {
 func runS2Guests(o Options, ops int) (guest1, guest2, guestSync sim.Time, err error) {
 	s := sim.New()
 	defer s.Shutdown()
-	host, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{device.OptaneP5800X(1 << 30)}, nil, o.observers())
+	host, err := kernel.NewMachineN(s, []device.Config{device.OptaneP5800X(1 << 30)}, nil, o.observers())
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -72,7 +72,7 @@ func runS2Guests(o Options, ops int) (guest1, guest2, guestSync sim.Time, err er
 		if err != nil {
 			return nil, err
 		}
-		return kernel.NewGuestMachine(s, kernel.DefaultConfig(), host, vf, nested)
+		return kernel.NewGuestMachine(s, host, vf, nested)
 	}
 	g1, err := mkGuest("vf1", 10, 512)
 	if err != nil {
@@ -103,7 +103,7 @@ func runS2Guests(o Options, ops int) (guest1, guest2, guestSync sim.Time, err er
 			_ = pr.Fsync(p, fd)
 			_ = pr.Close(p, fd)
 
-			lib := userlib.New(g.NewProcess(ext4.Root), userlib.DefaultConfig())
+			lib := userlib.New(g.NewProcess(ext4.Root), userlib.Config{})
 			th, err := lib.NewThread(p)
 			if err != nil {
 				runErr = err

@@ -53,6 +53,12 @@ const (
 	SiteCrashPostCheckpoint = "ext4/crash_post_checkpoint" // checkpointed, journal not clean
 )
 
+// BurstArrivals is the number of consecutive arrivals a
+// SiteTenantBurst hit compresses to a single instant. The tenancy
+// plane and the frontend service tier both use it, so -faults
+// tenant-storm stresses the two tiers the same way.
+const BurstArrivals = 32
+
 // Device site kinds (third path component of DeviceSite).
 const (
 	KindMedia   = "media"   // command fails with media error

@@ -32,7 +32,6 @@ type Group struct {
 	// ProcessPerThread gives each worker its own process (and
 	// address space), the Fig. 10 multi-process sharing layout.
 	ProcessPerThread bool
-	StartDelay       sim.Time
 }
 
 // GroupResult aggregates one group's measurements.
@@ -240,9 +239,6 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 				defer device.PutDMABuf(buf)
 				clear(buf)
 				blocks := g.FileBytes / int64(g.BS)
-				if g.StartDelay > 0 {
-					w.Sleep(g.StartDelay)
-				}
 				if res.Start == 0 {
 					res.Start = w.Now()
 				}

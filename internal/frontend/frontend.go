@@ -53,12 +53,6 @@ const MaxPool = 64
 // single FIFO would let it.
 const fairnessClasses = 32
 
-// burstArrivals is the number of consecutive arrivals an injected
-// tenant-storm spike compresses to a single instant (the tenancy
-// plane's constant, so -faults tenant-storm stresses both tiers the
-// same way).
-const burstArrivals = 32
-
 // Policy selects the admission-control policy at the front door.
 type Policy string
 
@@ -612,7 +606,7 @@ func startDevice(sys *core.System, bk backend, fl Fleet, seed int64, d int, ds *
 					g.Sleep(gap)
 				}
 				if inj.Fire(faults.SiteTenantBurst) {
-					burst = burstArrivals - 1
+					burst = faults.BurstArrivals - 1
 					dr.Bursts++
 				}
 			}

@@ -46,7 +46,7 @@ func (d *DMAEngine) Copy(pasid uint32, srcVA, dstVA uint64) sim.Time {
 	}
 	for _, va := range []uint64{srcVA, dstVA} {
 		key := tlbKey{pasid, va / pagetable.PageSize}
-		lat += d.iommu.cfg.IOTLBLookup
+		lat += iotlbLookup
 		if d.tlb[key] {
 			d.iommu.countTLBHit()
 			continue

@@ -23,13 +23,18 @@ import (
 	"repro/internal/storage"
 )
 
-// Config holds the IOMMU latency and caching parameters.
+// The fixed terms of the latency model (§6.2, Fig. 5).
+const (
+	pcieRoundTrip  sim.Time = 345 * sim.Nanosecond // ATS request/response bus time
+	iotlbLookup    sim.Time = 7 * sim.Nanosecond   // IOTLB probe cost
+	cachelineFetch sim.Time = 10 * sim.Nanosecond  // each extra leaf cacheline beyond the first
+	multiStep      sim.Time = 17 * sim.Nanosecond  // step observed going from 2 to 3 translations (Fig. 5)
+)
+
+// Config holds the IOMMU latency and caching parameters that
+// guests, ablations, the Fig. 8 sweep and tests vary.
 type Config struct {
-	PCIeRoundTrip  sim.Time // ATS request/response bus time
 	WalkLatency    sim.Time // page walk on IOTLB miss
-	IOTLBLookup    sim.Time // IOTLB probe cost
-	CachelineFetch sim.Time // each extra leaf cacheline beyond the first
-	MultiStep      sim.Time // step observed going from 2 to 3 translations (Fig. 5)
 	MinTranslation sim.Time // floor on total VBA translation time (§6.2)
 
 	// CacheFTEs enables caching file table entries in the IOTLB
@@ -66,11 +71,7 @@ type Config struct {
 // DefaultConfig returns the calibration from the paper.
 func DefaultConfig() Config {
 	return Config{
-		PCIeRoundTrip:   345 * sim.Nanosecond,
 		WalkLatency:     183 * sim.Nanosecond,
-		IOTLBLookup:     7 * sim.Nanosecond,
-		CachelineFetch:  10 * sim.Nanosecond,
-		MultiStep:       17 * sim.Nanosecond,
 		MinTranslation:  550 * sim.Nanosecond,
 		IOTLBEntries:    256,
 		FixedVBALatency: -1,
@@ -666,9 +667,9 @@ func (u *IOMMU) latency(walks, fullWalks, hits, nPages int) sim.Time {
 	if u.cfg.FixedVBALatency >= 0 {
 		return u.cfg.FixedVBALatency
 	}
-	d := u.cfg.PCIeRoundTrip
+	d := pcieRoundTrip
 	if hits > 0 {
-		d += u.cfg.IOTLBLookup
+		d += iotlbLookup
 	}
 	if walks > 0 {
 		wl, floor := u.cfg.WalkLatency, u.cfg.MinTranslation
@@ -684,13 +685,13 @@ func (u *IOMMU) latency(walks, fullWalks, hits, nPages int) sim.Time {
 		}
 		d += wl
 		if nPages >= 3 {
-			d += u.cfg.MultiStep
+			d += multiStep
 		}
 		// Eight leaf entries share a cacheline; each extra line costs
 		// one more fetch (Fig. 5 flattens because of this).
 		lines := (walks + 7) / 8
 		if lines > 1 {
-			d += sim.Time(lines-1) * u.cfg.CachelineFetch
+			d += sim.Time(lines-1) * cachelineFetch
 		}
 		if d < floor {
 			d = floor
@@ -708,10 +709,10 @@ func (u *IOMMU) WalkOverhead(n int) sim.Time {
 	}
 	d := u.cfg.WalkLatency
 	if n >= 3 {
-		d += u.cfg.MultiStep
+		d += multiStep
 	}
 	if lines := (n + 7) / 8; lines > 1 {
-		d += sim.Time(lines-1) * u.cfg.CachelineFetch
+		d += sim.Time(lines-1) * cachelineFetch
 	}
 	return d
 }

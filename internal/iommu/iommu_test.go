@@ -397,7 +397,7 @@ func TestFTECachingAblation(t *testing.T) {
 		t.Fatalf("cold translation = %v, want >= 550ns", r1.Latency)
 	}
 	r2 := u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096})
-	want := cfg.PCIeRoundTrip + cfg.IOTLBLookup // ~352ns: the Fig. 8 "350ns" point
+	want := pcieRoundTrip + iotlbLookup // ~352ns: the Fig. 8 "350ns" point
 	if r2.Latency != want {
 		t.Fatalf("cached translation = %v, want %v", r2.Latency, want)
 	}

@@ -94,10 +94,10 @@ func (u *IOMMU) translateRegion(r *regionMap, req Request, out []Segment) Result
 		for n := len(r.segs); n > 1; n /= 2 {
 			probes++
 		}
-		d := u.cfg.PCIeRoundTrip + sim.Time(probes*int(u.cfg.CachelineFetch)) +
-			sim.Time(lookups-1)*u.cfg.CachelineFetch
-		if d < u.cfg.PCIeRoundTrip+50*sim.Nanosecond {
-			d = u.cfg.PCIeRoundTrip + 50*sim.Nanosecond
+		d := pcieRoundTrip + sim.Time(probes*int(cachelineFetch)) +
+			sim.Time(lookups-1)*cachelineFetch
+		if d < pcieRoundTrip+50*sim.Nanosecond {
+			d = pcieRoundTrip + 50*sim.Nanosecond
 		}
 		return d
 	}

@@ -76,7 +76,7 @@ func TestRegionLatencyCheaperThanWalk(t *testing.T) {
 	if r.Status != OK {
 		t.Fatal(r.Status)
 	}
-	if r.Latency >= 550*sim.Nanosecond || r.Latency <= u.cfg.PCIeRoundTrip {
+	if r.Latency >= 550*sim.Nanosecond || r.Latency <= pcieRoundTrip {
 		t.Fatalf("region translation latency = %v, want (PCIe, 550ns)", r.Latency)
 	}
 }

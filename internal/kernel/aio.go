@@ -115,7 +115,7 @@ func (c *AioContext) Submit(p *sim.Proc, ops []AioOp) error {
 			lock.Acquire(p)
 		}
 		pr.vfsCharge(p, len(op.Buf))
-		pr.M.CPU.Compute(p, pr.M.Cfg.BlockLayer+pr.M.Cfg.DriverSubmit)
+		pr.M.CPU.Compute(p, BlockLayer+DriverSubmit)
 
 		req := c.getReq()
 		segs, err := resolveSectorsInto(req.segs, f.Ino, op.Off, int64(len(op.Buf)))
@@ -193,7 +193,7 @@ func (c *AioContext) GetEvents(p *sim.Proc, min, max int) []AioResult {
 	out := make([]AioResult, n)
 	copy(out, c.done)
 	c.done = c.done[n:]
-	pr.M.CPU.Compute(p, sim.Time(n)*pr.M.Cfg.AioReap)
+	pr.M.CPU.Compute(p, sim.Time(n)*AioReap)
 	return out
 }
 
@@ -203,15 +203,10 @@ type sectorSeg struct {
 	Sectors int64
 }
 
-// resolveSectors maps a byte range of a file to device sectors using
-// the inode's extent tree.
-func resolveSectors(in *ext4.Inode, off, length int64) ([]sectorSeg, error) {
-	return resolveSectorsInto(nil, in, off, length)
-}
-
-// resolveSectorsInto is resolveSectors appending into a caller-reused
-// buffer (from segs[:0]); synchronous resubmission loops such as XRP
-// chains use it to avoid one allocation per hop.
+// resolveSectorsInto maps a byte range of a file to device sectors
+// using the inode's extent tree, appending into a caller-reused buffer
+// (from segs[:0]); synchronous resubmission loops such as XRP chains
+// use it to avoid one allocation per hop.
 func resolveSectorsInto(segs []sectorSeg, in *ext4.Inode, off, length int64) ([]sectorSeg, error) {
 	segs = segs[:0]
 	for length > 0 {

@@ -56,7 +56,7 @@ func (pr *Process) OpenBypass(p *sim.Proc, path string, write bool) (fd int, bas
 	}
 	pr.enter(p)
 	m := pr.M
-	m.CPU.Compute(p, m.Cfg.OpenCost)
+	m.CPU.Compute(p, OpenCost)
 	in, err := pr.node.FS.Lookup(p, path, pr.Cred)
 	if err != nil {
 		pr.exit(p)
@@ -127,7 +127,7 @@ func (pr *Process) Fmap(p *sim.Proc, fd int) (uint64, error) {
 	if built {
 		// Cold fmap: population of the file table entries dominates
 		// (Table 5 fit: ~5 ns per PTE + extent-tree setup).
-		m.CPU.Compute(p, m.Cfg.FmapColdBase+sim.Time(ft.PTEs())*m.Cfg.FmapPerPTE)
+		m.CPU.Compute(p, FmapColdBase+sim.Time(ft.PTEs())*FmapPerPTE)
 	}
 	span := ft.SpanBytes() // bytes actually covered by fragments
 	// Reserve virtual headroom so in-place growth can attach new
@@ -146,7 +146,7 @@ func (pr *Process) Fmap(p *sim.Proc, fd int) (uint64, error) {
 	// paging-structure cache) can serve a path from before the update.
 	m.invalidateRange(pr.node, pr.PASID, base, int64(span))
 	// Warm fmap: a handful of pointer updates (Table 5 fit).
-	m.CPU.Compute(p, m.Cfg.FmapBase+sim.Time(updates)*m.Cfg.FmapPerPMD)
+	m.CPU.Compute(p, FmapBase+sim.Time(updates)*FmapPerPMD)
 
 	att := &Attachment{Proc: pr, key: ikey(in), Base: base, Span: span, Reserved: reserved, Writable: f.Writable}
 	f.Bypass = att

@@ -11,7 +11,7 @@ import (
 func newMachine2(t *testing.T) *Machine {
 	t.Helper()
 	dcfgs := []device.Config{device.OptaneP5800X(testCap), device.OptaneP5800X(testCap)}
-	m, err := NewMachineN(sim.New(), DefaultConfig(), dcfgs, nil, Observers{})
+	m, err := NewMachineN(sim.New(), dcfgs, nil, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func (pr *Process) FmapRegion(p *sim.Proc, fd int) (uint64, error) {
 	}
 	base := pr.allocVBA(reserved)
 	segs := regionSegs(in)
-	m.CPU.Compute(p, m.Cfg.FmapBase+sim.Time(len(segs))*fmapRegionPerExtent)
+	m.CPU.Compute(p, FmapBase+sim.Time(len(segs))*fmapRegionPerExtent)
 	if err := m.registerRegion(pr.node, pr.PASID, pr.node.Dev.Config().DevID, base, reserved, f.Writable, segs); err != nil {
 		return 0, err
 	}

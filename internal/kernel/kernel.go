@@ -5,11 +5,12 @@
 // (synchronous, libaio, io_uring with SQPOLL), and the BypassD kernel
 // module (user queue pairs, DMA buffers, fmap(), revocation).
 //
-// A machine fronts one or more SSDs behind a single shared IOMMU
-// (paper §3.4: the file-table entries carry a DevID so a VBA minted
-// for one device cannot reach another). Each device is a DevNode —
-// the SSD, its mounted file system, and the kernel queue that submits
-// on it — and each node's device runs on its own event shard,
+// A machine fronts one or more SSDs, each behind its own IOMMU (one
+// per root complex) on which every process PASID is registered (paper
+// §3.4: the file-table entries carry a DevID so a VBA minted for one
+// device cannot reach another). Each device is a DevNode — the SSD,
+// its IOMMU, its mounted file system, and the kernel queue that
+// submits on it — and each node's device runs on its own event shard,
 // merged deterministically by the simulator (DESIGN.md §14).
 package kernel
 
@@ -29,50 +30,30 @@ import (
 	"repro/internal/trace"
 )
 
-// Config carries the software-stack cost model. Defaults come from
-// Table 1 and the Table 5 fits documented in DESIGN.md.
-type Config struct {
-	Cores int
+// The software-stack cost model: Table 1's per-layer costs for the
+// synchronous read path and the Table 5 fits for open() and fmap()
+// documented in DESIGN.md §5.
+const (
+	Cores = 24 // host cores shared by every process and guest
 
-	SyscallEnter sim.Time // user -> kernel mode switch
-	SyscallExit  sim.Time // kernel -> user mode switch
-	VFSCost      sim.Time // VFS + ext4 data path (4 KiB)
-	VFSPerPage   sim.Time // extra per additional 4 KiB page
-	BlockLayer   sim.Time // bio assembly, scheduling
-	DriverSubmit sim.Time // NVMe driver submission
+	SyscallEnter sim.Time = 160 * sim.Nanosecond  // user -> kernel mode switch
+	SyscallExit  sim.Time = 100 * sim.Nanosecond  // kernel -> user mode switch
+	VFSCost      sim.Time = 2810 * sim.Nanosecond // VFS + ext4 data path (4 KiB)
+	VFSPerPage   sim.Time = 15 * sim.Nanosecond   // extra per additional 4 KiB page
+	BlockLayer   sim.Time = 540 * sim.Nanosecond  // bio assembly, scheduling
+	DriverSubmit sim.Time = 220 * sim.Nanosecond  // NVMe driver submission
 
-	OpenCost sim.Time // in-kernel cost of open() (Table 5 row 1)
+	OpenCost sim.Time = 1020 * sim.Nanosecond // in-kernel cost of open() (Table 5 row 1)
 
-	FmapBase     sim.Time // warm fmap fixed cost
-	FmapPerPMD   sim.Time // per fragment pointer update (warm)
-	FmapColdBase sim.Time // extent-tree population on cold fmap
-	FmapPerPTE   sim.Time // per file-table entry built (cold)
+	FmapBase     sim.Time = 390 * sim.Nanosecond // warm fmap fixed cost
+	FmapPerPMD   sim.Time = 31 * sim.Nanosecond  // per fragment pointer update (warm)
+	FmapColdBase sim.Time = 700 * sim.Nanosecond // extent-tree population on cold fmap
+	FmapPerPTE   sim.Time = 5 * sim.Nanosecond   // per file-table entry built (cold)
 
-	UringVFSCost sim.Time // kernel work per io_uring op (no switches)
-	AioReap      sim.Time // per-event io_getevents cost
-	XRPBpfExec   sim.Time // one BPF hook execution in the driver
-}
-
-// DefaultConfig returns the paper calibration.
-func DefaultConfig() Config {
-	return Config{
-		Cores:        24,
-		SyscallEnter: 160 * sim.Nanosecond,
-		SyscallExit:  100 * sim.Nanosecond,
-		VFSCost:      2810 * sim.Nanosecond,
-		VFSPerPage:   15 * sim.Nanosecond,
-		BlockLayer:   540 * sim.Nanosecond,
-		DriverSubmit: 220 * sim.Nanosecond,
-		OpenCost:     1020 * sim.Nanosecond,
-		FmapBase:     390 * sim.Nanosecond,
-		FmapPerPMD:   31 * sim.Nanosecond,
-		FmapColdBase: 700 * sim.Nanosecond,
-		FmapPerPTE:   5 * sim.Nanosecond,
-		UringVFSCost: 2240 * sim.Nanosecond,
-		AioReap:      100 * sim.Nanosecond,
-		XRPBpfExec:   500 * sim.Nanosecond,
-	}
-}
+	UringVFSCost sim.Time = 2240 * sim.Nanosecond // kernel work per io_uring op (no switches)
+	AioReap      sim.Time = 100 * sim.Nanosecond  // per-event io_getevents cost
+	XRPBpfExec   sim.Time = 500 * sim.Nanosecond  // one BPF hook execution in the driver
+)
 
 // inoKey identifies an inode machine-wide. Inode numbers are
 // per-device — two mounts can both hand out ino 12 — so every piece
@@ -109,21 +90,7 @@ type DevNode struct {
 	kq *kernelQueue
 }
 
-// newDevNode wires a booted device and its mounted file system into a
-// topology node: the kernel queue q submits on the device, the file
-// system's runtime I/O goes through the timed kernel block layer, and
-// its journal commits and namespace changes serialize on locks
-// resident on the node's shard.
-func newDevNode(m *Machine, index, shard int, mmu *iommu.IOMMU, dev *device.SSD, fs *ext4.FS, q *nvme.QueuePair) *DevNode {
-	n := &DevNode{Index: index, Shard: shard, MMU: mmu, Dev: dev, FS: fs}
-	n.kq = &kernelQueue{m: m, n: n, q: q, waiters: make(map[uint16]*waiter)}
-	fs.SetBlockIO(&kernelBIO{m: m, n: n})
-	fs.SetCommitLock(m.Sim.NewResourceOn(shard, "jbd2-"+dev.Config().Name, 1))
-	fs.SetNamespaceLock(m.Sim.NewResourceOn(shard, "ns-"+dev.Config().Name, 1))
-	return n
-}
-
-// Machine is a booted system: a device fleet + shared IOMMU, with a
+// Machine is a booted system: a device fleet with an IOMMU and a
 // mounted file system per device.
 type Machine struct {
 	Sim *sim.Sim
@@ -134,7 +101,6 @@ type Machine struct {
 	Dev *device.SSD
 	MMU *iommu.IOMMU
 	FS  *ext4.FS
-	Cfg Config
 
 	// Nodes is the device topology, in boot order. Node 0 runs on
 	// event shard 0, so a one-node machine is byte-identical to the
@@ -163,8 +129,6 @@ type Machine struct {
 	// Trace is the machine's span tracer, registered at boot with the
 	// boot config's trace collector. Nil is inert.
 	Trace *trace.Tracer
-
-	kq *kernelQueue
 
 	mBlockRetries *metrics.Counter
 
@@ -239,35 +203,25 @@ type Observers struct {
 	Metrics *metrics.Registry
 }
 
-// NewMachineN boots a machine over a device fleet sharing one IOMMU.
-// The fleet's DevIDs are made unique before any device exists
-// (device.AssignDevIDs): presets hardcode their IDs, so a fleet of N
-// copies of one preset would otherwise collide and turn the Fig. 3
-// cross-device VBA denial into a no-op. Device i > 0 gets a fresh
-// event shard; device 0 stays on shard 0, which keeps a one-device
-// boot byte-identical to the pre-topology machine. sts supplies
-// per-device images (a nil slice, or nil entries, format fresh
-// stores). dcfgs is modified in place (DevID/Shard assignment). The
-// machine and every layer in it are wired to obs before the first
+// NewMachineN boots a machine over a device fleet, one IOMMU per
+// device (see DevNode.MMU). The fleet's DevIDs are made unique before
+// any device exists (device.AssignDevIDs): presets hardcode their IDs,
+// so a fleet of N copies of one preset would otherwise collide and
+// turn the Fig. 3 cross-device VBA denial into a no-op. Device i > 0
+// gets a fresh event shard; device 0 stays on shard 0, which keeps a
+// one-device boot byte-identical to the pre-topology machine. sts
+// supplies per-device images (a nil slice, or nil entries, format
+// fresh stores). dcfgs is modified in place (DevID/Shard assignment).
+// The machine and every layer in it are wired to obs before the first
 // command.
-func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.Store, obs Observers) (*Machine, error) {
+func NewMachineN(s *sim.Sim, dcfgs []device.Config, sts []*storage.Store, obs Observers) (*Machine, error) {
 	if len(sts) != 0 && len(sts) != len(dcfgs) {
 		return nil, fmt.Errorf("kernel: %d stores for %d devices", len(sts), len(dcfgs))
 	}
 	if err := device.AssignDevIDs(dcfgs); err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		Sim:         s,
-		Cfg:         cfg,
-		nodeByDev:   make(map[uint8]*DevNode, len(dcfgs)),
-		attachments: make(map[inoKey][]*Attachment),
-		revoked:     make(map[inoKey]bool),
-		writeLocks:  make(map[inoKey]*sim.Resource),
-		nextPASID:   100,
-		Faults:      obs.Faults,
-		Metrics:     obs.Metrics,
-	}
+	m := emptyMachine(s, obs)
 	obs.Faults.Bind(obs.Metrics)
 	m.Trace = obs.Trace.Tracer(dcfgs[0].Name, obs.Metrics)
 
@@ -318,26 +272,60 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 			return nil, err
 		}
 		fs.SetObservers(m.Faults, m.Trace, m.Metrics)
-		q, err := dev.CreateQueue(0, 4096)
-		if err != nil {
+		if err := m.addNode(mmu, dev, fs); err != nil {
 			return nil, err
 		}
-		n := newDevNode(m, i, dcfg.Shard, mmu, dev, fs, q)
-
-		if prev, dup := m.nodeByDev[dcfg.DevID]; dup {
-			return nil, fmt.Errorf("kernel: duplicate DevID %d (%s and %s)",
-				dcfg.DevID, prev.Dev.Config().Name, dcfg.Name)
-		}
-		m.nodeByDev[dcfg.DevID] = n
-		m.Nodes = append(m.Nodes, n)
 	}
-	n0 := m.Nodes[0]
-	m.Dev, m.FS, m.MMU, m.kq = n0.Dev, n0.FS, n0.MMU, n0.kq
 	// The CPU pool sizes one lane per event shard, so it must be
 	// created after the device loop added every shard.
-	m.CPU = s.NewCPUSet(cfg.Cores)
-	m.mBlockRetries = m.Metrics.Counter("kernel_block_retries_total")
+	m.CPU = s.NewCPUSet(Cores)
 	return m, nil
+}
+
+// emptyMachine returns a machine with no nodes and no CPU pool yet,
+// whose layers will take their fault injector and metric series from
+// obs.
+func emptyMachine(s *sim.Sim, obs Observers) *Machine {
+	return &Machine{
+		Sim:           s,
+		nodeByDev:     make(map[uint8]*DevNode),
+		attachments:   make(map[inoKey][]*Attachment),
+		revoked:       make(map[inoKey]bool),
+		writeLocks:    make(map[inoKey]*sim.Resource),
+		nextPASID:     100,
+		Faults:        obs.Faults,
+		Metrics:       obs.Metrics,
+		mBlockRetries: obs.Metrics.Counter("kernel_block_retries_total"),
+	}
+}
+
+// addNode wires a booted device, its translation agent and its mounted
+// file system into m as the next topology node, on the device's event
+// shard: a kernel queue submits on the device, the file system's
+// runtime I/O goes through the timed kernel block layer, and its
+// journal commits and namespace changes serialize on locks resident
+// on that shard. Node 0 also becomes m.Dev, m.MMU and m.FS.
+func (m *Machine) addNode(mmu *iommu.IOMMU, dev *device.SSD, fs *ext4.FS) error {
+	dcfg := dev.Config()
+	if prev, dup := m.nodeByDev[dcfg.DevID]; dup {
+		return fmt.Errorf("kernel: duplicate DevID %d (%s and %s)",
+			dcfg.DevID, prev.Dev.Config().Name, dcfg.Name)
+	}
+	q, err := dev.CreateQueue(0, 4096)
+	if err != nil {
+		return err
+	}
+	n := &DevNode{Index: len(m.Nodes), Shard: dcfg.Shard, MMU: mmu, Dev: dev, FS: fs}
+	n.kq = &kernelQueue{m: m, n: n, q: q, waiters: make(map[uint16]*waiter)}
+	fs.SetBlockIO(&kernelBIO{m: m, n: n})
+	fs.SetCommitLock(m.Sim.NewResourceOn(n.Shard, "jbd2-"+dcfg.Name, 1))
+	fs.SetNamespaceLock(m.Sim.NewResourceOn(n.Shard, "ns-"+dcfg.Name, 1))
+	m.nodeByDev[dcfg.DevID] = n
+	m.Nodes = append(m.Nodes, n)
+	if n.Index == 0 {
+		m.Dev, m.MMU, m.FS = dev, mmu, fs
+	}
+	return nil
 }
 
 // node routes an inode to the topology node that owns it, via the
@@ -544,7 +532,7 @@ type kernelBIO struct {
 var _ ext4.BlockIO = (*kernelBIO)(nil)
 
 func (b *kernelBIO) charge(p *sim.Proc) {
-	b.m.CPU.Compute(p, b.m.Cfg.BlockLayer+b.m.Cfg.DriverSubmit)
+	b.m.CPU.Compute(p, BlockLayer+DriverSubmit)
 }
 
 // blockRetries bounds the block layer's resubmissions of a command
@@ -586,7 +574,7 @@ func (b *kernelBIO) Flush(p *sim.Proc) error {
 	if p == nil {
 		panic("kernel: timed flush without a proc")
 	}
-	b.m.CPU.Compute(p, b.m.Cfg.DriverSubmit)
+	b.m.CPU.Compute(p, DriverSubmit)
 	if st := b.n.kq.submitAndWait(p, nvme.SQE{Opcode: nvme.OpFlush}); !st.OK() {
 		return fmt.Errorf("kernel: flush: %v", st)
 	}

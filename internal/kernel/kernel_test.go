@@ -17,7 +17,7 @@ const testCap = 1 << 30
 func newMachine(t *testing.T) (*sim.Sim, *Machine) {
 	t.Helper()
 	s := sim.New()
-	m, err := NewMachineN(s, DefaultConfig(), []device.Config{device.OptaneP5800X(testCap)}, nil, Observers{})
+	m, err := NewMachineN(s, []device.Config{device.OptaneP5800X(testCap)}, nil, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestAppendGrowsMappingInPlace(t *testing.T) {
 	// Pure-bypass growth path: append via the kernel append syscall
 	// on the same (bypass) descriptor.
 	s2 := sim.New()
-	m2, err := NewMachineN(s2, DefaultConfig(), []device.Config{device.OptaneP5800X(testCap)}, nil, Observers{})
+	m2, err := NewMachineN(s2, []device.Config{device.OptaneP5800X(testCap)}, nil, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,8 +111,8 @@ func (pr *Process) Exit(p *sim.Proc) {
 }
 
 // enter/exit charge the privilege-mode switches around a syscall.
-func (pr *Process) enter(p *sim.Proc) { pr.M.CPU.Compute(p, pr.M.Cfg.SyscallEnter) }
-func (pr *Process) exit(p *sim.Proc)  { pr.M.CPU.Compute(p, pr.M.Cfg.SyscallExit) }
+func (pr *Process) enter(p *sim.Proc) { pr.M.CPU.Compute(p, SyscallEnter) }
+func (pr *Process) exit(p *sim.Proc)  { pr.M.CPU.Compute(p, SyscallExit) }
 
 // allocVBA reserves a PMD-aligned virtual region of span bytes.
 func (pr *Process) allocVBA(span uint64) uint64 {
@@ -161,7 +161,7 @@ func (pr *Process) Create(p *sim.Proc, path string, perm uint16) (int, error) {
 	pr.enter(p)
 	defer pr.exit(p)
 	m := pr.M
-	m.CPU.Compute(p, m.Cfg.OpenCost)
+	m.CPU.Compute(p, OpenCost)
 	in, err := pr.node.FS.Create(p, path, perm, pr.Cred)
 	if err != nil {
 		if err == ext4.ErrExist {
@@ -186,7 +186,7 @@ func (pr *Process) Create(p *sim.Proc, path string, perm uint16) (int, error) {
 func (pr *Process) openLocked(p *sim.Proc, path string, write, charged bool) (int, *ext4.Inode, error) {
 	m := pr.M
 	if !charged {
-		m.CPU.Compute(p, m.Cfg.OpenCost)
+		m.CPU.Compute(p, OpenCost)
 	}
 	in, err := pr.node.FS.Lookup(p, path, pr.Cred)
 	if err != nil {
@@ -254,7 +254,7 @@ func (pr *Process) Unlink(p *sim.Proc, path string) error {
 	}
 	pr.enter(p)
 	defer pr.exit(p)
-	pr.M.CPU.Compute(p, pr.M.Cfg.OpenCost)
+	pr.M.CPU.Compute(p, OpenCost)
 	return pr.node.FS.Unlink(p, path, pr.Cred)
 }
 
@@ -266,7 +266,7 @@ func (pr *Process) Mkdir(p *sim.Proc, path string, perm uint16) error {
 	}
 	pr.enter(p)
 	defer pr.exit(p)
-	pr.M.CPU.Compute(p, pr.M.Cfg.OpenCost)
+	pr.M.CPU.Compute(p, OpenCost)
 	_, err = pr.node.FS.Mkdir(p, path, perm, pr.Cred)
 	return err
 }

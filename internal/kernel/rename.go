@@ -18,7 +18,7 @@ func (pr *Process) Rename(p *sim.Proc, oldPath, newPath string) error {
 	}
 	pr.enter(p)
 	defer pr.exit(p)
-	pr.M.CPU.Compute(p, pr.M.Cfg.OpenCost)
+	pr.M.CPU.Compute(p, OpenCost)
 	return pr.node.FS.Rename(p, oldPath, newPath, pr.Cred)
 }
 

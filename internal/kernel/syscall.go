@@ -29,7 +29,7 @@ func pages(n int) sim.Time {
 // vfsCharge charges the VFS+ext4 data-path cost for an n-byte I/O.
 func (pr *Process) vfsCharge(p *sim.Proc, n int) {
 	m := pr.M
-	m.CPU.Compute(p, m.Cfg.VFSCost+pages(n)*m.Cfg.VFSPerPage)
+	m.CPU.Compute(p, VFSCost+pages(n)*VFSPerPage)
 }
 
 // Pread reads through the synchronous kernel path (O_DIRECT
@@ -167,7 +167,7 @@ func (pr *Process) Stat(p *sim.Proc, path string) (*ext4.Inode, error) {
 	}
 	pr.enter(p)
 	defer pr.exit(p)
-	pr.M.CPU.Compute(p, pr.M.Cfg.OpenCost/2)
+	pr.M.CPU.Compute(p, OpenCost/2)
 	return pr.node.FS.Lookup(p, path, pr.Cred)
 }
 

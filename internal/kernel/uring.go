@@ -77,7 +77,7 @@ func (u *Uring) poll(p *sim.Proc) {
 
 		// The poller already owns its core (Occupy): raw time, not
 		// Compute, or its demand would double-count.
-		p.Sleep(m.Cfg.UringVFSCost)
+		p.Sleep(UringVFSCost)
 		f, err := u.pr.fd(req.fd)
 		var n int
 		if err == nil {

@@ -24,26 +24,17 @@ import (
 // CPU cores; nested is the extra VBA translation cost of the
 // second-level walk (0 for the paper's ~550 ns single-level model; a
 // few hundred ns is realistic for nested paging).
-func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nested sim.Time) (*Machine, error) {
-	m := &Machine{
-		Sim:         s,
-		CPU:         host.CPU, // guests timeshare the host's cores
-		Cfg:         cfg,
-		nodeByDev:   make(map[uint8]*DevNode, 1),
-		attachments: make(map[inoKey][]*Attachment),
-		revoked:     make(map[inoKey]bool),
-		writeLocks:  make(map[inoKey]*sim.Resource),
-		nextPASID:   100,
-		Metrics:     host.Metrics, // guests count in the host's registry
-	}
-	m.Dev = vf
+func NewGuestMachine(s *sim.Sim, host *Machine, vf *device.SSD, nested sim.Time) (*Machine, error) {
+	// Guests count in the host's registry.
+	m := emptyMachine(s, Observers{Metrics: host.Metrics})
+	m.CPU = host.CPU // guests timeshare the host's cores
 
 	icfg := iommu.DefaultConfig()
 	icfg.WalkLatency += nested
 	icfg.MinTranslation += nested
-	m.MMU = iommu.New(icfg)
-	m.MMU.SetObservers(nil, m.Metrics)
-	vf.AttachIOMMU(m.MMU)
+	mmu := iommu.New(icfg)
+	mmu.SetObservers(nil, m.Metrics)
+	vf.AttachIOMMU(mmu)
 
 	// Boot the guest file system inside the VF window, formatting on
 	// first boot. The guest's clock is its VF's shard clock (the VF
@@ -63,17 +54,10 @@ func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nest
 		}
 	}
 	fs.SetObservers(nil, nil, m.Metrics)
-	m.FS = fs
-
-	q, err := vf.CreateQueue(0, 4096)
-	if err != nil {
-		return nil, err
-	}
 	// The guest is a one-node topology over its VF; guest procs share
 	// the host's event shard (the VF is carved from the host device).
-	n := newDevNode(m, 0, vf.Config().Shard, m.MMU, vf, fs, q)
-	m.Nodes = []*DevNode{n}
-	m.nodeByDev[vf.Config().DevID] = n
-	m.kq = n.kq
+	if err := m.addNode(mmu, vf, fs); err != nil {
+		return nil, err
+	}
 	return m, nil
 }

@@ -13,7 +13,7 @@ import (
 // carveGuests boots a host plus two guests on VF windows.
 func carveGuests(t *testing.T, s *sim.Sim) (*Machine, *Machine, *Machine) {
 	t.Helper()
-	host, err := NewMachineN(s, DefaultConfig(), []device.Config{device.OptaneP5800X(1 << 30)}, nil, Observers{})
+	host, err := NewMachineN(s, []device.Config{device.OptaneP5800X(1 << 30)}, nil, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func carveGuests(t *testing.T, s *sim.Sim) (*Machine, *Machine, *Machine) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := NewGuestMachine(s, DefaultConfig(), host, vf, 300*sim.Nanosecond)
+		g, err := NewGuestMachine(s, host, vf, 300*sim.Nanosecond)
 		if err != nil {
 			t.Fatal(err)
 		}

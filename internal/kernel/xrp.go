@@ -36,7 +36,7 @@ func (pr *Process) XRPChain(p *sim.Proc, fd int, off, length int64, buf []byte, 
 
 	// First submission: full stack.
 	pr.vfsCharge(p, int(length))
-	m.CPU.Compute(p, m.Cfg.BlockLayer+m.Cfg.DriverSubmit)
+	m.CPU.Compute(p, BlockLayer+DriverSubmit)
 
 	steps := 0
 	// Chain steps consume segs synchronously before the next resolve,
@@ -75,7 +75,7 @@ func (pr *Process) XRPChain(p *sim.Proc, fd int, off, length int64, buf []byte, 
 			return steps, nil
 		}
 		// Resubmission from the driver completion hook.
-		m.CPU.Compute(p, m.Cfg.XRPBpfExec+m.Cfg.DriverSubmit)
+		m.CPU.Compute(p, XRPBpfExec+DriverSubmit)
 		off, length = nextOff, nextLen
 	}
 }

@@ -37,11 +37,11 @@ type Store struct {
 
 	index    map[uint64]uint64 // key -> slot
 	nextSlot uint64
-
-	// IndexCost is the in-memory index probe cost per operation.
-	IndexCost sim.Time
-	cpu       *sim.CPUSet
+	cpu      *sim.CPUSet
 }
+
+// indexCost is the in-memory index probe cost per operation.
+const indexCost = 200 * sim.Nanosecond
 
 // ValueOf is the deterministic build-time payload for key k.
 func ValueOf(k uint64) [ValSize]byte {
@@ -78,7 +78,6 @@ func BuildOn(p *sim.Proc, sys *core.System, devIdx int, cfg Config) (*Store, err
 		FileBytes: int64(capacity) * SlotSize,
 		index:     make(map[uint64]uint64, cfg.Items),
 		nextSlot:  cfg.Items,
-		IndexCost: 200 * sim.Nanosecond,
 		cpu:       sys.M.CPU,
 	}
 	pr := sys.NewProcessOn(ext4.Root, devIdx)
@@ -191,7 +190,7 @@ func NewBypassWorker(p *sim.Proc, lib *userlib.Lib, st *Store) (*Worker, error) 
 
 // slotFor resolves (or allocates) the slot for a request.
 func (w *Worker) slotFor(p *sim.Proc, r *Request) (uint64, bool) {
-	w.st.cpu.Compute(p, w.st.IndexCost)
+	w.st.cpu.Compute(p, indexCost)
 	if r.Insert {
 		if w.st.nextSlot >= w.st.Capacity {
 			return 0, false

@@ -17,25 +17,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Config is the userspace driver cost model.
-type Config struct {
-	LibOverhead sim.Time // request build + completion handling
-	CopyBase    sim.Time
-	CopyBW      float64 // bytes per nanosecond
-	QueueDepth  int
-	DMABufBytes int
-}
-
-// DefaultConfig mirrors UserLib's costs minus interception overhead.
-func DefaultConfig() Config {
-	return Config{
-		LibOverhead: 100 * sim.Nanosecond,
-		CopyBase:    60 * sim.Nanosecond,
-		CopyBW:      10.7,
-		QueueDepth:  256,
-		DMABufBytes: 1 << 20,
-	}
-}
+// libOverhead is the per-command software cost (request build and
+// completion handling): UserLib's, minus interception.
+const libOverhead = 100 * sim.Nanosecond
 
 // Region names a contiguous run of raw sectors ("file" without a file
 // system — applications carve the device themselves, as SPDK apps
@@ -52,7 +36,6 @@ func (r Region) Bytes() int64 { return r.Sectors * storage.SectorSize }
 type Driver struct {
 	cpu *sim.CPUSet
 	dev *device.SSD
-	cfg Config
 
 	files map[string]Region
 	next  int64 // allocation cursor in sectors
@@ -74,11 +57,11 @@ func (d *Driver) ReleaseResources() {
 
 // Claim takes exclusive ownership of the device. It fails if any
 // other driver holds it — device sharing is structurally impossible.
-func Claim(cpu *sim.CPUSet, dev *device.SSD, cfg Config) (*Driver, error) {
+func Claim(cpu *sim.CPUSet, dev *device.SSD) (*Driver, error) {
 	if err := dev.Claim("spdk"); err != nil {
 		return nil, err
 	}
-	return &Driver{cpu: cpu, dev: dev, cfg: cfg, files: make(map[string]Region)}, nil
+	return &Driver{cpu: cpu, dev: dev, files: make(map[string]Region)}, nil
 }
 
 // Release gives the device back.
@@ -118,18 +101,14 @@ type Queue struct {
 
 // NewQueue sets up a thread's I/O channel.
 func (d *Driver) NewQueue(p *sim.Proc) (*Queue, error) {
-	q, err := d.dev.CreateQueue(0, d.cfg.QueueDepth)
+	q, err := d.dev.CreateQueue(0, device.UserQueueDepth)
 	if err != nil {
 		return nil, err
 	}
 	p.Sleep(2 * sim.Microsecond) // queue mapping setup
-	dma := device.GetDMABuf(d.cfg.DMABufBytes)
+	dma := device.GetDMABuf(device.DMABufBytes)
 	d.dmaBufs = append(d.dmaBufs, dma)
 	return &Queue{d: d, q: q, dma: dma}, nil
-}
-
-func (d *Driver) copyCost(n int) sim.Time {
-	return d.cfg.CopyBase + sim.Time(float64(n)/d.cfg.CopyBW)
 }
 
 // doRetries bounds resubmissions of commands that completed with a
@@ -179,7 +158,7 @@ func (q *Queue) ReadAt(p *sim.Proc, r Region, buf []byte, off int64) (int, error
 	if off+int64(len(buf)) > r.Bytes() {
 		return 0, fmt.Errorf("spdk: read beyond region")
 	}
-	q.d.cpu.Compute(p, q.d.cfg.LibOverhead)
+	q.d.cpu.Compute(p, libOverhead)
 	n := len(buf)
 	if n > len(q.dma) {
 		n = len(q.dma)
@@ -193,7 +172,7 @@ func (q *Queue) ReadAt(p *sim.Proc, r Region, buf []byte, off int64) (int, error
 		if err := q.do(p, nvme.OpRead, r.Sector+(off+int64(done))/storage.SectorSize, buf[done:done+chunk]); err != nil {
 			return done, err
 		}
-		q.d.cpu.Compute(p, q.d.copyCost(chunk))
+		q.d.cpu.Compute(p, device.CopyCost(chunk))
 		done += chunk
 	}
 	return done, nil
@@ -207,14 +186,14 @@ func (q *Queue) WriteAt(p *sim.Proc, r Region, data []byte, off int64) (int, err
 	if off+int64(len(data)) > r.Bytes() {
 		return 0, fmt.Errorf("spdk: write beyond region")
 	}
-	q.d.cpu.Compute(p, q.d.cfg.LibOverhead)
+	q.d.cpu.Compute(p, libOverhead)
 	done := 0
 	for done < len(data) {
 		chunk := len(data) - done
 		if chunk > len(q.dma) {
 			chunk = len(q.dma)
 		}
-		q.d.cpu.Compute(p, q.d.copyCost(chunk))
+		q.d.cpu.Compute(p, device.CopyCost(chunk))
 		if err := q.do(p, nvme.OpWrite, r.Sector+(off+int64(done))/storage.SectorSize, data[done:done+chunk]); err != nil {
 			return done, err
 		}

@@ -19,15 +19,15 @@ func setup(t *testing.T, s *sim.Sim) (*sim.CPUSet, *device.SSD) {
 func TestExclusiveClaim(t *testing.T) {
 	s := sim.New()
 	cpu, dev := setup(t, s)
-	d1, err := Claim(cpu, dev, DefaultConfig())
+	d1, err := Claim(cpu, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Claim(cpu, dev, DefaultConfig()); err == nil {
+	if _, err := Claim(cpu, dev); err == nil {
 		t.Fatal("second claim succeeded: SPDK must not share the device")
 	}
 	d1.Release()
-	if _, err := Claim(cpu, dev, DefaultConfig()); err != nil {
+	if _, err := Claim(cpu, dev); err != nil {
 		t.Fatalf("claim after release: %v", err)
 	}
 	s.Shutdown()
@@ -36,7 +36,7 @@ func TestExclusiveClaim(t *testing.T) {
 func TestRawReadWriteAndLatency(t *testing.T) {
 	s := sim.New()
 	cpu, dev := setup(t, s)
-	d, err := Claim(cpu, dev, DefaultConfig())
+	d, err := Claim(cpu, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRawReadWriteAndLatency(t *testing.T) {
 func TestRegionBounds(t *testing.T) {
 	s := sim.New()
 	cpu, dev := setup(t, s)
-	d, _ := Claim(cpu, dev, DefaultConfig())
+	d, _ := Claim(cpu, dev)
 	r, _ := d.CreateFile("small", 4096)
 	s.Spawn("app", func(p *sim.Proc) {
 		q, _ := d.NewQueue(p)
@@ -100,7 +100,7 @@ func TestNoIsolationBetweenRegions(t *testing.T) {
 	// protected from each other — the driver can read any region.
 	s := sim.New()
 	cpu, dev := setup(t, s)
-	d, _ := Claim(cpu, dev, DefaultConfig())
+	d, _ := Claim(cpu, dev)
 	a, _ := d.CreateFile("a", 4096)
 	b, _ := d.CreateFile("b", 4096)
 	s.Spawn("app", func(p *sim.Proc) {
@@ -134,7 +134,7 @@ func TestNoIsolationBetweenRegions(t *testing.T) {
 func TestTransfersBypassDMABuffer(t *testing.T) {
 	s := sim.New()
 	cpu, dev := setup(t, s)
-	d, _ := Claim(cpu, dev, DefaultConfig())
+	d, _ := Claim(cpu, dev)
 	r, _ := d.CreateFile("data", 4<<20)
 	s.Spawn("app", func(p *sim.Proc) {
 		q, _ := d.NewQueue(p)
@@ -177,7 +177,7 @@ func TestFailedTransferLeavesBuffersUntouched(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			s := sim.New()
 			cpu, dev := setup(t, s)
-			d, _ := Claim(cpu, dev, DefaultConfig())
+			d, _ := Claim(cpu, dev)
 			r, _ := d.CreateFile("data", 1<<20)
 			s.Spawn("app", func(p *sim.Proc) {
 				q, _ := d.NewQueue(p)

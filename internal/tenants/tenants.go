@@ -152,10 +152,6 @@ func (r *Result) Compliance() float64 {
 	return 100 * float64(r.Compliant) / float64(r.Ops)
 }
 
-// burstArrivals is the number of consecutive arrivals an injected
-// tenant-storm spike compresses to a single instant.
-const burstArrivals = 32
-
 // request is one generated arrival.
 type request struct {
 	at    sim.Time
@@ -342,9 +338,9 @@ func startTenant(sys *core.System, pr *kernel.Process, t *Tenant, ti int, seed i
 					g.Sleep(gap)
 				}
 				if inj.Fire(faults.SiteTenantBurst) {
-					// Arrival spike: this and the next burstArrivals-1
+					// Arrival spike: this and the next faults.BurstArrivals-1
 					// requests land at one instant.
-					burst = burstArrivals - 1
+					burst = faults.BurstArrivals - 1
 					res.Bursts++
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/nvme"
 	"repro/internal/sim"
 )
@@ -140,8 +141,8 @@ func TestTenantStorm(t *testing.T) {
 	if r.Lib.Fallbacks > 0 && r.Ops != 1500 {
 		t.Error("fallbacks lost requests")
 	}
-	if r.PeakBacklog < burstArrivals {
-		t.Errorf("peak backlog %d, want ≥ burst size %d", r.PeakBacklog, burstArrivals)
+	if r.PeakBacklog < faults.BurstArrivals {
+		t.Errorf("peak backlog %d, want ≥ burst size %d", r.PeakBacklog, faults.BurstArrivals)
 	}
 	sc.Faults = "no-such-profile"
 	if _, _, err := RunCountedWorkers(3, sc, 1); err == nil || !strings.Contains(err.Error(), "no-such-profile") {

@@ -3,6 +3,7 @@ package userlib
 import (
 	"fmt"
 
+	"repro/internal/device"
 	"repro/internal/nvme"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -125,13 +126,13 @@ func (w *AsyncWriter) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, 
 		return th.Pwrite(p, fd, data, off)
 	}
 	m := l.Proc.M
-	m.CPU.Compute(p, l.cfg.LibOverhead)
+	m.CPU.Compute(p, libOverhead)
 
 	slot := w.freeSlot(p)
 	if n > int64(len(slot.buf)) {
 		return 0, fmt.Errorf("userlib: async write %d exceeds slot size %d", n, len(slot.buf))
 	}
-	m.CPU.Compute(p, l.copyCost(int(n)))
+	m.CPU.Compute(p, device.CopyCost(int(n)))
 	copy(slot.buf[:n], data)
 
 	w.cid++

@@ -11,14 +11,12 @@ import (
 
 func TestSharedQueueSerializes(t *testing.T) {
 	s := sim.New()
-	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{device.OptaneP5800X(1 << 30)}, nil, kernel.Observers{})
+	m, err := kernel.NewMachineN(s, []device.Config{device.OptaneP5800X(1 << 30)}, nil, kernel.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr := m.NewProcess(ext4.Root)
-	cfg := DefaultConfig()
-	cfg.ShareQueues = true
-	l := New(pr, cfg)
+	l := New(pr, Config{ShareQueues: true})
 	var lats []sim.Time
 	s.Spawn("main", func(p *sim.Proc) {
 		fd0, _ := pr.Create(p, "/f", 0o666)

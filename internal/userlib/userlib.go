@@ -21,6 +21,7 @@ package userlib
 import (
 	"fmt"
 
+	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -31,21 +32,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Config tunes the library's cost model and resources.
+// Config selects the library's ablation variants; the zero value is
+// the paper's design.
 type Config struct {
-	// LibOverhead is the per-operation software cost: interception,
-	// VBA computation, SQE construction, completion handling.
-	LibOverhead sim.Time
-	// CopyBase/CopyBW model memcpy between user and DMA buffers
-	// (Fig. 7's dominant "user" component). The cost is charged on
-	// every direct transfer, including the sector-aligned ones the
-	// host moves without a copy.
-	CopyBase sim.Time
-	CopyBW   float64 // bytes per nanosecond
-	// QueueDepth sizes each thread's queue pair.
-	QueueDepth int
-	// DMABufBytes sizes each thread's pinned buffer.
-	DMABufBytes int
 	// ShareQueues makes all threads share one queue pair and DMA
 	// buffer behind a lock — the ablation for the paper's claim that
 	// private per-thread queues avoid synchronization costs (§6.3).
@@ -65,16 +54,11 @@ const (
 	firstBackoff = 5 * sim.Microsecond
 )
 
-// DefaultConfig returns the calibration documented in DESIGN.md.
-func DefaultConfig() Config {
-	return Config{
-		LibOverhead: 150 * sim.Nanosecond,
-		CopyBase:    60 * sim.Nanosecond,
-		CopyBW:      10.7,
-		QueueDepth:  256,
-		DMABufBytes: 1 << 20,
-	}
-}
+// libOverhead is the per-operation software cost: interception, VBA
+// computation, SQE construction, completion handling. Every direct
+// transfer is also charged device.CopyCost, including the
+// sector-aligned ones the host moves without a copy.
+const libOverhead = 150 * sim.Nanosecond
 
 // FileState is UserLib's view of an open file (paper §3.2: flags,
 // offset, size, starting VBA, ongoing partial writes).
@@ -186,14 +170,14 @@ func (l *Lib) NewThread(p *sim.Proc) (*Thread, error) {
 	if l.cfg.ShareQueues {
 		return l.sharedThread(p)
 	}
-	q, err := l.Proc.CreateUserQueue(p, l.cfg.QueueDepth)
+	q, err := l.Proc.CreateUserQueue(p, device.UserQueueDepth)
 	if err != nil {
 		return nil, err
 	}
 	return &Thread{
 		Lib: l,
 		q:   q,
-		dma: l.Proc.AllocDMABuffer(p, l.cfg.DMABufBytes),
+		dma: l.Proc.AllocDMABuffer(p, device.DMABufBytes),
 	}, nil
 }
 
@@ -205,7 +189,7 @@ func (l *Lib) sharedThread(p *sim.Proc) (*Thread, error) {
 		t := &Thread{Lib: l, lock: l.Proc.M.Sim.NewResourceOn(p.Shard(), "userlib-shared-q", 1)}
 		l.shared = t
 		l.sharedReady = l.Proc.M.Sim.NewCond()
-		q, err := l.Proc.CreateUserQueue(p, l.cfg.QueueDepth)
+		q, err := l.Proc.CreateUserQueue(p, device.UserQueueDepth)
 		if err != nil {
 			l.shared = nil
 			l.sharedErr = fmt.Errorf("userlib: shared queue setup on dev %s: %w", l.devName(), err)
@@ -213,7 +197,7 @@ func (l *Lib) sharedThread(p *sim.Proc) (*Thread, error) {
 			return nil, l.sharedErr
 		}
 		t.q = q
-		t.dma = l.Proc.AllocDMABuffer(p, l.cfg.DMABufBytes)
+		t.dma = l.Proc.AllocDMABuffer(p, device.DMABufBytes)
 		l.sharedReady.Broadcast()
 		return t, nil
 	}
@@ -239,11 +223,6 @@ func (t *Thread) release() {
 	if t.lock != nil {
 		t.lock.Release()
 	}
-}
-
-// copyCost models one memcpy of n bytes.
-func (l *Lib) copyCost(n int) sim.Time {
-	return l.cfg.CopyBase + sim.Time(float64(n)/l.cfg.CopyBW)
 }
 
 // Open intercepts open(): forward to the kernel and fmap() for the
@@ -464,7 +443,7 @@ func (t *Thread) Pread(p *sim.Proc, fd int, buf []byte, off int64) (int, error) 
 		n = fs.Size - off
 	}
 	m := l.Proc.M
-	m.CPU.Compute(p, l.cfg.LibOverhead)
+	m.CPU.Compute(p, libOverhead)
 
 	alignedOff := off &^ (storage.SectorSize - 1)
 	alignedEnd := (off + n + storage.SectorSize - 1) &^ (storage.SectorSize - 1)
@@ -510,7 +489,7 @@ func (t *Thread) Pread(p *sim.Proc, fd int, buf []byte, off int64) (int, error) 
 		return 0, t.opError("read", fs, off, st)
 	}
 	uStart := p.Now()
-	m.CPU.Compute(p, l.copyCost(int(n)))
+	m.CPU.Compute(p, device.CopyCost(int(n)))
 	if !zeroCopy {
 		copy(buf[:n], dma[off-alignedOff:])
 	}
@@ -553,7 +532,7 @@ func (t *Thread) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, error
 	}
 
 	m := l.Proc.M
-	m.CPU.Compute(p, l.cfg.LibOverhead)
+	m.CPU.Compute(p, libOverhead)
 
 	aligned := off%storage.SectorSize == 0 && n%storage.SectorSize == 0
 	if !aligned {
@@ -579,7 +558,7 @@ func (t *Thread) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, error
 	uStart := p.Now()
 	// The virtual clock charges the copy into the DMA buffer; on the
 	// host the device reads the caller's (aligned) slice directly.
-	m.CPU.Compute(p, l.copyCost(int(n)))
+	m.CPU.Compute(p, device.CopyCost(int(n)))
 	t.UserNS += p.Now() - uStart
 
 	st, fellBack := t.vbaRetry(p, fs, nvme.OpWrite, off, data)
@@ -641,7 +620,7 @@ func (t *Thread) partialWrite(p *sim.Proc, fs *FileState, data []byte, off int64
 	if !fellBack && st.OK() {
 		m := l.Proc.M
 		uStart := p.Now()
-		m.CPU.Compute(p, l.copyCost(int(n)))
+		m.CPU.Compute(p, device.CopyCost(int(n)))
 		copy(dma[off-alignedOff:], data)
 		t.UserNS += p.Now() - uStart
 		st, fellBack = t.vbaRetry(p, fs, nvme.OpWrite, alignedOff, dma)

@@ -22,12 +22,12 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	s := sim.New()
-	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), []device.Config{device.OptaneP5800X(testCap)}, nil, kernel.Observers{})
+	m, err := kernel.NewMachineN(s, []device.Config{device.OptaneP5800X(testCap)}, nil, kernel.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr := m.NewProcess(ext4.Root)
-	return &env{s: s, m: m, l: New(pr, DefaultConfig())}
+	return &env{s: s, m: m, l: New(pr, Config{})}
 }
 
 // seed creates a file with data through the kernel.

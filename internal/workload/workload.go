@@ -166,13 +166,14 @@ const (
 	// Steady offers a constant rate.
 	Steady Shape = "steady"
 	// Diurnal modulates the rate sinusoidally around its mean —
-	// rate(t) = mean * (1 + Amp*sin(2*pi*t/Period)) — the day/night
+	// rate(t) = mean * (1 + 0.5*sin(2*pi*t/100ms)) — the day/night
 	// swing of a user-facing service, compressed onto the virtual
 	// clock.
 	Diurnal Shape = "diurnal"
 	// Bursty alternates calm and burst phases (a two-state modulated
-	// Poisson process): calm offers the base rate, bursts multiply it
-	// by Factor for an exponentially distributed burst length.
+	// Poisson process): calm offers the base rate for a mean 2ms,
+	// bursts multiply it by 8 for a mean 200µs, both exponentially
+	// distributed.
 	Bursty Shape = "bursty"
 )
 
@@ -190,16 +191,16 @@ func ValidShape(name Shape) bool {
 type StreamConfig struct {
 	RateOps float64 // mean offered rate, requests/sec
 	Shape   Shape   // default Steady
-
-	// Diurnal knobs.
-	Amp    float64  // modulation depth in [0, 1); default 0.5
-	Period sim.Time // one "day"; default 100ms of virtual time
-
-	// Bursty knobs.
-	Factor   float64  // burst rate multiplier; default 8
-	BurstLen sim.Time // mean burst length; default 200µs
-	BurstOff sim.Time // mean calm gap between bursts; default 2ms
 }
+
+// The load shapes' fixed parameters.
+const (
+	diurnalAmp    float64  = 0.5                   // modulation depth
+	diurnalPeriod sim.Time = 100 * sim.Millisecond // one "day" of virtual time
+	burstFactor   float64  = 8                     // burst rate multiplier
+	burstLen      sim.Time = 200 * sim.Microsecond // mean burst length
+	burstOff      sim.Time = 2 * sim.Millisecond   // mean calm gap between bursts
+)
 
 // Stream generates one seeded arrival stream with a (possibly
 // time-varying) rate on the virtual clock. Non-steady shapes are
@@ -217,8 +218,7 @@ type Stream struct {
 	phaseEnd sim.Time
 }
 
-// NewStream validates cfg, fills shape defaults, and returns the
-// stream.
+// NewStream validates cfg and returns the stream.
 func NewStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.RateOps <= 0 {
 		return nil, fmt.Errorf("workload: rate must be positive, got %g", cfg.RateOps)
@@ -226,48 +226,23 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	if !ValidShape(cfg.Shape) {
 		return nil, fmt.Errorf("workload: unknown load shape %q", cfg.Shape)
 	}
-	switch cfg.Shape {
-	case Diurnal:
-		if cfg.Amp == 0 {
-			cfg.Amp = 0.5
-		}
-		if cfg.Amp < 0 || cfg.Amp >= 1 {
-			return nil, fmt.Errorf("workload: diurnal amplitude %g outside [0, 1)", cfg.Amp)
-		}
-		if cfg.Period <= 0 {
-			cfg.Period = 100 * sim.Millisecond
-		}
-	case Bursty:
-		if cfg.Factor == 0 {
-			cfg.Factor = 8
-		}
-		if cfg.Factor < 1 {
-			return nil, fmt.Errorf("workload: burst factor %g < 1", cfg.Factor)
-		}
-		if cfg.BurstLen <= 0 {
-			cfg.BurstLen = 200 * sim.Microsecond
-		}
-		if cfg.BurstOff <= 0 {
-			cfg.BurstOff = 2 * sim.Millisecond
-		}
-	}
 	s := &Stream{cfg: cfg, peak: cfg.RateOps}
 	switch cfg.Shape {
 	case Diurnal:
-		s.peak = cfg.RateOps * (1 + cfg.Amp)
+		s.peak = cfg.RateOps * (1 + diurnalAmp)
 	case Bursty:
 		// The mean rate is RateOps; solve for the calm-phase base so
 		// that time-averaging calm and burst phases lands back on it:
 		// mean = base * (off + factor*len) / (off + len).
-		s.peak = s.burstBase() * cfg.Factor
+		s.peak = s.burstBase() * burstFactor
 	}
 	return s, nil
 }
 
 // burstBase is the calm-phase rate of a bursty stream.
 func (s *Stream) burstBase() float64 {
-	off, ln := float64(s.cfg.BurstOff), float64(s.cfg.BurstLen)
-	return s.cfg.RateOps * (off + ln) / (off + s.cfg.Factor*ln)
+	off, ln := float64(burstOff), float64(burstLen)
+	return s.cfg.RateOps * (off + ln) / (off + burstFactor*ln)
 }
 
 // rateAt evaluates the instantaneous offered rate at virtual time t,
@@ -275,15 +250,15 @@ func (s *Stream) burstBase() float64 {
 func (s *Stream) rateAt(rng *rand.Rand, t sim.Time) float64 {
 	switch s.cfg.Shape {
 	case Diurnal:
-		phase := 2 * math.Pi * float64(t%s.cfg.Period) / float64(s.cfg.Period)
-		return s.cfg.RateOps * (1 + s.cfg.Amp*math.Sin(phase))
+		phase := 2 * math.Pi * float64(t%diurnalPeriod) / float64(diurnalPeriod)
+		return s.cfg.RateOps * (1 + diurnalAmp*math.Sin(phase))
 	case Bursty:
 		for t >= s.phaseEnd {
 			var mean sim.Time
 			if s.inBurst {
-				mean = s.cfg.BurstOff
+				mean = burstOff
 			} else {
-				mean = s.cfg.BurstLen
+				mean = burstLen
 			}
 			s.inBurst = !s.inBurst
 			gap := sim.Time(rng.ExpFloat64() * float64(mean))
@@ -293,7 +268,7 @@ func (s *Stream) rateAt(rng *rand.Rand, t sim.Time) float64 {
 			s.phaseEnd += gap
 		}
 		if s.inBurst {
-			return s.burstBase() * s.cfg.Factor
+			return s.burstBase() * burstFactor
 		}
 		return s.burstBase()
 	default:

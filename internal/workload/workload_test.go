@@ -179,19 +179,24 @@ func TestStreamShapes(t *testing.T) {
 	}
 
 	// Diurnal modulation: compare arrival counts in the peak quarter
-	// of the period against the trough quarter.
-	period := 10 * sim.Millisecond
-	arr := run(StreamConfig{RateOps: rate, Shape: Diurnal, Amp: 0.8, Period: period}, 30_000, 5)
+	// of the period against the trough quarter. Integrating
+	// 1 + 0.5*sin over each quarter gives an expected ratio of
+	// (pi/2 + 0.5) / (pi/2 - 0.5) = (1+1/pi)/(1-1/pi) ≈ 1.93. The 30,000
+	// arrivals span about three 100ms periods, some 9,900 and 5,100
+	// per quarter, so sampling noise and the run's ragged end move the
+	// ratio by about 0.1 (seed 5 measures 2.02); a 1.5 floor fails only
+	// when the modulation is weakened.
+	arr := run(StreamConfig{RateOps: rate, Shape: Diurnal}, 30_000, 5)
 	var peakN, troughN int
 	for _, at := range arr {
-		switch (at % period) * 4 / period {
+		switch (at % diurnalPeriod) * 4 / diurnalPeriod {
 		case 0: // rising/peak quadrant of sin
 			peakN++
 		case 2: // falling/trough quadrant
 			troughN++
 		}
 	}
-	if peakN < troughN*2 {
+	if float64(peakN) < float64(troughN)*1.5 {
 		t.Fatalf("diurnal peak quadrant %d arrivals vs trough %d: modulation too weak", peakN, troughN)
 	}
 }
@@ -201,8 +206,6 @@ func TestStreamValidation(t *testing.T) {
 		{RateOps: 0},
 		{RateOps: -5},
 		{RateOps: 10, Shape: "square"},
-		{RateOps: 10, Shape: Diurnal, Amp: 1.5},
-		{RateOps: 10, Shape: Bursty, Factor: 0.5},
 	} {
 		if _, err := NewStream(cfg); err == nil {
 			t.Fatalf("NewStream(%+v) accepted invalid config", cfg)

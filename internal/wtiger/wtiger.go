@@ -58,16 +58,17 @@ type Store struct {
 	cache *pageCache
 	delta map[uint64][ValSize]byte
 
-	// CacheAccessCost is charged under the cache lock per page
-	// probe/insert — the contention point that caps scaling at high
-	// thread counts (paper §6.4).
-	CacheAccessCost sim.Time
-	cpu             *sim.CPUSet
+	cpu *sim.CPUSet
 
 	// Stats.
 	CacheHits, CacheMisses int64
 	IOs                    int64
 }
+
+// cacheAccessCost is charged under the cache lock per page
+// probe/insert — the contention point that caps scaling at high
+// thread counts (paper §6.4).
+const cacheAccessCost = 250 * sim.Nanosecond
 
 // Config for building a store.
 type Config struct {
@@ -116,15 +117,14 @@ func BuildOn(p *sim.Proc, sys *core.System, cpu *sim.CPUSet, devIdx int, cfg Con
 	}
 	shard := sys.M.Nodes[devIdx].Shard
 	return &Store{
-		Path:            cfg.Path,
-		Pages:           pages,
-		Root:            root,
-		Levels:          levels,
-		Keys:            cfg.Keys,
-		cache:           newPageCacheOn(sys.Sim, shard, cfg.CacheBytes),
-		delta:           make(map[uint64][ValSize]byte),
-		CacheAccessCost: 250 * sim.Nanosecond,
-		cpu:             cpu,
+		Path:   cfg.Path,
+		Pages:  pages,
+		Root:   root,
+		Levels: levels,
+		Keys:   cfg.Keys,
+		cache:  newPageCacheOn(sys.Sim, shard, cfg.CacheBytes),
+		delta:  make(map[uint64][ValSize]byte),
+		cpu:    cpu,
 	}, nil
 }
 
@@ -311,7 +311,7 @@ func (c *Conn) writePage(p *sim.Proc, pg int64, buf []byte) error {
 // slice must not be modified without re-inserting.
 func (c *Conn) getPage(p *sim.Proc, pg int64) ([]byte, error) {
 	st := c.st
-	if data, ok := st.cache.get(p, pg, st.CacheAccessCost, st.cpu); ok {
+	if data, ok := st.cache.get(p, pg, cacheAccessCost, st.cpu); ok {
 		st.CacheHits++
 		return data, nil
 	}
@@ -320,7 +320,7 @@ func (c *Conn) getPage(p *sim.Proc, pg int64) ([]byte, error) {
 	if err := c.readPage(p, pg, buf); err != nil {
 		return nil, err
 	}
-	st.cache.put(p, pg, buf, st.CacheAccessCost, st.cpu)
+	st.cache.put(p, pg, buf, cacheAccessCost, st.cpu)
 	return buf, nil
 }
 
@@ -331,7 +331,7 @@ func (c *Conn) descend(p *sim.Proc, key [KeySize]byte) ([]byte, int64, error) {
 	pg := st.Root
 	for {
 		// Probe the cache at every level.
-		data, ok := st.cache.get(p, pg, st.CacheAccessCost, st.cpu)
+		data, ok := st.cache.get(p, pg, cacheAccessCost, st.cpu)
 		if ok {
 			st.CacheHits++
 		} else {
@@ -343,7 +343,7 @@ func (c *Conn) descend(p *sim.Proc, key [KeySize]byte) ([]byte, int64, error) {
 			if err := c.readPage(p, pg, buf); err != nil {
 				return nil, 0, err
 			}
-			st.cache.put(p, pg, buf, st.CacheAccessCost, st.cpu)
+			st.cache.put(p, pg, buf, cacheAccessCost, st.cpu)
 			data = buf
 		}
 		if data[0] == kindLeaf {
@@ -366,7 +366,7 @@ func (c *Conn) xrpDescend(p *sim.Proc, pg int64, key [KeySize]byte) ([]byte, int
 	n, err := c.pr.XRPChain(p, c.kfd, pg*PageSize, PageSize, buf, func(step int, b []byte) (int64, int64, bool) {
 		snapshot := make([]byte, PageSize)
 		copy(snapshot, b[:PageSize])
-		st.cache.put(p, cur, snapshot, st.CacheAccessCost, st.cpu)
+		st.cache.put(p, cur, snapshot, cacheAccessCost, st.cpu)
 		if b[0] == kindLeaf {
 			leafPg = cur
 			return 0, 0, true
@@ -388,7 +388,7 @@ func (c *Conn) Lookup(p *sim.Proc, key uint64) ([ValSize]byte, bool, error) {
 	if v, ok := c.st.delta[key]; ok {
 		// Recently inserted: served from the in-memory delta, no I/O
 		// (why YCSB D barely touches the device, paper §6.4).
-		c.st.cpu.Compute(p, c.st.CacheAccessCost)
+		c.st.cpu.Compute(p, cacheAccessCost)
 		return v, true, nil
 	}
 	ek := encodeKey(key)
@@ -427,14 +427,14 @@ func (c *Conn) Update(p *sim.Proc, key uint64, val [ValSize]byte) error {
 	if err := c.writePage(p, pg, patched); err != nil {
 		return err
 	}
-	c.st.cache.put(p, pg, patched, c.st.CacheAccessCost, c.st.cpu)
+	c.st.cache.put(p, pg, patched, cacheAccessCost, c.st.cpu)
 	return nil
 }
 
 // Insert buffers a new key in the in-memory delta (LSM-style level
 // zero); it is flushed outside the measured window.
 func (c *Conn) Insert(p *sim.Proc, key uint64, val [ValSize]byte) {
-	c.st.cpu.Compute(p, c.st.CacheAccessCost)
+	c.st.cpu.Compute(p, cacheAccessCost)
 	c.st.delta[key] = val
 }
 
