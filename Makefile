@@ -75,11 +75,13 @@ bench-check:
 # parallel-equivalence is the tentpole determinism gate under the race
 # detector: 20-seed randomized per-shard streams of the parallel drain
 # at workers {1,2,4,8} against the coupled scheduler, the drain's rerun
-# and coupled-API panic tests, plus the T7-T10 report and full-metrics
-# invariance across worker counts. Any data race in the drain or any
-# divergence from the coupled schedule fails this target.
+# and coupled-API panic tests, the in-place sleep's rule and
+# equivalence tests (which read the drain flag and other shards'
+# heads), plus the T7-T10 report and full-metrics invariance across
+# worker counts. Any data race in the drain or any divergence from the
+# coupled schedule fails this target.
 parallel-equivalence:
-	$(GO) test -race -count=1 -run 'ParallelEquivalence|ParallelDrain' ./internal/sim
+	$(GO) test -race -count=1 -run 'ParallelEquivalence|ParallelDrain|Inline' ./internal/sim
 	$(GO) test -race -count=1 -run 'WorkerInvariant' ./internal/experiments
 
 # profile writes host CPU and allocation profiles of the Fig. 6

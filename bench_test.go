@@ -89,14 +89,25 @@ func BenchmarkDirect64KRead(b *testing.B) {
 	benchDirectRead(b, 64<<10)
 }
 
-// reportCounts adds the simulator's work per op since (events,
-// resumes) — a Processed/Resumed snapshot taken before the timed loop:
-// events/op counts every dispatched event, resumes/op the proc resumes
-// (coroutine switches) among them. Unlike ns/op, both are exact.
-func reportCounts(b *testing.B, sys *System, events, resumes uint64) {
+// simCounts snapshots the simulator's work counters.
+type simCounts struct{ events, resumes, switches uint64 }
+
+func countsOf(sys *System) simCounts {
+	return simCounts{sys.Sim.Processed(), sys.Sim.Resumed(), sys.Sim.Switched()}
+}
+
+// reportCounts adds the simulator's work per op since before, a
+// snapshot taken ahead of the timed loop: events/op counts every
+// dispatched event, resumes/op the proc resumes among them, and
+// switches/op the resumes that really switched coroutines (the rest
+// were sleeps that continued in place). Unlike ns/op, all three are
+// exact.
+func reportCounts(b *testing.B, sys *System, before simCounts) {
 	n := float64(b.N)
-	b.ReportMetric(float64(sys.Sim.Processed()-events)/n, "events/op")
-	b.ReportMetric(float64(sys.Sim.Resumed()-resumes)/n, "resumes/op")
+	now := countsOf(sys)
+	b.ReportMetric(float64(now.events-before.events)/n, "events/op")
+	b.ReportMetric(float64(now.resumes-before.resumes)/n, "resumes/op")
+	b.ReportMetric(float64(now.switches-before.switches)/n, "switches/op")
 }
 
 // benchDirectRead drives warm size-byte BypassD reads, one per op.
@@ -113,13 +124,13 @@ func benchDirectRead(b *testing.B, size int) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	events, resumes := sys.Sim.Processed(), sys.Sim.Resumed()
+	before := countsOf(sys)
 	for i := 0; i < b.N; i++ {
 		Run(sys, "bench", read)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(virtual)/float64(b.N), "virtual-ns/op")
-	reportCounts(b, sys, events, resumes)
+	reportCounts(b, sys, before)
 }
 
 // BenchmarkBootDirect4KRead is the historical form of the headline
@@ -162,14 +173,14 @@ func benchSimThroughput(b *testing.B, traceOn bool) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	events, resumes := sys.Sim.Processed(), sys.Sim.Resumed()
+	before := countsOf(sys)
 	for i := 0; i < b.N; i++ {
 		Run(sys, "storm", batch)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(sys.Sim.Processed()-events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(sys.Sim.Processed()-before.events)/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(float64(virtual)/float64(b.N), "virtual-ns/op")
-	reportCounts(b, sys, events, resumes)
+	reportCounts(b, sys, before)
 }
 
 // BenchmarkSimThroughputDirectRead is the dispatch-rate gate: batches

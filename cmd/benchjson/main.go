@@ -25,11 +25,14 @@
 // more than 25% slower — host timings on shared CI machines are
 // noisy, so small drifts must not fail the gate). Repeated lines for
 // one benchmark (go test -count N) collapse to the minimum ns/op
-// before comparison. The deterministic per-op counts events/op and
-// resumes/op (simulator events and proc resumes) are gated exactly:
-// every line of a benchmark whose snapshot row reports a count must
-// report the same value. Benchmarks missing from either side are
-// reported but do not fail the check.
+// before comparison. The deterministic per-op counts events/op,
+// resumes/op and switches/op (simulator events, proc resumes, and the
+// resumes that switched coroutines) are gated exactly: every line of a
+// benchmark whose snapshot row reports a count must report the same
+// value. A snapshot row that is allocation-free (0 allocs/op and
+// 0 B/op) must stay so on every line; other rows' allocs/op vary with
+// pool and GC timing and stay ungated. Benchmarks missing from either
+// side are reported but do not fail the check.
 package main
 
 import (
@@ -217,12 +220,23 @@ func checkSpeedup(w io.Writer, cur benchRun, spec string, minCores int) int {
 }
 
 // countMetrics are the per-op counts -check gates exactly: the
-// simulator dispatches the same events and proc resumes per op on
-// every host and at every -benchtime.
-var countMetrics = []string{"events/op", "resumes/op"}
+// simulator dispatches the same events, proc resumes and coroutine
+// switches per op on every host and at every -benchtime.
+var countMetrics = []string{"events/op", "resumes/op", "switches/op"}
+
+// allocFree reports whether a snapshot row is allocation-free. Both
+// allocs/op and B/op must read 0: the testing package rounds allocs/op
+// down, so a row that grows a buffer now and then shows 0 allocs/op
+// with some B/op at a long -benchtime, and whole allocations per op at
+// a short one.
+func allocFree(b benchLine) bool {
+	allocs, okA := b.Metrics["allocs/op"]
+	bytes, okB := b.Metrics["B/op"]
+	return okA && okB && allocs == 0 && bytes == 0
+}
 
 // checkAgainst compares cur to the committed snapshot, enforcing the
-// ns/op tolerance and exact per-op counts. When the run carries
+// ns/op tolerance, exact per-op counts and allocation-free rows. When the run carries
 // repeated lines for one benchmark (go test -count N), the minimum
 // ns/op wins — min over repetitions is the standard noise-robust
 // estimator, so a loaded host needs every repetition to be slow before
@@ -270,6 +284,15 @@ func checkAgainst(w io.Writer, cur benchRun, snap output, tolerance float64) int
 				}
 			}
 		}
+		if allocFree(base) {
+			for _, l := range lines[name] {
+				if got := l.Metrics["allocs/op"]; got > 0 {
+					fmt.Fprintf(w, "  FAIL  %-28s 0 -> %g allocs/op (allocation-free in snapshot)\n", name, got)
+					failures++
+					break
+				}
+			}
+		}
 		now, baseNs := b.Metrics["ns/op"], base.Metrics["ns/op"]
 		if baseNs <= 0 {
 			continue
@@ -299,7 +322,7 @@ func run() int {
 	var (
 		outPath   = flag.String("o", "", "write JSON here instead of stdout")
 		baseline  = flag.String("baseline", "", "optional prior `go test -bench` text output to embed under \"baseline\"")
-		checkPath = flag.String("check", "", "committed snapshot JSON to gate against; exits 1 on an ns/op regression beyond -tolerance or an events/op or resumes/op mismatch")
+		checkPath = flag.String("check", "", "committed snapshot JSON to gate against; exits 1 on an ns/op regression beyond -tolerance, a per-op count mismatch, or an allocation on an allocation-free row")
 		tolerance = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression in -check mode")
 		speedup   = flag.String("speedup", "", "in -check mode, also enforce 'numerator:denominator:min' parallel speedup between two benchmarks of this run (skipped below -speedup-cores host CPUs)")
 		minCores  = flag.Int("speedup-cores", 4, "host CPUs required before the -speedup floor is enforced rather than skipped")

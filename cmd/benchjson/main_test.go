@@ -19,6 +19,9 @@ func snapshotOf(t *testing.T, text string) output {
 const snapText = `
 BenchmarkDirect4KRead-2   	  100000	     10000 ns/op	         7.000 events/op	         4.000 resumes/op
 BenchmarkFig6LatBW-2      	      10	   5000000 ns/op
+BenchmarkDirect64KRead-2  	  100000	      3000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSimThroughputTraceOn-2	   10000	    100000 ns/op	    4743 B/op	       0 allocs/op
+BenchmarkBootDirect4KRead-2	    4000	    200000 ns/op	  186193 B/op	     197 allocs/op
 `
 
 func TestCheckAgainst(t *testing.T) {
@@ -56,6 +59,18 @@ BenchmarkFig6LatBW-2      5 5000000 ns/op`,
 BenchmarkFig6LatBW-2      5 6500000 ns/op`,
 			fails: 1,
 			want:  "FAIL  Fig6LatBW",
+		},
+		{
+			name: "allocation on an allocation-free row",
+			run: `BenchmarkDirect64KRead-2   5   3000 ns/op   0 B/op   0 allocs/op
+BenchmarkDirect64KRead-2   5   3000 ns/op   48 B/op   1 allocs/op`,
+			fails: 1,
+			want:  "0 -> 1 allocs/op",
+		},
+		{
+			name: "rows that allocate stay ungated",
+			run: `BenchmarkSimThroughputTraceOn-2   5   100000 ns/op   78227 B/op   2 allocs/op
+BenchmarkBootDirect4KRead-2   5   200000 ns/op   478001 B/op   202 allocs/op`,
 		},
 	}
 	for _, c := range cases {

@@ -7,12 +7,13 @@ import (
 )
 
 // laneScenario drives one randomized workload and returns its full
-// execution trace: every logged step tagged with the virtual time it
-// ran at. The workload deliberately stresses the staging lane's edge
-// cases — bursts of same-timestamp posts, events that post more
-// same-instant events from inside their handlers, zero-length sleeps,
-// and cond-based resume ordering.
-func laneScenario(seed int64, noLane bool) []string {
+// execution trace — every logged step tagged with the virtual time it
+// ran at — and the finished simulation, for its counters. The workload
+// deliberately stresses the staging lane's edge cases — bursts of
+// same-timestamp posts, events that post more same-instant events from
+// inside their handlers, zero-length sleeps, and cond-based resume
+// ordering.
+func laneScenario(seed int64, noLane bool) ([]string, *Sim) {
 	s := New()
 	s.noLane = noLane
 	var log []string
@@ -76,18 +77,25 @@ func laneScenario(seed int64, noLane bool) []string {
 	s.Run()
 	// Unwind any procs still parked on the cond.
 	s.Shutdown()
-	return log
+	return log, s
 }
 
 // TestLaneDispatchEquivalenceProperty pins the staging lane's defining
 // property: batched same-instant dispatch is observationally identical
 // to the heap-only reference scheduler. Any divergence in event order
 // cascades through the per-proc RNGs, so a single out-of-order wake
-// diverges the whole trace.
+// diverges the whole trace. The reference never sleeps in place, so
+// the same comparison pins the in-place sleeps too; the seeds must
+// take some, or the comparison would say nothing about them.
 func TestLaneDispatchEquivalenceProperty(t *testing.T) {
+	var resumes, switches uint64
 	for seed := int64(1); seed <= 20; seed++ {
-		lane := laneScenario(seed, false)
-		ref := laneScenario(seed, true)
+		lane, fast := laneScenario(seed, false)
+		ref, slow := laneScenario(seed, true)
+		resumes, switches = resumes+fast.Resumed(), switches+fast.Switched()
+		if fast.Resumed() != slow.Resumed() || slow.Switched() != slow.Resumed() {
+			t.Fatalf("seed %d: %d resumes vs reference %d (%d switched)", seed, fast.Resumed(), slow.Resumed(), slow.Switched())
+		}
 		if len(lane) != len(ref) {
 			t.Fatalf("seed %d: lane trace has %d steps, reference %d", seed, len(lane), len(ref))
 		}
@@ -97,6 +105,10 @@ func TestLaneDispatchEquivalenceProperty(t *testing.T) {
 			}
 		}
 	}
+	if switches >= resumes {
+		t.Fatalf("no sleep continued in place (%d switches, %d resumes)", switches, resumes)
+	}
+	t.Logf("%d of %d resumes continued in place", resumes-switches, resumes)
 }
 
 // TestHeapPopReleasesAndShrinks checks the two pop-side hygiene

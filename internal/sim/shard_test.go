@@ -13,13 +13,16 @@ import (
 // cross-shard cases the (at, seq) merge must get right: same-instant
 // posts landing in different lanes, handlers that post into other
 // procs' shards via cond wakeups, zero-length sleeps, and spawn
-// bursts whose children inherit the spawner's shard.
-func shardScenario(seed int64, shards int, noShard bool) []string {
+// bursts whose children inherit the spawner's shard. noShard and
+// noLane select the reference schedulers; the finished simulation is
+// returned for its counters.
+func shardScenario(seed int64, shards int, noShard, noLane bool) ([]string, *Sim) {
 	s := New()
 	for s.Shards() < shards {
 		s.AddShard()
 	}
 	s.noShard = noShard
+	s.noLane = noLane
 	var log []string
 	trace := func(tag string, p *Proc) {
 		log = append(log, fmt.Sprintf("%d:%s", p.Now(), tag))
@@ -80,7 +83,7 @@ func shardScenario(seed int64, shards int, noShard bool) []string {
 	}
 	s.Run()
 	s.Shutdown()
-	return log
+	return log, s
 }
 
 // TestShardDispatchEquivalenceProperty pins the coupled scheduler's
@@ -101,8 +104,8 @@ func shardScenario(seed int64, shards int, noShard bool) []string {
 func TestShardDispatchEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, shards := range []int{2, 4, 8} {
-			ref := shardScenario(seed, shards, true)
-			single := shardScenario(seed, 1, false)
+			ref, _ := shardScenario(seed, shards, true, false)
+			single, _ := shardScenario(seed, 1, false, false)
 			if len(ref) != len(single) {
 				t.Fatalf("seed %d shards %d: trace lengths %d (noShard) %d (single)",
 					seed, shards, len(ref), len(single))
@@ -113,8 +116,8 @@ func TestShardDispatchEquivalenceProperty(t *testing.T) {
 						seed, shards, i, ref[i], single[i])
 				}
 			}
-			a := shardScenario(seed, shards, false)
-			b := shardScenario(seed, shards, false)
+			a, _ := shardScenario(seed, shards, false, false)
+			b, _ := shardScenario(seed, shards, false, false)
 			if len(a) != len(b) {
 				t.Fatalf("seed %d shards %d: sharded dispatch not reproducible: lengths %d vs %d",
 					seed, shards, len(a), len(b))
@@ -126,6 +129,38 @@ func TestShardDispatchEquivalenceProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardInlineEquivalenceProperty pins the cross-shard rule of the
+// in-place sleep: a sharded run equals the same run on the heap-only
+// reference, which orders by the same (at, shard, seq) key and never
+// sleeps in place. At each shard count the sharded side must take some
+// in-place sleeps, so the comparison cannot pass vacuously.
+func TestShardInlineEquivalenceProperty(t *testing.T) {
+	for _, shards := range []int{2, 4, 8} {
+		var resumes, switches uint64
+		for seed := int64(1); seed <= 20; seed++ {
+			got, fast := shardScenario(seed, shards, false, false)
+			ref, slow := shardScenario(seed, shards, false, true)
+			resumes, switches = resumes+fast.Resumed(), switches+fast.Switched()
+			if slow.Switched() != slow.Resumed() {
+				t.Fatalf("seed %d shards %d: reference slept in place", seed, shards)
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("seed %d shards %d: trace lengths %d vs reference %d", seed, shards, len(got), len(ref))
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("seed %d shards %d: diverges from the reference at step %d: %q vs %q",
+						seed, shards, i, got[i], ref[i])
+				}
+			}
+		}
+		if switches >= resumes {
+			t.Fatalf("shards %d: no sleep continued in place (%d switches, %d resumes)", shards, switches, resumes)
+		}
+		t.Logf("shards %d: %d of %d resumes continued in place", shards, resumes-switches, resumes)
 	}
 }
 

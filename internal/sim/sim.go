@@ -18,8 +18,11 @@
 // same-instant events go through a FIFO staging lane instead of the
 // heap (no sift traffic for wakeup storms), finished procs idle their
 // coroutines in a free pool for reuse by later Spawns (no coroutine or
-// stack churn in steady state). Hot spawn paths avoid a per-spawn
-// closure by binding their body once per pooled request (kernel AIO).
+// stack churn in steady state), and a Sleep whose resume is certain to
+// be the next event dispatched continues in place instead of switching
+// coroutines twice; the event stream is the same either way, and only
+// Switched tells them apart. Hot spawn paths avoid a per-spawn closure
+// by binding their body once per pooled request (kernel AIO).
 //
 // Multi-device topologies partition the event stream into shards
 // (DESIGN.md §14): each shard owns its own heap + staging lane, clock,
@@ -194,9 +197,12 @@ type shard struct {
 	// the historical single-queue order exactly.
 	seq       uint64
 	processed uint64
-	// resumed counts the proc resumes among the processed events: the
-	// coroutine switches, the costliest kind of event.
-	resumed uint64
+	// resumed counts the proc resumes among the processed events,
+	// including those a Sleep accounted for in place. switched counts
+	// the resumes that really switched into a proc's coroutine, the
+	// costliest kind of event.
+	resumed  uint64
+	switched uint64
 
 	// The pools of procs whose resume events route through this shard.
 	// Per-shard pools keep spawn/park/finish free of cross-shard
@@ -406,14 +412,26 @@ func (s *Sim) Processed() uint64 {
 	return n
 }
 
-// Resumed reports how many of the Processed events were proc resumes
-// (a coroutine switch into a proc); the rest ran a callback. Like
+// Resumed reports how many of the Processed events were proc resumes;
+// the rest ran a callback. It counts resume events in the stream,
+// whether or not they cost a coroutine switch (see Switched). Like
 // Processed it sums per-shard counters, so a parallel drain shares no
 // counter between workers.
 func (s *Sim) Resumed() uint64 {
 	var n uint64
 	for i := range s.shards {
 		n += s.shards[i].resumed
+	}
+	return n
+}
+
+// Switched reports how many of the Resumed events really switched into
+// a proc's coroutine. The difference is the sleeps that continued in
+// place because their resume was the next event (Proc.Sleep).
+func (s *Sim) Switched() uint64 {
+	var n uint64
+	for i := range s.shards {
+		n += s.shards[i].switched
 	}
 	return n
 }
@@ -499,6 +517,40 @@ func (s *Sim) postResume(at Time, p *Proc) {
 	s.postOn(p.shard, event{at: at, p: p, pgen: p.gen})
 }
 
+// resumesNext reports whether a resume posted now on shard k for time
+// at would be the very next event dispatched, so that Proc.Sleep may
+// account for it in place. It must: come from inside Run (Shutdown
+// unwinding sleeps for real); find nothing queued on k at or before
+// at, since anything queued at the same instant holds an older seq;
+// and, under the coupled scheduler, find the drain unarmed and no
+// other shard's head ahead of (at, k) in the canonical key. In a
+// parallel drain shard k's stream is all that orders its events. The
+// reference modes never inline, so the equivalence tests compare the
+// fast path against a scheduler that switches every time.
+func (s *Sim) resumesNext(k int, at Time) bool {
+	if !s.running || s.noLane || s.noShard {
+		return false
+	}
+	if hAt, _, ok := s.shards[k].peek(); ok && hAt <= at {
+		return false
+	}
+	if s.draining {
+		return true
+	}
+	if s.ParallelArmed() {
+		return false
+	}
+	for i := range s.shards {
+		if i == k {
+			continue
+		}
+		if hAt, _, ok := s.shards[i].peek(); ok && (hAt < at || hAt == at && i < k) {
+			return false
+		}
+	}
+	return true
+}
+
 // pending reports whether any event is queued in any shard.
 func (s *Sim) pending() bool {
 	for i := range s.shards {
@@ -536,6 +588,7 @@ func (s *Sim) dispatch(sh *shard, e event) {
 	if e.p != nil {
 		if e.pgen == e.p.gen {
 			sh.resumed++
+			sh.switched++
 			e.p.next()
 		}
 		return
@@ -642,12 +695,30 @@ func (p *Proc) park() {
 }
 
 // Sleep advances the proc's virtual time by d. d must be >= 0.
+//
+// When the resume it would post is certain to be the next event
+// dispatched (resumesNext), Sleep skips the coroutine switch: it
+// accounts for the event in place, exactly as posting and dispatching
+// it would have (the shard's seq, the clocks, Processed and Resumed),
+// and returns. Only Switched tells the two apart.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %d", d))
 	}
 	s := p.sim
-	s.postResume(p.Now()+d, p)
+	at := p.Now() + d
+	if s.resumesNext(p.shard, at) {
+		sh := &s.shards[p.shard]
+		sh.seq++
+		sh.now = at
+		if !s.draining {
+			s.now = at
+		}
+		sh.processed++
+		sh.resumed++
+		return
+	}
+	s.postResume(at, p)
 	p.park()
 }
 
