@@ -173,26 +173,7 @@ func (st *Store) LoadFS(p *sim.Proc, sys *core.System, path string) error {
 // LoadFS.
 func (st *Store) LoadFSOn(p *sim.Proc, sys *core.System, devIdx int, path string) error {
 	st.Path = path
-	img := st.BuildImage()
-	pr := sys.NewProcessOn(ext4.Root, devIdx)
-	fd, err := pr.Create(p, path, 0o666)
-	if err != nil {
-		return err
-	}
-	const chunk = 1 << 20
-	for off := 0; off < len(img); off += chunk {
-		end := off + chunk
-		if end > len(img) {
-			end = len(img)
-		}
-		if _, err := pr.Pwrite(p, fd, img[off:end], int64(off)); err != nil {
-			return err
-		}
-	}
-	if err := pr.Fsync(p, fd); err != nil {
-		return err
-	}
-	return pr.Close(p, fd)
+	return sys.NewProcessOn(ext4.Root, devIdx).WriteFile(p, path, st.BuildImage())
 }
 
 // LoadSPDK writes the image into a raw SPDK region named path.

@@ -405,7 +405,9 @@ func runA6(o Options, extent bool, size int64, reads int) ([]float64, error) {
 		}
 		in.DropFileTable()
 
-		lib := userlib.New(sys.NewProcess(ext4.Root), userlib.Config{ExtentFmap: extent})
+		pr := sys.NewProcess(ext4.Root)
+		pr.ExtentFmap = extent
+		lib := userlib.New(pr, userlib.Config{})
 		th, err := lib.NewThread(p)
 		if err != nil {
 			return err

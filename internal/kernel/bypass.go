@@ -85,11 +85,11 @@ func (pr *Process) OpenBypass(p *sim.Proc, path string, write bool) (fd int, bas
 	return fd, base, nil
 }
 
-// Fmap maps the file's blocks into the process address space and
-// attaches the shared file-table fragments (paper §3.2, §4.1). It
-// returns the starting VBA, or 0 if the file is not eligible for
-// direct access (revoked, or concurrently open through the kernel
-// interface).
+// Fmap maps the file into the process address space and returns the
+// starting VBA, or 0 if the file is not eligible for direct access
+// (revoked, or concurrently open through the kernel interface). The
+// mapping structure is the process's: shared page-table FTEs (paper
+// §3.2, §4.1), or with ExtentFmap an IOMMU extent table (§5.1).
 func (pr *Process) Fmap(p *sim.Proc, fd int) (uint64, error) {
 	f, err := pr.fd(fd)
 	if err != nil {
@@ -106,9 +106,11 @@ func (pr *Process) Fmap(p *sim.Proc, fd int) (uint64, error) {
 	if rev || in.KernelOpens > 0 {
 		return 0, nil // VBA 0: use the kernel interface (paper §3.6)
 	}
-	if m.Faults.Fire(faults.SiteKernelFmapZero) {
-		// Injected policy denial: the kernel declines direct access
-		// this time; the caller uses the kernel interface.
+	// Injected policy denial: the kernel declines direct access this
+	// time; the caller uses the kernel interface. FTE fmaps only: the
+	// extent-table path never drew from this site, and the chaos
+	// golden's A6 rows depend on its fire sequence.
+	if !pr.ExtentFmap && m.Faults.Fire(faults.SiteKernelFmapZero) {
 		return 0, nil
 	}
 	if f.Bypass != nil {
@@ -123,32 +125,47 @@ func (pr *Process) Fmap(p *sim.Proc, fd int) (uint64, error) {
 		in.BypassOpens--
 	}
 
-	ft, built := pr.node.FS.FileTable(in)
-	if built {
-		// Cold fmap: population of the file table entries dominates
-		// (Table 5 fit: ~5 ns per PTE + extent-tree setup).
-		m.CPU.Compute(p, FmapColdBase+sim.Time(ft.PTEs())*FmapPerPTE)
+	// The structure-specific middle, each in its own CPU-charge order:
+	// size the mapping, reserve virtual headroom so in-place growth can
+	// extend it without moving it (paper §4.1), then build it.
+	var span uint64
+	var ft *pagetable.FileTable
+	if pr.ExtentFmap {
+		span = uint64(in.AllocatedBlocks()) * ext4.BlockSize
+	} else {
+		var built bool
+		if ft, built = pr.node.FS.FileTable(in); built {
+			// Cold fmap: population of the file table entries dominates
+			// (Table 5 fit: ~5 ns per PTE + extent-tree setup).
+			m.CPU.Compute(p, FmapColdBase+sim.Time(ft.PTEs())*FmapPerPTE)
+		}
+		span = ft.SpanBytes() // bytes actually covered by fragments
 	}
-	span := ft.SpanBytes() // bytes actually covered by fragments
-	// Reserve virtual headroom so in-place growth can attach new
-	// fragments without moving the mapping (paper §4.1).
-	reserved := 4 * span
-	if reserved < 64<<20 {
-		reserved = 64 << 20
-	}
+	reserved := max(4*span, 64<<20)
 	base := pr.allocVBA(reserved)
-	updates, err := ft.Attach(pr.Table, base, f.Writable)
-	if err != nil {
-		return 0, err
+	if pr.ExtentFmap {
+		segs := regionSegs(in)
+		m.CPU.Compute(p, FmapBase+sim.Time(len(segs))*fmapRegionPerExtent)
+		if err := m.registerRegion(pr, base, reserved, f.Writable, segs); err != nil {
+			return 0, err
+		}
+	} else {
+		updates, err := ft.Attach(pr.Table, base, f.Writable)
+		if err != nil {
+			return 0, err
+		}
+		// Hardware discipline: every page-table splice is followed by an
+		// IOMMU invalidation so no translation cache (IOTLB or the
+		// paging-structure cache) can serve a path from before the update.
+		m.invalidateRange(pr.node, pr.PASID, base, int64(span))
+		// Warm fmap: a handful of pointer updates (Table 5 fit).
+		m.CPU.Compute(p, FmapBase+sim.Time(updates)*FmapPerPMD)
 	}
-	// Hardware discipline: every page-table splice is followed by an
-	// IOMMU invalidation so no translation cache (IOTLB or the
-	// paging-structure cache) can serve a path from before the update.
-	m.invalidateRange(pr.node, pr.PASID, base, int64(span))
-	// Warm fmap: a handful of pointer updates (Table 5 fit).
-	m.CPU.Compute(p, FmapBase+sim.Time(updates)*FmapPerPMD)
 
-	att := &Attachment{Proc: pr, key: ikey(in), Base: base, Span: span, Reserved: reserved, Writable: f.Writable}
+	att := &Attachment{
+		Proc: pr, key: ikey(in), Base: base, Span: span, Reserved: reserved,
+		Writable: f.Writable, Region: pr.ExtentFmap,
+	}
 	f.Bypass = att
 	m.mu.Lock()
 	m.attachments[att.key] = append(m.attachments[att.key], att)
@@ -157,23 +174,26 @@ func (pr *Process) Fmap(p *sim.Proc, fd int) (uint64, error) {
 	return base, nil
 }
 
-// detachRegion removes every fragment pointer in [base, base+span),
-// working even when the shared file table itself has been evicted.
-func detachRegion(t *pagetable.Table, base, span uint64) {
-	for off := uint64(0); off < span; off += pagetable.PMDSpan {
-		t.DetachPMD(base + off)
+// detach withdraws one attachment's mapping: the FTE pointers and
+// their cached translations, or the extent-table registration.
+func (m *Machine) detach(att *Attachment) {
+	pr := att.Proc
+	if att.Region {
+		m.unregisterRegion(pr, att.Base)
+		return
 	}
+	// Pointer by pointer, so detaching works even when the shared
+	// file table itself has been evicted.
+	for off := uint64(0); off < att.Span; off += pagetable.PMDSpan {
+		pr.Table.DetachPMD(att.Base + off)
+	}
+	m.invalidateRange(pr.node, pr.PASID, att.Base, int64(att.Span))
 }
 
 // funmap detaches one attachment (close path).
 func (m *Machine) funmap(att *Attachment) {
 	if !att.Revoked {
-		if att.Region {
-			m.regionDetach(att)
-		} else {
-			detachRegion(att.Proc.Table, att.Base, att.Span)
-			m.invalidateRange(att.Proc.node, att.Proc.PASID, att.Base, int64(att.Span))
-		}
+		m.detach(att)
 	}
 	m.removeAttachment(att)
 }
@@ -205,12 +225,7 @@ func (m *Machine) Revoke(in *ext4.Inode) {
 	delete(m.attachments, k)
 	m.mu.Unlock()
 	for _, att := range list {
-		if att.Region {
-			m.regionDetach(att)
-		} else {
-			detachRegion(att.Proc.Table, att.Base, att.Span)
-			m.invalidateRange(att.Proc.node, att.Proc.PASID, att.Base, int64(att.Span))
-		}
+		m.detach(att)
 		att.Revoked = true
 	}
 }

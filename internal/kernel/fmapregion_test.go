@@ -12,6 +12,7 @@ import (
 func TestFmapRegionBasicAccess(t *testing.T) {
 	s, m := newMachine(t)
 	pr := m.NewProcess(ext4.Root)
+	pr.ExtentFmap = true
 	data := make([]byte, 16384)
 	for i := range data {
 		data[i] = byte(i / 7)
@@ -23,9 +24,9 @@ func TestFmapRegionBasicAccess(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		base, err := pr.FmapRegion(p, fd)
+		base, err := pr.Fmap(p, fd)
 		if err != nil || base == 0 {
-			t.Errorf("FmapRegion: base=%d err=%v", base, err)
+			t.Errorf("extent fmap: base=%d err=%v", base, err)
 			return
 		}
 		q, _ := pr.CreateUserQueue(p, 16)
@@ -83,10 +84,11 @@ func TestFmapRegionMuchCheaperThanColdFmap(t *testing.T) {
 
 		// Extent-table registration.
 		pr3 := m.NewProcess(ext4.Root)
+		pr3.ExtentFmap = true
 		fd3, _ := openNoFmap(p, pr3, "/big")
 		start = p.Now()
-		if b, err := pr3.FmapRegion(p, fd3); err != nil || b == 0 {
-			t.Errorf("fmapRegion: %v", err)
+		if b, err := pr3.Fmap(p, fd3); err != nil || b == 0 {
+			t.Errorf("extent fmap: %v", err)
 			return
 		}
 		coldRegion = p.Now() - start
@@ -103,14 +105,15 @@ func TestFmapRegionMuchCheaperThanColdFmap(t *testing.T) {
 func TestFmapRegionPermissionAndRevocation(t *testing.T) {
 	s, m := newMachine(t)
 	pr := m.NewProcess(ext4.Root)
+	pr.ExtentFmap = true
 	other := m.NewProcess(ext4.Root)
 	s.Spawn("app", func(p *sim.Proc) {
 		mkFile(t, p, pr, "/f", make([]byte, 8192))
 		fd, _ := openNoFmap(p, pr, "/f")
 		// Read-only region: writes denied.
-		base, err := pr.FmapRegion(p, fd)
+		base, err := pr.Fmap(p, fd)
 		if err != nil || base == 0 {
-			t.Errorf("FmapRegion: %v", err)
+			t.Errorf("extent fmap: %v", err)
 			return
 		}
 		q, _ := pr.CreateUserQueue(p, 16)
@@ -149,6 +152,7 @@ func TestFmapRegionPermissionAndRevocation(t *testing.T) {
 func TestFmapRegionGrowth(t *testing.T) {
 	s, m := newMachine(t)
 	pr := m.NewProcess(ext4.Root)
+	pr.ExtentFmap = true
 	s.Spawn("app", func(p *sim.Proc) {
 		mkFile(t, p, pr, "/grow", make([]byte, 4096))
 		fd, err := pr.Open(p, "/grow", true)
@@ -159,9 +163,9 @@ func TestFmapRegionGrowth(t *testing.T) {
 		// Temporarily treat the fd as direct-access for the region map.
 		f, _ := pr.FDInfo(fd)
 		f.Ino.KernelOpens--
-		base, err := pr.FmapRegion(p, fd)
+		base, err := pr.Fmap(p, fd)
 		if err != nil || base == 0 {
-			t.Errorf("FmapRegion: %v", err)
+			t.Errorf("extent fmap: %v", err)
 			return
 		}
 		// Grow via the kernel (append): region must re-register.
@@ -187,19 +191,14 @@ func TestFmapRegionGrowth(t *testing.T) {
 }
 
 // After Revoke then Restore, fmap on the same descriptor must re-map
-// rather than hand back the withdrawn base: on both the FTE and the
-// extent-table path, a direct read through the returned VBA succeeds.
+// rather than hand back the withdrawn base: with FTEs and with an
+// extent table, a direct read through the returned VBA succeeds.
 func TestFmapAfterRevokeRestore(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fmap func(pr *Process, p *sim.Proc, fd int) (uint64, error)
-	}{
-		{"fte", (*Process).Fmap},
-		{"region", (*Process).FmapRegion},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for name, extent := range map[string]bool{"fte": false, "region": true} {
+		t.Run(name, func(t *testing.T) {
 			s, m := newMachine(t)
 			pr := m.NewProcess(ext4.Root)
+			pr.ExtentFmap = extent
 			data := make([]byte, 16384)
 			for i := range data {
 				data[i] = byte(i / 5)
@@ -211,7 +210,7 @@ func TestFmapAfterRevokeRestore(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if base, err := tc.fmap(pr, p, fd); err != nil || base == 0 {
+				if base, err := pr.Fmap(p, fd); err != nil || base == 0 {
 					t.Errorf("first fmap: base=%d err=%v", base, err)
 					return
 				}
@@ -222,7 +221,7 @@ func TestFmapAfterRevokeRestore(t *testing.T) {
 				}
 				m.Revoke(in)
 				m.Restore(in)
-				base, err := tc.fmap(pr, p, fd)
+				base, err := pr.Fmap(p, fd)
 				if err != nil || base == 0 {
 					t.Errorf("fmap after restore: base=%d err=%v", base, err)
 					return

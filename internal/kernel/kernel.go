@@ -183,8 +183,8 @@ type Attachment struct {
 	Reserved uint64 // virtual region reserved for in-place growth
 	Writable bool
 	Revoked  bool
-	// Region marks a §5.1 extent-table mapping (FmapRegion) rather
-	// than page-table FTEs.
+	// Region marks a §5.1 extent-table mapping (Fmap under
+	// Process.ExtentFmap) rather than page-table FTEs.
 	Region bool
 
 	key inoKey // owning inode, machine-wide

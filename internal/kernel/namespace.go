@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"path"
 	"strings"
 
 	"repro/internal/ext4"
@@ -38,29 +39,16 @@ func (m *Machine) NewContainerProcess(p *sim.Proc, cred ext4.Cred, root string) 
 	return pr, nil
 }
 
-// resolve maps a process-visible path to the global namespace. Path
-// normalization in the FS layer strips ".." segments before they are
-// joined, so a container cannot climb out of its root.
-func (pr *Process) resolve(path string) (string, error) {
-	if !strings.HasPrefix(path, "/") {
-		return "", fmt.Errorf("kernel: path %q not absolute", path)
+// resolve maps a process-visible path to the global namespace. A
+// container path is cleaned before it is joined under the root:
+// cleaning an absolute path drops every ".." that would climb above
+// "/", so a container cannot escape its root.
+func (pr *Process) resolve(name string) (string, error) {
+	if !strings.HasPrefix(name, "/") {
+		return "", fmt.Errorf("kernel: path %q not absolute", name)
 	}
 	if pr.Root == "" {
-		return path, nil
+		return name, nil
 	}
-	// Normalize the container-relative path first so ".." cannot
-	// escape the root.
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
-		switch c {
-		case "", ".":
-		case "..":
-			if len(comps) > 0 {
-				comps = comps[:len(comps)-1]
-			}
-		default:
-			comps = append(comps, c)
-		}
-	}
-	return pr.Root + "/" + strings.Join(comps, "/"), nil
+	return pr.Root + path.Clean(name), nil
 }

@@ -53,12 +53,21 @@ func TestContainerIsolation(t *testing.T) {
 		if _, err := c1.Open(p, "/host-secret", false); !errors.Is(err, ext4.ErrNotExist) {
 			t.Errorf("container escaped via direct path: %v", err)
 		}
-		// ...not even with dot-dot tricks.
-		if _, err := c1.Open(p, "/../host-secret", false); !errors.Is(err, ext4.ErrNotExist) {
-			t.Errorf("container escaped via ..: %v", err)
-		}
-		if _, err := c1.Open(p, "/a/../../host-secret", false); !errors.Is(err, ext4.ErrNotExist) {
-			t.Errorf("container escaped via nested ..: %v", err)
+		// ...not even with dot-dot tricks: every path resolves under
+		// the container root.
+		for path, want := range map[string]string{
+			"/../host-secret":      "/containers/c1/host-secret",
+			"/a/../../host-secret": "/containers/c1/host-secret",
+			"/../..":               "/containers/c1/",
+			"//a/./b/":             "/containers/c1/a/b",
+			"/":                    "/containers/c1/",
+		} {
+			if got, err := c1.resolve(path); err != nil || got != want {
+				t.Errorf("resolve(%q) = %q, %v; want %q", path, got, err, want)
+			}
+			if _, err := c1.Open(p, path, false); err == nil {
+				t.Errorf("container opened %q", path)
+			}
 		}
 	})
 	s.Run()

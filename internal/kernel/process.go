@@ -29,6 +29,11 @@ type Process struct {
 	// Set it before the first CreateUserQueue; the zero value is the
 	// default class.
 	QoS nvme.QoS
+	// ExtentFmap makes Fmap map files through the IOMMU's extent-table
+	// walker (paper §5.1 alternate data structure) instead of
+	// page-table FTEs. Set it before the first Fmap; mappings already
+	// made keep their structure.
+	ExtentFmap bool
 
 	// node is the device the process fronts: its file-system view,
 	// kernel submission queue, and user queues all live there. Cross-

@@ -159,6 +159,27 @@ func (pr *Process) Sync(p *sim.Proc) error {
 	return pr.node.FS.Sync(p)
 }
 
+// WriteFile creates (or truncates) path, writes data to it in 1 MiB
+// kernel-interface pwrites, then fsyncs and closes it: the bulk load
+// of a store's image before its first run.
+func (pr *Process) WriteFile(p *sim.Proc, path string, data []byte) error {
+	fd, err := pr.Create(p, path, 0o666)
+	if err != nil {
+		return err
+	}
+	const chunk = 1 << 20
+	for off := 0; off < len(data); off += chunk {
+		end := min(off+chunk, len(data))
+		if _, err := pr.Pwrite(p, fd, data[off:end], int64(off)); err != nil {
+			return err
+		}
+	}
+	if err := pr.Fsync(p, fd); err != nil {
+		return err
+	}
+	return pr.Close(p, fd)
+}
+
 // Stat returns file metadata.
 func (pr *Process) Stat(p *sim.Proc, path string) (*ext4.Inode, error) {
 	path, err := pr.resolve(path)

@@ -33,16 +33,13 @@ import (
 )
 
 // Config selects the library's ablation variants; the zero value is
-// the paper's design.
+// the paper's design. The mapping structure fmap() builds is the
+// kernel's choice, kernel.Process.ExtentFmap.
 type Config struct {
 	// ShareQueues makes all threads share one queue pair and DMA
 	// buffer behind a lock — the ablation for the paper's claim that
 	// private per-thread queues avoid synchronization costs (§6.3).
 	ShareQueues bool
-	// ExtentFmap maps files through the IOMMU's extent-table walker
-	// (§5.1 alternate-data-structure enhancement) instead of
-	// page-table FTEs.
-	ExtentFmap bool
 }
 
 // The direct path's recovery budget: at most maxRetries attempts per
@@ -229,33 +226,9 @@ func (t *Thread) release() {
 // BypassD interface. The returned fd works regardless of whether
 // direct access was granted.
 func (l *Lib) Open(p *sim.Proc, path string, write bool) (int, error) {
-	var fd int
-	var base uint64
-	var err error
-	if l.cfg.ExtentFmap {
-		fd, err = l.Proc.Open(p, path, write)
-		if err != nil {
-			return 0, err
-		}
-		// Open counted as kernel-interface; hand it to the direct
-		// path instead.
-		if f, e2 := l.Proc.FDInfo(fd); e2 == nil {
-			f.Ino.KernelOpens--
-		}
-		base, err = l.Proc.FmapRegion(p, fd)
-		if err != nil {
-			return 0, err
-		}
-		if base == 0 {
-			if f, e2 := l.Proc.FDInfo(fd); e2 == nil {
-				f.Ino.KernelOpens++
-			}
-		}
-	} else {
-		fd, base, err = l.Proc.OpenBypass(p, path, write)
-		if err != nil {
-			return 0, err
-		}
+	fd, base, err := l.Proc.OpenBypass(p, path, write)
+	if err != nil {
+		return 0, err
 	}
 	f, err := l.Proc.FDInfo(fd)
 	if err != nil {
@@ -410,11 +383,7 @@ func (t *Thread) vbaRetry(p *sim.Proc, fs *FileState, op nvme.Opcode, alignedOff
 func (t *Thread) refmap(p *sim.Proc, fs *FileState) bool {
 	t.Lib.Refmaps++
 	t.Lib.mRefmaps.Inc()
-	fmap := t.Lib.Proc.Fmap
-	if t.Lib.cfg.ExtentFmap {
-		fmap = t.Lib.Proc.FmapRegion
-	}
-	base, err := fmap(p, fs.FD)
+	base, err := t.Lib.Proc.Fmap(p, fs.FD)
 	if err != nil || base == 0 {
 		fs.Base = 0
 		return false

@@ -13,6 +13,10 @@ import (
 
 const testCap = 1 << 30
 
+// structures names the two mappings fmap() can build, keyed by the
+// value of kernel.Process.ExtentFmap.
+var structures = map[string]bool{"fte": false, "extent": true}
+
 type env struct {
 	s *sim.Sim
 	m *kernel.Machine
@@ -226,57 +230,111 @@ func TestPartialWritesToSameSectorSerialize(t *testing.T) {
 	e.s.Shutdown()
 }
 
+// A kernel-interface open revokes a UserLib mapping of either
+// structure: the next read faults, refmap gets VBA 0 and the file
+// falls back to the kernel interface (paper §3.6).
 func TestRevocationFallback(t *testing.T) {
-	e := newEnv(t)
-	other := e.m.NewProcess(ext4.Root)
-	e.s.Spawn("app", func(p *sim.Proc) {
-		data := make([]byte, 8192)
-		for i := range data {
-			data[i] = byte(i)
-		}
-		e.seed(t, p, "/shared", data)
-		th, _ := e.l.NewThread(p)
-		fd, _ := e.l.Open(p, "/shared", false)
-		buf := make([]byte, 4096)
-		if _, err := th.Pread(p, fd, buf, 0); err != nil {
-			t.Error(err)
-			return
-		}
-		if e.l.DirectOps != 1 {
-			t.Error("first read not direct")
-		}
-		// Another process opens kernel-interface: revoke.
-		ofd, err := other.Open(p, "/shared", false)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// Next read: fault -> refmap -> VBA 0 -> kernel fallback.
-		if n, err := th.Pread(p, fd, buf, 4096); err != nil || n != 4096 {
-			t.Errorf("fallback read: n=%d err=%v", n, err)
-			return
-		}
-		if !bytes.Equal(buf, data[4096:]) {
-			t.Error("fallback read wrong data")
-		}
-		if e.l.Refmaps != 1 || e.l.FallbackOps != 1 {
-			t.Errorf("refmaps=%d fallbacks=%d, want 1/1", e.l.Refmaps, e.l.FallbackOps)
-		}
-		fs, _ := e.l.State(fd)
-		if fs.Direct() {
-			t.Error("state still direct after revocation")
-		}
-		// Subsequent reads stay on the kernel path without faulting.
-		if _, err := th.Pread(p, fd, buf, 0); err != nil {
-			t.Error(err)
-		}
-		if e.l.FallbackOps != 2 {
-			t.Errorf("fallbacks=%d, want 2", e.l.FallbackOps)
-		}
-		_ = other.Close(p, ofd)
-	})
-	e.s.Run()
-	e.s.Shutdown()
+	for name, extent := range structures {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t)
+			e.l.Proc.ExtentFmap = extent
+			other := e.m.NewProcess(ext4.Root)
+			e.s.Spawn("app", func(p *sim.Proc) {
+				data := make([]byte, 8192)
+				for i := range data {
+					data[i] = byte(i)
+				}
+				e.seed(t, p, "/shared", data)
+				th, _ := e.l.NewThread(p)
+				fd, _ := e.l.Open(p, "/shared", false)
+				buf := make([]byte, 4096)
+				if _, err := th.Pread(p, fd, buf, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				if e.l.DirectOps != 1 {
+					t.Error("first read not direct")
+				}
+				// Another process opens kernel-interface: revoke.
+				ofd, err := other.Open(p, "/shared", false)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Next read: fault -> refmap -> VBA 0 -> kernel fallback.
+				if n, err := th.Pread(p, fd, buf, 4096); err != nil || n != 4096 {
+					t.Errorf("fallback read: n=%d err=%v", n, err)
+					return
+				}
+				if !bytes.Equal(buf, data[4096:]) {
+					t.Error("fallback read wrong data")
+				}
+				if e.l.Refmaps != 1 || e.l.FallbackOps != 1 {
+					t.Errorf("refmaps=%d fallbacks=%d, want 1/1", e.l.Refmaps, e.l.FallbackOps)
+				}
+				fs, _ := e.l.State(fd)
+				if fs.Direct() {
+					t.Error("state still direct after revocation")
+				}
+				// Subsequent reads stay on the kernel path without faulting.
+				if _, err := th.Pread(p, fd, buf, 0); err != nil {
+					t.Error(err)
+				}
+				if e.l.FallbackOps != 2 {
+					t.Errorf("fallbacks=%d, want 2", e.l.FallbackOps)
+				}
+				_ = other.Close(p, ofd)
+			})
+			e.s.Run()
+			e.s.Shutdown()
+		})
+	}
+}
+
+// Processes that open one file through UserLib share it directly
+// (paper §3.6): with either structure, no open revokes another's
+// mapping and every read stays on the direct path.
+func TestSharedOpenStaysDirect(t *testing.T) {
+	for name, extent := range structures {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t)
+			libs := []*Lib{e.l, New(e.m.NewProcess(ext4.Root), Config{})}
+			e.s.Spawn("app", func(p *sim.Proc) {
+				e.seed(t, p, "/shared", make([]byte, 8192))
+				fds := make([]int, len(libs))
+				for i, l := range libs {
+					l.Proc.ExtentFmap = extent
+					fd, err := l.Open(p, "/shared", false)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					fds[i] = fd
+				}
+				buf := make([]byte, 4096)
+				for i, l := range libs {
+					th, err := l.NewThread(p)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := th.Pread(p, fds[i], buf, 4096); err != nil {
+						t.Error(err)
+						return
+					}
+					if fs, _ := l.State(fds[i]); !fs.Direct() || l.DirectOps != 1 {
+						t.Errorf("process %d: direct=%v direct ops=%d, want true/1", i, fs.Direct(), l.DirectOps)
+					}
+				}
+				in, err := e.m.FS.Lookup(p, "/shared", ext4.Root)
+				if err != nil || e.m.Revoked(in) {
+					t.Errorf("file revoked after shared opens (lookup err %v)", err)
+				}
+			})
+			e.s.Run()
+			e.s.Shutdown()
+		})
+	}
 }
 
 func TestLargeReadStreamsThroughDMABuffer(t *testing.T) {

@@ -94,25 +94,7 @@ func BuildOn(p *sim.Proc, sys *core.System, cpu *sim.CPUSet, devIdx int, cfg Con
 	}
 	img, root, levels, pages := buildImage(cfg.Keys)
 
-	pr := sys.NewProcessOn(ext4.Root, devIdx)
-	fd, err := pr.Create(p, cfg.Path, 0o666)
-	if err != nil {
-		return nil, err
-	}
-	const chunk = 1 << 20
-	for off := 0; off < len(img); off += chunk {
-		end := off + chunk
-		if end > len(img) {
-			end = len(img)
-		}
-		if _, err := pr.Pwrite(p, fd, img[off:end], int64(off)); err != nil {
-			return nil, err
-		}
-	}
-	if err := pr.Fsync(p, fd); err != nil {
-		return nil, err
-	}
-	if err := pr.Close(p, fd); err != nil {
+	if err := sys.NewProcessOn(ext4.Root, devIdx).WriteFile(p, cfg.Path, img); err != nil {
 		return nil, err
 	}
 	shard := sys.M.Nodes[devIdx].Shard
