@@ -30,9 +30,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet also fails on unformatted files; gofmt -l walks bench/ too.
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

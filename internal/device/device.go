@@ -392,18 +392,6 @@ func (d *SSD) CreateQueue(pasid uint32, depth int) (*nvme.QueuePair, error) {
 	return q, nil
 }
 
-// DestroyQueue closes a queue pair.
-func (d *SSD) DestroyQueue(q *nvme.QueuePair) {
-	for i, x := range d.queues {
-		if x == q {
-			d.queues = append(d.queues[:i], d.queues[i+1:]...)
-			d.mQueues.Add(-1)
-			break
-		}
-	}
-	q.Close()
-}
-
 // SetArbiter installs a queue arbitration policy. Call it at machine
 // setup, before traffic: swapping arbiters mid-flight is legal but
 // the new policy starts with fresh state (cursor, credits, buckets).

@@ -411,20 +411,6 @@ func TestQueueAccounting(t *testing.T) {
 	s.Shutdown()
 }
 
-func TestDestroyQueue(t *testing.T) {
-	s := sim.New()
-	d := newSSD(s)
-	q, _ := d.CreateQueue(0, 4)
-	d.DestroyQueue(q)
-	if !q.Closed() {
-		t.Fatal("queue not closed")
-	}
-	if err := q.Submit(nvme.SQE{Opcode: nvme.OpFlush}); err == nil {
-		t.Fatal("submit to destroyed queue succeeded")
-	}
-	s.Shutdown()
-}
-
 func TestBootFromExistingStore(t *testing.T) {
 	st := storage.NewBytes(capBytes)
 	w := make([]byte, 512)

@@ -64,7 +64,7 @@ func TestFaultedRunsParallelismInvariant(t *testing.T) {
 }
 
 // TestRevokeStormParallelTranslation drives the translation fast path
-// (WalkRange streaming, PWC lookups, indexed IOTLB invalidation)
+// (leaf-resident LeafFor walks, PWC lookups, indexed IOTLB invalidation)
 // concurrently with fmap attach / revoke detach across parallel sweep
 // cells under the revoke-storm profile. Each cell owns a private
 // machine, so under -race this guards the fast path's data-sharing

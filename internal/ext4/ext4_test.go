@@ -517,34 +517,6 @@ func TestFileTableTracksAllocation(t *testing.T) {
 	}
 }
 
-func TestEvictInodeColdReload(t *testing.T) {
-	fs, _ := newFS(t)
-	in, _ := fs.Create(nil, "/f", 0o644, Root)
-	if _, err := fs.WriteAt(nil, in, 0, []byte("persist me")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.EvictInode(nil, in.Ino); err != nil {
-		t.Fatal(err)
-	}
-	in2, err := fs.Lookup(nil, "/f", Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in2 == in {
-		t.Fatal("inode not evicted")
-	}
-	got := make([]byte, 10)
-	if _, err := fs.ReadAt(nil, in2, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "persist me" {
-		t.Fatalf("got %q", got)
-	}
-	if in2.HasFileTable() {
-		t.Fatal("evicted inode kept a file table")
-	}
-}
-
 func TestNoSpace(t *testing.T) {
 	st := storage.NewBytes(2 << 20) // 2 MiB: tiny
 	bio := &Direct{St: st}

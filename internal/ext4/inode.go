@@ -156,25 +156,6 @@ func (fs *FS) GetInode(p *sim.Proc, ino uint32) (*Inode, error) {
 	return in, nil
 }
 
-// EvictInode drops an inode (and its cached file table) from the
-// cache after writing it back, forcing subsequent access to re-read
-// the table from disk. Used by tests and the cold-fmap experiments.
-func (fs *FS) EvictInode(p *sim.Proc, ino uint32) error {
-	in, ok := fs.inodes[ino]
-	if !ok {
-		return nil
-	}
-	if fs.dirtyInodes[ino] {
-		if err := fs.Commit(p); err != nil {
-			return err
-		}
-	}
-	in.ft = nil
-	delete(fs.inodes, ino)
-	delete(fs.dirCache, ino)
-	return nil
-}
-
 // markDirty queues the inode for the next journal commit.
 func (fs *FS) markDirty(in *Inode) {
 	fs.dirtyInodes[in.Ino] = true

@@ -41,7 +41,6 @@ type GroupResult struct {
 	Bytes    int64
 	Start    sim.Time
 	End      sim.Time
-	UserNS   sim.Time // BypassD-only: library+copy time (Fig. 7)
 	DeviceNS sim.Time // BypassD-only: submit-to-completion time
 	// Phases is the Fig. 5 latency attribution for this group's engine
 	// (submit/translate/media/complete); nil unless the machine was
@@ -243,9 +242,9 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 					res.Start = w.Now()
 				}
 
-				var devBase, userBase sim.Time
+				var devBase sim.Time
 				if bt, ok := core.BypassThread(io); ok {
-					devBase, userBase = bt.DeviceNS, bt.UserNS
+					devBase = bt.DeviceNS
 				}
 				var opErr error
 				for op := 0; ; op++ {
@@ -273,7 +272,6 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 				}
 				if bt, ok := core.BypassThread(io); ok {
 					res.DeviceNS += bt.DeviceNS - devBase
-					res.UserNS += bt.UserNS - userBase
 				}
 				if end := w.Now(); end > res.End {
 					res.End = end

@@ -485,24 +485,34 @@ func reqShare(requests, ndev, d int) int {
 // goroutines (workers < 1 counts as 1), exactly like the tenants
 // plane. Results are byte-identical at any worker count.
 func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, error) {
-	fl, err := fl.normalized()
+	res, s, err := runSim(seed, fl, workers)
 	if err != nil {
 		return nil, 0, err
+	}
+	return res, s.Processed(), nil
+}
+
+// runSim is RunCountedWorkers returning the run's simulator, shut
+// down, so tests can read all of its dispatch counters.
+func runSim(seed int64, fl Fleet, workers int) (*Result, *sim.Sim, error) {
+	fl, err := fl.normalized()
+	if err != nil {
+		return nil, nil, err
 	}
 	ndev := fl.Devices
 	bk, err := backendByName(fl.Backend)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	inj, err := faults.New(fl.Faults, seed)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 
 	sys, err := core.Boot(core.Config{Capacity: bk.capacity(fl), Devices: ndev,
 		Observers: kernel.Observers{Faults: inj, Trace: fl.Trace, Metrics: fl.Metrics}})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	defer sys.Close()
 	for _, n := range sys.M.Nodes {
@@ -548,7 +558,7 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	for d := 0; d < ndev; d++ {
 		for _, word := range states[d].served {
@@ -557,7 +567,7 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 			}
 		}
 	}
-	return res, sys.Sim.Processed(), nil
+	return res, sys.Sim, nil
 }
 
 // startDevice spawns device d's arrival generator on its event shard.

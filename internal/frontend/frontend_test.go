@@ -302,3 +302,24 @@ func TestMillionUsers(t *testing.T) {
 }
 
 var _ = sim.Time(0)
+
+// TestFleetEventCounts pins exactly what the FrontendThroughput
+// benchmark's token fleet costs the simulator at seed 1: events
+// dispatched, proc resumes among them, and resumes that switched
+// coroutines, the same at every worker count of the parallel drain.
+// The goldens pin only virtual time, so this is what catches a
+// refactor that adds or drops an event, a resume or a switch without
+// moving a latency.
+func TestFleetEventCounts(t *testing.T) {
+	fl := ServiceFleet(AdmitToken, 2.0, 2, 8, 4000, 8000)
+	for _, workers := range []int{1, 2, 4} {
+		_, s, err := runSim(1, fl, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev, res, sw := s.Processed(), s.Resumed(), s.Switched(); ev != 38323 || res != 28038 || sw != 20050 {
+			t.Errorf("token fleet at %d workers: %d events, %d resumes, %d switches; want 38323, 28038, 20050",
+				workers, ev, res, sw)
+		}
+	}
+}

@@ -105,16 +105,6 @@ func (pr *Process) Dev() *device.SSD { return pr.node.Dev }
 // Node reports the topology index the process is bound to.
 func (pr *Process) Node() int { return pr.node.Index }
 
-// Exit closes all descriptors and unregisters the address space.
-func (pr *Process) Exit(p *sim.Proc) {
-	for fd := range pr.fds {
-		_ = pr.Close(p, fd)
-	}
-	for _, n := range pr.M.Nodes {
-		n.MMU.UnregisterPASID(pr.PASID)
-	}
-}
-
 // enter/exit charge the privilege-mode switches around a syscall.
 func (pr *Process) enter(p *sim.Proc) { pr.M.CPU.Compute(p, SyscallEnter) }
 func (pr *Process) exit(p *sim.Proc)  { pr.M.CPU.Compute(p, SyscallExit) }

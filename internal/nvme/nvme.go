@@ -174,6 +174,7 @@ type QueuePair struct {
 	Doorbell *sim.Cond // device waits here for submissions
 	CQReady  *sim.Cond // submitters wait here for completions
 
+	cid    uint16 // last command ID Exec stamped
 	closed bool
 }
 
@@ -270,6 +271,26 @@ func (q *QueuePair) Submit(e SQE) error {
 	q.sqCount++
 	q.Doorbell.Signal()
 	return nil
+}
+
+// Exec runs one command the way a polled userspace driver does: it
+// stamps the pair's next command ID, submits, busy-polls the
+// completion queue on cpu, and completes the command's trace span.
+// Callers keep one command outstanding on the pair, so the completion
+// reaped is the command's own. A submit error returns without waiting.
+func (q *QueuePair) Exec(p *sim.Proc, cpu *sim.CPUSet, e SQE) (CQE, error) {
+	q.cid++
+	e.CID = q.cid
+	if err := q.Submit(e); err != nil {
+		return CQE{}, err
+	}
+	for {
+		if c, ok := q.PopCQE(); ok {
+			e.Span.Complete(p.Now())
+			return c, nil
+		}
+		cpu.BusyWait(p, q.CQReady)
+	}
 }
 
 // PopSQE removes the oldest submission, reporting false if empty.

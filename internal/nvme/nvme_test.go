@@ -109,6 +109,43 @@ func TestDoorbellSignalsDevice(t *testing.T) {
 	}
 }
 
+// Exec stamps each command with the pair's next ID, so callers sharing
+// a pair never reuse one, and returns the command's completion once
+// the device posts it.
+func TestExecStampsCIDAndWaits(t *testing.T) {
+	s := sim.New()
+	q := NewQueuePair(s, 1, 0, 8)
+	s.Spawn("device", func(p *sim.Proc) {
+		for {
+			e, ok := q.PopSQE()
+			if !ok {
+				q.Doorbell.Wait(p)
+				continue
+			}
+			p.Sleep(1000)
+			q.PostCQE(CQE{CID: e.CID, Status: StatusSuccess})
+		}
+	})
+	s.Spawn("app", func(p *sim.Proc) {
+		cpu := s.NewCPUSet(1)
+		for want := uint16(1); want <= 3; want++ {
+			c, err := q.Exec(p, cpu, SQE{Opcode: OpFlush})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if c.CID != want || !c.Status.OK() {
+				t.Errorf("exec %d: completion %+v", want, c)
+			}
+		}
+		if p.Now() != 3000 {
+			t.Errorf("three commands finished at %v, want 3000", p.Now())
+		}
+	})
+	s.Run()
+	s.Shutdown()
+}
+
 func TestCloseRejectsSubmit(t *testing.T) {
 	q := newQP(4)
 	q.Close()

@@ -235,58 +235,6 @@ func (t *Table) LeafFor(va uint64) (leaf *Node, effRW bool, levels int, ok bool)
 	return n, effRW, 4, true
 }
 
-// WalkRange resolves pages consecutive pages starting at va, invoking
-// visit(i, r) with a result identical to Walk(va + i*PageSize) for
-// each. It descends root→leaf once per 512-entry leaf node (2 MiB
-// region) and streams entries from the resident node, so an N-page
-// scan costs ceil(N/512) descents instead of N. visit returning false
-// stops the scan.
-func (t *Table) WalkRange(va uint64, pages int, visit func(i int, r WalkResult) bool) {
-	for i := 0; i < pages; {
-		pva := va + uint64(i)*PageSize
-		if pva >= MaxVA {
-			// Out-of-range pages fail identically to Walk. Regions are
-			// 2 MiB aligned and MaxVA is region aligned, so once past
-			// the boundary every remaining page is out of range too.
-			for ; i < pages; i++ {
-				if !visit(i, WalkResult{Levels: 1}) {
-					return
-				}
-			}
-			return
-		}
-		leaf, effRW, levels, ok := t.LeafFor(pva)
-		idx := int(pva >> PageShift & (EntriesPer - 1))
-		n := EntriesPer - idx
-		if n > pages-i {
-			n = pages - i
-		}
-		if !ok {
-			// The upper-level indexes are shared by every page of the
-			// region, so the per-page Walk would dead-end identically.
-			r := WalkResult{Levels: levels}
-			for j := 0; j < n; j++ {
-				if !visit(i+j, r) {
-					return
-				}
-			}
-			i += n
-			continue
-		}
-		for j := 0; j < n; j++ {
-			e := leaf.entries[idx+j]
-			r := WalkResult{Levels: 4}
-			if e.Present() {
-				r = WalkResult{Entry: e, EffRW: effRW && e.RW(), Levels: 4, Found: true}
-			}
-			if !visit(i+j, r) {
-				return
-			}
-		}
-		i += n
-	}
-}
-
 // ensurePath builds intermediate nodes down to the leaf table
 // containing va and returns that leaf node. Intermediate pointer
 // entries are created present+RW+user.
@@ -311,21 +259,6 @@ func (t *Table) Map(va uint64, e Entry) {
 		panic(fmt.Sprintf("pagetable: va %#x out of range", va))
 	}
 	t.ensurePath(va).entries[index(va, 1)] = e
-}
-
-// Unmap clears the leaf entry for va, reporting whether one existed.
-func (t *Table) Unmap(va uint64) bool {
-	n := t.root
-	for lvl := 4; lvl >= 2; lvl-- {
-		i := index(va, lvl)
-		if n = n.child(i); n == nil {
-			return false
-		}
-	}
-	i := index(va, 1)
-	had := n.entries[i].Present()
-	n.entries[i] = 0
-	return had
 }
 
 // AttachPMD splices a shared leaf node (one 2 MiB file-table fragment)

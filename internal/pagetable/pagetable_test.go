@@ -47,7 +47,7 @@ func TestFTEOutOfRangePanics(t *testing.T) {
 	MakeFTE(1<<36, 0)
 }
 
-func TestMapWalkUnmap(t *testing.T) {
+func TestMapWalk(t *testing.T) {
 	tab := New()
 	va := uint64(0x7000_0040_2000)
 	tab.Map(va, MakeFTE(800, 1))
@@ -57,15 +57,6 @@ func TestMapWalkUnmap(t *testing.T) {
 	}
 	if r.Levels != 4 {
 		t.Fatalf("levels = %d, want 4", r.Levels)
-	}
-	if !tab.Unmap(va) {
-		t.Fatal("unmap reported no entry")
-	}
-	if tab.Walk(va).Found {
-		t.Fatal("walk found entry after unmap")
-	}
-	if tab.Unmap(va) {
-		t.Fatal("double unmap reported an entry")
 	}
 }
 
@@ -272,7 +263,7 @@ func TestFileTableWalkProperty(t *testing.T) {
 // buildRandomTable assembles a deliberately messy table from a seed:
 // sparse and dense file-table fragments, holes inside fragments,
 // detached PMDs, regular (non-FT) PTE leaves, and read-only
-// attachments — every shape the WalkRange fast path must reproduce.
+// attachments — every shape LeafFor's descent must resolve like Walk.
 func buildRandomTable(seed int64) (*Table, uint64, int) {
 	rng := rand.New(rand.NewSource(seed))
 	tab := New()
@@ -317,10 +308,25 @@ func buildRandomTable(seed int64) (*Table, uint64, int) {
 	return tab, base, regions * EntriesPer
 }
 
-// Property: WalkRange over randomized sparse/dense tables — holes,
-// detached PMDs, mixed FTE/PTE leaves — is result-identical to
-// per-page Walk, including the Levels accounting on misses.
-func TestWalkRangeMatchesWalkProperty(t *testing.T) {
+// leafWalk resolves va the way the IOMMU's segment walker does: one
+// LeafFor descent, then the entry from the resident leaf node.
+func leafWalk(tab *Table, va uint64) WalkResult {
+	leaf, effRW, levels, ok := tab.LeafFor(va)
+	if !ok {
+		return WalkResult{Levels: levels}
+	}
+	e := leaf.Entry(index(va, 1))
+	if !e.Present() {
+		return WalkResult{Levels: levels}
+	}
+	return WalkResult{Entry: e, EffRW: effRW && e.RW(), Levels: levels, Found: true}
+}
+
+// Property: over randomized sparse/dense tables — holes, detached
+// PMDs, mixed FTE/PTE leaves, read-only attachments — LeafFor plus the
+// leaf entry is result-identical to per-page Walk, including the
+// effective R/W bit and the Levels accounting on misses.
+func TestLeafForMatchesWalkProperty(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		tab, base, pages := buildRandomTable(seed)
 		// Start the scan off-region-alignment sometimes to cover
@@ -328,63 +334,23 @@ func TestWalkRangeMatchesWalkProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 77))
 		start := base + uint64(rng.Intn(EntriesPer))*PageSize
 		n := 1 + rng.Intn(pages)
-		got := make([]WalkResult, 0, n)
-		tab.WalkRange(start, n, func(i int, r WalkResult) bool {
-			if i != len(got) {
-				t.Fatalf("seed %d: visit index %d out of order", seed, i)
-			}
-			got = append(got, r)
-			return true
-		})
-		if len(got) != n {
-			t.Fatalf("seed %d: visited %d of %d pages", seed, len(got), n)
-		}
-		for i, r := range got {
-			want := tab.Walk(start + uint64(i)*PageSize)
-			if r != want {
-				t.Fatalf("seed %d page %d: WalkRange %+v != Walk %+v", seed, i, r, want)
+		for i := 0; i < n; i++ {
+			va := start + uint64(i)*PageSize
+			if got, want := leafWalk(tab, va), tab.Walk(va); got != want {
+				t.Fatalf("seed %d page %d: LeafFor %+v != Walk %+v", seed, i, got, want)
 			}
 		}
 	}
 }
 
-// WalkRange must stop the moment visit returns false.
-func TestWalkRangeEarlyStop(t *testing.T) {
-	ft := NewFileTable(7)
-	for pg := 0; pg < 8; pg++ {
-		ft.SetPage(pg, int64(pg*8+8))
-	}
-	tab := New()
-	base := uint64(0x2000_0000_0000)
-	if _, err := ft.Attach(tab, base, true); err != nil {
-		t.Fatal(err)
-	}
-	visits := 0
-	tab.WalkRange(base, 8, func(i int, r WalkResult) bool {
-		visits++
-		return i < 2
-	})
-	if visits != 3 {
-		t.Fatalf("visits = %d, want 3 (stop after visit returns false at i=2)", visits)
-	}
-}
-
-// WalkRange beyond the canonical user half fails like Walk does.
-func TestWalkRangeOutOfRange(t *testing.T) {
+// LeafFor beyond the canonical user half fails like Walk does.
+func TestLeafForOutOfRange(t *testing.T) {
 	tab := New()
 	start := MaxVA - 2*PageSize
-	var got []WalkResult
-	tab.WalkRange(start, 4, func(i int, r WalkResult) bool {
-		got = append(got, r)
-		return true
-	})
-	for i, r := range got {
-		want := tab.Walk(start + uint64(i)*PageSize)
-		if r != want {
-			t.Fatalf("page %d: %+v != %+v", i, r, want)
+	for i := 0; i < 4; i++ {
+		va := start + uint64(i)*PageSize
+		if got, want := leafWalk(tab, va), tab.Walk(va); got != want {
+			t.Fatalf("page %d: %+v != %+v", i, got, want)
 		}
-	}
-	if len(got) != 4 {
-		t.Fatalf("visited %d pages, want 4", len(got))
 	}
 }

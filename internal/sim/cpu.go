@@ -22,12 +22,12 @@ type CPUSet struct {
 	// demand[k] is shard k's instantaneous count of threads computing
 	// or busy-polling.
 	demand []int
-
-	// DeschedulePenalty approximates the scheduler-quantum stall a
-	// busy-polling thread suffers per wait when demand exceeds cores.
-	// The penalty applied is penalty * (demand-cores)/demand.
-	DeschedulePenalty Time
 }
+
+// deschedulePenalty approximates the scheduler-quantum stall a
+// busy-polling thread suffers per wait when demand exceeds cores. The
+// penalty applied is deschedulePenalty * (demand-cores)/demand.
+const deschedulePenalty = 50 * Microsecond
 
 // NewCPUSet returns a CPU pool with the given core count per shard.
 func (s *Sim) NewCPUSet(cores int) *CPUSet {
@@ -35,10 +35,9 @@ func (s *Sim) NewCPUSet(cores int) *CPUSet {
 		panic("sim: core count must be positive")
 	}
 	return &CPUSet{
-		sim:               s,
-		cores:             cores,
-		demand:            make([]int, len(s.shards)),
-		DeschedulePenalty: 50 * Microsecond,
+		sim:    s,
+		cores:  cores,
+		demand: make([]int, len(s.shards)),
 	}
 }
 
@@ -86,7 +85,7 @@ func (c *CPUSet) BusyWait(p *Proc, cond *Cond) {
 	cond.Wait(p)
 	if *lane > c.cores {
 		over := *lane - c.cores
-		p.Sleep(c.DeschedulePenalty * Time(over) / Time(*lane))
+		p.Sleep(deschedulePenalty * Time(over) / Time(*lane))
 	}
 	*lane--
 }
@@ -107,6 +106,6 @@ func (c *CPUSet) Penalty(p *Proc) {
 	lane := c.lane(p)
 	if *lane > c.cores {
 		over := *lane - c.cores
-		p.Sleep(c.DeschedulePenalty * Time(over) / Time(*lane))
+		p.Sleep(deschedulePenalty * Time(over) / Time(*lane))
 	}
 }

@@ -96,7 +96,6 @@ type Queue struct {
 	d   *Driver
 	q   *nvme.QueuePair
 	dma []byte
-	cid uint16
 }
 
 // NewQueue sets up a thread's I/O channel.
@@ -116,30 +115,21 @@ func (d *Driver) NewQueue(p *sim.Proc) (*Queue, error) {
 // would retry before reporting I/O failure.
 const doRetries = 3
 
-// do submits one raw command and busy-polls completion.
+// do runs one raw command to completion, resubmitting it after a
+// transient status.
 func (q *Queue) do(p *sim.Proc, op nvme.Opcode, sector int64, buf []byte) error {
-	sp := trace.SpanFrom(p)
+	e := nvme.SQE{
+		Opcode:  op,
+		SLBA:    sector,
+		Sectors: int64(len(buf)) / storage.SectorSize,
+		Buf:     buf,
+		Span:    trace.SpanFrom(p),
+	}
 	for attempt := 0; ; attempt++ {
-		q.cid++
-		if err := q.q.Submit(nvme.SQE{
-			Opcode:  op,
-			CID:     q.cid,
-			SLBA:    sector,
-			Sectors: int64(len(buf)) / storage.SectorSize,
-			Buf:     buf,
-			Span:    sp,
-		}); err != nil {
+		c, err := q.q.Exec(p, q.d.cpu, e)
+		if err != nil {
 			return err
 		}
-		var c nvme.CQE
-		for {
-			var ok bool
-			if c, ok = q.q.PopCQE(); ok {
-				break
-			}
-			q.d.cpu.BusyWait(p, q.q.CQReady)
-		}
-		sp.Complete(p.Now())
 		if c.Status.OK() {
 			return nil
 		}
@@ -204,19 +194,12 @@ func (q *Queue) WriteAt(p *sim.Proc, r Region, data []byte, off int64) (int, err
 
 // Flush issues an NVMe flush.
 func (q *Queue) Flush(p *sim.Proc) error {
-	q.cid++
-	sp := trace.SpanFrom(p)
-	if err := q.q.Submit(nvme.SQE{Opcode: nvme.OpFlush, CID: q.cid, Span: sp}); err != nil {
+	c, err := q.q.Exec(p, q.d.cpu, nvme.SQE{Opcode: nvme.OpFlush, Span: trace.SpanFrom(p)})
+	if err != nil {
 		return err
 	}
-	for {
-		if c, ok := q.q.PopCQE(); ok {
-			sp.Complete(p.Now())
-			if !c.Status.OK() {
-				return fmt.Errorf("spdk: flush: %v", c.Status)
-			}
-			return nil
-		}
-		q.d.cpu.BusyWait(p, q.q.CQReady)
+	if !c.Status.OK() {
+		return fmt.Errorf("spdk: flush: %v", c.Status)
 	}
+	return nil
 }

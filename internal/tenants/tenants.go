@@ -202,23 +202,33 @@ func (t *Tenant) validate() error {
 // every worker count; single-device scenarios never arm and keep
 // their historical coupled schedule.
 func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64, error) {
+	res, s, err := runSim(seed, sc, workers)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, s.Processed(), nil
+}
+
+// runSim is RunCountedWorkers returning the run's simulator, shut
+// down, so tests can read all of its dispatch counters.
+func runSim(seed int64, sc Scenario, workers int) ([]*Result, *sim.Sim, error) {
 	if len(sc.Tenants) == 0 {
-		return nil, 0, fmt.Errorf("tenants: scenario %q has no tenants", sc.Name)
+		return nil, nil, fmt.Errorf("tenants: scenario %q has no tenants", sc.Name)
 	}
 	ndev := sc.NumDevices()
 	for i := range sc.Tenants {
 		if err := sc.Tenants[i].validate(); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		if ndev > 1 && sc.Tenants[i].Engine == core.EngineSPDK {
 			// SPDK claims a device exclusively through the node-0
 			// driver; it has no multi-device story here.
-			return nil, 0, fmt.Errorf("tenants: %s: SPDK tenants need a single-device scenario", sc.Tenants[i].Name)
+			return nil, nil, fmt.Errorf("tenants: %s: SPDK tenants need a single-device scenario", sc.Tenants[i].Name)
 		}
 	}
 	inj, err := faults.New(sc.Faults, seed)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	capacity := sc.Capacity
 	if capacity == 0 {
@@ -243,7 +253,7 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 	sys, err := core.Boot(core.Config{Capacity: capacity, Devices: ndev,
 		Observers: kernel.Observers{Faults: inj, Trace: sc.Trace, Metrics: sc.Metrics}})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	defer sys.Close()
 	for _, n := range sys.M.Nodes {
@@ -293,14 +303,14 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	for ti := range sc.Tenants {
 		if sc.Tenants[ti].Engine == core.EngineBypassD {
 			results[ti].Lib = sys.Lib(procs[ti]).Stats
 		}
 	}
-	return results, sys.Sim.Processed(), nil
+	return results, sys.Sim, nil
 }
 
 func tenantPath(ti int) string { return fmt.Sprintf("/tenants/t%d", ti) }

@@ -229,3 +229,24 @@ func TestBuiltinsRunnable(t *testing.T) {
 		t.Error("ByName resolved a bogus name")
 	}
 }
+
+// TestStormEventCounts pins exactly what the TenantStorm benchmark's
+// noisy-neighbor scenario costs the simulator at seed 1: events
+// dispatched, proc resumes among them, and resumes that switched
+// coroutines. The goldens pin only virtual time, so this is what
+// catches a refactor that adds or drops an event, a resume or a switch
+// without moving a latency. The scenario is single-device and never
+// arms the parallel drain, so the counts hold at every worker count.
+func TestStormEventCounts(t *testing.T) {
+	sc := NoisyNeighbor("wrr", 2, 200, 200)
+	for _, workers := range []int{1, 2, 4} {
+		_, s, err := runSim(1, sc, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev, res, sw := s.Processed(), s.Resumed(), s.Switched(); ev != 5084 || res != 3208 || sw != 2361 {
+			t.Errorf("tenant storm at %d workers: %d events, %d resumes, %d switches; want 5084, 3208, 2361",
+				workers, ev, res, sw)
+		}
+	}
+}

@@ -28,13 +28,15 @@ type asyncSlot struct {
 	busy bool
 }
 
-// AsyncWriter issues non-blocking writes on its own queue pair.
+// AsyncWriter issues non-blocking writes on its own queue pair. One
+// application thread drives a writer.
 type AsyncWriter struct {
 	lib   *Lib
 	q     *nvme.QueuePair
 	slots []*asyncSlot
 	byCID map[uint16]*asyncSlot
 	cid   uint16
+	sync  *Thread // synchronous fallback path, created on first use
 
 	inflight int
 	retired  *sim.Cond // signalled whenever a write completes
@@ -118,12 +120,16 @@ func (w *AsyncWriter) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, 
 	n := int64(len(data))
 	if !fs.Direct() || off+n > fs.Size ||
 		off%storage.SectorSize != 0 || n%storage.SectorSize != 0 {
-		// Metadata-modifying, unaligned, or revoked: synchronous path.
-		th, err := l.NewThread(p)
-		if err != nil {
-			return 0, err
+		// Metadata-modifying, unaligned, or revoked: synchronous path,
+		// on one thread (queue pair and DMA buffer) kept for reuse.
+		if w.sync == nil {
+			th, err := l.NewThread(p)
+			if err != nil {
+				return 0, err
+			}
+			w.sync = th
 		}
-		return th.Pwrite(p, fd, data, off)
+		return w.sync.Pwrite(p, fd, data, off)
 	}
 	m := l.Proc.M
 	m.CPU.Compute(p, libOverhead)

@@ -139,6 +139,41 @@ func TestAsyncWriteFallbacks(t *testing.T) {
 	e.s.Shutdown()
 }
 
+// Fallback writes share one synchronous thread: a writer that fell
+// back on every call used to create a queue pair (and pin a DMA
+// buffer) per write. Queue IDs count the device's queues, so the
+// thread created afterwards shows how many the fallbacks made.
+func TestAsyncWriteFallbacksReuseOneQueue(t *testing.T) {
+	e := newEnv(t)
+	const fallbacks = 10
+	e.s.Spawn("app", func(p *sim.Proc) {
+		e.seed(t, p, "/f", make([]byte, 8192))
+		fd, _ := e.l.Open(p, "/f", true)
+		w, err := e.l.NewAsyncWriter(p, 4, 4096)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < fallbacks; i++ {
+			// Unaligned in-file writes take the direct RMW path.
+			if _, err := w.Pwrite(p, fd, []byte("odd"), int64(100+i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		th, err := e.l.NewThread(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if made := th.q.ID - w.q.ID - 1; made > 1 {
+			t.Errorf("%d fallback writes created %d queue pairs, want at most 1", fallbacks, made)
+		}
+	})
+	e.s.Run()
+	e.s.Shutdown()
+}
+
 func TestAsyncWriteBackpressure(t *testing.T) {
 	e := newEnv(t)
 	e.s.Spawn("app", func(p *sim.Proc) {

@@ -152,13 +152,12 @@ type Thread struct {
 	Lib  *Lib
 	q    *nvme.QueuePair
 	dma  []byte
-	cid  uint16
 	lock *sim.Resource // non-nil only when queues are shared
 
-	// DeviceNS accumulates submit-to-completion time; UserNS the
-	// library-side time (Fig. 7 breakdown).
+	// DeviceNS accumulates the submit-to-completion time of direct
+	// reads and writes; the Fig. 7 breakdown charges the rest of an
+	// op's latency to the library and its copies.
 	DeviceNS sim.Time
-	UserNS   sim.Time
 }
 
 // NewThread initializes the thread's queues and DMA buffer through
@@ -261,33 +260,24 @@ func (l *Lib) State(fd int) (*FileState, error) { return l.state(fd) }
 // Direct reports whether fd currently uses the BypassD interface.
 func (fs *FileState) Direct() bool { return fs.Base > 0 }
 
-// doVBA submits one VBA command and busy-polls its completion,
-// recording the device span. Callers in shared-queue mode hold the
+// doVBA runs one VBA command to completion on the thread's queue,
+// recording its device time. Callers in shared-queue mode hold the
 // queue lock around the op including its DMA-buffer copies.
 func (t *Thread) doVBA(p *sim.Proc, op nvme.Opcode, vba uint64, buf []byte) nvme.Status {
-	t.cid++
-	e := nvme.SQE{
+	start := p.Now()
+	c, err := t.q.Exec(p, t.Lib.Proc.M.CPU, nvme.SQE{
 		Opcode:  op,
-		CID:     t.cid,
 		UseVBA:  true,
 		VBA:     vba,
 		Sectors: int64(len(buf)) / storage.SectorSize,
 		Buf:     buf,
 		Span:    trace.SpanFrom(p),
-	}
-	start := p.Now()
-	if err := t.q.Submit(e); err != nil {
+	})
+	if err != nil {
 		return nvme.StatusInternalError
 	}
-	m := t.Lib.Proc.M
-	for {
-		if c, ok := t.q.PopCQE(); ok {
-			t.DeviceNS += p.Now() - start
-			e.Span.Complete(p.Now())
-			return c.Status
-		}
-		m.CPU.BusyWait(p, t.q.CQReady)
-	}
+	t.DeviceNS += p.Now() - start
+	return c.Status
 }
 
 // backoff returns the exponential delay before retry n (1-based, at
@@ -457,12 +447,10 @@ func (t *Thread) Pread(p *sim.Proc, fd int, buf []byte, off int64) (int, error) 
 		t.release()
 		return 0, t.opError("read", fs, off, st)
 	}
-	uStart := p.Now()
 	m.CPU.Compute(p, device.CopyCost(int(n)))
 	if !zeroCopy {
 		copy(buf[:n], dma[off-alignedOff:])
 	}
-	t.UserNS += p.Now() - uStart
 	t.release()
 	l.countDirect()
 	return int(n), nil
@@ -524,11 +512,9 @@ func (t *Thread) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, error
 	}
 
 	t.acquire(p)
-	uStart := p.Now()
 	// The virtual clock charges the copy into the DMA buffer; on the
 	// host the device reads the caller's (aligned) slice directly.
 	m.CPU.Compute(p, device.CopyCost(int(n)))
-	t.UserNS += p.Now() - uStart
 
 	st, fellBack := t.vbaRetry(p, fs, nvme.OpWrite, off, data)
 	if fellBack {
@@ -587,11 +573,8 @@ func (t *Thread) partialWrite(p *sim.Proc, fs *FileState, data []byte, off int64
 	dma := t.dma[:span]
 	st, fellBack := t.vbaRetry(p, fs, nvme.OpRead, alignedOff, dma)
 	if !fellBack && st.OK() {
-		m := l.Proc.M
-		uStart := p.Now()
-		m.CPU.Compute(p, device.CopyCost(int(n)))
+		l.Proc.M.CPU.Compute(p, device.CopyCost(int(n)))
 		copy(dma[off-alignedOff:], data)
-		t.UserNS += p.Now() - uStart
 		st, fellBack = t.vbaRetry(p, fs, nvme.OpWrite, alignedOff, dma)
 	}
 	if fellBack {
@@ -635,26 +618,15 @@ func (t *Thread) Write(p *sim.Proc, fd int, data []byte) (int, error) {
 // lets the kernel flush file metadata (paper Table 3).
 func (t *Thread) Fsync(p *sim.Proc, fd int) error {
 	t.acquire(p)
-	t.cid++
-	sp := trace.SpanFrom(p)
-	if err := t.q.Submit(nvme.SQE{Opcode: nvme.OpFlush, CID: t.cid, Span: sp}); err != nil {
-		t.release()
+	c, err := t.q.Exec(p, t.Lib.Proc.M.CPU, nvme.SQE{Opcode: nvme.OpFlush, Span: trace.SpanFrom(p)})
+	t.release()
+	if err != nil {
 		return err
 	}
-	m := t.Lib.Proc.M
-	for {
-		if c, ok := t.q.PopCQE(); ok {
-			sp.Complete(p.Now())
-			if !c.Status.OK() {
-				t.release()
-				return fmt.Errorf("userlib: flush (dev %s, queue %d): nvme status %v",
-					t.Lib.devName(), t.q.ID, c.Status)
-			}
-			break
-		}
-		m.CPU.BusyWait(p, t.q.CQReady)
+	if !c.Status.OK() {
+		return fmt.Errorf("userlib: flush (dev %s, queue %d): nvme status %v",
+			t.Lib.devName(), t.q.ID, c.Status)
 	}
-	t.release()
 	return t.Lib.Proc.Fsync(p, fd)
 }
 
