@@ -31,9 +31,15 @@ race:
 	$(GO) test -race ./...
 
 # vet also fails on unformatted files; gofmt -l walks bench/ too.
+# deadcheck is the dead-path gate: it type-checks the module and fails
+# on any func, method, struct field, const, var or type in a non-test
+# file that only tests use (or nothing does). A use in bench/ counts.
+# Deliberate test hooks go in cmd/deadcheck/allowlist.txt, one per
+# line: the name as deadcheck prints it, then the reason.
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
+	$(GO) run ./cmd/deadcheck -allow cmd/deadcheck/allowlist.txt .
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 

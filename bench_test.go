@@ -175,7 +175,7 @@ func benchSimThroughput(b *testing.B, traceOn bool) {
 		// Fill the tracer's bounded span buffer untimed, so the timed
 		// ops drop their spans at any benchtime: otherwise a short run
 		// times appends and buffer growth and a long one mostly drops.
-		for sys.M.Trace.Dropped() == 0 {
+		for _, dropped := cfg.Trace.Events(); dropped == 0; _, dropped = cfg.Trace.Events() {
 			Run(sys, "storm", batch)
 		}
 		virtual = 0

@@ -62,19 +62,8 @@ const (
 	EngineBypassD = core.EngineBypassD
 )
 
-// Time units.
-const (
-	Nanosecond  = sim.Nanosecond
-	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
-	Second      = sim.Second
-)
-
 // RootCred is the superuser credential.
 var RootCred = ext4.Root
-
-// AllEngines lists every engine in the paper's comparison order.
-var AllEngines = core.AllEngines
 
 // New boots a fresh system: formatted file system, Optane-class
 // device model, IOMMU with the BypassD extension, and the calibrated

@@ -3,6 +3,8 @@ package bypassd
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestPublicAPIQuickstart exercises the facade the way the README's
@@ -55,7 +57,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 			t.Error("payload mismatch")
 		}
 	})
-	if roundTrip < 4*Microsecond || roundTrip > 6*Microsecond {
+	if roundTrip < 4*sim.Microsecond || roundTrip > 6*sim.Microsecond {
 		t.Fatalf("4K direct read = %v, want ~5µs", roundTrip)
 	}
 	sys.Sim.Shutdown()

@@ -32,9 +32,6 @@ const (
 	EngineBypassD Engine = "bypassd"
 )
 
-// KernelEngines lists the engines that go through the kernel FS.
-var KernelEngines = []Engine{EngineSync, EngineLibaio, EngineUring}
-
 // AllEngines lists every engine in the paper's comparison order.
 var AllEngines = []Engine{EngineSync, EngineLibaio, EngineUring, EngineSPDK, EngineBypassD}
 
@@ -103,9 +100,6 @@ func Boot(c Config) (*System, error) {
 // New boots a fresh single-SSD system of capacityBytes on a new
 // simulation.
 func New(capacityBytes int64) (*System, error) { return Boot(Config{Capacity: capacityBytes}) }
-
-// Devices reports the number of SSDs in the system's topology.
-func (sys *System) Devices() int { return len(sys.M.Nodes) }
 
 // Close shuts the simulation down and, when the system owns its
 // backing store (booted fresh rather than from a caller's image),
@@ -314,12 +308,12 @@ func (io *uringIO) Open(p *sim.Proc, path string, write bool) (int, error) {
 	return io.pr.Open(p, path, write)
 }
 func (io *uringIO) Pread(p *sim.Proc, fd int, buf []byte, off int64) (int, error) {
-	io.u.SubmitRead(p, fd, buf, off, nil)
+	io.u.SubmitRead(p, fd, buf, off)
 	r := io.u.Wait(p)
 	return r.N, r.Err
 }
 func (io *uringIO) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, error) {
-	io.u.SubmitWrite(p, fd, data, off, nil)
+	io.u.SubmitWrite(p, fd, data, off)
 	r := io.u.Wait(p)
 	return r.N, r.Err
 }
@@ -344,9 +338,6 @@ func (io *bypassIO) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, er
 }
 func (io *bypassIO) Fsync(p *sim.Proc, fd int) error { return io.th.Fsync(p, fd) }
 func (io *bypassIO) Close(p *sim.Proc, fd int) error { return io.lib.Close(p, fd) }
-
-// Thread exposes the underlying UserLib thread for breakdown stats.
-func (io *bypassIO) Thread() *userlib.Thread { return io.th }
 
 // BypassThread extracts the UserLib thread from a FileIO when the
 // engine is bypassd (Fig. 7 breakdown instrumentation).

@@ -82,7 +82,7 @@ func TestConcurrentAppendFsync(t *testing.T) {
 				return
 			}
 			for i := 0; i < appends; i++ {
-				if _, err := pr.Write(p, fd, block(w, i)); err != nil {
+				if _, err := pr.Pwrite(p, fd, block(w, i), int64(i)*bs); err != nil {
 					runErr = fmt.Errorf("writer %d append %d: %w", w, i, err)
 					return
 				}

@@ -97,7 +97,7 @@ func TestConcurrentNamespaceOps(t *testing.T) {
 		if i%2 == 0 {
 			return pr.Unlink(p, "/"+created(w, i))
 		}
-		return pr.Rename(p, "/"+created(w, i), "/"+renamed(w, i))
+		return sys.M.FS.Rename(p, "/"+created(w, i), "/"+renamed(w, i), pr.Cred)
 	})
 	expect("unlinks and renames", got, renamed, func(i int) bool { return i%2 == 1 })
 }

@@ -106,34 +106,3 @@ func TestShortReadsAtEOF(t *testing.T) {
 	})
 	sys.Sim.Run()
 }
-
-// TestOffsetAdvancingIO checks the Read/Write (non-positional) calls
-// share one offset per descriptor in both interfaces.
-func TestOffsetAdvancingIO(t *testing.T) {
-	sys, err := New(1 << 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Sim.Shutdown()
-	sys.Sim.Spawn("m", func(p *sim.Proc) {
-		pr := sys.NewProcess(ext4.Root)
-		fd, _ := pr.Create(p, "/seq", 0o666)
-		if _, err := pr.Write(p, fd, []byte("first-")); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := pr.Write(p, fd, []byte("second")); err != nil {
-			t.Error(err)
-			return
-		}
-		buf := make([]byte, 12)
-		if _, err := pr.Pread(p, fd, buf, 0); err != nil {
-			t.Error(err)
-			return
-		}
-		if string(buf) != "first-second" {
-			t.Errorf("sequential writes produced %q", buf)
-		}
-	})
-	sys.Sim.Run()
-}

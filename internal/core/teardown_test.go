@@ -39,7 +39,7 @@ func TestConcurrentMachineTeardownNoAliasing(t *testing.T) {
 				fill := byte(1 + w*rounds + r)
 				data := bytes.Repeat([]byte{fill}, 64*1024)
 				sys.Sim.Spawn("main", func(p *sim.Proc) {
-					for d := 0; d < sys.Devices(); d++ {
+					for d := 0; d < len(sys.M.Nodes); d++ {
 						pr := sys.NewProcessOn(ext4.Root, d)
 						path := fmt.Sprintf("/w%d", w)
 						fd, err := pr.Create(p, path, 0o644)

@@ -27,7 +27,6 @@ import (
 // must be deterministic: state may depend only on the sequence of
 // Next calls and the queue contents observed through them.
 type Arbiter interface {
-	Name() string
 	// Next returns the index of the queue to fetch from. ok=false
 	// means no queue is currently eligible. When ok=false and some
 	// queue is non-empty but rate-limited, retryAt is the earliest
@@ -46,8 +45,6 @@ type FlatRR struct {
 
 // NewFlatRR returns the default flat round-robin arbiter.
 func NewFlatRR() *FlatRR { return &FlatRR{} }
-
-func (a *FlatRR) Name() string { return "rr" }
 
 func (a *FlatRR) Next(_ sim.Time, queues []*nvme.QueuePair) (int, bool, sim.Time) {
 	n := len(queues)
@@ -92,8 +89,6 @@ type wrrState struct {
 // NewWRR returns a weighted fair arbiter; weights come from each
 // queue's QoS class (absent/zero weight counts as 1).
 func NewWRR() *WRR { return &WRR{st: make(map[*nvme.QueuePair]*wrrState)} }
-
-func (a *WRR) Name() string { return "wrr" }
 
 func weightOf(q *nvme.QueuePair) int {
 	if w := q.QoS.Weight; w > 0 {
@@ -171,8 +166,6 @@ type bucket struct {
 func NewTokenPrio() *TokenPrio {
 	return &TokenPrio{buckets: make(map[*nvme.QueuePair]*bucket)}
 }
-
-func (a *TokenPrio) Name() string { return "prio" }
 
 // eligible reports whether q may be granted at now; when throttled it
 // returns the virtual time its next token arrives.

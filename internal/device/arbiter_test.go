@@ -32,14 +32,26 @@ func preload(t *testing.T, d *SSD, qos []nvme.QoS, depth int) []*nvme.QueuePair 
 	return qs
 }
 
+// served reaps q's posted completions and returns how many there
+// were: with nothing else reaping, the commands the device served on q
+// since the last call.
+func served(q *nvme.QueuePair) (n int64) {
+	for {
+		if _, ok := q.PopCQE(); !ok {
+			return n
+		}
+		n++
+	}
+}
+
 // snapshotAt posts a callback at virtual time t that records every
 // queue's service count then: the mid-drain view the arbiter bounds
 // check. The counts are filled in once Run passes t.
-func snapshotAt(s *sim.Sim, d *SSD, qs []*nvme.QueuePair, t sim.Time) []int64 {
+func snapshotAt(s *sim.Sim, qs []*nvme.QueuePair, t sim.Time) []int64 {
 	counts := make([]int64, len(qs))
 	s.AtOn(0, t, func() {
 		for i, q := range qs {
-			counts[i] = d.OpsOnQueue(q.ID)
+			counts[i] = served(q)
 		}
 	})
 	return counts
@@ -67,13 +79,13 @@ func TestFlatRRSaturatedEqualService(t *testing.T) {
 	// Mid-drain: roughly half the commands are done; every queue is
 	// still backlogged, so service counts must match to within the
 	// commands still in flight on the six channels.
-	mid := snapshotAt(s, d, qs, 300*sim.Microsecond)
+	mid := snapshotAt(s, qs, 300*sim.Microsecond)
 	s.Run()
 	if lo, hi := spread(mid); lo == 0 || hi-lo > int64(d.Config().Channels) {
 		t.Fatalf("saturated RR service counts spread [%d,%d], want equal within %d", lo, hi, d.Config().Channels)
 	}
-	for _, q := range qs {
-		if c := d.OpsOnQueue(q.ID); c != depth {
+	for i, q := range qs {
+		if c := mid[i] + served(q); c != depth {
 			t.Fatalf("queue %d served %d, want %d", q.ID, c, depth)
 		}
 	}
@@ -89,7 +101,7 @@ func TestWRRWeightedShares(t *testing.T) {
 	qs := preload(t, d, []nvme.QoS{{Weight: 3}, {Weight: 1}}, 400)
 
 	// Short of the heavy queue's drain point, so both stay backlogged.
-	mid := snapshotAt(s, d, qs, 150*sim.Microsecond)
+	mid := snapshotAt(s, qs, 150*sim.Microsecond)
 	s.Run()
 	s.Shutdown()
 	heavy, light := mid[0], mid[1]
@@ -110,7 +122,7 @@ func TestWRREqualWeightsEqualService(t *testing.T) {
 	d.SetArbiter(NewWRR())
 	qs := preload(t, d, make([]nvme.QoS, 4), 256)
 
-	mid := snapshotAt(s, d, qs, 300*sim.Microsecond)
+	mid := snapshotAt(s, qs, 300*sim.Microsecond)
 	s.Run()
 	s.Shutdown()
 	if lo, hi := spread(mid); lo == 0 || hi-lo > int64(d.Config().Channels) {
@@ -128,7 +140,7 @@ func TestTokenPrioStrictPriority(t *testing.T) {
 
 	// ~42 grants fit in 25µs on six 3.5µs channels: all must go to
 	// the high-priority queue while it is still backlogged.
-	mid := snapshotAt(s, d, qs, 25*sim.Microsecond)
+	mid := snapshotAt(s, qs, 25*sim.Microsecond)
 	s.Run()
 	if hi := mid[0]; hi < 30 {
 		t.Fatalf("priority-0 queue served %d in 25µs, want ≥30", hi)
@@ -136,7 +148,7 @@ func TestTokenPrioStrictPriority(t *testing.T) {
 	if lo := mid[1]; lo != 0 {
 		t.Fatalf("priority-1 queue served %d while priority-0 backlogged, want 0", lo)
 	}
-	if a, b := d.OpsOnQueue(qs[0].ID), d.OpsOnQueue(qs[1].ID); a != 64 || b != 64 {
+	if a, b := mid[0]+served(qs[0]), mid[1]+served(qs[1]); a != 64 || b != 64 {
 		t.Fatalf("final service counts %d/%d, want 64/64", a, b)
 	}
 	s.Shutdown()
@@ -154,7 +166,7 @@ func TestTokenPrioRateLimit(t *testing.T) {
 	}, 400)
 
 	const window = 1 * sim.Millisecond
-	mid := snapshotAt(s, d, qs, window)
+	mid := snapshotAt(s, qs, window)
 	s.Run()
 	s.Shutdown()
 	capped := mid[1]
@@ -179,7 +191,7 @@ func TestTokenPrioRefillWake(t *testing.T) {
 	qs := preload(t, d, []nvme.QoS{{RateOps: 100_000, Burst: 1}}, 8)
 
 	s.Run()
-	if c := d.OpsOnQueue(qs[0].ID); c != 8 {
+	if c := served(qs[0]); c != 8 {
 		t.Fatalf("served %d of 8 through refill wakes", c)
 	}
 	// Seven refills at 10µs each bound the finish time from below.
@@ -216,7 +228,7 @@ func TestArbiterZeroAllocHotPath(t *testing.T) {
 			now += 100
 			idx, ok, _ := arb.Next(now, qs)
 			if !ok {
-				t.Fatalf("%s: no grant with backlogged queues", arb.Name())
+				t.Fatalf("%T: no grant with backlogged queues", arb)
 			}
 			e, _ := qs[idx].PopSQE()
 			if err := qs[idx].Submit(e); err != nil {
@@ -225,7 +237,7 @@ func TestArbiterZeroAllocHotPath(t *testing.T) {
 		}
 		grant() // warm lazily created per-queue state
 		if avg := testing.AllocsPerRun(200, grant); avg != 0 {
-			t.Errorf("%s: %.1f allocs per grant in steady state, want 0", arb.Name(), avg)
+			t.Errorf("%T: %.1f allocs per grant in steady state, want 0", arb, avg)
 		}
 	}
 }

@@ -146,13 +146,6 @@ const (
 	stageFlushDone              // flush latency elapsed
 )
 
-// Stats aggregates device activity.
-type Stats struct {
-	Reads, Writes, Flushes int64
-	BytesRead, BytesWrite  int64
-	Faults                 int64 // commands completed with error status
-}
-
 // SSD is the simulated device.
 type SSD struct {
 	sim   *sim.Sim
@@ -177,8 +170,6 @@ type SSD struct {
 	writesInFlight int
 	writesDrained  *sim.Cond
 
-	stats   Stats
-	opsByQ  map[int]int64
 	claimer string
 
 	// segFree recycles per-command segment buffers between serve
@@ -211,14 +202,8 @@ type SSD struct {
 	mQueues                   *metrics.Gauge
 }
 
-// New creates a device backed by a fresh sparse store and starts its
-// command fetch.
-func New(s *sim.Sim, cfg Config) *SSD {
-	return NewWithStore(s, cfg, storage.NewBytes(cfg.CapacityBytes))
-}
-
-// NewWithStore creates a device over an existing store (used to boot
-// prebuilt images).
+// NewWithStore creates a device over st, a fresh sparse store or a
+// prebuilt image, and starts its command fetch.
 func NewWithStore(s *sim.Sim, cfg Config, st *storage.Store) *SSD {
 	if cfg.Channels <= 0 {
 		panic("device: channel count must be positive")
@@ -231,7 +216,6 @@ func NewWithStore(s *sim.Sim, cfg Config, st *storage.Store) *SSD {
 		arb:           NewFlatRR(),
 		channels:      s.NewResourceOn(cfg.Shard, cfg.Name+"-channels", cfg.Channels),
 		writesDrained: s.NewCond(),
-		opsByQ:        make(map[int]int64),
 	}
 	d.initSites()
 	d.start()
@@ -312,7 +296,6 @@ func Carve(s *sim.Sim, parent *SSD, name string, devID uint8, baseSector, sector
 		arb:           NewFlatRR(),
 		channels:      parent.channels, // VFs contend for the same media
 		writesDrained: s.NewCond(),
-		opsByQ:        make(map[int]int64),
 		window:        parent.window + baseSector,
 	}
 	vf.initSites()
@@ -340,20 +323,11 @@ func (d *SSD) WindowedStore() storage.SectorIO {
 // commands.
 func (d *SSD) AttachIOMMU(u *iommu.IOMMU) { d.mmu = u }
 
-// IOMMU returns the attached translation agent, or nil.
-func (d *SSD) IOMMU() *iommu.IOMMU { return d.mmu }
-
 // Config returns the device configuration.
 func (d *SSD) Config() Config { return d.cfg }
 
 // Store exposes the backing medium (for image building and tests).
 func (d *SSD) Store() *storage.Store { return d.store }
-
-// Stats returns a copy of the activity counters.
-func (d *SSD) Stats() Stats { return d.stats }
-
-// OpsOnQueue reports commands served from queue id (fairness tests).
-func (d *SSD) OpsOnQueue(id int) int64 { return d.opsByQ[id] }
 
 // Sectors reports the device capacity in sectors.
 func (d *SSD) Sectors() int64 { return d.cfg.CapacityBytes / storage.SectorSize }
@@ -367,13 +341,6 @@ func (d *SSD) Claim(owner string) error {
 	}
 	d.claimer = owner
 	return nil
-}
-
-// Release drops an exclusive claim.
-func (d *SSD) Release(owner string) {
-	if d.claimer == owner {
-		d.claimer = ""
-	}
 }
 
 // CreateQueue registers a new queue pair with the device. The PASID
@@ -403,9 +370,6 @@ func (d *SSD) SetArbiter(a Arbiter) {
 	d.arbRR, _ = a.(*FlatRR)
 	d.arrival.Broadcast() // re-arbitrate under the new policy
 }
-
-// ArbiterName reports the installed arbitration policy.
-func (d *SSD) ArbiterName() string { return d.arb.Name() }
 
 // arbitrate pops the next command the arbiter grants, reporting
 // ok=false when nothing is eligible (and the refill instant to retry
@@ -564,7 +528,6 @@ func (d *SSD) serve(c *command) {
 	case stageFlushWait:
 		d.flushWait(c)
 	case stageFlushDone:
-		d.stats.Flushes++
 		d.mFlushes.Inc()
 		c.sqe.Span.ServiceEnd(d.now(), 0)
 		d.complete(c, nvme.StatusSuccess)
@@ -714,19 +677,14 @@ func (d *SSD) moveData(e nvme.SQE, segs []iommu.Segment) nvme.Status {
 		switch e.Opcode {
 		case nvme.OpRead:
 			err = d.store.ReadSectors(s.Sector, s.Sectors, e.Buf[off:off+n])
-			d.stats.Reads++
-			d.stats.BytesRead += n
 			d.mReads.Inc()
 			d.mBytesRead.Add(n)
 		case nvme.OpWrite:
 			err = d.store.WriteSectors(s.Sector, s.Sectors, e.Buf[off:off+n])
-			d.stats.Writes++
-			d.stats.BytesWrite += n
 			d.mWrites.Inc()
 			d.mBytesWrite.Add(n)
 		case nvme.OpWriteZeroes:
 			err = d.store.Zero(s.Sector, s.Sectors)
-			d.stats.Writes++
 			d.mWrites.Inc()
 		}
 		if err != nil {
@@ -740,11 +698,9 @@ func (d *SSD) moveData(e nvme.SQE, segs []iommu.Segment) nvme.Status {
 // complete posts c's completion and retires its box.
 func (d *SSD) complete(c *command, status nvme.Status) {
 	if !status.OK() {
-		d.stats.Faults++
 		d.mErrors.Inc()
 	}
 	q := c.q
-	d.opsByQ[q.ID]++
 	cqe := nvme.CQE{CID: c.sqe.CID, Status: status}
 	d.putCmd(c)
 	q.PostCQE(cqe)

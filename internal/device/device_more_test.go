@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/nvme"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 func TestQueueLimit(t *testing.T) {
 	s := sim.New()
 	cfg := OptaneP5800X(1 << 28)
 	cfg.MaxQueues = 3
-	d := New(s, cfg)
+	d := newDevice(s, cfg)
 	for i := 0; i < 3; i++ {
 		if _, err := d.CreateQueue(0, 4); err != nil {
 			t.Fatalf("queue %d: %v", i, err)
@@ -25,7 +26,7 @@ func TestQueueLimit(t *testing.T) {
 
 func TestInvalidOpcodeRejected(t *testing.T) {
 	s := sim.New()
-	d := New(s, OptaneP5800X(1<<28))
+	d := newDevice(s, OptaneP5800X(1<<28))
 	s.Spawn("app", func(p *sim.Proc) {
 		q, _ := d.CreateQueue(0, 4)
 		c := doIO(p, q, nvme.SQE{Opcode: nvme.Opcode(99), CID: 1})
@@ -47,7 +48,7 @@ func TestZSSDAndTLCProfiles(t *testing.T) {
 		{TLCFlash(1 << 28), 78 * sim.Microsecond, 81 * sim.Microsecond, "tlc-nvme"},
 	} {
 		s := sim.New()
-		d := New(s, tc.cfg)
+		d := newDevice(s, tc.cfg)
 		var lat sim.Time
 		s.Spawn("app", func(p *sim.Proc) {
 			q, _ := d.CreateQueue(0, 4)
@@ -66,7 +67,7 @@ func TestZSSDAndTLCProfiles(t *testing.T) {
 
 func TestCarveValidation(t *testing.T) {
 	s := sim.New()
-	parent := New(s, OptaneP5800X(1<<28))
+	parent := newDevice(s, OptaneP5800X(1<<28))
 	if _, err := Carve(s, parent, "bad", 9, -1, 100); err == nil {
 		t.Error("negative base accepted")
 	}
@@ -82,7 +83,7 @@ func TestCarveValidation(t *testing.T) {
 func TestNestedCarveWindowsCompose(t *testing.T) {
 	// A VF of a VF: windows add up.
 	s := sim.New()
-	parent := New(s, OptaneP5800X(1<<28))
+	parent := newDevice(s, OptaneP5800X(1<<28))
 	vf1, err := Carve(s, parent, "vf1", 9, 1000, 10000)
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +113,13 @@ func TestNestedCarveWindowsCompose(t *testing.T) {
 
 func TestWindowedStoreIdentityForPF(t *testing.T) {
 	s := sim.New()
-	d := New(s, OptaneP5800X(1<<28))
+	d := newDevice(s, OptaneP5800X(1<<28))
 	if d.WindowedStore() != d.Store() {
 		t.Fatal("physical function's windowed store should be the raw store")
 	}
 	vf, _ := Carve(s, d, "vf", 9, 64, 128)
 	ws := vf.WindowedStore()
-	if ws == nil || ws.Sectors() != 128 {
+	if v, ok := ws.(*storage.View); !ok || v.Base != 64 || v.Span != 128 {
 		t.Fatal("VF windowed store wrong span")
 	}
 	s.Shutdown()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/iommu"
+	"repro/internal/metrics"
 	"repro/internal/nvme"
 	"repro/internal/pagetable"
 	"repro/internal/sim"
@@ -13,8 +14,21 @@ import (
 
 const capBytes = 1 << 30
 
-func newSSD(s *sim.Sim) *SSD {
-	return New(s, OptaneP5800X(capBytes))
+func newSSD(s *sim.Sim) *SSD { return newDevice(s, OptaneP5800X(capBytes)) }
+
+// newDevice boots cfg over a fresh sparse store.
+func newDevice(s *sim.Sim, cfg Config) *SSD {
+	return NewWithStore(s, cfg, storage.NewBytes(cfg.CapacityBytes))
+}
+
+// observe attaches a fresh metrics registry to d and returns a reader
+// of d's series of a counter, given the labels after the device's.
+func observe(d *SSD) func(name string, labels ...string) int64 {
+	reg := metrics.NewRegistry()
+	d.SetObservers(nil, reg)
+	return func(name string, labels ...string) int64 {
+		return reg.Counter(name, append([]string{"dev", d.Config().Name}, labels...)...).Value()
+	}
 }
 
 // doIO submits one command and busy-waits for its completion.
@@ -188,6 +202,7 @@ func TestRoundRobinFairness(t *testing.T) {
 func TestFlushWaitsForWrites(t *testing.T) {
 	s := sim.New()
 	d := newSSD(s)
+	count := observe(d)
 	var flushDone, writeDone sim.Time
 	s.Spawn("app", func(p *sim.Proc) {
 		q, _ := d.CreateQueue(0, 16)
@@ -219,8 +234,8 @@ func TestFlushWaitsForWrites(t *testing.T) {
 	if flushDone <= writeDone {
 		t.Fatalf("flush (%v) completed before write (%v)", flushDone, writeDone)
 	}
-	if d.Stats().Flushes != 1 {
-		t.Fatalf("flushes = %d", d.Stats().Flushes)
+	if n := count("device_ops_total", "op", "flush"); n != 1 {
+		t.Fatalf("flushes = %d", n)
 	}
 	s.Shutdown()
 }
@@ -271,7 +286,8 @@ func vbaSetup(s *sim.Sim, rw bool) (*SSD, *nvme.QueuePair, uint64) {
 	u := iommu.New(iommu.DefaultConfig())
 	d.AttachIOMMU(u)
 	base := uint64(0x2000_0000_0000)
-	ft := pagetable.BuildFileTable(d.Config().DevID, []int64{80, 88, 96, 104})
+	ft := pagetable.NewFileTable(d.Config().DevID)
+	ft.SetRun(0, 80, 4)
 	tab := pagetable.New()
 	if _, err := ft.Attach(tab, base, rw); err != nil {
 		panic(err)
@@ -359,6 +375,7 @@ func TestVBAPermissionDenied(t *testing.T) {
 func TestVBAUnmappedFaults(t *testing.T) {
 	s := sim.New()
 	d, q, base := vbaSetup(s, true)
+	count := observe(d)
 	s.Spawn("app", func(p *sim.Proc) {
 		buf := make([]byte, 4096)
 		// Far beyond the 4-page file: no FTE.
@@ -368,8 +385,8 @@ func TestVBAUnmappedFaults(t *testing.T) {
 		}
 	})
 	s.Run()
-	if d.Stats().Faults != 1 {
-		t.Fatalf("device fault count = %d", d.Stats().Faults)
+	if n := count("device_errors_total"); n != 1 {
+		t.Fatalf("device fault count = %d", n)
 	}
 	s.Shutdown()
 }
@@ -392,6 +409,7 @@ func TestVBAWithoutIOMMURejected(t *testing.T) {
 func TestQueueAccounting(t *testing.T) {
 	s := sim.New()
 	d := newSSD(s)
+	count := observe(d)
 	s.Spawn("app", func(p *sim.Proc) {
 		q1, _ := d.CreateQueue(0, 16)
 		q2, _ := d.CreateQueue(0, 16)
@@ -401,12 +419,9 @@ func TestQueueAccounting(t *testing.T) {
 		doIO(p, q2, nvme.SQE{Opcode: nvme.OpRead, CID: 3, SLBA: 0, Sectors: 8, Buf: buf})
 	})
 	s.Run()
-	if d.OpsOnQueue(1) != 1 || d.OpsOnQueue(2) != 2 {
-		t.Fatalf("queue ops = %d/%d, want 1/2", d.OpsOnQueue(1), d.OpsOnQueue(2))
-	}
-	st := d.Stats()
-	if st.Reads != 3 || st.BytesRead != 3*4096 {
-		t.Fatalf("stats = %+v", st)
+	reads, moved := count("device_ops_total", "op", "read"), count("device_bytes_total", "dir", "read")
+	if reads != 3 || moved != 3*4096 {
+		t.Fatalf("reads = %d, bytes = %d, want 3 and %d", reads, moved, 3*4096)
 	}
 	s.Shutdown()
 }

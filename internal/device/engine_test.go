@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/nvme"
 	"repro/internal/sim"
 )
@@ -62,7 +63,7 @@ func TestVFsShareChannelPoolFIFO(t *testing.T) {
 	s := sim.New()
 	cfg := OptaneP5800X(capBytes)
 	cfg.Channels = 2
-	parent := New(s, cfg)
+	parent := newDevice(s, cfg)
 	vfs := make([]*SSD, 2)
 	for i, name := range []string{"vf-a", "vf-b"} {
 		vf, err := Carve(s, parent, name, uint8(9+i), int64(i)<<16, 1<<16)
@@ -118,11 +119,12 @@ func TestFaultedFlushBehindWrites(t *testing.T) {
 	s := sim.New()
 	d := newSSD(s)
 	name := d.Config().Name
+	reg := metrics.NewRegistry()
 	d.SetObservers(faults.NewInjector(1, []faults.Rule{
 		{Site: faults.DeviceSite(name, faults.KindDelay), Period: 2, Delay: 7 * sim.Microsecond},
 		{Site: faults.DeviceSite(name, faults.KindTimeout), Start: 2, Count: 1, Delay: 20 * sim.Microsecond},
 		{Site: faults.DeviceSite(name, faults.KindMedia), Start: 1, Count: 1},
-	}), nil)
+	}), reg)
 	var got []doneRec
 	s.Spawn("app", func(p *sim.Proc) {
 		q, _ := d.CreateQueue(0, 16)
@@ -170,7 +172,7 @@ func TestFaultedFlushBehindWrites(t *testing.T) {
 			t.Fatalf("flush %d completed at %v, before the last write (%v) plus the flush latency", r.cid, r.at, lastWrite)
 		}
 	}
-	if st := d.Stats(); st.Flushes != 2 {
-		t.Fatalf("flushes = %d, want 2", st.Flushes)
+	if n := reg.Counter("device_ops_total", "dev", name, "op", "flush").Value(); n != 2 {
+		t.Fatalf("flushes = %d, want 2", n)
 	}
 }

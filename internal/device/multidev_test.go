@@ -24,14 +24,16 @@ func TestCrossDeviceVBADenied(t *testing.T) {
 	cfg2 := OptaneP5800X(1 << 28)
 	cfg2.Name = "optane-2"
 	cfg2.DevID = 2
-	d1 := New(s, cfg1)
-	d2 := New(s, cfg2)
+	d1 := newDevice(s, cfg1)
+	d2 := newDevice(s, cfg2)
+	count2 := observe(d2)
 	d1.AttachIOMMU(u)
 	d2.AttachIOMMU(u)
 
 	// Map a file on device 1 into the process.
 	base := uint64(0x2000_0000_0000)
-	ft := pagetable.BuildFileTable(cfg1.DevID, []int64{80, 88})
+	ft := pagetable.NewFileTable(cfg1.DevID)
+	ft.SetRun(0, 80, 2)
 	tab := pagetable.New()
 	if _, err := ft.Attach(tab, base, true); err != nil {
 		t.Fatal(err)
@@ -87,8 +89,8 @@ func TestCrossDeviceVBADenied(t *testing.T) {
 		}
 	})
 	s.Run()
-	if d2.Stats().BytesRead != 0 {
-		t.Fatalf("device 2 moved %d bytes despite denial", d2.Stats().BytesRead)
+	if n := count2("device_bytes_total", "dir", "read"); n != 0 {
+		t.Fatalf("device 2 moved %d bytes despite denial", n)
 	}
 	s.Shutdown()
 }
@@ -97,10 +99,10 @@ func TestCrossDeviceVBADenied(t *testing.T) {
 // dispatch state: saturating one leaves the other's latency intact.
 func TestTwoDevicesIndependentArbitration(t *testing.T) {
 	s := sim.New()
-	d1 := New(s, OptaneP5800X(1<<28))
+	d1 := newDevice(s, OptaneP5800X(1<<28))
 	cfg2 := OptaneP5800X(1 << 28)
 	cfg2.Name = "optane-2"
-	d2 := New(s, cfg2)
+	d2 := newDevice(s, cfg2)
 
 	var quietLat sim.Time
 	s.Spawn("flood", func(p *sim.Proc) {

@@ -154,12 +154,3 @@ func (fs *FS) applyPendingFree() {
 	}
 	fs.pendingFree = fs.pendingFree[:0]
 }
-
-// PendingFreeBlocks reports blocks awaiting release (tests).
-func (fs *FS) PendingFreeBlocks() int64 {
-	var n int64
-	for _, e := range fs.pendingFree {
-		n += int64(e.Count)
-	}
-	return n
-}

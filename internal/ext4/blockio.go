@@ -2,7 +2,6 @@ package ext4
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -48,50 +47,5 @@ func (d *Direct) ZeroBlocks(_ *sim.Proc, blk, n int64) error {
 // Flush implements BlockIO.
 func (d *Direct) Flush(_ *sim.Proc) error { return nil }
 
-// ErrCrashed is returned by CrashBIO once its write budget is spent.
+// ErrCrashed is returned by writes a simulated crash cut off.
 var ErrCrashed = errors.New("ext4: simulated crash")
-
-// CrashBIO wraps a BlockIO and fails every write after the first
-// FailAfter writes have been performed, simulating a power cut for
-// journal-recovery tests. Reads continue to work.
-type CrashBIO struct {
-	Inner     BlockIO
-	FailAfter int
-	writes    int
-}
-
-var _ BlockIO = (*CrashBIO)(nil)
-
-// Writes reports how many writes have been admitted.
-func (c *CrashBIO) Writes() int { return c.writes }
-
-// ReadBlocks implements BlockIO.
-func (c *CrashBIO) ReadBlocks(p *sim.Proc, blk, n int64, buf []byte) error {
-	return c.Inner.ReadBlocks(p, blk, n, buf)
-}
-
-// WriteBlocks implements BlockIO.
-func (c *CrashBIO) WriteBlocks(p *sim.Proc, blk, n int64, buf []byte) error {
-	if c.writes >= c.FailAfter {
-		return fmt.Errorf("write block %d: %w", blk, ErrCrashed)
-	}
-	c.writes++
-	return c.Inner.WriteBlocks(p, blk, n, buf)
-}
-
-// ZeroBlocks implements BlockIO.
-func (c *CrashBIO) ZeroBlocks(p *sim.Proc, blk, n int64) error {
-	if c.writes >= c.FailAfter {
-		return fmt.Errorf("zero block %d: %w", blk, ErrCrashed)
-	}
-	c.writes++
-	return c.Inner.ZeroBlocks(p, blk, n)
-}
-
-// Flush implements BlockIO.
-func (c *CrashBIO) Flush(p *sim.Proc) error {
-	if c.writes >= c.FailAfter {
-		return ErrCrashed
-	}
-	return c.Inner.Flush(p)
-}

@@ -115,16 +115,14 @@ type Options struct {
 	Blocks        int64 // total FS blocks (device capacity / 4 KiB)
 	Inodes        int32 // inode table size
 	JournalBlocks int64 // journal region size
-	DevID         uint8 // device identifier recorded in FTEs
 }
 
 // DefaultOptions sizes a file system for the given capacity in bytes.
-func DefaultOptions(capacityBytes int64, devID uint8) Options {
+func DefaultOptions(capacityBytes int64) Options {
 	return Options{
 		Blocks:        capacityBytes / BlockSize,
 		Inodes:        4096,
 		JournalBlocks: 1024,
-		DevID:         devID,
 	}
 }
 
@@ -167,9 +165,6 @@ type FS struct {
 	tr *trace.Tracer
 
 	mCommits *metrics.Counter
-
-	// Stats for tests and the harness.
-	Commits int64
 }
 
 // SetObservers attaches the machine's fault plane and span tracer and
@@ -365,9 +360,6 @@ func (fs *FS) Super() Super { return fs.sb }
 // through an untimed path at boot and then installs its timed,
 // cost-charging BlockIO for runtime operation.
 func (fs *FS) SetBlockIO(bio BlockIO) { fs.bio = bio }
-
-// DevID returns the device identifier used in this FS's FTEs.
-func (fs *FS) DevID() uint8 { return fs.devID }
 
 // now returns the current virtual time for timestamps.
 func (fs *FS) now() sim.Time { return fs.nowFn() }

@@ -18,7 +18,7 @@ func newFS(t *testing.T) (*FS, *storage.Store) {
 	t.Helper()
 	st := storage.NewBytes(testCapacity)
 	bio := &Direct{St: st}
-	opt := DefaultOptions(testCapacity, 1)
+	opt := DefaultOptions(testCapacity)
 	opt.Inodes = 512
 	if err := Mkfs(bio, opt); err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func newTinyFS(t *testing.T) (*FS, *storage.Store) {
 	const capacity = 4 << 20
 	st := storage.NewBytes(capacity)
 	bio := &Direct{St: st}
-	opt := DefaultOptions(capacity, 1)
+	opt := DefaultOptions(capacity)
 	opt.Inodes = 1024
 	opt.JournalBlocks = 64
 	if err := Mkfs(bio, opt); err != nil {
@@ -359,8 +359,8 @@ func TestTruncateShrinkAndRegrowZeroes(t *testing.T) {
 	if in.Size != 100 {
 		t.Fatalf("size = %d", in.Size)
 	}
-	if fs.PendingFreeBlocks() != 1 {
-		t.Fatalf("pending free = %d, want 1", fs.PendingFreeBlocks())
+	if pendingFreeBlocks(fs) != 1 {
+		t.Fatalf("pending free = %d, want 1", pendingFreeBlocks(fs))
 	}
 	if err := fs.Truncate(nil, in, 2*BlockSize); err != nil {
 		t.Fatal(err)
@@ -469,8 +469,8 @@ func TestUnlinkDefersBlockReuse(t *testing.T) {
 	if err := fs.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	if fs.PendingFreeBlocks() != 0 {
-		t.Fatalf("pending free = %d after commit", fs.PendingFreeBlocks())
+	if pendingFreeBlocks(fs) != 0 {
+		t.Fatalf("pending free = %d after commit", pendingFreeBlocks(fs))
 	}
 	if err := fs.Check(nil); err != nil {
 		t.Fatal(err)
@@ -520,7 +520,7 @@ func TestFileTableTracksAllocation(t *testing.T) {
 func TestNoSpace(t *testing.T) {
 	st := storage.NewBytes(2 << 20) // 2 MiB: tiny
 	bio := &Direct{St: st}
-	opt := DefaultOptions(2<<20, 1)
+	opt := DefaultOptions(2 << 20)
 	opt.Inodes = 64
 	opt.JournalBlocks = 16
 	if err := Mkfs(bio, opt); err != nil {
@@ -567,4 +567,14 @@ func TestUnlinkNonEmptyDir(t *testing.T) {
 	if err := fs.Check(nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pendingFreeBlocks counts the blocks freed but not yet released by a
+// commit.
+func pendingFreeBlocks(fs *FS) int64 {
+	var n int64
+	for _, e := range fs.pendingFree {
+		n += int64(e.Count)
+	}
+	return n
 }

@@ -21,7 +21,7 @@ func fuzzFS(tb testing.TB) (*FS, *storage.Store) {
 	const capacity = 16 << 20
 	st := storage.NewBytes(capacity)
 	bio := &Direct{St: st}
-	opt := DefaultOptions(capacity, 1)
+	opt := DefaultOptions(capacity)
 	opt.Inodes = 128
 	if err := Mkfs(bio, opt); err != nil {
 		tb.Fatal(err)

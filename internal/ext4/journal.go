@@ -136,7 +136,6 @@ func (fs *FS) Commit(p *sim.Proc) (err error) {
 			delete(fs.inodes, ino)
 		}
 	}
-	fs.Commits++
 	fs.mCommits.Inc()
 	if p != nil {
 		fs.tr.Emit(p, "journal-commit", "ext4", commitStart, p.Now()-commitStart)

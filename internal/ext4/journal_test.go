@@ -6,7 +6,49 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sim"
 )
+
+// CrashBIO wraps a BlockIO and fails every write after the first
+// FailAfter writes have been performed, simulating a power cut for
+// journal-recovery tests. Reads continue to work.
+type CrashBIO struct {
+	Inner     BlockIO
+	FailAfter int
+	writes    int
+}
+
+// ReadBlocks implements BlockIO.
+func (c *CrashBIO) ReadBlocks(p *sim.Proc, blk, n int64, buf []byte) error {
+	return c.Inner.ReadBlocks(p, blk, n, buf)
+}
+
+// WriteBlocks implements BlockIO.
+func (c *CrashBIO) WriteBlocks(p *sim.Proc, blk, n int64, buf []byte) error {
+	if c.writes >= c.FailAfter {
+		return fmt.Errorf("write block %d: %w", blk, ErrCrashed)
+	}
+	c.writes++
+	return c.Inner.WriteBlocks(p, blk, n, buf)
+}
+
+// ZeroBlocks implements BlockIO.
+func (c *CrashBIO) ZeroBlocks(p *sim.Proc, blk, n int64) error {
+	if c.writes >= c.FailAfter {
+		return fmt.Errorf("zero block %d: %w", blk, ErrCrashed)
+	}
+	c.writes++
+	return c.Inner.ZeroBlocks(p, blk, n)
+}
+
+// Flush implements BlockIO.
+func (c *CrashBIO) Flush(p *sim.Proc) error {
+	if c.writes >= c.FailAfter {
+		return ErrCrashed
+	}
+	return c.Inner.Flush(p)
+}
 
 // TestJournalRecoveryAtEveryCutPoint simulates a power cut after every
 // possible write during a metadata-heavy operation and verifies that
@@ -19,7 +61,7 @@ func TestJournalRecoveryAtEveryCutPoint(t *testing.T) {
 		crash := &CrashBIO{Inner: fs.bio, FailAfter: 1 << 30}
 		fs.bio = crash
 		runScenario(t, fs, true)
-		return crash.Writes()
+		return crash.writes
 	}()
 
 	for cut := 0; cut <= dryWrites; cut++ {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 func TestRenameSameDir(t *testing.T) {
@@ -117,13 +115,14 @@ func TestRelinkMovesBlocksWithoutCopy(t *testing.T) {
 	}
 	srcBlocks := src.BlockMap()
 
-	writesBefore := fs.bio.(*Direct).St.(*storage.Store).WriteCount
+	counted := &CrashBIO{Inner: fs.bio, FailAfter: 1 << 30}
+	fs.bio = counted
 	if err := fs.Relink(nil, src, dst); err != nil {
 		t.Fatal(err)
 	}
-	// Relink is metadata-only: no data sectors rewritten.
-	if got := fs.bio.(*Direct).St.(*storage.Store).WriteCount; got != writesBefore {
-		t.Fatalf("relink moved data: %d sector writes", got-writesBefore)
+	// Relink is metadata-only: no data blocks rewritten.
+	if counted.writes != 0 {
+		t.Fatalf("relink moved data: %d block writes", counted.writes)
 	}
 	if dst.Size != 5*BlockSize || src.Size != 0 {
 		t.Fatalf("sizes after relink: dst=%d src=%d", dst.Size, src.Size)

@@ -59,7 +59,6 @@ func (r *GroupResult) Bandwidth() float64 { return stats.BytesPerSec(r.Bytes, r.
 
 // Spec is a complete experiment.
 type Spec struct {
-	Capacity int64 // device size; 0 = auto-size from the groups
 	// IOMMU, when set, edits the booted machine's IOMMU configuration
 	// before any I/O: the Fig. 8 fixed translation delay, FTE caching
 	// and the paging-structure-cache model of the A1 ablations.
@@ -134,15 +133,12 @@ func StartThreads(sys *core.System, n int, name func(t int) string, fail func(er
 
 // Run executes the groups on one freshly booted system.
 func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
-	capacity := spec.Capacity
-	if capacity == 0 {
-		var need int64 = 64 << 20
-		for _, g := range groups {
-			need += g.FileBytes * int64(g.Threads)
-		}
-		capacity = need*3/2 + (64 << 20)
-		capacity = (capacity + storage.SectorSize - 1) &^ (storage.SectorSize - 1)
+	var need int64 = 64 << 20
+	for _, g := range groups {
+		need += g.FileBytes * int64(g.Threads)
 	}
+	capacity := need*3/2 + (64 << 20)
+	capacity = (capacity + storage.SectorSize - 1) &^ (storage.SectorSize - 1)
 	sys, err := core.Boot(core.Config{Capacity: capacity, Observers: spec.Observers})
 	if err != nil {
 		return nil, err

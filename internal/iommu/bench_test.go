@@ -40,26 +40,6 @@ func BenchmarkInvalidateRangeStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkUnregisterPASID measures process-exit teardown with a busy
-// shared IOTLB: each iteration re-registers and warms one PASID, then
-// tears it down while 31 others stay cached.
-func BenchmarkUnregisterPASID(b *testing.B) {
-	u, base := benchSetup(32, 64)
-	lbas := make([]int64, 64)
-	for i := range lbas {
-		lbas[i] = int64(80 + 8*i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buildMapping(u, 999, base, lbas, true)
-		for pg := 0; pg < 64; pg++ {
-			u.Translate(Request{PASID: 999, DevID: testDev, VBA: base + uint64(pg)*4096, Bytes: 4096})
-		}
-		u.UnregisterPASID(999)
-	}
-}
-
 // BenchmarkTranslate2MiB exercises the leaf-resident segment walker: a
 // single 512-page request used to cost 512 independent root→leaf
 // descents and now costs one.

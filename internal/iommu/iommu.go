@@ -187,8 +187,8 @@ type IOMMU struct {
 
 	iotlb map[tlbKey]tlbVal
 	// tlbByPasid indexes live IOTLB keys by PASID so InvalidateRange
-	// and UnregisterPASID touch only the entries they actually drop
-	// instead of scanning the whole TLB.
+	// touches only the entries it actually drops instead of scanning
+	// the whole TLB.
 	tlbByPasid map[uint32]map[uint64]struct{}
 	// tlbFIFO[tlbHead:] is the eviction queue, oldest first. Evicting
 	// advances tlbHead instead of reslicing so the backing array is
@@ -206,9 +206,7 @@ type IOMMU struct {
 	denials   int64
 
 	// pwc is the per-PASID paging-structure cache (Config.PWCEntries).
-	pwc       map[uint32]*pwcCache
-	pwcHits   int64
-	pwcMisses int64
+	pwc map[uint32]*pwcCache
 
 	inj *faults.Injector // machine fault plane; nil = inert
 
@@ -267,29 +265,6 @@ func (u *IOMMU) SetConfig(cfg Config) {
 // driver does when creating user queue pairs (paper §3.3).
 func (u *IOMMU) RegisterPASID(pasid uint32, t *pagetable.Table) {
 	u.pasids[pasid] = t
-}
-
-// UnregisterPASID removes a binding and drops its cached translations
-// and extent-table mappings. Work is proportional to the PASID's own
-// cached entries, not the whole IOTLB, thanks to the per-PASID index.
-func (u *IOMMU) UnregisterPASID(pasid uint32) {
-	delete(u.pasids, pasid)
-	if set := u.tlbByPasid[pasid]; set != nil {
-		for vpn := range set {
-			delete(u.iotlb, tlbKey{pasid, vpn})
-			u.tlbGhosts++
-		}
-		delete(u.tlbByPasid, pasid)
-		u.tlbMaybeCompact()
-	}
-	delete(u.pwc, pasid)
-	kept := u.regions[:0]
-	for _, r := range u.regions {
-		if r.pasid != pasid {
-			kept = append(kept, r)
-		}
-	}
-	u.regions = kept
 }
 
 // InvalidateRange drops cached translations covering [va, va+bytes)
@@ -421,15 +396,13 @@ func (u *IOMMU) pwcLookup(table *pagetable.Table, pasid uint32, region uint64) (
 	if u.cfg.PWCEntries > 0 {
 		if c := u.pwc[pasid]; c != nil {
 			if e, hit := c.entries[region]; hit {
-				u.pwcHits++
 				u.mPWCHits.Inc()
 				return e.leaf, e.effRW, true, true
 			}
 		}
-		u.pwcMisses++
 		u.mPWCMisses.Inc()
 	}
-	leaf, effRW, _, ok = table.LeafFor(region * pagetable.PMDSpan)
+	leaf, effRW, ok = table.LeafFor(region * pagetable.PMDSpan)
 	if !ok {
 		return nil, false, false, false
 	}
@@ -719,10 +692,6 @@ func (u *IOMMU) WalkOverhead(n int) sim.Time {
 
 // TLBStats reports IOTLB hits and misses.
 func (u *IOMMU) TLBStats() (hits, misses int64) { return u.tlbHits, u.tlbMisses }
-
-// PWCStats reports paging-structure-cache hits and misses (a miss is
-// a host-side root→leaf descent).
-func (u *IOMMU) PWCStats() (hits, misses int64) { return u.pwcHits, u.pwcMisses }
 
 // FaultStats reports translation faults and permission denials.
 func (u *IOMMU) FaultStats() (faults, denials int64) { return u.faults, u.denials }

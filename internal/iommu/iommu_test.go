@@ -4,16 +4,38 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/metrics"
 	"repro/internal/pagetable"
 	"repro/internal/sim"
 )
 
 const testDev = 3
 
+// fileTable maps file page i to sector lbas[i] on dev.
+func fileTable(dev uint8, lbas []int64) *pagetable.FileTable {
+	ft := pagetable.NewFileTable(dev)
+	for i, lba := range lbas {
+		ft.SetPage(i, lba)
+	}
+	return ft
+}
+
+// pwcCounters attaches a metrics registry to u and returns a reader of
+// its paging-structure-cache hit and miss counters (a miss is a
+// host-side root→leaf descent).
+func pwcCounters(u *IOMMU) func() (hits, misses int64) {
+	reg := metrics.NewRegistry()
+	u.SetObservers(nil, reg)
+	return func() (int64, int64) {
+		return reg.Counter("iommu_pwc_total", "event", "hit").Value(),
+			reg.Counter("iommu_pwc_total", "event", "miss").Value()
+	}
+}
+
 // buildMapping registers a PASID whose address space maps a file of
 // nPages pages starting at VBA base, with the given per-page LBAs.
 func buildMapping(u *IOMMU, pasid uint32, base uint64, lbas []int64, rw bool) *pagetable.Table {
-	ft := pagetable.BuildFileTable(testDev, lbas)
+	ft := fileTable(testDev, lbas)
 	t := pagetable.New()
 	if _, err := ft.Attach(t, base, rw); err != nil {
 		panic(err)
@@ -96,7 +118,7 @@ func TestUnknownPASIDFaults(t *testing.T) {
 func TestRevokedMappingFaults(t *testing.T) {
 	u := New(DefaultConfig())
 	base := uint64(0x2000_0000_0000)
-	ft := pagetable.BuildFileTable(testDev, []int64{80, 88})
+	ft := fileTable(testDev, []int64{80, 88})
 	tab := pagetable.New()
 	if _, err := ft.Attach(tab, base, true); err != nil {
 		t.Fatal(err)
@@ -110,7 +132,7 @@ func TestRevokedMappingFaults(t *testing.T) {
 	// IOTLB + paging-structure-cache invalidation a real IOMMU needs
 	// after any page-table update (the kernel's revoke path always
 	// pairs the two).
-	ft.Detach(tab, base)
+	tab.DetachPMD(base)
 	u.InvalidateRange(1, base, 8192)
 	if r := u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096}); r.Status != Fault {
 		t.Fatalf("post-revocation status = %v, want fault", r.Status)
@@ -124,8 +146,9 @@ func TestRevokedMappingFaults(t *testing.T) {
 // detach/attach path must invalidate.
 func TestPWCStaleTranslation(t *testing.T) {
 	u := New(DefaultConfig())
+	pwcStats := pwcCounters(u)
 	base := uint64(0x2000_0000_0000)
-	ft := pagetable.BuildFileTable(testDev, []int64{80, 88})
+	ft := fileTable(testDev, []int64{80, 88})
 	tab := pagetable.New()
 	if _, err := ft.Attach(tab, base, true); err != nil {
 		t.Fatal(err)
@@ -135,7 +158,7 @@ func TestPWCStaleTranslation(t *testing.T) {
 	if r := u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096}); r.Status != OK {
 		t.Fatalf("warmup status = %v", r.Status)
 	}
-	ft.Detach(tab, base) // buggy kernel: no invalidation
+	tab.DetachPMD(base) // buggy kernel: no invalidation
 	if r := u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096}); r.Status != OK {
 		t.Fatalf("without invalidation the PWC should still serve the stale path, got %v", r.Status)
 	}
@@ -143,7 +166,7 @@ func TestPWCStaleTranslation(t *testing.T) {
 	if r := u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096}); r.Status != Fault {
 		t.Fatalf("post-invalidate status = %v, want fault", r.Status)
 	}
-	if hits, _ := u.PWCStats(); hits == 0 {
+	if hits, _ := pwcStats(); hits == 0 {
 		t.Fatal("expected at least one PWC hit in this sequence")
 	}
 }
@@ -154,20 +177,21 @@ func TestPWCDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PWCEntries = 0
 	u := New(cfg)
+	pwcStats := pwcCounters(u)
 	base := uint64(0x2000_0000_0000)
-	ft := pagetable.BuildFileTable(testDev, []int64{80})
+	ft := fileTable(testDev, []int64{80})
 	tab := pagetable.New()
 	if _, err := ft.Attach(tab, base, true); err != nil {
 		t.Fatal(err)
 	}
 	u.RegisterPASID(1, tab)
 	_ = u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096})
-	ft.Detach(tab, base)
+	tab.DetachPMD(base)
 	if r := u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096}); r.Status != Fault {
 		t.Fatalf("with PWC off a detach faults immediately, got %v", r.Status)
 	}
-	if hits, misses := u.PWCStats(); hits != 0 || misses != 0 {
-		t.Fatalf("PWCStats = %d/%d with cache off, want 0/0", hits, misses)
+	if hits, misses := pwcStats(); hits != 0 || misses != 0 {
+		t.Fatalf("PWC hits/misses = %d/%d with cache off, want 0/0", hits, misses)
 	}
 }
 
@@ -209,6 +233,7 @@ func TestPWCEvictionFIFO(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PWCEntries = 2
 	u := New(cfg)
+	pwcStats := pwcCounters(u)
 	base := uint64(0x2000_0000_0000)
 	// Three 2 MiB regions: pages 0, 512, 1024 of one file table.
 	ft := pagetable.NewFileTable(testDev)
@@ -231,12 +256,12 @@ func TestPWCEvictionFIFO(t *testing.T) {
 	touch(1)
 	touch(2) // evicts region 0
 	touch(0) // must miss again
-	hits, misses := u.PWCStats()
+	hits, misses := pwcStats()
 	if hits != 0 || misses != 4 {
-		t.Fatalf("PWCStats = %d/%d, want 0 hits / 4 misses", hits, misses)
+		t.Fatalf("PWC hits/misses = %d/%d, want 0 hits / 4 misses", hits, misses)
 	}
 	touch(2) // still resident
-	if h, _ := u.PWCStats(); h != 1 {
+	if h, _ := pwcStats(); h != 1 {
 		t.Fatalf("hits = %d after re-touching resident region, want 1", h)
 	}
 }
@@ -250,7 +275,7 @@ func TestInvalidateRangePartialPage(t *testing.T) {
 	cfg.CacheFTEs = true
 	u := New(cfg)
 	base := uint64(0x2000_0000_0000)
-	ft := pagetable.BuildFileTable(testDev, []int64{80, 88, 96})
+	ft := fileTable(testDev, []int64{80, 88, 96})
 	tab := pagetable.New()
 	if _, err := ft.Attach(tab, base, true); err != nil {
 		t.Fatal(err)
@@ -308,7 +333,7 @@ func TestRegularPTEIsNotAValidVBA(t *testing.T) {
 	u := New(DefaultConfig())
 	tab := pagetable.New()
 	va := uint64(0x2000_0000_0000)
-	tab.Map(va, pagetable.MakePTE(1234, true)) // ordinary memory page
+	tab.Map(va, pagetable.FlagPresent|pagetable.FlagRW|pagetable.FlagUser) // ordinary memory page
 	u.RegisterPASID(1, tab)
 	r := u.Translate(Request{PASID: 1, DevID: testDev, VBA: va, Bytes: 4096})
 	if r.Status != Fault {
@@ -428,7 +453,7 @@ func TestInvalidateRange(t *testing.T) {
 	cfg.CacheFTEs = true
 	u := New(cfg)
 	base := uint64(0x2000_0000_0000)
-	ft := pagetable.BuildFileTable(testDev, []int64{80, 88})
+	ft := fileTable(testDev, []int64{80, 88})
 	tab := pagetable.New()
 	if _, err := ft.Attach(tab, base, true); err != nil {
 		t.Fatal(err)
@@ -438,7 +463,7 @@ func TestInvalidateRange(t *testing.T) {
 
 	// Revoke: detach + invalidate. A stale IOTLB entry must not let
 	// the device through.
-	ft.Detach(tab, base)
+	tab.DetachPMD(base)
 	u.InvalidateRange(1, base, 8192)
 	if r := u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096}); r.Status != Fault {
 		t.Fatalf("post-invalidate = %v, want fault", r.Status)
@@ -461,16 +486,6 @@ func TestIOTLBEviction(t *testing.T) {
 	_, missesAfter := u.TLBStats()
 	if missesAfter != missesBefore+1 {
 		t.Fatalf("expected FIFO eviction miss: misses %d -> %d", missesBefore, missesAfter)
-	}
-}
-
-func TestUnregisterPASID(t *testing.T) {
-	u := New(DefaultConfig())
-	base := uint64(0x2000_0000_0000)
-	buildMapping(u, 1, base, []int64{80}, true)
-	u.UnregisterPASID(1)
-	if r := u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096}); r.Status != Fault {
-		t.Fatalf("status after unregister = %v", r.Status)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestRegionEquivalenceProperty(t *testing.T) {
 
 		// Page-table mapping under PASID 1.
 		u := New(DefaultConfig())
-		ft := pagetable.BuildFileTable(1, lbas)
+		ft := fileTable(1, lbas)
 		tab := pagetable.New()
 		if _, err := ft.Attach(tab, base, true); err != nil {
 			return false

@@ -83,9 +83,6 @@ func (c *AioContext) putReq(r *aioReq) {
 	c.reqFree = append(c.reqFree, r)
 }
 
-// Inflight reports submitted-but-unreaped operations.
-func (c *AioContext) Inflight() int { return c.inflight + len(c.done) }
-
 // Submit issues a batch (io_submit): one syscall, full kernel
 // submission work per op, returns without waiting.
 func (c *AioContext) Submit(p *sim.Proc, ops []AioOp) error {

@@ -114,15 +114,7 @@ func (pr *Process) Fmap(p *sim.Proc, fd int) (uint64, error) {
 		return 0, nil
 	}
 	if f.Bypass != nil {
-		if !f.Bypass.Revoked {
-			return f.Bypass.Base, nil // already mapped
-		}
-		// The descriptor still points at an attachment withdrawn by a
-		// Revoke; re-map instead of returning the stale (detached)
-		// base. The open-count the new attachment adds below replaces
-		// the one the dead attachment still holds.
-		f.Bypass = nil
-		in.BypassOpens--
+		return f.Bypass.Base, nil // already mapped
 	}
 
 	// The structure-specific middle, each in its own CPU-charge order:
@@ -292,15 +284,6 @@ func (m *Machine) invalidateMappings(in *ext4.Inode) {
 		}
 		m.invalidateRange(att.Proc.node, att.Proc.PASID, att.Base, int64(att.Span))
 	}
-}
-
-// Restore lifts a revocation: subsequent fmap() calls may grant
-// direct access again. Existing attachments stay detached — each
-// process re-attaches on its next fault via the refmap path (§3.6).
-func (m *Machine) Restore(in *ext4.Inode) {
-	m.mu.Lock()
-	delete(m.revoked, ikey(in))
-	m.mu.Unlock()
 }
 
 // Revoked reports whether direct access to the inode is currently

@@ -190,9 +190,12 @@ func TestFmapRegionGrowth(t *testing.T) {
 	s.Shutdown()
 }
 
-// After Revoke then Restore, fmap on the same descriptor must re-map
-// rather than hand back the withdrawn base: with FTEs and with an
-// extent table, a direct read through the returned VBA succeeds.
+// Revocation lasts until the file's last descriptor closes (§3.6),
+// and that close is what restores direct access: fmap on the revoked
+// descriptor returns VBA 0, never the withdrawn base, a read through
+// the withdrawn base faults, and once the descriptor is closed a
+// reopen maps the file afresh and a direct read through the new VBA
+// succeeds. With FTEs and with an extent table.
 func TestFmapAfterRevokeRestore(t *testing.T) {
 	for name, extent := range map[string]bool{"fte": false, "region": true} {
 		t.Run(name, func(t *testing.T) {
@@ -205,13 +208,28 @@ func TestFmapAfterRevokeRestore(t *testing.T) {
 			}
 			s.Spawn("app", func(p *sim.Proc) {
 				mkFile(t, p, pr, "/f", data)
-				fd, err := openNoFmap(p, pr, "/f")
+				q, err := pr.CreateUserQueue(p, 16)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if base, err := pr.Fmap(p, fd); err != nil || base == 0 {
-					t.Errorf("first fmap: base=%d err=%v", base, err)
+				buf := make([]byte, 4096)
+				read := func(vba uint64) nvme.Status {
+					if err := q.Submit(nvme.SQE{Opcode: nvme.OpRead, CID: 1, UseVBA: true, VBA: vba, Sectors: 8, Buf: buf}); err != nil {
+						t.Error(err)
+						return nvme.StatusInternalError
+					}
+					for {
+						if c, ok := q.PopCQE(); ok {
+							return c.Status
+						}
+						q.CQReady.Wait(p)
+					}
+				}
+
+				fd, old, err := pr.OpenBypass(p, "/f", false)
+				if err != nil || old == 0 {
+					t.Errorf("first open: base=%d err=%v", old, err)
 					return
 				}
 				in, err := m.FS.Lookup(p, "/f", pr.Cred)
@@ -220,33 +238,32 @@ func TestFmapAfterRevokeRestore(t *testing.T) {
 					return
 				}
 				m.Revoke(in)
-				m.Restore(in)
-				base, err := pr.Fmap(p, fd)
-				if err != nil || base == 0 {
-					t.Errorf("fmap after restore: base=%d err=%v", base, err)
-					return
+				if base, err := pr.Fmap(p, fd); err != nil || base != 0 {
+					t.Errorf("fmap on the revoked descriptor: base=%d err=%v, want VBA 0", base, err)
 				}
-				q, err := pr.CreateUserQueue(p, 16)
-				if err != nil {
+				if st := read(old + 4096); st.OK() {
+					t.Error("read through the withdrawn base succeeded")
+				}
+				if err := pr.Close(p, fd); err != nil {
 					t.Error(err)
 					return
 				}
-				buf := make([]byte, 4096)
-				if err := q.Submit(nvme.SQE{Opcode: nvme.OpRead, CID: 1, UseVBA: true, VBA: base + 4096, Sectors: 8, Buf: buf}); err != nil {
-					t.Error(err)
+				if m.Revoked(in) {
+					t.Error("revocation outlived the file's last close")
+				}
+				fd, base, err := pr.OpenBypass(p, "/f", false)
+				if err != nil || base == 0 || base == old {
+					t.Errorf("reopen: base=%d (withdrawn %d) err=%v", base, old, err)
 					return
 				}
-				for {
-					if c, ok := q.PopCQE(); ok {
-						if !c.Status.OK() {
-							t.Errorf("read after restore: %v", c.Status)
-						}
-						break
-					}
-					q.CQReady.Wait(p)
+				if st := read(base + 4096); !st.OK() {
+					t.Errorf("read after reopen: %v", st)
 				}
 				if !bytes.Equal(buf, data[4096:8192]) {
-					t.Error("read after restore returned wrong data")
+					t.Error("read after reopen returned wrong data")
+				}
+				if err := pr.Close(p, fd); err != nil {
+					t.Error(err)
 				}
 			})
 			s.Run()

@@ -258,7 +258,7 @@ func NewMachineN(s *sim.Sim, dcfgs []device.Config, sts []*storage.Store, obs Ob
 		dev.AttachIOMMU(mmu)
 
 		if fresh {
-			if err := ext4.Mkfs(&ext4.Direct{St: st}, ext4.DefaultOptions(dcfg.CapacityBytes, dcfg.DevID)); err != nil {
+			if err := ext4.Mkfs(&ext4.Direct{St: st}, ext4.DefaultOptions(dcfg.CapacityBytes)); err != nil {
 				return nil, err
 			}
 		}
@@ -316,7 +316,7 @@ func (m *Machine) addNode(mmu *iommu.IOMMU, dev *device.SSD, fs *ext4.FS) error 
 		return err
 	}
 	n := &DevNode{Index: len(m.Nodes), Shard: dcfg.Shard, MMU: mmu, Dev: dev, FS: fs}
-	n.kq = &kernelQueue{m: m, n: n, q: q, waiters: make(map[uint16]*waiter)}
+	n.kq = &kernelQueue{m: m, q: q, waiters: make(map[uint16]*waiter)}
 	fs.SetBlockIO(&kernelBIO{m: m, n: n})
 	fs.SetCommitLock(m.Sim.NewResourceOn(n.Shard, "jbd2-"+dcfg.Name, 1))
 	fs.SetNamespaceLock(m.Sim.NewResourceOn(n.Shard, "ns-"+dcfg.Name, 1))
@@ -424,7 +424,6 @@ type waiter struct {
 // rather than burning CPU.
 type kernelQueue struct {
 	m       *Machine
-	n       *DevNode
 	q       *nvme.QueuePair
 	waiters map[uint16]*waiter
 	nextCID uint16

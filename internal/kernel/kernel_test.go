@@ -463,13 +463,12 @@ func TestUringLatencyBetweenSyncAndUserspace(t *testing.T) {
 		mkFile(t, p, pr, "/f", make([]byte, 1<<20))
 		fd, _ := pr.Open(p, "/f", false)
 		u := pr.NewUring(p)
-		defer u.Close()
 		buf := make([]byte, 4096)
 		// warm one op
-		u.SubmitRead(p, fd, buf, 0, nil)
+		u.SubmitRead(p, fd, buf, 0)
 		u.Wait(p)
 		start := p.Now()
-		u.SubmitRead(p, fd, buf, 4096, nil)
+		u.SubmitRead(p, fd, buf, 4096)
 		r := u.Wait(p)
 		lat = p.Now() - start
 		if r.Err != nil || r.N != 4096 {

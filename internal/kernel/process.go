@@ -50,7 +50,6 @@ type FD struct {
 	Ino      *ext4.Inode
 	Path     string
 	Writable bool
-	Offset   int64
 
 	// Bypass is non-nil while the file is fmap()ed for BypassD-
 	// interface access.

@@ -5,23 +5,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Rename moves a file. The inode is stable, so BypassD mappings of
-// the moved file remain valid across the rename.
-func (pr *Process) Rename(p *sim.Proc, oldPath, newPath string) error {
-	oldPath, err := pr.resolve(oldPath)
-	if err != nil {
-		return err
-	}
-	newPath, err = pr.resolve(newPath)
-	if err != nil {
-		return err
-	}
-	pr.enter(p)
-	defer pr.exit(p)
-	pr.M.CPU.Compute(p, OpenCost)
-	return pr.node.FS.Rename(p, oldPath, newPath, pr.Cred)
-}
-
 // Relink atomically grafts the staging file's blocks onto the end of
 // the target — SplitFS's relink, the §5.1 alternative fast-append
 // mechanism. One metadata operation moves any amount of staged data;

@@ -21,7 +21,7 @@ func TestRenamePreservesBypassMapping(t *testing.T) {
 			return
 		}
 		// Rename while mapped: the inode (and its FTEs) are stable.
-		if err := pr.Rename(p, "/before", "/after"); err != nil {
+		if err := m.FS.Rename(p, "/before", "/after", pr.Cred); err != nil {
 			t.Error(err)
 			return
 		}
@@ -46,28 +46,6 @@ func TestRenamePreservesBypassMapping(t *testing.T) {
 		}
 		if _, err := pr.Open(p, "/before", false); err == nil {
 			t.Error("old name still opens")
-		}
-	})
-	s.Run()
-	s.Shutdown()
-}
-
-func TestRenameInsideContainer(t *testing.T) {
-	s, m := newMachine(t)
-	s.Spawn("app", func(p *sim.Proc) {
-		c, err := m.NewContainerProcess(p, ext4.Root, "/ct")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		mkFile(t, p, c, "/f", []byte("x"))
-		if err := c.Rename(p, "/f", "/g"); err != nil {
-			t.Error(err)
-			return
-		}
-		// The rename happened under the container root.
-		if _, err := m.FS.Lookup(p, "/ct/g", ext4.Root); err != nil {
-			t.Errorf("container rename landed wrong: %v", err)
 		}
 	})
 	s.Run()

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"repro/internal/ext4"
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -69,28 +67,6 @@ func (pr *Process) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, err
 	n, err := pr.node.FS.WriteAt(p, f.Ino, off, data)
 	pr.M.syncGrowth(f.Ino)
 	lock.Release()
-	return n, err
-}
-
-// Read reads at the descriptor offset, advancing it.
-func (pr *Process) Read(p *sim.Proc, fd int, buf []byte) (int, error) {
-	f, err := pr.fd(fd)
-	if err != nil {
-		return 0, err
-	}
-	n, err := pr.Pread(p, fd, buf, f.Offset)
-	f.Offset += int64(n)
-	return n, err
-}
-
-// Write writes at the descriptor offset, advancing it.
-func (pr *Process) Write(p *sim.Proc, fd int, data []byte) (int, error) {
-	f, err := pr.fd(fd)
-	if err != nil {
-		return 0, err
-	}
-	n, err := pr.Pwrite(p, fd, data, f.Offset)
-	f.Offset += int64(n)
 	return n, err
 }
 
@@ -180,18 +156,6 @@ func (pr *Process) WriteFile(p *sim.Proc, path string, data []byte) error {
 	return pr.Close(p, fd)
 }
 
-// Stat returns file metadata.
-func (pr *Process) Stat(p *sim.Proc, path string) (*ext4.Inode, error) {
-	path, err := pr.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	pr.enter(p)
-	defer pr.exit(p)
-	pr.M.CPU.Compute(p, OpenCost/2)
-	return pr.node.FS.Lookup(p, path, pr.Cred)
-}
-
 // MarkTimesDirty records that a BypassD-interface data operation
 // touched the file; the timestamp lands at close/fsync.
 func (f *FD) MarkTimesDirty() { f.timesDirty = true }
@@ -199,8 +163,3 @@ func (f *FD) MarkTimesDirty() { f.timesDirty = true }
 // Size reports the inode's current size (UserLib tracks this to route
 // appends to the kernel).
 func (f *FD) Size() int64 { return f.Ino.Size }
-
-// String implements fmt.Stringer for diagnostics.
-func (f *FD) String() string {
-	return fmt.Sprintf("fd{%s ino=%d size=%d bypass=%v}", f.Path, f.Ino.Ino, f.Ino.Size, f.Bypass != nil)
-}

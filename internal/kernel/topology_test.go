@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/ext4"
+	"repro/internal/metrics"
 	"repro/internal/nvme"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -22,7 +23,8 @@ func TestSamePresetFleetDeniesCrossDeviceVBA(t *testing.T) {
 		device.OptaneP5800X(testCap),
 		device.OptaneP5800X(testCap), // same preset, same hardcoded DevID
 	}
-	m, err := NewMachineN(s, dcfgs, nil, Observers{})
+	reg := metrics.NewRegistry()
+	m, err := NewMachineN(s, dcfgs, nil, Observers{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestSamePresetFleetDeniesCrossDeviceVBA(t *testing.T) {
 		}
 	})
 	s.Run()
-	if got := m.Nodes[1].Dev.Stats().BytesRead; got != 0 {
+	if got := reg.Counter("device_bytes_total", "dev", m.Nodes[1].Dev.Config().Name, "dir", "read").Value(); got != 0 {
 		t.Fatalf("second device moved %d bytes despite denial", got)
 	}
 	s.Shutdown()

@@ -16,7 +16,6 @@ import (
 
 // UringResult is one completion.
 type UringResult struct {
-	Tag interface{}
 	N   int
 	Err error
 }
@@ -26,7 +25,6 @@ type uringReq struct {
 	write bool
 	off   int64
 	buf   []byte
-	tag   interface{}
 	span  *trace.IOSpan // submitter's span, carried across the ring
 }
 
@@ -37,7 +35,6 @@ type Uring struct {
 	cq     []UringResult
 	sqCond *sim.Cond
 	cqCond *sim.Cond
-	closed bool
 }
 
 // NewUring sets up a ring and starts its kernel polling thread.
@@ -64,9 +61,6 @@ func (u *Uring) poll(p *sim.Proc) {
 	m.CPU.Occupy(p)
 	defer m.CPU.Vacate(p)
 	for {
-		if u.closed {
-			return
-		}
 		if len(u.sq) == 0 {
 			u.sqCond.Wait(p)
 			m.CPU.Penalty(p)
@@ -95,20 +89,20 @@ func (u *Uring) poll(p *sim.Proc) {
 			}
 			p.SetTraceCtx(nil)
 		}
-		u.cq = append(u.cq, UringResult{Tag: req.tag, N: n, Err: err})
+		u.cq = append(u.cq, UringResult{N: n, Err: err})
 		u.cqCond.Broadcast()
 		m.CPU.Penalty(p)
 	}
 }
 
 // SubmitRead queues a read without entering the kernel.
-func (u *Uring) SubmitRead(p *sim.Proc, fd int, buf []byte, off int64, tag interface{}) {
-	u.submit(p, uringReq{fd: fd, off: off, buf: buf, tag: tag})
+func (u *Uring) SubmitRead(p *sim.Proc, fd int, buf []byte, off int64) {
+	u.submit(p, uringReq{fd: fd, off: off, buf: buf})
 }
 
 // SubmitWrite queues a write without entering the kernel.
-func (u *Uring) SubmitWrite(p *sim.Proc, fd int, data []byte, off int64, tag interface{}) {
-	u.submit(p, uringReq{fd: fd, write: true, off: off, buf: data, tag: tag})
+func (u *Uring) SubmitWrite(p *sim.Proc, fd int, data []byte, off int64) {
+	u.submit(p, uringReq{fd: fd, write: true, off: off, buf: data})
 }
 
 func (u *Uring) submit(p *sim.Proc, r uringReq) {
@@ -127,10 +121,4 @@ func (u *Uring) Wait(p *sim.Proc) UringResult {
 	r := u.cq[0]
 	u.cq = u.cq[1:]
 	return r
-}
-
-// Close stops the polling thread.
-func (u *Uring) Close() {
-	u.closed = true
-	u.sqCond.Broadcast()
 }

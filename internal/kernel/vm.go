@@ -46,7 +46,7 @@ func NewGuestMachine(s *sim.Sim, host *Machine, vf *device.SSD, nested sim.Time)
 		if !errors.Is(err, ext4.ErrBadFS) {
 			return nil, err
 		}
-		if err := ext4.Mkfs(boot, ext4.DefaultOptions(vf.Config().CapacityBytes, vf.Config().DevID)); err != nil {
+		if err := ext4.Mkfs(boot, ext4.DefaultOptions(vf.Config().CapacityBytes)); err != nil {
 			return nil, err
 		}
 		if fs, err = ext4.Mount(nil, boot, vf.Config().DevID, clock); err != nil {

@@ -31,13 +31,10 @@ const (
 // slots in one slab file.
 type Store struct {
 	Path      string
-	Items     uint64
-	Capacity  uint64 // total slots in the slab (inserts use the tail)
 	FileBytes int64
 
-	index    map[uint64]uint64 // key -> slot
-	nextSlot uint64
-	cpu      *sim.CPUSet
+	index map[uint64]uint64 // key -> slot
+	cpu   *sim.CPUSet
 }
 
 // indexCost is the in-memory index probe cost per operation.
@@ -57,8 +54,7 @@ func encodeSlot(buf []byte, key uint64, val *[ValSize]byte) {
 	copy(buf[KeySize:], val[:])
 }
 
-// Build creates and populates the slab file with items 0..Items-1,
-// with headroom for inserts.
+// Build creates and populates the slab file with items 0..Items-1.
 func Build(p *sim.Proc, sys *core.System, cfg Config) (*Store, error) {
 	return BuildOn(p, sys, 0, cfg)
 }
@@ -70,14 +66,11 @@ func BuildOn(p *sim.Proc, sys *core.System, devIdx int, cfg Config) (*Store, err
 	if cfg.Items == 0 {
 		return nil, fmt.Errorf("kvell: empty store")
 	}
-	capacity := cfg.Items + cfg.Items/2 + 1024 // insert headroom
+	slots := cfg.Items + cfg.Items/2 + 1024 // half again as slack
 	st := &Store{
 		Path:      cfg.Path,
-		Items:     cfg.Items,
-		Capacity:  capacity,
-		FileBytes: int64(capacity) * SlotSize,
+		FileBytes: int64(slots) * SlotSize,
 		index:     make(map[uint64]uint64, cfg.Items),
-		nextSlot:  cfg.Items,
 		cpu:       sys.M.CPU,
 	}
 	pr := sys.NewProcessOn(ext4.Root, devIdx)
@@ -127,15 +120,12 @@ type Request struct {
 	Write bool
 	Key   uint64
 	Val   [ValSize]byte
-	// Insert allocates a fresh slot instead of overwriting.
-	Insert bool
 }
 
 // Result carries a completed request's latency and outcome.
 type Result struct {
 	Latency sim.Time
 	Val     [ValSize]byte
-	Found   bool
 	Err     error
 }
 
@@ -146,7 +136,6 @@ type Worker struct {
 	qd int
 
 	// libaio mode
-	pr  *kernel.Process
 	ctx *kernel.AioContext
 	fd  int
 
@@ -168,7 +157,7 @@ func NewAioWorker(p *sim.Proc, sys *core.System, st *Store, pr *kernel.Process, 
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{st: st, qd: qd, pr: pr, ctx: pr.NewAioContext(), fd: fd}
+	w := &Worker{st: st, qd: qd, ctx: pr.NewAioContext(), fd: fd}
 	for i := 0; i < qd; i++ {
 		w.bufs = append(w.bufs, make([]byte, SlotSize))
 	}
@@ -188,18 +177,9 @@ func NewBypassWorker(p *sim.Proc, lib *userlib.Lib, st *Store) (*Worker, error) 
 	return &Worker{st: st, qd: 1, th: th, bfd: fd, bufs: [][]byte{make([]byte, SlotSize)}}, nil
 }
 
-// slotFor resolves (or allocates) the slot for a request.
+// slotFor resolves the slot for a request.
 func (w *Worker) slotFor(p *sim.Proc, r *Request) (uint64, bool) {
 	w.st.cpu.Compute(p, indexCost)
-	if r.Insert {
-		if w.st.nextSlot >= w.st.Capacity {
-			return 0, false
-		}
-		slot := w.st.nextSlot
-		w.st.nextSlot++
-		w.st.index[r.Key] = slot
-		return slot, true
-	}
 	slot, ok := w.st.index[r.Key]
 	return slot, ok
 }
@@ -266,7 +246,7 @@ func (w *Worker) doAioBatch(p *sim.Proc, reqs []Request, out []Result) {
 	for got < len(ops) {
 		for _, ev := range w.ctx.GetEvents(p, 1, len(ops)) {
 			i := ev.Tag.(int)
-			out[i] = Result{Latency: p.Now() - batchStart, Err: ev.Err, Found: true}
+			out[i] = Result{Latency: p.Now() - batchStart, Err: ev.Err}
 			if !reqs[i].Write && ev.Err == nil {
 				copy(out[i].Val[:], w.bufs[i%len(w.bufs)][KeySize:])
 			}
@@ -292,7 +272,7 @@ func (w *Worker) doBypass(p *sim.Proc, reqs []Request, out []Result) {
 		} else {
 			_, err = w.th.Pread(p, w.bfd, buf, int64(slot)*SlotSize)
 		}
-		out[i] = Result{Latency: p.Now() - start, Err: err, Found: true}
+		out[i] = Result{Latency: p.Now() - start, Err: err}
 		if !r.Write && err == nil {
 			copy(out[i].Val[:], buf[KeySize:])
 		}

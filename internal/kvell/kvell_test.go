@@ -90,33 +90,6 @@ func TestWriteThenReadBothModes(t *testing.T) {
 	sys.Sim.Shutdown()
 }
 
-func TestInsertAllocatesFreshSlot(t *testing.T) {
-	sys, st := build(t)
-	sys.Sim.Spawn("w", func(p *sim.Proc) {
-		pr := sys.NewProcess(ext4.Root)
-		w, err := NewAioWorker(p, sys, st, pr, 1)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		k := uint64(testItems + 7)
-		nv := ValueOf(k)
-		if res := w.Do(p, []Request{{Write: true, Insert: true, Key: k, Val: nv}}); res[0].Err != nil {
-			t.Error(res[0].Err)
-			return
-		}
-		got := w.Do(p, []Request{{Key: k}})
-		if got[0].Err != nil || got[0].Val != nv {
-			t.Errorf("insert readback failed: %v", got[0].Err)
-		}
-	})
-	sys.Sim.Run()
-	if st.nextSlot != testItems+1 {
-		t.Fatalf("nextSlot = %d", st.nextSlot)
-	}
-	sys.Sim.Shutdown()
-}
-
 func TestMissingKey(t *testing.T) {
 	sys, st := build(t)
 	sys.Sim.Spawn("r", func(p *sim.Proc) {

@@ -58,13 +58,6 @@ func (c *Counter) Value() int64 {
 // objects). A nil *Gauge is inert.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores an absolute value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
 // Add moves the gauge by n (negative to decrease).
 func (g *Gauge) Add(n int64) {
 	if g != nil {
@@ -141,35 +134,21 @@ func overflowKey(name string) string { return name + `{label="_overflow"}` }
 
 // Registry holds every series resolved from it.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	seriesCap int
-	perName   map[string]int // distinct labeled series per metric name
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	perName  map[string]int // distinct labeled series per metric name
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
-		seriesCap: DefaultSeriesCap,
-		perName:   make(map[string]int),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
+		perName:  make(map[string]int),
 	}
-}
-
-// SetSeriesCap overrides the per-name labeled-series cap (tests, or
-// deployments that know their cardinality). Series already created
-// are kept; values below 1 restore the default.
-func (r *Registry) SetSeriesCap(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n < 1 {
-		n = DefaultSeriesCap
-	}
-	r.seriesCap = n
 }
 
 // resolveKey maps (name, labels) to the series key to use, folding
@@ -181,7 +160,7 @@ func (r *Registry) resolveKey(name string, labels []string, known func(string) b
 	if len(labels) == 0 || known(key) {
 		return key
 	}
-	if r.perName[name] >= r.seriesCap {
+	if r.perName[name] >= DefaultSeriesCap {
 		return overflowKey(name)
 	}
 	r.perName[name]++

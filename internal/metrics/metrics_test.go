@@ -34,7 +34,6 @@ func TestNilHandlesAreInert(t *testing.T) {
 	// Every method on a nil handle is a no-op, not a crash.
 	c.Inc()
 	c.Add(5)
-	g.Set(1)
 	g.Add(-1)
 	h.Observe(100)
 	if c.Value() != 0 || g.Value() != 0 {
@@ -60,7 +59,7 @@ func TestRegistryAccumulates(t *testing.T) {
 	r.Counter("ops", "eng", "a").Add(3)
 	r.Counter("ops", "eng", "a").Add(2) // same series, resolved twice
 	r.Counter("ops", "eng", "b").Inc()
-	r.Gauge("depth").Set(7)
+	r.Gauge("depth").Add(7)
 	r.Histogram("lat").Observe(1000)
 	r.Histogram("lat").Observe(3000)
 
@@ -149,17 +148,16 @@ func TestConcurrentCells(t *testing.T) {
 // lost), other metric names are unaffected, and two identical runs
 // render byte-identically with the cap engaged.
 func TestSeriesCapFoldsOverflow(t *testing.T) {
-	const cap = 8
-	const users = 100
+	const cap = DefaultSeriesCap
+	const users = cap + 100 // < 26*26, the two-letter user names
 	build := func() *Registry {
 		r := NewRegistry()
-		r.SetSeriesCap(cap)
 		for u := 0; u < users; u++ {
 			r.Counter("frontend_user_ops", "user", string(rune('A'+u%26))+string(rune('a'+u/26))).Add(int64(u + 1))
 			r.Histogram("frontend_user_lat", "user", string(rune('A'+u%26))+string(rune('a'+u/26))).Observe(sim.Time(1000 * (u + 1)))
 		}
 		r.Counter("other_total").Add(int64(users))
-		r.Gauge("depth", "dev", "0").Set(3)
+		r.Gauge("depth", "dev", "0").Add(3)
 		return r
 	}
 	r := build()

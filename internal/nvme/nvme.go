@@ -174,8 +174,7 @@ type QueuePair struct {
 	Doorbell *sim.Cond // device waits here for submissions
 	CQReady  *sim.Cond // submitters wait here for completions
 
-	cid    uint16 // last command ID Exec stamped
-	closed bool
+	cid uint16 // last command ID Exec stamped
 }
 
 // rings is a recycled SQ/CQ array pair. Machines boot (and discard)
@@ -234,32 +233,13 @@ func NewQueuePair(s *sim.Sim, id int, pasid uint32, depth int) *QueuePair {
 	}
 }
 
-// Depth reports the ring size.
-func (q *QueuePair) Depth() int { return len(q.sq) }
-
 // SQLen reports the number of submitted, unconsumed commands.
 func (q *QueuePair) SQLen() int { return q.sqCount }
 
-// CQLen reports the number of posted, unreaped completions.
-func (q *QueuePair) CQLen() int { return q.cqCount }
-
-// Closed reports whether the pair has been shut down.
-func (q *QueuePair) Closed() bool { return q.closed }
-
-// Close marks the pair unusable and wakes any waiters.
-func (q *QueuePair) Close() {
-	q.closed = true
-	q.Doorbell.Broadcast()
-	q.CQReady.Broadcast()
-}
-
 // Submit places e on the submission queue and rings the doorbell.
-// It reports an error if the ring is full or the queue is closed;
-// callers enforce queue depth and must not spin on a full ring.
+// It reports an error if the ring is full; callers enforce queue
+// depth and must not spin on a full ring.
 func (q *QueuePair) Submit(e SQE) error {
-	if q.closed {
-		return fmt.Errorf("nvme: queue %d closed", q.ID)
-	}
 	if q.sqCount == len(q.sq) {
 		return fmt.Errorf("nvme: queue %d submission ring full", q.ID)
 	}

@@ -26,8 +26,6 @@ const (
 	PageShift  = 12              //
 	EntriesPer = 512             // entries per table node
 	PMDSpan    = PageSize * 512  // 2 MiB: bytes mapped by one leaf node
-	PUDSpan    = PMDSpan * 512   // 1 GiB
-	VABits     = 48              // canonical virtual address width
 	MaxVA      = uint64(1) << 47 // user half of the canonical space
 
 	// sectorsPerPage is the LBA stride between consecutive mapped
@@ -70,15 +68,6 @@ func MakeFTE(lba int64, devID uint8) Entry {
 		Entry(lba)<<payloadShift | Entry(devID)<<devIDShift
 }
 
-// MakePTE builds a regular page table entry for physical frame pfn.
-func MakePTE(pfn uint64, rw bool) Entry {
-	e := FlagPresent | FlagUser | Entry(pfn)<<payloadShift
-	if rw {
-		e |= FlagRW
-	}
-	return e
-}
-
 // Present reports whether the entry is valid.
 func (e Entry) Present() bool { return e&FlagPresent != 0 }
 
@@ -90,9 +79,6 @@ func (e Entry) FT() bool { return e&FlagFT != 0 }
 
 // LBA returns the device sector payload of an FTE.
 func (e Entry) LBA() int64 { return int64((e & payloadMask) >> payloadShift) }
-
-// PFN returns the physical frame payload of a regular PTE.
-func (e Entry) PFN() uint64 { return uint64((e & payloadMask) >> payloadShift) }
 
 // DevID returns the device identifier of an FTE.
 func (e Entry) DevID() uint8 { return uint8((e & devIDMask) >> devIDShift) }
@@ -152,9 +138,6 @@ func putNode(n *Node) {
 // Entry returns entry i of the node.
 func (n *Node) Entry(i int) Entry { return n.entries[i] }
 
-// SetEntry stores entry i of a leaf node.
-func (n *Node) SetEntry(i int, e Entry) { n.entries[i] = e }
-
 // index extracts the 9-bit table index for level lvl (4=PGD .. 1=PT).
 func index(va uint64, lvl int) int {
 	return int(va >> uint(PageShift+9*(lvl-1)) & (EntriesPer - 1))
@@ -170,17 +153,16 @@ func New() *Table { return &Table{root: &Node{}} }
 
 // WalkResult describes the outcome of a page walk.
 type WalkResult struct {
-	Entry  Entry // the leaf entry (zero if !Found)
-	EffRW  bool  // AND of R/W bits along the walk path
-	Levels int   // table levels touched (for latency modelling)
-	Found  bool  // a present leaf entry was reached
+	Entry Entry // the leaf entry (zero if !Found)
+	EffRW bool  // AND of R/W bits along the walk path
+	Found bool  // a present leaf entry was reached
 }
 
 // Walk resolves va to its leaf entry, tracking the effective
 // permission along the path.
 func (t *Table) Walk(va uint64) WalkResult {
 	if va >= MaxVA {
-		return WalkResult{Levels: 1}
+		return WalkResult{}
 	}
 	n := t.root
 	effRW := true
@@ -189,36 +171,28 @@ func (t *Table) Walk(va uint64) WalkResult {
 		e := n.entries[i]
 		c := n.child(i)
 		if !e.Present() || c == nil {
-			return WalkResult{Levels: 5 - lvl}
+			return WalkResult{}
 		}
 		effRW = effRW && e.RW()
 		n = c
 	}
 	leaf := n.entries[index(va, 1)]
 	if !leaf.Present() {
-		return WalkResult{Levels: 4}
+		return WalkResult{}
 	}
-	return WalkResult{
-		Entry:  leaf,
-		EffRW:  effRW && leaf.RW(),
-		Levels: 4,
-		Found:  true,
-	}
+	return WalkResult{Entry: leaf, EffRW: effRW && leaf.RW(), Found: true}
 }
 
 // LeafFor descends the three upper levels and returns the resident
 // leaf node covering va's 2 MiB region plus the AND of the R/W bits
-// along the descent. ok is false when the descent dead-ends; levels
-// reports the table levels touched either way, matching Walk's
-// accounting (a reachable leaf counts the leaf-entry load as the
-// fourth level).
+// along the descent. ok is false when the descent dead-ends.
 //
 // Exposing the node lets callers stay resident in it — the IOMMU's
 // segment walker and paging-structure cache stream all 512 entries of
 // a 2 MiB region from one descent instead of re-walking per page.
-func (t *Table) LeafFor(va uint64) (leaf *Node, effRW bool, levels int, ok bool) {
+func (t *Table) LeafFor(va uint64) (leaf *Node, effRW bool, ok bool) {
 	if va >= MaxVA {
-		return nil, false, 1, false
+		return nil, false, false
 	}
 	n := t.root
 	effRW = true
@@ -227,12 +201,12 @@ func (t *Table) LeafFor(va uint64) (leaf *Node, effRW bool, levels int, ok bool)
 		e := n.entries[i]
 		c := n.child(i)
 		if !e.Present() || c == nil {
-			return nil, false, 5 - lvl, false
+			return nil, false, false
 		}
 		effRW = effRW && e.RW()
 		n = c
 	}
-	return n, effRW, 4, true
+	return n, effRW, true
 }
 
 // ensurePath builds intermediate nodes down to the leaf table
@@ -296,25 +270,22 @@ func (t *Table) AttachPMD(va uint64, frag *Node, rw bool) (created int, err erro
 	return created, nil
 }
 
-// DetachPMD removes the fragment attached at va, reporting whether one
-// was present. Detaching makes every VBA in the 2 MiB range fault in
-// the IOMMU — this is the revocation primitive (paper §3.6).
-func (t *Table) DetachPMD(va uint64) bool {
+// DetachPMD removes the fragment attached at va, if any. Detaching
+// makes every VBA in the 2 MiB range fault in the IOMMU — this is the
+// revocation primitive (paper §3.6).
+func (t *Table) DetachPMD(va uint64) {
 	if va%PMDSpan != 0 {
-		return false
+		return
 	}
 	n := t.root
 	for lvl := 4; lvl >= 3; lvl-- {
-		i := index(va, lvl)
-		if n = n.child(i); n == nil {
-			return false
+		if n = n.child(index(va, lvl)); n == nil {
+			return
 		}
 	}
 	i := index(va, 2)
-	had := n.child(i) != nil
 	n.setChild(i, nil)
 	n.entries[i] = 0
-	return had
 }
 
 // FileTable is the shared, pre-populated set of leaf fragments mapping
@@ -334,20 +305,6 @@ type FileTable struct {
 // NewFileTable returns an empty file table for a file on devID.
 func NewFileTable(devID uint8) *FileTable {
 	return &FileTable{DevID: devID}
-}
-
-// BuildFileTable constructs a file table from per-page sector
-// addresses. A negative LBA leaves a hole (unmapped page).
-func BuildFileTable(devID uint8, lbas []int64) *FileTable {
-	ft := NewFileTable(devID)
-	for i, lba := range lbas {
-		if lba >= 0 {
-			ft.SetPage(i, lba)
-		} else {
-			ft.growTo(i + 1)
-		}
-	}
-	return ft
 }
 
 func (ft *FileTable) growTo(pages int) {
@@ -478,11 +435,4 @@ func (ft *FileTable) Attach(t *Table, base uint64, rw bool) (updates int, err er
 		updates += created + 1
 	}
 	return updates, nil
-}
-
-// Detach removes every fragment of the file table from t at base.
-func (ft *FileTable) Detach(t *Table, base uint64) {
-	for i := range ft.frags {
-		t.DetachPMD(base + uint64(i)*PMDSpan)
-	}
 }

@@ -74,6 +74,3 @@ func (c *Cond) Broadcast() {
 	}
 	c.waiters = c.waiters[:0]
 }
-
-// Waiters reports the number of procs and callbacks parked on c.
-func (c *Cond) Waiters() int { return len(c.waiters) }

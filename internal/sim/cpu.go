@@ -17,7 +17,6 @@ package sim
 // as the historical global pool. Create the set after the topology's
 // shards exist (NewCPUSet sizes one lane per shard).
 type CPUSet struct {
-	sim   *Sim
 	cores int
 	// demand[k] is shard k's instantaneous count of threads computing
 	// or busy-polling.
@@ -35,7 +34,6 @@ func (s *Sim) NewCPUSet(cores int) *CPUSet {
 		panic("sim: core count must be positive")
 	}
 	return &CPUSet{
-		sim:    s,
 		cores:  cores,
 		demand: make([]int, len(s.shards)),
 	}

@@ -18,7 +18,7 @@ import (
 func confinedScenario(seed int64, shards, workers int) [][]string {
 	const window = 20
 	s := New()
-	for s.Shards() < shards {
+	for len(s.shards) < shards {
 		s.AddShard()
 	}
 	if workers > 0 {

@@ -18,7 +18,7 @@ import (
 // returned for its counters.
 func shardScenario(seed int64, shards int, noShard, noLane bool) ([]string, *Sim) {
 	s := New()
-	for s.Shards() < shards {
+	for len(s.shards) < shards {
 		s.AddShard()
 	}
 	s.noShard = noShard
@@ -173,7 +173,7 @@ func TestShardAffinity(t *testing.T) {
 	if got := s.AddShard(); got != 1 {
 		t.Fatalf("AddShard = %d, want 1", got)
 	}
-	if got := s.Shards(); got != 2 {
+	if got := len(s.shards); got != 2 {
 		t.Fatalf("Shards = %d, want 2", got)
 	}
 	childShard, simChildShard := -1, -1

@@ -281,9 +281,6 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
-	// live is true from Spawn until the assignment returns or Shutdown
-	// unwinds it.
-	live bool
 
 	// shard is the event lane the proc's resumes route to. Procs are
 	// shard-resident: the shard is fixed at first allocation (the
@@ -445,9 +442,6 @@ func (s *Sim) AddShard() int {
 	s.shards = append(s.shards, newShard())
 	return len(s.shards) - 1
 }
-
-// Shards reports the number of event shards.
-func (s *Sim) Shards() int { return len(s.shards) }
 
 // ArmParallel arms the parallel drain for a shard-confined traffic
 // phase: with more than one shard, Run drains every shard's queue to
@@ -657,7 +651,6 @@ func (s *Sim) allocProcOn(k int, name string) *Proc {
 		s.newCoroutine(p)
 		sh.procs = append(sh.procs, p)
 	}
-	p.live = true
 	sh.nextProcID++
 	p.id = uint64(k)<<48 | sh.nextProcID
 	return p
@@ -676,7 +669,6 @@ func (s *Sim) runAssignment(p *Proc) bool {
 	p.fn(p)
 	// Normal completion: recycle before yielding so the scheduler may
 	// hand the proc straight to the next Spawn.
-	p.live = false
 	p.gen++
 	p.fn = nil
 	p.trace = nil
@@ -777,7 +769,6 @@ func (s *Sim) Shutdown() {
 	for si := range s.shards {
 		for _, p := range s.shards[si].procs {
 			p.stop()
-			p.live = false
 		}
 	}
 	for si := range s.shards {
@@ -793,18 +784,4 @@ func (s *Sim) Shutdown() {
 		sh.laneOff = 0
 		sh.free = nil
 	}
-}
-
-// Live reports the number of procs that have not finished (idle pooled
-// procs are not live: their assignment completed).
-func (s *Sim) Live() int {
-	n := 0
-	for si := range s.shards {
-		for _, p := range s.shards[si].procs {
-			if p.live {
-				n++
-			}
-		}
-	}
-	return n
 }

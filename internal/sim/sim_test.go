@@ -116,8 +116,8 @@ func TestCondSignalWakesOneFIFO(t *testing.T) {
 	if len(woke) != 2 || woke[0] != "w1" || woke[1] != "w2" {
 		t.Fatalf("woke = %v, want [w1 w2]", woke)
 	}
-	if c.Waiters() != 1 {
-		t.Fatalf("waiters = %d, want 1", c.Waiters())
+	if len(c.waiters) != 1 {
+		t.Fatalf("waiters = %d, want 1", len(c.waiters))
 	}
 	s.Shutdown()
 }
@@ -221,16 +221,20 @@ func TestReleaseIdlePanics(t *testing.T) {
 func TestShutdownUnwindsParkedProcs(t *testing.T) {
 	s := New()
 	c := s.NewCond()
+	unwound := 0
 	for i := 0; i < 8; i++ {
-		s.Spawn("idle", func(p *Proc) { c.Wait(p) })
+		s.Spawn("idle", func(p *Proc) {
+			defer func() { unwound++ }()
+			c.Wait(p)
+		})
 	}
 	s.Run()
-	if s.Live() != 8 {
-		t.Fatalf("live = %d, want 8 parked", s.Live())
+	if unwound != 0 {
+		t.Fatalf("unwound = %d before shutdown, want 8 parked", unwound)
 	}
 	s.Shutdown()
-	if s.Live() != 0 {
-		t.Fatalf("live after shutdown = %d, want 0", s.Live())
+	if unwound != 8 {
+		t.Fatalf("unwound after shutdown = %d, want 8", unwound)
 	}
 }
 
@@ -240,9 +244,10 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 func TestShutdownUnwindsProcParkedInDefer(t *testing.T) {
 	s := New()
 	c := s.NewCond()
-	woke := 0
+	woke, unwound := 0, 0
 	for i := 0; i < 3; i++ {
 		s.Spawn("deferred", func(p *Proc) {
+			defer func() { unwound++ }()
 			defer func() {
 				p.Sleep(5)
 				woke++
@@ -252,8 +257,8 @@ func TestShutdownUnwindsProcParkedInDefer(t *testing.T) {
 	}
 	s.Run()
 	s.Shutdown()
-	if s.Live() != 0 || woke != 0 {
-		t.Fatalf("after shutdown live = %d, woke = %d; want 0, 0", s.Live(), woke)
+	if unwound != 3 || woke != 0 {
+		t.Fatalf("after shutdown unwound = %d, woke = %d; want 3, 0", unwound, woke)
 	}
 }
 
@@ -275,9 +280,6 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		t.Fatalf("Run recovered %v, want the proc's panic", got)
 	}
 	s.Shutdown()
-	if s.Live() != 0 {
-		t.Fatalf("live after shutdown = %d, want 0", s.Live())
-	}
 }
 
 func TestSpawnFromProc(t *testing.T) {

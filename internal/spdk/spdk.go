@@ -64,9 +64,6 @@ func Claim(cpu *sim.CPUSet, dev *device.SSD) (*Driver, error) {
 	return &Driver{cpu: cpu, dev: dev, files: make(map[string]Region)}, nil
 }
 
-// Release gives the device back.
-func (d *Driver) Release() { d.dev.Release("spdk") }
-
 // CreateFile carves a fresh region of the raw device for name. There
 // are no permissions and no metadata: anyone holding the driver can
 // read every sector of the device.

@@ -9,26 +9,22 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 func setup(t *testing.T, s *sim.Sim) (*sim.CPUSet, *device.SSD) {
 	t.Helper()
-	return s.NewCPUSet(24), device.New(s, device.OptaneP5800X(1<<30))
+	return s.NewCPUSet(24), device.NewWithStore(s, device.OptaneP5800X(1<<30), storage.NewBytes(1<<30))
 }
 
 func TestExclusiveClaim(t *testing.T) {
 	s := sim.New()
 	cpu, dev := setup(t, s)
-	d1, err := Claim(cpu, dev)
-	if err != nil {
+	if _, err := Claim(cpu, dev); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Claim(cpu, dev); err == nil {
 		t.Fatal("second claim succeeded: SPDK must not share the device")
-	}
-	d1.Release()
-	if _, err := Claim(cpu, dev); err != nil {
-		t.Fatalf("claim after release: %v", err)
 	}
 	s.Shutdown()
 }

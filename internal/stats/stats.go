@@ -23,7 +23,6 @@ type Histogram struct {
 	counts []int64
 	total  int64
 	sum    float64
-	min    sim.Time
 	max    sim.Time
 }
 
@@ -31,7 +30,7 @@ const subBuckets = 32
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{min: math.MaxInt64}
+	return &Histogram{}
 }
 
 // bucketOf maps a sample to its bucket index.
@@ -80,9 +79,6 @@ func (h *Histogram) Add(v sim.Time) {
 	h.counts[b]++
 	h.total++
 	h.sum += float64(v)
-	if v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -97,14 +93,6 @@ func (h *Histogram) Mean() sim.Time {
 		return 0
 	}
 	return sim.Time(h.sum / float64(h.total))
-}
-
-// Min reports the smallest sample, or 0 if empty.
-func (h *Histogram) Min() sim.Time {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max reports the largest sample.
@@ -186,7 +174,6 @@ type Summary struct {
 	P50   sim.Time
 	P99   sim.Time
 	P999  sim.Time
-	Max   sim.Time
 }
 
 // Summarize computes the standard digest in one bucket scan.
@@ -198,7 +185,6 @@ func (h *Histogram) Summarize() Summary {
 		P50:   p[0],
 		P99:   p[1],
 		P999:  p[2],
-		Max:   h.Max(),
 	}
 }
 
@@ -212,13 +198,8 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.total += other.total
 	h.sum += other.sum
-	if other.total > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
+	if other.max > h.max {
+		h.max = other.max
 	}
 }
 

@@ -54,10 +54,6 @@ func putChunk(b []byte) {
 type Store struct {
 	sectors int64
 	chunks  map[int64][]byte
-
-	// WriteCount and ReadCount track media accesses for tests.
-	WriteCount int64
-	ReadCount  int64
 }
 
 // New returns a store with the given capacity in sectors.
@@ -80,9 +76,6 @@ func NewBytes(bytes int64) *Store {
 // Sectors reports the capacity in sectors.
 func (s *Store) Sectors() int64 { return s.sectors }
 
-// Bytes reports the capacity in bytes.
-func (s *Store) Bytes() int64 { return s.sectors * SectorSize }
-
 // check validates a sector range.
 func (s *Store) check(sector, count int64) error {
 	if sector < 0 || count < 0 || sector+count > s.sectors {
@@ -102,7 +95,6 @@ func (s *Store) ReadSectors(sector, count int64, buf []byte) error {
 	if int64(len(buf)) < count*SectorSize {
 		return fmt.Errorf("storage: buffer %d too small for %d sectors", len(buf), count)
 	}
-	s.ReadCount += count
 	for count > 0 {
 		chunk, off := sector/chunkSectors, sector%chunkSectors
 		n := chunkSectors - off // sectors available in this chunk
@@ -132,7 +124,6 @@ func (s *Store) WriteSectors(sector, count int64, buf []byte) error {
 	if int64(len(buf)) < count*SectorSize {
 		return fmt.Errorf("storage: buffer %d too small for %d sectors", len(buf), count)
 	}
-	s.WriteCount += count
 	for count > 0 {
 		chunk, off := sector/chunkSectors, sector%chunkSectors
 		n := chunkSectors - off
@@ -204,19 +195,12 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
-// PopulatedBytes reports the bytes of backing memory in use, for
-// memory-overhead accounting.
-func (s *Store) PopulatedBytes() int64 {
-	return int64(len(s.chunks)) * chunkSectors * SectorSize
-}
-
 // SectorIO is the sector-level access contract shared by a raw Store
 // and windowed Views of it.
 type SectorIO interface {
 	ReadSectors(sector, count int64, buf []byte) error
 	WriteSectors(sector, count int64, buf []byte) error
 	Zero(sector, count int64) error
-	Sectors() int64
 }
 
 var _ SectorIO = (*Store)(nil)
@@ -271,6 +255,3 @@ func (v *View) Zero(sector, count int64) error {
 	}
 	return v.St.Zero(v.Base+sector, count)
 }
-
-// Sectors reports the window size.
-func (v *View) Sectors() int64 { return v.Span }

@@ -11,8 +11,8 @@ func TestViewWindowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Sectors() != 200 {
-		t.Fatalf("view sectors = %d", v.Sectors())
+	if v.Span != 200 {
+		t.Fatalf("view sectors = %d", v.Span)
 	}
 	w := make([]byte, SectorSize)
 	w[0] = 0x7b

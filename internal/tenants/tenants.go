@@ -43,18 +43,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Arrival selects a tenant's arrival process. The implementations
-// live in internal/workload, shared with the frontend service tier.
+// Arrival selects a tenant's arrival process: workload.Poisson (the
+// default) or workload.Fixed, shared with the frontend service tier.
 type Arrival = workload.Process
-
-// Supported arrival processes.
-const (
-	// Poisson draws exponential interarrival gaps at RateOps — the
-	// open-system model whose tail exposes queueing delay.
-	Poisson = workload.Poisson
-	// Fixed spaces arrivals exactly 1/RateOps apart.
-	Fixed = workload.Fixed
-)
 
 // Tenant describes one client of the shared device.
 type Tenant struct {
@@ -127,7 +118,6 @@ type Result struct {
 
 	Compliant   int64 // requests with sojourn <= SLO (when SLO > 0)
 	PeakBacklog int   // largest generated-but-unclaimed backlog observed
-	Bursts      int64 // injected arrival spikes (faults.SiteTenantBurst)
 
 	// Lib is the tenant's UserLib degradation counters (BypassD
 	// tenants only; zero value otherwise).
@@ -351,7 +341,6 @@ func startTenant(sys *core.System, pr *kernel.Process, t *Tenant, ti int, seed i
 					// Arrival spike: this and the next faults.BurstArrivals-1
 					// requests land at one instant.
 					burst = faults.BurstArrivals - 1
-					res.Bursts++
 				}
 			}
 			if res.Start == 0 {

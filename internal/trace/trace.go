@@ -121,30 +121,6 @@ func newTracer(label string) *Tracer {
 	}
 }
 
-// Label names the tracer's machine ("process" in the rendered trace).
-func (t *Tracer) Label() string {
-	if t == nil {
-		return ""
-	}
-	return t.label
-}
-
-// Events returns the recorded spans (read-only; rendering and tests).
-func (t *Tracer) Events() []Span {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
-// Dropped counts spans discarded after the event cap was reached.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
 // tid interns p into a stable per-tracer thread id (1-based, in order
 // of first use — deterministic because procs run cooperatively). The
 // key is the proc's logical spawn ID, not the pointer: the scheduler

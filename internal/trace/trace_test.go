@@ -9,9 +9,6 @@ import (
 
 func TestNilTracerAndSpanAreInert(t *testing.T) {
 	var tr *Tracer
-	if tr.Label() != "" || tr.Events() != nil || tr.Dropped() != 0 {
-		t.Fatal("nil tracer should read empty")
-	}
 	if tr.Attribution("x") != nil {
 		t.Fatal("nil tracer attribution should be nil")
 	}
@@ -66,7 +63,7 @@ func TestIOSpanPhasePartition(t *testing.T) {
 	})
 	s.Run()
 
-	events := tr.Events()
+	events := tr.events
 	if len(events) != 5 { // root + 4 phase children
 		t.Fatalf("events = %d, want 5: %+v", len(events), events)
 	}
@@ -131,8 +128,8 @@ func TestEventCapCountsDropped(t *testing.T) {
 		}
 	})
 	s.Run()
-	if len(tr.Events()) != 3 || tr.Dropped() != 7 {
-		t.Fatalf("events=%d dropped=%d, want 3/7", len(tr.Events()), tr.Dropped())
+	if len(tr.events) != 3 || tr.dropped != 7 {
+		t.Fatalf("events=%d dropped=%d, want 3/7", len(tr.events), tr.dropped)
 	}
 	out, err := renderTracers([]*Tracer{tr})
 	if err != nil {
@@ -230,7 +227,7 @@ func TestSpanPoolReuseNoAliasing(t *testing.T) {
 		// events, so count roots only.
 		roots := func() int {
 			n := 0
-			for _, e := range tr.Events() {
+			for _, e := range tr.events {
 				if e.IsIO {
 					n++
 				}
@@ -255,7 +252,7 @@ func TestSpanPoolReuseNoAliasing(t *testing.T) {
 		p.Sleep(10)
 		sp3.Finish(p.Now())
 		var last Span
-		for _, e := range tr.Events() {
+		for _, e := range tr.events {
 			if e.IsIO {
 				last = e
 			}

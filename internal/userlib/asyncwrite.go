@@ -41,10 +41,8 @@ type AsyncWriter struct {
 	inflight int
 	retired  *sim.Cond // signalled whenever a write completes
 
-	// Writes accepted and completed (stats).
-	Submitted int64
-	Completed int64
-	Errors    int64
+	// Errors counts async writes that failed.
+	Errors int64
 }
 
 // NewAsyncWriter allocates depth staging slots of slotBytes each.
@@ -88,7 +86,6 @@ func (w *AsyncWriter) reap() {
 		slot.fs = nil
 		slot.busy = false
 		w.inflight--
-		w.Completed++
 		w.retired.Broadcast()
 	}
 }
@@ -163,7 +160,6 @@ func (w *AsyncWriter) Pwrite(p *sim.Proc, fd int, data []byte, off int64) (int, 
 	}
 	w.byCID[slot.cid] = slot
 	w.inflight++
-	w.Submitted++
 	if f, err := l.Proc.FDInfo(fd); err == nil {
 		f.MarkTimesDirty()
 	}
@@ -186,9 +182,6 @@ func (w *AsyncWriter) Drain(p *sim.Proc) error {
 	}
 	return nil
 }
-
-// Inflight reports outstanding writes.
-func (w *AsyncWriter) Inflight() int { return w.inflight }
 
 // --- per-file pending-write ranges -----------------------------------
 

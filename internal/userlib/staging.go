@@ -18,8 +18,6 @@ type StagingAppender struct {
 	stagingFD int
 	chunk     int64 // staging capacity between relinks
 	staged    int64 // bytes currently staged
-
-	Relinks int64 // metadata grafts performed (stats)
 }
 
 // NewStagingAppender prepares a staging file of chunk bytes next to
@@ -88,7 +86,6 @@ func (a *StagingAppender) Flush(p *sim.Proc) error {
 	if err := a.lib.Proc.Relink(p, a.stagingFD, a.targetFD); err != nil {
 		return err
 	}
-	a.Relinks++
 	a.staged = 0
 	// Track the target's new size in UserLib state.
 	if fs, err := a.lib.state(a.targetFD); err == nil {

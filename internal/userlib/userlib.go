@@ -87,10 +87,6 @@ type Stats struct {
 	// to the kernel interface after a fault (retry exhaustion or a
 	// revoked mapping). The file stays on the kernel interface.
 	Fallbacks int64
-	// InjectedFaults counts fault-plane events observed on the direct
-	// path: injected backpressure plus transient device statuses
-	// (which only the fault plane produces).
-	InjectedFaults int64
 }
 
 // Lib is the per-process library instance shared by all threads.
@@ -100,14 +96,13 @@ type Lib struct {
 	files map[int]*FileState
 
 	// Stats for the harness.
-	DirectOps   int64 // served via the BypassD interface
 	FallbackOps int64 // served via the kernel interface
 	Refmaps     int64 // fmap() retries after faults
 	Stats       Stats // fault-path event counters
 
-	// Metrics handles mirroring the counters above, from the machine's
-	// registry (nil-inert without one); kept in lockstep by the count*
-	// helpers.
+	// Metrics handles from the machine's registry (nil-inert without
+	// one). Direct-path ops and injected faults are counted only here;
+	// the count* helpers keep the rest in lockstep with the tallies.
 	mDirect, mKernel   *metrics.Counter
 	mRefmaps, mRetries *metrics.Counter
 	mDegrades          *metrics.Counter
@@ -120,11 +115,11 @@ type Lib struct {
 
 // Counter helpers keep the exported tallies and the metrics plane in
 // lockstep from every site that records an event.
-func (l *Lib) countDirect()   { l.DirectOps++; l.mDirect.Inc() }
+func (l *Lib) countDirect()   { l.mDirect.Inc() }
 func (l *Lib) countFallback() { l.FallbackOps++; l.mKernel.Inc() }
 func (l *Lib) countRetry()    { l.Stats.Retries++; l.mRetries.Inc() }
 func (l *Lib) countDegrade()  { l.Stats.Fallbacks++; l.mDegrades.Inc() }
-func (l *Lib) countInjected() { l.Stats.InjectedFaults++; l.mInjected.Inc() }
+func (l *Lib) countInjected() { l.mInjected.Inc() }
 
 // New creates the library instance for a process.
 func New(pr *kernel.Process, cfg Config) *Lib {
@@ -591,19 +586,8 @@ func (t *Thread) partialWrite(p *sim.Proc, fs *FileState, data []byte, off int64
 	return int(n), nil
 }
 
-// Read/Write advance the shared file offset (all threads of the
-// process see a consistent view, paper §4.5.1).
-func (t *Thread) Read(p *sim.Proc, fd int, buf []byte) (int, error) {
-	fs, err := t.Lib.state(fd)
-	if err != nil {
-		return 0, err
-	}
-	n, err := t.Pread(p, fd, buf, fs.Offset)
-	fs.Offset += int64(n)
-	return n, err
-}
-
-// Write appends at the shared offset.
+// Write writes at the shared file offset and advances it (all threads
+// of the process see a consistent view, paper §4.5.1).
 func (t *Thread) Write(p *sim.Proc, fd int, data []byte) (int, error) {
 	fs, err := t.Lib.state(fd)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/kernel"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -18,20 +19,28 @@ const testCap = 1 << 30
 var structures = map[string]bool{"fte": false, "extent": true}
 
 type env struct {
-	s *sim.Sim
-	m *kernel.Machine
-	l *Lib
+	s   *sim.Sim
+	m   *kernel.Machine
+	l   *Lib
+	reg *metrics.Registry
 }
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	s := sim.New()
-	m, err := kernel.NewMachineN(s, []device.Config{device.OptaneP5800X(testCap)}, nil, kernel.Observers{})
+	reg := metrics.NewRegistry()
+	m, err := kernel.NewMachineN(s, []device.Config{device.OptaneP5800X(testCap)}, nil, kernel.Observers{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr := m.NewProcess(ext4.Root)
-	return &env{s: s, m: m, l: New(pr, Config{})}
+	return &env{s: s, m: m, l: New(pr, Config{}), reg: reg}
+}
+
+// direct counts the ops every library on the machine served on the
+// direct path.
+func (e *env) direct() int64 {
+	return e.reg.Counter("userlib_ops_total", "path", "direct").Value()
 }
 
 // seed creates a file with data through the kernel.
@@ -94,8 +103,8 @@ func TestDirectReadLatencyAndData(t *testing.T) {
 	if lat < 4800 || lat > 5600 {
 		t.Fatalf("bypassd 4K read = %v, want ~5.2µs", lat)
 	}
-	if e.l.DirectOps != 1 || e.l.FallbackOps != 0 {
-		t.Fatalf("ops = %d direct / %d fallback", e.l.DirectOps, e.l.FallbackOps)
+	if e.direct() != 1 || e.l.FallbackOps != 0 {
+		t.Fatalf("ops = %d direct / %d fallback", e.direct(), e.l.FallbackOps)
 	}
 	e.s.Shutdown()
 }
@@ -116,8 +125,8 @@ func TestOverwriteDirectAppendViaKernel(t *testing.T) {
 			t.Errorf("overwrite: n=%d err=%v", n, err)
 			return
 		}
-		if e.l.DirectOps != 1 {
-			t.Errorf("overwrite not direct (direct=%d)", e.l.DirectOps)
+		if e.direct() != 1 {
+			t.Errorf("overwrite not direct (direct=%d)", e.direct())
 		}
 		// Append: kernel route, then visible to direct reads.
 		app := bytes.Repeat([]byte{0xee}, 4096)
@@ -252,7 +261,7 @@ func TestRevocationFallback(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if e.l.DirectOps != 1 {
+				if e.direct() != 1 {
 					t.Error("first read not direct")
 				}
 				// Another process opens kernel-interface: revoke.
@@ -322,8 +331,8 @@ func TestSharedOpenStaysDirect(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if fs, _ := l.State(fds[i]); !fs.Direct() || l.DirectOps != 1 {
-						t.Errorf("process %d: direct=%v direct ops=%d, want true/1", i, fs.Direct(), l.DirectOps)
+					if fs, _ := l.State(fds[i]); !fs.Direct() || e.direct() != int64(i+1) {
+						t.Errorf("process %d: direct=%v direct ops=%d, want true/%d", i, fs.Direct(), e.direct(), i+1)
 					}
 				}
 				in, err := e.m.FS.Lookup(p, "/shared", ext4.Root)
@@ -374,8 +383,8 @@ func TestOptimizedAppend(t *testing.T) {
 		}
 		// Only the first append should have needed fallocate; the
 		// rest are direct overwrites.
-		if e.l.DirectOps < 15 {
-			t.Errorf("direct ops = %d, want >= 15", e.l.DirectOps)
+		if e.direct() < 15 {
+			t.Errorf("direct ops = %d, want >= 15", e.direct())
 		}
 		got := make([]byte, 16*512)
 		if _, err := th.Pread(p, fd, got, 0); err != nil {
@@ -398,14 +407,16 @@ func TestSequentialReadWriteOffsets(t *testing.T) {
 	e.s.Spawn("app", func(p *sim.Proc) {
 		e.seed(t, p, "/f", []byte("abcdefgh"))
 		th, _ := e.l.NewThread(p)
-		fd, _ := e.l.Open(p, "/f", false)
-		buf := make([]byte, 4)
-		n1, _ := th.Read(p, fd, buf)
-		first := string(buf[:n1])
-		n2, _ := th.Read(p, fd, buf)
-		second := string(buf[:n2])
-		if first != "abcd" || second != "efgh" {
-			t.Errorf("sequential reads = %q, %q", first, second)
+		fd, _ := e.l.Open(p, "/f", true)
+		for _, s := range []string{"wxyz", "1234"} {
+			if _, err := th.Write(p, fd, []byte(s)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		buf := make([]byte, 8)
+		if _, err := th.Pread(p, fd, buf, 0); err != nil || string(buf) != "wxyz1234" {
+			t.Errorf("sequential writes left %q (err %v), want wxyz1234", buf, err)
 		}
 	})
 	e.s.Run()

@@ -163,8 +163,8 @@ func TestUnalignedDirectIOStagesThroughDMABuffer(t *testing.T) {
 		if !bytes.Equal(kernelRead(t, p, e, fd, 0, len(data)), want) {
 			t.Error("RMW write clobbered or lost bytes")
 		}
-		if e.l.FallbackOps != 0 || e.l.DirectOps != 4 {
-			t.Errorf("ops = %d direct / %d fallback, want 4/0", e.l.DirectOps, e.l.FallbackOps)
+		if e.l.FallbackOps != 0 || e.direct() != 4 {
+			t.Errorf("ops = %d direct / %d fallback, want 4/0", e.direct(), e.l.FallbackOps)
 		}
 	})
 }
@@ -264,8 +264,8 @@ func TestZeroCopyFaultPaths(t *testing.T) {
 			if !bytes.Equal(kernelRead(t, p, e, fd, off+n, n), w) {
 				t.Error("fallback write did not land")
 			}
-			if e.l.FallbackOps != 2 || e.l.DirectOps != 0 {
-				t.Errorf("ops = %d direct / %d fallback, want 0/2", e.l.DirectOps, e.l.FallbackOps)
+			if e.l.FallbackOps != 2 || e.direct() != 0 {
+				t.Errorf("ops = %d direct / %d fallback, want 0/2", e.direct(), e.l.FallbackOps)
 			}
 		})
 	})

@@ -121,9 +121,6 @@ func NewZipf(n uint64, theta float64) *Zipf {
 	return z
 }
 
-// N reports the sampler's key-space size.
-func (z *Zipf) N() uint64 { return z.n }
-
 // Next samples a rank in [0, z.n).
 func (z *Zipf) Next(rng *rand.Rand) uint64 {
 	u := rng.Float64()

@@ -72,6 +72,3 @@ func (c *pageCache) put(p *sim.Proc, pg int64, data []byte, cost sim.Time, cpu *
 	}
 	c.lock.Release()
 }
-
-// Len reports cached pages (tests).
-func (c *pageCache) Len() int { return c.lru.Len() }

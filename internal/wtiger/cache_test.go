@@ -21,8 +21,8 @@ func TestCacheHitMissAndEviction(t *testing.T) {
 			c.put(p, pg, data, 10, cpu)
 		}
 		// Budget of 3 pages: 0 and 1 evicted (LRU).
-		if c.Len() != 3 {
-			t.Errorf("len = %d, want 3", c.Len())
+		if c.lru.Len() != 3 {
+			t.Errorf("len = %d, want 3", c.lru.Len())
 		}
 		if _, ok := c.get(p, 0, 10, cpu); ok {
 			t.Error("page 0 survived past budget")
@@ -65,8 +65,8 @@ func TestCacheReplaceUpdatesContent(t *testing.T) {
 		b := make([]byte, PageSize)
 		b[0] = 2
 		c.put(p, 7, b, 0, cpu)
-		if c.Len() != 1 {
-			t.Errorf("len = %d after replace", c.Len())
+		if c.lru.Len() != 1 {
+			t.Errorf("len = %d after replace", c.lru.Len())
 		}
 		if d, _ := c.get(p, 7, 0, cpu); d[0] != 2 {
 			t.Error("replace kept stale content")

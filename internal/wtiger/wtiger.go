@@ -49,11 +49,9 @@ func encodeKey(k uint64) [KeySize]byte {
 // Store is the shared engine state: tree metadata, page cache, and
 // insert delta. Threads access it through per-thread Conns.
 type Store struct {
-	Path   string
-	Pages  int64
-	Root   int64
-	Levels int // tree height including the leaf level
-	Keys   uint64
+	Path  string
+	Pages int64
+	Root  int64
 
 	cache *pageCache
 	delta map[uint64][ValSize]byte
@@ -62,7 +60,6 @@ type Store struct {
 
 	// Stats.
 	CacheHits, CacheMisses int64
-	IOs                    int64
 }
 
 // cacheAccessCost is charged under the cache lock per page
@@ -92,21 +89,19 @@ func BuildOn(p *sim.Proc, sys *core.System, cpu *sim.CPUSet, devIdx int, cfg Con
 	if cfg.Keys == 0 {
 		return nil, fmt.Errorf("wtiger: empty store")
 	}
-	img, root, levels, pages := buildImage(cfg.Keys)
+	img, root, pages := buildImage(cfg.Keys)
 
 	if err := sys.NewProcessOn(ext4.Root, devIdx).WriteFile(p, cfg.Path, img); err != nil {
 		return nil, err
 	}
 	shard := sys.M.Nodes[devIdx].Shard
 	return &Store{
-		Path:   cfg.Path,
-		Pages:  pages,
-		Root:   root,
-		Levels: levels,
-		Keys:   cfg.Keys,
-		cache:  newPageCacheOn(sys.Sim, shard, cfg.CacheBytes),
-		delta:  make(map[uint64][ValSize]byte),
-		cpu:    cpu,
+		Path:  cfg.Path,
+		Pages: pages,
+		Root:  root,
+		cache: newPageCacheOn(sys.Sim, shard, cfg.CacheBytes),
+		delta: make(map[uint64][ValSize]byte),
+		cpu:   cpu,
 	}, nil
 }
 
@@ -119,7 +114,7 @@ func ValueOf(k uint64) [ValSize]byte {
 }
 
 // buildImage constructs the file image bottom-up.
-func buildImage(keys uint64) (img []byte, root int64, levels int, pages int64) {
+func buildImage(keys uint64) (img []byte, root int64, pages int64) {
 	type levelPage struct {
 		firstKey [KeySize]byte
 		pageNo   int64
@@ -152,7 +147,6 @@ func buildImage(keys uint64) (img []byte, root int64, levels int, pages int64) {
 		no := appendPage(pg)
 		level = append(level, levelPage{firstKey: encodeKey(start), pageNo: no})
 	}
-	levels = 1
 
 	// Internal levels.
 	for len(level) > 1 {
@@ -174,7 +168,6 @@ func buildImage(keys uint64) (img []byte, root int64, levels int, pages int64) {
 			next = append(next, levelPage{firstKey: level[start].firstKey, pageNo: no})
 		}
 		level = next
-		levels++
 	}
 	root = level[0].pageNo
 	pages = int64(len(file))
@@ -182,7 +175,7 @@ func buildImage(keys uint64) (img []byte, root int64, levels int, pages int64) {
 	for i, pg := range file {
 		copy(img[int64(i)*PageSize:], pg)
 	}
-	return img, root, levels, pages
+	return img, root, pages
 }
 
 // searchInternal finds the child page for key in an internal page.
@@ -243,8 +236,6 @@ type Conn struct {
 
 	pr  *kernel.Process
 	kfd int
-
-	pageBuf []byte
 }
 
 // NewConn opens the store through a FileIO engine.
@@ -253,7 +244,7 @@ func (st *Store) NewConn(p *sim.Proc, io core.FileIO) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{st: st, mode: ModeFileIO, io: io, fd: fd, pageBuf: make([]byte, PageSize)}, nil
+	return &Conn{st: st, mode: ModeFileIO, io: io, fd: fd}, nil
 }
 
 // NewXRPConn opens the store for XRP-accelerated descents.
@@ -262,12 +253,11 @@ func (st *Store) NewXRPConn(p *sim.Proc, pr *kernel.Process) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{st: st, mode: ModeXRP, pr: pr, kfd: fd, pageBuf: make([]byte, PageSize)}, nil
+	return &Conn{st: st, mode: ModeXRP, pr: pr, kfd: fd}, nil
 }
 
 // readPage fetches a page via the connection's I/O path.
 func (c *Conn) readPage(p *sim.Proc, pg int64, buf []byte) error {
-	c.st.IOs++
 	var err error
 	if c.mode == ModeXRP {
 		_, err = c.pr.Pread(p, c.kfd, buf[:PageSize], pg*PageSize)
@@ -279,7 +269,6 @@ func (c *Conn) readPage(p *sim.Proc, pg int64, buf []byte) error {
 
 // writePage persists a page.
 func (c *Conn) writePage(p *sim.Proc, pg int64, buf []byte) error {
-	c.st.IOs++
 	var err error
 	if c.mode == ModeXRP {
 		_, err = c.pr.Pwrite(p, c.kfd, buf[:PageSize], pg*PageSize)
@@ -345,7 +334,7 @@ func (c *Conn) xrpDescend(p *sim.Proc, pg int64, key [KeySize]byte) ([]byte, int
 	cur := pg
 	leafPg := pg
 	buf := make([]byte, PageSize)
-	n, err := c.pr.XRPChain(p, c.kfd, pg*PageSize, PageSize, buf, func(step int, b []byte) (int64, int64, bool) {
+	_, err := c.pr.XRPChain(p, c.kfd, pg*PageSize, PageSize, buf, func(step int, b []byte) (int64, int64, bool) {
 		snapshot := make([]byte, PageSize)
 		copy(snapshot, b[:PageSize])
 		st.cache.put(p, cur, snapshot, cacheAccessCost, st.cpu)
@@ -359,7 +348,6 @@ func (c *Conn) xrpDescend(p *sim.Proc, pg int64, key [KeySize]byte) ([]byte, int
 	if err != nil {
 		return nil, 0, err
 	}
-	st.IOs += int64(n)
 	leaf := make([]byte, PageSize)
 	copy(leaf, buf)
 	return leaf, leafPg, nil

@@ -1,6 +1,7 @@
 package wtiger
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
@@ -34,8 +35,14 @@ func buildStore(t *testing.T, cacheBytes int64) (*core.System, *Store) {
 
 func TestBuildGeometry(t *testing.T) {
 	_, st := buildStore(t, 1<<20)
-	if st.Levels < 3 {
-		t.Fatalf("levels = %d, want >= 3 for %d keys", st.Levels, testKeys)
+	// Count the levels down the leftmost path of the image.
+	img, root, _ := buildImage(testKeys)
+	levels := 1
+	for pg := root; img[pg*PageSize] == kindInternal; levels++ {
+		pg = int64(binary.LittleEndian.Uint32(img[pg*PageSize+pageHeader+KeySize:]))
+	}
+	if levels < 3 {
+		t.Fatalf("levels = %d, want >= 3 for %d keys", levels, testKeys)
 	}
 	wantLeaves := (testKeys + uint64(LeafCap) - 1) / uint64(LeafCap)
 	if st.Pages < int64(wantLeaves) {
@@ -131,14 +138,14 @@ func TestInsertDelta(t *testing.T) {
 			return
 		}
 		nk := uint64(testKeys + 5)
-		before := st.IOs
+		before := st.CacheHits + st.CacheMisses
 		c.Insert(p, nk, ValueOf(nk))
 		v, ok, err := c.Lookup(p, nk)
 		if err != nil || !ok || v != ValueOf(nk) {
 			t.Errorf("delta lookup: ok=%v err=%v", ok, err)
 		}
-		if st.IOs != before {
-			t.Errorf("insert+delta-lookup did %d I/Os, want 0", st.IOs-before)
+		if touched := st.CacheHits + st.CacheMisses - before; touched != 0 {
+			t.Errorf("insert+delta-lookup touched %d pages, want 0", touched)
 		}
 	})
 	sys.Sim.Run()

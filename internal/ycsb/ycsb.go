@@ -60,12 +60,12 @@ const (
 	Latest  Dist = "latest"
 )
 
-// Workload is a YCSB operation mix.
+// Workload is a YCSB operation mix. The probability the proportions
+// leave over is the insert proportion.
 type Workload struct {
 	Name       string
 	ReadProp   float64
 	UpdateProp float64
-	InsertProp float64
 	ScanProp   float64
 	RMWProp    float64
 	Dist       Dist
@@ -77,15 +77,10 @@ var (
 	A = Workload{Name: "A", ReadProp: 0.5, UpdateProp: 0.5, Dist: Zipfian}
 	B = Workload{Name: "B", ReadProp: 0.95, UpdateProp: 0.05, Dist: Zipfian}
 	C = Workload{Name: "C", ReadProp: 1.0, Dist: Zipfian}
-	D = Workload{Name: "D", ReadProp: 0.95, InsertProp: 0.05, Dist: Latest}
-	E = Workload{Name: "E", ScanProp: 0.95, InsertProp: 0.05, Dist: Zipfian, MaxScanLen: 100}
+	D = Workload{Name: "D", ReadProp: 0.95, Dist: Latest}                   // 5% inserts
+	E = Workload{Name: "E", ScanProp: 0.95, Dist: Zipfian, MaxScanLen: 100} // 5% inserts
 	F = Workload{Name: "F", ReadProp: 0.5, RMWProp: 0.5, Dist: Zipfian}
 )
-
-// Workloads maps names to definitions.
-var Workloads = map[string]Workload{
-	"A": A, "B": B, "C": C, "D": D, "E": E, "F": F,
-}
 
 const theta = workload.DefaultZipfTheta
 
@@ -112,9 +107,6 @@ func NewGenerator(wl Workload, records uint64, seed int64) *Generator {
 	}
 	return g
 }
-
-// Records reports the current key-space size (grows on inserts).
-func (g *Generator) Records() uint64 { return g.records }
 
 // nextKey samples a key for read-like operations.
 func (g *Generator) nextKey() uint64 {

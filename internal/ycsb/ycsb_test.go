@@ -4,9 +4,12 @@ import (
 	"testing"
 )
 
+// workloads lists the core workloads A–F.
+var workloads = []Workload{A, B, C, D, E, F}
+
 func TestMixProportions(t *testing.T) {
 	const n = 100000
-	for name, wl := range Workloads {
+	for _, wl := range workloads {
 		g := NewGenerator(wl, 1<<20, 1)
 		counts := map[OpType]int{}
 		for i := 0; i < n; i++ {
@@ -15,12 +18,12 @@ func TestMixProportions(t *testing.T) {
 		check := func(op OpType, want float64) {
 			got := float64(counts[op]) / n
 			if got < want-0.02 || got > want+0.02 {
-				t.Errorf("workload %s %v fraction = %.3f, want %.2f", name, op, got, want)
+				t.Errorf("workload %s %v fraction = %.3f, want %.2f", wl.Name, op, got, want)
 			}
 		}
 		check(Read, wl.ReadProp)
 		check(Update, wl.UpdateProp)
-		check(Insert, wl.InsertProp)
+		check(Insert, 1-wl.ReadProp-wl.UpdateProp-wl.ScanProp-wl.RMWProp)
 		check(Scan, wl.ScanProp)
 		check(ReadModifyWrite, wl.RMWProp)
 	}
@@ -89,7 +92,7 @@ func TestLatestFavorsRecentKeys(t *testing.T) {
 			continue
 		}
 		reads++
-		if op.Key >= g.Records()-g.Records()/10 {
+		if op.Key >= g.records-g.records/10 {
 			recent++
 		}
 	}
@@ -112,11 +115,11 @@ func TestInsertsGrowKeySpace(t *testing.T) {
 			}
 			seen[op.Key] = true
 		}
-		if op.Key >= g.Records() {
-			t.Fatalf("key %d beyond key space %d", op.Key, g.Records())
+		if op.Key >= g.records {
+			t.Fatalf("key %d beyond key space %d", op.Key, g.records)
 		}
 	}
-	if g.Records() == 1000 {
+	if g.records == 1000 {
 		t.Fatal("no inserts happened in workload D")
 	}
 }
@@ -144,12 +147,12 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestKeysInRange(t *testing.T) {
-	for _, wl := range Workloads {
+	for _, wl := range workloads {
 		g := NewGenerator(wl, 5000, 11)
 		for i := 0; i < 20000; i++ {
 			op := g.Next()
-			if op.Key >= g.Records() {
-				t.Fatalf("workload %s key %d out of range %d", wl.Name, op.Key, g.Records())
+			if op.Key >= g.records {
+				t.Fatalf("workload %s key %d out of range %d", wl.Name, op.Key, g.records)
 			}
 		}
 	}
