@@ -49,7 +49,8 @@ bench:
 # bench-json regenerates the committed benchmark snapshot: the
 # Fig. 6/9 harnesses, the 4 KiB and 64 KiB reads, the throughput family
 # (single-queue, traced, tenant storm, and the four-SSD sharded core
-# at 1 and 4 workers), and the frontend service tier, with events/sec,
+# at 1 and 4 workers), and the frontend service tier at 1 and 2
+# workers, with events/sec,
 # wall-ns-per-event, and wall-ns-per-virtual-ns metrics. Set
 # BASELINE=<old bench output file> to embed a before/after pair.
 bench-json:
@@ -67,10 +68,14 @@ bench-json:
 #     committed BENCH.json ns/op (benchjson -check, which takes
 #     the min over -count 3 repetitions; min-of-N plus the tolerance
 #     absorbs host noise, so only real regressions fail);
-#  3. parallel speedup — the four-SSD sharded storm at -workers 4 must
-#     beat -workers 1 by >= 2.5x on events/sec (benchjson -speedup).
-#     On hosts with fewer than 4 CPUs the speedup floor is skipped
-#     with a printed notice: one core cannot express parallelism, and
+#  3. parallel speedup (benchjson -speedup) — the four-SSD sharded
+#     storm at -workers 4 must beat -workers 1 by >= 2.5x on
+#     events/sec, checked on hosts with >= 4 CPUs; the two-SSD frontend
+#     fleet at -workers 2 must not be slower than at -workers 1
+#     (>= 1.0x), checked on hosts with >= 2 CPUs. Twelve runs on a
+#     2-vCPU host measured 1.13-1.72x for it, and 0.75-1.67x before
+#     the drain's per-shard state was padded to whole cache lines. On
+#     hosts with fewer CPUs a floor is skipped with a printed notice:
 #     the worker-invariance tests still pin correctness there.
 # Opt-in pieces use BENCH_CHECK=1 so ordinary test runs never flake on
 # cross-test allocation noise.
@@ -79,18 +84,20 @@ bench-check:
 	$(GO) test -run TestArbiterZeroAllocHotPath -count=1 -v ./internal/device
 	$(GO) test -bench '$(GATE_BENCH)' -benchmem -benchtime 5x -count 3 -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -check BENCH.json \
-			-speedup 'SimThroughputSharded/w4:SimThroughputSharded/w1:2.5'
+			-speedup 'SimThroughputSharded/w4:SimThroughputSharded/w1:2.5' \
+			-speedup 'FrontendThroughput/w2:FrontendThroughput/w1:1.0:2'
 
 # parallel-equivalence is the tentpole determinism gate under the race
 # detector: 20-seed randomized per-shard streams of the parallel drain
 # at workers {1,2,4,8} against the coupled scheduler, the drain's rerun
 # and coupled-API panic tests, the in-place sleep's rule and
 # equivalence tests (which read the drain flag and other shards'
-# heads), plus the T7-T10 report and full-metrics invariance across
-# worker counts. Any data race in the drain or any divergence from the
+# heads), the Shutdown tests of lazily born coroutines (one born inside
+# a drain, one never dispatched), plus the T7-T10 report and
+# full-metrics invariance across worker counts. Any data race in the drain or any divergence from the
 # coupled schedule fails this target.
 parallel-equivalence:
-	$(GO) test -race -count=1 -run 'ParallelEquivalence|ParallelDrain|Inline' ./internal/sim
+	$(GO) test -race -count=1 -run 'ParallelEquivalence|ParallelDrain|Inline|Coroutine' ./internal/sim
 	$(GO) test -race -count=1 -run 'WorkerInvariant' ./internal/experiments
 
 # profile writes host CPU and allocation profiles of the Fig. 6

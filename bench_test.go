@@ -221,24 +221,31 @@ func BenchmarkSimThroughputTenantStorm(b *testing.B) {
 }
 
 // BenchmarkFrontendThroughput measures the service tier end to end:
-// a token-paced fleet at 2x saturation multiplexing its user
+// a token-paced two-SSD fleet at 2x saturation multiplexing its user
 // population over the worker pool against per-device kvell stores,
-// boot and store build included. Events/sec is the regression-gated
-// number — the tier's fairness queues, admission bookkeeping, and
-// backend round-trips all sit on the event path.
+// boot and store build included. The /w1 and /w2 sub-benchmarks run
+// the traffic phase on one and two workers of the parallel drain, so
+// their ratio is a speedup a 2-CPU host can express. Every op runs
+// seed 1, which makes events/op exact (TestFleetEventCounts pins the
+// same count) and gated alongside events/sec.
 func BenchmarkFrontendThroughput(b *testing.B) {
 	fl := frontend.ServiceFleet(frontend.AdmitToken, 2.0, 2, 8, 4000, 8000)
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		_, ev, err := frontend.RunCountedWorkers(int64(i)+1, fl, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += ev
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				_, ev, err := frontend.RunCountedWorkers(1, fl, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += ev
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkSimThroughputSharded is the TenantStorm workload spread

@@ -32,7 +32,9 @@
 // value. A snapshot row that is allocation-free (0 allocs/op and
 // 0 B/op) must stay so on every line; other rows' allocs/op vary with
 // pool and GC timing and stay ungated. Benchmarks missing from either
-// side are reported but do not fail the check.
+// side are reported but do not fail the check. Each -speedup flag
+// (repeatable) adds a parallel-speedup floor between two benchmarks of
+// the run, enforced only on hosts with the CPUs to express it.
 package main
 
 import (
@@ -153,24 +155,30 @@ func parseBenchLine(line string) (benchLine, bool) {
 }
 
 // checkSpeedup enforces a parallel-speedup floor between two
-// benchmarks of one run: spec is "numerator:denominator:min", e.g.
-// "SimThroughputSharded/w4:SimThroughputSharded/w1:2.5". Speedup is
-// measured on events/sec when both sides report it (ns/op otherwise),
-// with min-ns/op / max-events-sec over repeated lines. The assertion
-// only means something when the host has cores for the workers to
-// land on, so on hosts with fewer than minCores CPUs the check prints
-// a notice and passes vacuously — the determinism gates still run
-// there; the speedup gate is for multi-core CI and dev machines.
+// benchmarks of one run: spec is "numerator:denominator:min[:cpus]",
+// e.g. "SimThroughputSharded/w4:SimThroughputSharded/w1:2.5". Speedup
+// is measured on events/sec when both sides report it (ns/op
+// otherwise), with min-ns/op / max-events-sec over repeated lines. The
+// assertion only means something when the host has cores for the
+// workers to land on, so on hosts with fewer CPUs than the spec's cpus
+// (minCores when it names none) the check prints a notice and passes
+// vacuously — the determinism gates still run there.
 func checkSpeedup(w io.Writer, cur benchRun, spec string, minCores int) int {
 	parts := strings.Split(spec, ":")
-	if len(parts) != 3 {
-		fmt.Fprintf(w, "  SKIP  -speedup %q: want numerator:denominator:min\n", spec)
+	if len(parts) != 3 && len(parts) != 4 {
+		fmt.Fprintf(w, "  SKIP  -speedup %q: want numerator:denominator:min[:cpus]\n", spec)
 		return 1
 	}
 	min, err := strconv.ParseFloat(parts[2], 64)
 	if err != nil {
 		fmt.Fprintf(w, "  SKIP  -speedup %q: bad minimum: %v\n", spec, err)
 		return 1
+	}
+	if len(parts) == 4 {
+		if minCores, err = strconv.Atoi(parts[3]); err != nil {
+			fmt.Fprintf(w, "  SKIP  -speedup %q: bad cpus: %v\n", spec, err)
+			return 1
+		}
 	}
 	if n := runtime.NumCPU(); n < minCores {
 		fmt.Fprintf(w, "  SKIP  speedup %s vs %s: host has %d CPU(s), need >= %d to express parallel speedup; gate passes vacuously\n",
@@ -324,9 +332,13 @@ func run() int {
 		baseline  = flag.String("baseline", "", "optional prior `go test -bench` text output to embed under \"baseline\"")
 		checkPath = flag.String("check", "", "committed snapshot JSON to gate against; exits 1 on an ns/op regression beyond -tolerance, a per-op count mismatch, or an allocation on an allocation-free row")
 		tolerance = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression in -check mode")
-		speedup   = flag.String("speedup", "", "in -check mode, also enforce 'numerator:denominator:min' parallel speedup between two benchmarks of this run (skipped below -speedup-cores host CPUs)")
-		minCores  = flag.Int("speedup-cores", 4, "host CPUs required before the -speedup floor is enforced rather than skipped")
+		minCores  = flag.Int("speedup-cores", 4, "host CPUs required before a -speedup floor that names none is enforced rather than skipped")
+		speedups  []string
 	)
+	flag.Func("speedup", "in -check mode, also enforce 'numerator:denominator:min[:cpus]' parallel speedup between two benchmarks of this run, skipped below cpus (default -speedup-cores) host CPUs; repeatable", func(spec string) error {
+		speedups = append(speedups, spec)
+		return nil
+	})
 	flag.Parse()
 
 	cur, err := parseBench(os.Stdin)
@@ -347,8 +359,8 @@ func run() int {
 		}
 		fmt.Printf("benchjson: checking against %s\n", *checkPath)
 		n := checkAgainst(os.Stdout, cur, snap, *tolerance)
-		if *speedup != "" {
-			n += checkSpeedup(os.Stdout, cur, *speedup, *minCores)
+		for _, spec := range speedups {
+			n += checkSpeedup(os.Stdout, cur, spec, *minCores)
 		}
 		if n > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d check(s) failed\n", n)

@@ -89,3 +89,34 @@ BenchmarkBootDirect4KRead-2   5   200000 ns/op   478001 B/op   202 allocs/op`,
 		})
 	}
 }
+
+func TestCheckSpeedup(t *testing.T) {
+	run, err := parseBench(strings.NewReader(`
+BenchmarkFrontendThroughput/w1-2   5   6000000 ns/op   6000000 events/sec
+BenchmarkFrontendThroughput/w1-2   5   5000000 ns/op   7000000 events/sec
+BenchmarkFrontendThroughput/w2-2   5   3500000 ns/op  10500000 events/sec
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		spec  string
+		fails int
+		want  string
+	}{
+		{"FrontendThroughput/w2:FrontendThroughput/w1:1.4:1", 0, "ok    speedup FrontendThroughput/w2 vs FrontendThroughput/w1: 1.50x on events/sec (floor 1.40x)"},
+		{"FrontendThroughput/w2:FrontendThroughput/w1:1.6:1", 1, "FAIL  speedup"},
+		{"FrontendThroughput/w2:FrontendThroughput/w1:1.6:100000", 0, "need >= 100000"},
+		{"FrontendThroughput/w2:FrontendThroughput/w1:1.6:two", 1, "bad cpus"},
+		{"FrontendThroughput/w4:FrontendThroughput/w1:1.6:1", 1, "missing from run"},
+	}
+	for _, c := range cases {
+		var out bytes.Buffer
+		if got := checkSpeedup(&out, run, c.spec, 4); got != c.fails {
+			t.Errorf("%s: %d failures, want %d\n%s", c.spec, got, c.fails, out.String())
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("%s: output lacks %q:\n%s", c.spec, c.want, out.String())
+		}
+	}
+}

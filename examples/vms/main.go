@@ -31,7 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		guests[i], err = kernel.NewGuestMachine(s, host, vf, 300*sim.Nanosecond)
+		guests[i], err = kernel.NewGuestMachine(s, host, vf)
 		if err != nil {
 			log.Fatal(err)
 		}

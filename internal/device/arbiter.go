@@ -41,6 +41,10 @@ type Arbiter interface {
 // past it. This is exactly the device's historical arbitrate() loop.
 type FlatRR struct {
 	cursor int
+	// Each arbiter pads its state to whole cache lines: the devices'
+	// arbiters are allocated side by side at boot, and every grant
+	// writes the cursor from the worker draining that device's shard.
+	_ [sim.CacheLine - 8]byte
 }
 
 // NewFlatRR returns the default flat round-robin arbiter.
@@ -74,6 +78,7 @@ type WRR struct {
 	cursor int
 	vtime  float64
 	st     map[*nvme.QueuePair]*wrrState
+	_      [sim.CacheLine - 24]byte // see FlatRR
 }
 
 // wrrState is a queue's fair-queueing tag. The tag is clamped to the
@@ -151,6 +156,7 @@ func (a *WRR) Next(_ sim.Time, queues []*nvme.QueuePair) (int, bool, sim.Time) {
 type TokenPrio struct {
 	cursor  int
 	buckets map[*nvme.QueuePair]*bucket
+	_       [sim.CacheLine - 16]byte // see FlatRR
 }
 
 // DefaultBurst is the token-bucket depth for rate-limited queues that

@@ -66,13 +66,12 @@ func runS2Guests(o Options, ops int) (guest1, guest2, guestSync sim.Time, err er
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	const nested = 300 * sim.Nanosecond
 	mkGuest := func(name string, devID uint8, baseMB int64) (*kernel.Machine, error) {
 		vf, err := device.Carve(s, host.Dev, name, devID, baseMB<<20/512, (192<<20)/512)
 		if err != nil {
 			return nil, err
 		}
-		return kernel.NewGuestMachine(s, host, vf, nested)
+		return kernel.NewGuestMachine(s, host, vf)
 	}
 	g1, err := mkGuest("vf1", 10, 512)
 	if err != nil {

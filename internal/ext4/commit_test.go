@@ -91,7 +91,7 @@ func TestCommitOverlapsNamespaceChange(t *testing.T) {
 		}
 	}
 
-	fs2, err := Mount(nil, &Direct{St: st}, 1, nil)
+	fs2, err := Mount(&Direct{St: st}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 
 			// Power loss: abandon the in-memory state and remount from
 			// whatever reached the medium.
-			fs2, err := Mount(nil, &Direct{St: st}, 1, nil)
+			fs2, err := Mount(&Direct{St: st}, 1, nil)
 			if err != nil {
 				t.Fatalf("remount after %s: %v", cs.site, err)
 			}
@@ -161,7 +161,7 @@ func TestJournalCrashEveryCommitStage(t *testing.T) {
 			content[path] = data
 		}
 
-		if fs, err = Mount(nil, &Direct{St: st}, 1, nil); err != nil {
+		if fs, err = Mount(&Direct{St: st}, 1, nil); err != nil {
 			t.Fatalf("round %d remount: %v", round, err)
 		}
 		if err := fs.Check(nil); err != nil {

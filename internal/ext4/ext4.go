@@ -293,13 +293,15 @@ func inodeLoc(sb *Super, ino uint32) (blk int64, off int) {
 }
 
 // Mount reads the superblock, replays the journal if needed, and
-// builds the in-memory caches.
-func Mount(p *sim.Proc, bio BlockIO, devID uint8, now func() sim.Time) (*FS, error) {
+// builds the in-memory caches. It reads and writes through bio with a
+// nil proc, untimed: machines mount at boot, before any proc runs, and
+// install their timed BlockIO afterwards (SetBlockIO).
+func Mount(bio BlockIO, devID uint8, now func() sim.Time) (*FS, error) {
 	if now == nil {
 		now = func() sim.Time { return 0 }
 	}
 	buf := make([]byte, BlockSize)
-	if err := bio.ReadBlocks(p, 0, 1, buf); err != nil {
+	if err := bio.ReadBlocks(nil, 0, 1, buf); err != nil {
 		return nil, err
 	}
 	fs := &FS{
@@ -314,13 +316,13 @@ func Mount(p *sim.Proc, bio BlockIO, devID uint8, now func() sim.Time) (*FS, err
 	if err := fs.sb.unmarshal(buf); err != nil {
 		return nil, err
 	}
-	if err := fs.replayJournal(p); err != nil {
+	if err := fs.replayJournal(); err != nil {
 		return nil, err
 	}
 
 	// Pooled and recycled dirty: ReadBlocks overwrites every byte.
 	fs.bitmap = storage.GetBuf(int(fs.sb.BitmapBlocks * BlockSize))
-	if err := bio.ReadBlocks(p, fs.sb.BitmapStart, fs.sb.BitmapBlocks, fs.bitmap); err != nil {
+	if err := bio.ReadBlocks(nil, fs.sb.BitmapStart, fs.sb.BitmapBlocks, fs.bitmap); err != nil {
 		return nil, err
 	}
 	fs.allocRotor = fs.sb.DataStart
@@ -336,7 +338,7 @@ func Mount(p *sim.Proc, bio BlockIO, devID uint8, now func() sim.Time) (*FS, err
 		if n > scanBatch {
 			n = scanBatch
 		}
-		if err := bio.ReadBlocks(p, fs.sb.InodeStart+b, n, tbl[:n*BlockSize]); err != nil {
+		if err := bio.ReadBlocks(nil, fs.sb.InodeStart+b, n, tbl[:n*BlockSize]); err != nil {
 			return nil, err
 		}
 		for i := 0; i < int(n)*InodesPerBlock; i++ {

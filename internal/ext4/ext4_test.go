@@ -23,7 +23,7 @@ func newFS(t *testing.T) (*FS, *storage.Store) {
 	if err := Mkfs(bio, opt); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := Mount(nil, bio, 1, nil)
+	fs, err := Mount(bio, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func newTinyFS(t *testing.T) (*FS, *storage.Store) {
 	if err := Mkfs(bio, opt); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := Mount(nil, bio, 1, nil)
+	fs, err := Mount(bio, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestExtentChainSpill(t *testing.T) {
 	}
 
 	// Remount cold and verify the chain reloads correctly.
-	fs2, err := Mount(nil, &Direct{St: st}, 1, nil)
+	fs2, err := Mount(&Direct{St: st}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestNoSpace(t *testing.T) {
 	if err := Mkfs(bio, opt); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := Mount(nil, bio, 1, nil)
+	fs, err := Mount(bio, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

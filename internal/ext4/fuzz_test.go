@@ -26,7 +26,7 @@ func fuzzFS(tb testing.TB) (*FS, *storage.Store) {
 	if err := Mkfs(bio, opt); err != nil {
 		tb.Fatal(err)
 	}
-	fs, err := Mount(nil, bio, 1, nil)
+	fs, err := Mount(bio, 1, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func FuzzExtentTree(f *testing.F) {
 
 		// Remount and verify the extent tree maps back to the same
 		// bytes the model predicts.
-		fs2, err := Mount(nil, &Direct{St: st}, 1, nil)
+		fs2, err := Mount(&Direct{St: st}, 1, nil)
 		if err != nil {
 			t.Fatalf("remount: %v", err)
 		}
@@ -203,7 +203,7 @@ func FuzzRename(f *testing.F) {
 		// Remount: the namespace must come back fsck-clean, and every
 		// surviving file must read back its own name (written at
 		// create), proving directory entries point at the right inodes.
-		fs2, err := Mount(nil, &Direct{St: st}, 1, nil)
+		fs2, err := Mount(&Direct{St: st}, 1, nil)
 		if err != nil {
 			t.Fatalf("remount: %v", err)
 		}

@@ -259,11 +259,11 @@ func (fs *FS) writeTransaction(p *sim.Proc, targets []int64, staging map[int64][
 }
 
 // replayJournal applies a committed-but-unchecked transaction found
-// at mount time.
-func (fs *FS) replayJournal(p *sim.Proc) error {
+// at mount time, untimed like the rest of Mount.
+func (fs *FS) replayJournal() error {
 	le := binary.LittleEndian
 	header := make([]byte, BlockSize)
-	if err := fs.bio.ReadBlocks(p, fs.sb.JournalStart, 1, header); err != nil {
+	if err := fs.bio.ReadBlocks(nil, fs.sb.JournalStart, 1, header); err != nil {
 		return err
 	}
 	if le.Uint32(header[0:]) != journalMagic {
@@ -275,30 +275,30 @@ func (fs *FS) replayJournal(p *sim.Proc) error {
 		return nil // implausible header: treat as torn, discard
 	}
 	commit := make([]byte, BlockSize)
-	if err := fs.bio.ReadBlocks(p, fs.sb.JournalStart+1+n, 1, commit); err != nil {
+	if err := fs.bio.ReadBlocks(nil, fs.sb.JournalStart+1+n, 1, commit); err != nil {
 		return err
 	}
 	if le.Uint32(commit[0:]) != commitMagic || le.Uint64(commit[8:]) != seq {
 		// Crash happened mid-log: the transaction never committed,
 		// so the home copies are the consistent state.
 		clean := make([]byte, BlockSize)
-		return fs.bio.WriteBlocks(p, fs.sb.JournalStart, 1, clean)
+		return fs.bio.WriteBlocks(nil, fs.sb.JournalStart, 1, clean)
 	}
 	// Replay.
 	img := make([]byte, BlockSize)
 	for i := int64(0); i < n; i++ {
 		target := int64(le.Uint64(header[24+i*8:]))
-		if err := fs.bio.ReadBlocks(p, fs.sb.JournalStart+1+i, 1, img); err != nil {
+		if err := fs.bio.ReadBlocks(nil, fs.sb.JournalStart+1+i, 1, img); err != nil {
 			return err
 		}
-		if err := fs.bio.WriteBlocks(p, target, 1, img); err != nil {
+		if err := fs.bio.WriteBlocks(nil, target, 1, img); err != nil {
 			return err
 		}
 	}
-	if err := fs.bio.Flush(p); err != nil {
+	if err := fs.bio.Flush(nil); err != nil {
 		return err
 	}
 	fs.journalSeq = seq
 	clean := make([]byte, BlockSize)
-	return fs.bio.WriteBlocks(p, fs.sb.JournalStart, 1, clean)
+	return fs.bio.WriteBlocks(nil, fs.sb.JournalStart, 1, clean)
 }

@@ -75,7 +75,7 @@ func TestJournalRecoveryAtEveryCutPoint(t *testing.T) {
 			runScenario(t, fs, false) // may fail partway: that's the point
 
 			// Power cut. Remount from the raw store.
-			fs2, err := Mount(nil, &Direct{St: st}, 1, nil)
+			fs2, err := Mount(&Direct{St: st}, 1, nil)
 			if err != nil {
 				t.Fatalf("remount after cut %d: %v", cut, err)
 			}
@@ -251,7 +251,7 @@ func TestModelBasedRandomOps(t *testing.T) {
 			}
 
 			// Remount and verify every file against the model.
-			fs2, err := Mount(nil, &Direct{St: st}, 1, nil)
+			fs2, err := Mount(&Direct{St: st}, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

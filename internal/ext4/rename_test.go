@@ -70,7 +70,7 @@ func TestRenameAcrossDirsAndReplace(t *testing.T) {
 		t.Fatal(err) // victim's blocks must be accounted (freed)
 	}
 	// Remount durability.
-	fs2, err := Mount(nil, &Direct{St: st}, 1, nil)
+	fs2, err := Mount(&Direct{St: st}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

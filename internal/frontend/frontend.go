@@ -281,6 +281,11 @@ type DevResult struct {
 	// requests; shed requests do not appear (their cost is the shed
 	// counters, not a latency sample).
 	Sojourn *stats.Histogram
+
+	// The pad rounds the 104 B of fields up to whole cache lines: the
+	// devices' results are allocated side by side, and each device's
+	// procs write its counters on every request of a parallel drain.
+	_ [2*sim.CacheLine - 104]byte
 }
 
 // Shed is the device's total rejected+dropped count.

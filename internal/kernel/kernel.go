@@ -267,7 +267,7 @@ func NewMachineN(s *sim.Sim, dcfgs []device.Config, sts []*storage.Store, obs Ob
 		// system's clock is the node's shard clock: in a parallel
 		// drain a shard legitimately runs ahead of the global clock,
 		// and mtimes must follow the I/O that dirtied them.
-		fs, err := ext4.Mount(nil, &ext4.Direct{St: st}, dcfg.DevID, s.ShardClock(dcfg.Shard))
+		fs, err := ext4.Mount(&ext4.Direct{St: st}, dcfg.DevID, s.ShardClock(dcfg.Shard))
 		if err != nil {
 			return nil, err
 		}

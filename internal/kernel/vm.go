@@ -20,18 +20,21 @@ import (
 // As in the paper, file sharing across VMs is impossible: isolation
 // is at the block level, below the file system.
 
+// nestedWalk is the extra VBA translation cost of a guest's
+// second-level walk, on top of the paper's ~550 ns single-level
+// model: a few hundred ns is realistic for nested paging.
+const nestedWalk = 300 * sim.Nanosecond
+
 // NewGuestMachine boots a guest over vf. The guest shares the host's
-// CPU cores; nested is the extra VBA translation cost of the
-// second-level walk (0 for the paper's ~550 ns single-level model; a
-// few hundred ns is realistic for nested paging).
-func NewGuestMachine(s *sim.Sim, host *Machine, vf *device.SSD, nested sim.Time) (*Machine, error) {
+// CPU cores, and its IOMMU walks pay nestedWalk on top of the host's.
+func NewGuestMachine(s *sim.Sim, host *Machine, vf *device.SSD) (*Machine, error) {
 	// Guests count in the host's registry.
 	m := emptyMachine(s, Observers{Metrics: host.Metrics})
 	m.CPU = host.CPU // guests timeshare the host's cores
 
 	icfg := iommu.DefaultConfig()
-	icfg.WalkLatency += nested
-	icfg.MinTranslation += nested
+	icfg.WalkLatency += nestedWalk
+	icfg.MinTranslation += nestedWalk
 	mmu := iommu.New(icfg)
 	mmu.SetObservers(nil, m.Metrics)
 	vf.AttachIOMMU(mmu)
@@ -41,7 +44,7 @@ func NewGuestMachine(s *sim.Sim, host *Machine, vf *device.SSD, nested sim.Time)
 	// shares its parent device's event shard).
 	clock := s.ShardClock(vf.Config().Shard)
 	boot := &ext4.Direct{St: vf.WindowedStore()}
-	fs, err := ext4.Mount(nil, boot, vf.Config().DevID, clock)
+	fs, err := ext4.Mount(boot, vf.Config().DevID, clock)
 	if err != nil {
 		if !errors.Is(err, ext4.ErrBadFS) {
 			return nil, err
@@ -49,7 +52,7 @@ func NewGuestMachine(s *sim.Sim, host *Machine, vf *device.SSD, nested sim.Time)
 		if err := ext4.Mkfs(boot, ext4.DefaultOptions(vf.Config().CapacityBytes)); err != nil {
 			return nil, err
 		}
-		if fs, err = ext4.Mount(nil, boot, vf.Config().DevID, clock); err != nil {
+		if fs, err = ext4.Mount(boot, vf.Config().DevID, clock); err != nil {
 			return nil, err
 		}
 	}

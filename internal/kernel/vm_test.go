@@ -23,7 +23,7 @@ func carveGuests(t *testing.T, s *sim.Sim) (*Machine, *Machine, *Machine) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := NewGuestMachine(s, host, vf, 300*sim.Nanosecond)
+		g, err := NewGuestMachine(s, host, vf)
 		if err != nil {
 			t.Fatal(err)
 		}

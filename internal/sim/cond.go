@@ -11,6 +11,10 @@ package sim
 type Cond struct {
 	sim     *Sim
 	waiters []waiter
+	// The pad gives the Cond a cache line of its own: a shard's procs
+	// wait on and signal it all through a drain, and coupled setup
+	// allocates the conds of different shards side by side.
+	_ [CacheLine - 32]byte
 }
 
 // waiter is one party parked on a Cond or Resource: a proc, or a

@@ -18,9 +18,17 @@ package sim
 // shards exist (NewCPUSet sizes one lane per shard).
 type CPUSet struct {
 	cores int
-	// demand[k] is shard k's instantaneous count of threads computing
-	// or busy-polling.
-	demand []int
+	// demand[k] is shard k's lane.
+	demand []cpuLane
+}
+
+// cpuLane is one shard's instantaneous count of threads computing or
+// busy-polling, padded to a cache line of its own: every Compute and
+// BusyWait on the shard writes it, and the lanes of one set are
+// allocated side by side.
+type cpuLane struct {
+	n int
+	_ [CacheLine - 8]byte
 }
 
 // deschedulePenalty approximates the scheduler-quantum stall a
@@ -35,7 +43,7 @@ func (s *Sim) NewCPUSet(cores int) *CPUSet {
 	}
 	return &CPUSet{
 		cores:  cores,
-		demand: make([]int, len(s.shards)),
+		demand: make([]cpuLane, len(s.shards)),
 	}
 }
 
@@ -47,7 +55,7 @@ func (c *CPUSet) lane(p *Proc) *int {
 	if k >= len(c.demand) {
 		k = 0
 	}
-	return &c.demand[k]
+	return &c.demand[k].n
 }
 
 // dilation returns the processor-sharing slowdown factor for the

@@ -211,7 +211,19 @@ type shard struct {
 	procs      []*Proc
 	free       []*Proc
 	nextProcID uint64
+
+	// The pad rounds the shard's 152 B of fields up to whole cache
+	// lines, so no two shards of the array share one: a drain worker
+	// writes its shard's clock, counters and queues on every event.
+	_ [3*CacheLine - 152]byte
 }
+
+// CacheLine is the cache-line size of the hosts the simulator runs on.
+// State that every event of a parallel drain writes, but that coupled
+// setup allocates next to another shard's, is padded to whole lines
+// (DESIGN.md §15): a line two workers write would bounce between their
+// cores.
+const CacheLine = 64
 
 func newShard() shard {
 	return shard{events: newEventHeap()}
@@ -277,7 +289,9 @@ type Proc struct {
 
 	// next runs the proc's coroutine until it parks or finishes, yield
 	// (called on the coroutine) hands control back to whoever called
-	// next, and stop unwinds it (coro.go).
+	// next, and stop unwinds it (coro.go). Until the proc's first
+	// dispatch creates the coroutine, next is start and the other two
+	// are nil.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
@@ -647,13 +661,25 @@ func (s *Sim) allocProcOn(k int, name string) *Proc {
 		sh.free = sh.free[:n-1]
 		p.name = name
 	} else {
+		// The coroutine is born at the proc's first dispatch, on the
+		// context that owns shard k: coupled setup spawns procs for
+		// every shard in turn, and the runtime state each switch
+		// writes would interleave across shards in memory.
 		p = &Proc{sim: s, name: name, shard: k}
-		s.newCoroutine(p)
+		p.next = p.start
 		sh.procs = append(sh.procs, p)
 	}
 	sh.nextProcID++
 	p.id = uint64(k)<<48 | sh.nextProcID
 	return p
+}
+
+// start is p.next until the proc's first dispatch: it creates the
+// coroutine on the dispatching context and runs it. (A nil check in
+// dispatch instead cost the warm 4 KiB read ~2% of its host time.)
+func (p *Proc) start() (struct{}, bool) {
+	p.sim.newCoroutine(p)
+	return p.next()
 }
 
 // runAssignment executes p's current fn on p's coroutine, reporting
@@ -768,7 +794,9 @@ func (s *Sim) ParallelArmed() bool {
 func (s *Sim) Shutdown() {
 	for si := range s.shards {
 		for _, p := range s.shards[si].procs {
-			p.stop()
+			if p.stop != nil { // nil: spawned, never dispatched
+				p.stop()
+			}
 		}
 	}
 	for si := range s.shards {

@@ -24,6 +24,10 @@ type Histogram struct {
 	total  int64
 	sum    float64
 	max    sim.Time
+	// The pad gives the histogram a cache line of its own: the planes
+	// allocate one per device or tenant side by side in coupled setup,
+	// and each takes a sample per request in a parallel drain.
+	_ [sim.CacheLine - 48]byte
 }
 
 const subBuckets = 32

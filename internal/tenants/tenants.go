@@ -122,6 +122,11 @@ type Result struct {
 	// Lib is the tenant's UserLib degradation counters (BypassD
 	// tenants only; zero value otherwise).
 	Lib userlib.Stats
+
+	// The pad rounds the 208 B of fields up to whole cache lines: the
+	// tenants' results are allocated side by side, and each tenant's
+	// procs write its counters on every request of a parallel drain.
+	_ [4*sim.CacheLine - 208]byte
 }
 
 // Elapsed is the tenant's active window.
@@ -149,14 +154,17 @@ type request struct {
 	write bool
 }
 
-// tenantState is the generator→worker hand-off queue. The simulation
-// runs one goroutine at a time, so plain fields suffice.
+// tenantState is the generator→worker hand-off queue. Only procs on
+// the tenant's shard touch it, so plain fields suffice; the pad gives
+// it a cache line of its own, apart from other tenants' states that
+// setup allocates next to it.
 type tenantState struct {
 	queue   []request
 	head    int
 	genDone bool
 	abort   bool
 	more    *sim.Cond
+	_       [sim.CacheLine - 48]byte
 }
 
 func (t *Tenant) validate() error {
