@@ -204,13 +204,15 @@ func BenchmarkSimThroughputTraceOn(b *testing.B) { benchSimThroughput(b, true) }
 // BenchmarkSimThroughputTenantStorm measures dispatch rate under the
 // multi-tenant QoS plane: competing open-loop tenants on a weighted
 // arbiter, boot included — the simulator's worst-case event mix
-// (timers, arbitration, cross-tenant interleaving).
+// (timers, arbitration, cross-tenant interleaving). Every op runs
+// seed 1, which makes events/op exact (TestStormEventCounts pins the
+// same count) and gated alongside events/sec.
 func BenchmarkSimThroughputTenantStorm(b *testing.B) {
 	sc := tenants.NoisyNeighbor("wrr", 2, 200, 200)
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		_, ev, err := tenants.RunCountedWorkers(int64(i)+1, sc, 1)
+		_, ev, err := tenants.RunCountedWorkers(1, sc, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,6 +220,7 @@ func BenchmarkSimThroughputTenantStorm(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 // BenchmarkFrontendThroughput measures the service tier end to end:
@@ -257,7 +260,8 @@ func BenchmarkFrontendThroughput(b *testing.B) {
 // worker-invariance tests pin this), so the pair isolates the
 // parallel speedup. On a multi-core host w4 is the headline number;
 // the w4/w1 ratio is gated by cmd/benchjson when the host has the
-// cores to express it.
+// cores to express it. Every op runs seed 1, so events/op is exact
+// (TestStormEventCounts pins the same count) and gated.
 func BenchmarkSimThroughputSharded(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
@@ -266,7 +270,7 @@ func BenchmarkSimThroughputSharded(b *testing.B) {
 			b.ReportAllocs()
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				_, ev, err := tenants.RunCountedWorkers(int64(i)+1, sc, workers)
+				_, ev, err := tenants.RunCountedWorkers(1, sc, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -274,6 +278,7 @@ func BenchmarkSimThroughputSharded(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 		})
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tenants"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // jsonResult is one experiment's machine-readable outcome.
@@ -79,7 +80,7 @@ func runScenario(tenantsF, frontF string, seed int64, devices, shardWorkers int,
 		sc, ok := tenants.ByName(tenantsF)
 		if !ok {
 			var err error
-			if sc, err = tenants.Load(tenantsF); err != nil {
+			if sc, err = workload.Load[tenants.Scenario](tenantsF); err != nil {
 				return nil, "", fmt.Errorf("-tenants %q: not a builtin scenario (try -list) and %v", tenantsF, err)
 			}
 		}
@@ -99,7 +100,7 @@ func runScenario(tenantsF, frontF string, seed int64, devices, shardWorkers int,
 	fl, ok := frontend.ByName(frontF)
 	if !ok {
 		var err error
-		if fl, err = frontend.Load(frontF); err != nil {
+		if fl, err = workload.Load[frontend.Fleet](frontF); err != nil {
 			return nil, "", fmt.Errorf("-frontend %q: not a builtin fleet (try -list) and %v", frontF, err)
 		}
 	}

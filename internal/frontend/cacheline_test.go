@@ -7,15 +7,23 @@ import (
 	"repro/internal/sim"
 )
 
-// TestDevResultWholeCacheLines: the devices' results are allocated side
-// by side in coupled setup, and each device's procs write theirs on
-// every request of a parallel drain, so a DevResult must occupy whole
-// cache lines.
+// TestDevResultWholeCacheLines: the devices' results and shared
+// serving states are allocated side by side in coupled setup, and each
+// device's procs write theirs on every request of a parallel drain, so
+// both must occupy whole cache lines.
 func TestDevResultWholeCacheLines(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pads are sized for 64-bit hosts")
 	}
-	if n := unsafe.Sizeof(DevResult{}); n%sim.CacheLine != 0 {
-		t.Errorf("DevResult is %d B, not a whole number of %d B lines", n, sim.CacheLine)
+	for _, c := range []struct {
+		name string
+		size uintptr
+	}{
+		{"DevResult", unsafe.Sizeof(DevResult{})},
+		{"devState", unsafe.Sizeof(devState{})},
+	} {
+		if c.size%sim.CacheLine != 0 {
+			t.Errorf("%s is %d B, not a whole number of %d B lines", c.name, c.size, sim.CacheLine)
+		}
 	}
 }

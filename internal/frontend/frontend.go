@@ -192,6 +192,12 @@ func (fl Fleet) routeCost() sim.Time {
 	return fl.RouteNS
 }
 
+// stream is one device's arrival stream: its share of the offered
+// load, in the fleet's shape.
+func (fl Fleet) stream() workload.StreamConfig {
+	return workload.StreamConfig{RateOps: fl.RateOps / float64(fl.NumDevices()), Shape: fl.Shape}
+}
+
 // normalized validates the fleet and fills defaults.
 func (fl Fleet) normalized() (Fleet, error) {
 	ndev := fl.NumDevices()
@@ -208,11 +214,8 @@ func (fl Fleet) normalized() (Fleet, error) {
 	if fl.Requests < ndev {
 		return fl, fmt.Errorf("frontend: %d requests across %d devices", fl.Requests, ndev)
 	}
-	if fl.RateOps <= 0 {
-		return fl, fmt.Errorf("frontend: rate must be positive, got %g", fl.RateOps)
-	}
-	if !workload.ValidShape(fl.Shape) {
-		return fl, fmt.Errorf("frontend: unknown load shape %q", fl.Shape)
+	if _, err := workload.NewStream(fl.stream()); err != nil {
+		return fl, fmt.Errorf("frontend: %w", err)
 	}
 	if !ValidPolicy(fl.Admission) {
 		return fl, fmt.Errorf("frontend: unknown admission policy %q", fl.Admission)
@@ -264,6 +267,10 @@ func (fl Fleet) normalized() (Fleet, error) {
 type DevResult struct {
 	Device int
 
+	// The window, the sojourn of completed requests (shed ones cost the
+	// shed counters), the peak admitted backlog and the arrival spikes.
+	workload.Tally
+
 	Offered     int64 // arrivals generated for this device
 	Admitted    int64 // arrivals that entered the backlog
 	ShedArrival int64 // rejected at the door (token / queue cap)
@@ -271,16 +278,6 @@ type DevResult struct {
 	Completed   int64 // served end to end
 	SLOMet      int64 // completed with sojourn <= SLO (when SLO > 0)
 	UsersServed int64 // distinct users with >= 1 completed request
-	Bursts      int64 // injected arrival spikes (faults.SiteTenantBurst)
-	PeakBacklog int   // largest admitted backlog observed
-
-	Start sim.Time // first arrival
-	End   sim.Time // last completion
-
-	// Sojourn is the arrival-to-completion distribution of completed
-	// requests; shed requests do not appear (their cost is the shed
-	// counters, not a latency sample).
-	Sojourn *stats.Histogram
 
 	// The pad rounds the 104 B of fields up to whole cache lines: the
 	// devices' results are allocated side by side, and each device's
@@ -378,59 +375,20 @@ func (r *Result) SLOCompliance() float64 {
 	return 100 * float64(r.sum(func(d *DevResult) int64 { return d.SLOMet })) / float64(done)
 }
 
-// request is one admitted arrival.
-type request struct {
-	at    sim.Time
-	pidx  uint64 // index into the device's user partition
-	key   uint64
-	write bool
-}
-
-// classQ is one fairness class's FIFO.
-type classQ struct {
-	q    []request
-	head int
-}
-
-// devState is a device's generator→pool hand-off: fairness queues,
-// admission state, and accounting. Only procs on the device's event
-// shard touch it.
+// devState is what a device's workers share beyond its queue: the
+// CoDel controller and the users they served. Only procs on the
+// device's event shard touch it; the pad gives it a cache line of its
+// own, apart from the other devices' states that setup allocates next
+// to it.
 type devState struct {
-	classes [fairnessClasses]classQ
-	backlog int
-	rr      int // next fairness class to scan
-	genDone bool
-	abort   bool
-	more    *sim.Cond
-
-	// Token bucket (AdmitToken).
-	tokens   float64
-	lastFill sim.Time
+	q *workload.Queue
 
 	// CoDel (AdmitCoDel).
 	firstAbove sim.Time
 	tripped    bool
 
 	served []uint64 // bitset over the device's user partition
-}
-
-// dequeue pops the next request round-robin across fairness classes.
-// Callers check backlog > 0 first.
-func (ds *devState) dequeue() request {
-	for {
-		c := &ds.classes[ds.rr%fairnessClasses]
-		ds.rr++
-		if c.head < len(c.q) {
-			req := c.q[c.head]
-			c.head++
-			if c.head == len(c.q) {
-				c.q = c.q[:0]
-				c.head = 0
-			}
-			ds.backlog--
-			return req
-		}
-	}
+	_      [sim.CacheLine - 48]byte
 }
 
 // codelDrop runs the CoDel control law at dequeue: queueing delay
@@ -528,9 +486,9 @@ func runSim(seed int64, fl Fleet, workers int) (*Result, *sim.Sim, error) {
 	states := make([]*devState, ndev)
 	for d := 0; d < ndev; d++ {
 		p := partSize(fl.Users, ndev, d)
-		res.Devices[d] = &DevResult{Device: d, Sojourn: stats.NewHistogram()}
+		res.Devices[d] = &DevResult{Device: d}
 		states[d] = &devState{
-			more:   sys.Sim.NewCond(),
+			q:      workload.NewQueue(sys.Sim, fairnessClasses, &res.Devices[d].Tally),
 			served: make([]uint64, (p+63)/64),
 		}
 	}
@@ -555,7 +513,7 @@ func runSim(seed int64, fl Fleet, workers int) (*Result, *sim.Sim, error) {
 			prs[wi] = sys.NewProcessOn(ext4.Root, wi%ndev)
 		}
 		for d := 0; d < ndev; d++ {
-			startDevice(sys, bk, fl, seed, d, states[d], res.Devices[d], fail)
+			startDevice(sys, fl, seed, d, states[d].q, res.Devices[d])
 		}
 		for wi := 0; wi < fl.Pool; wi++ {
 			startWorker(sys, bk, fl, wi, prs[wi], states[wi%ndev], res.Devices[wi%ndev], fail)
@@ -576,9 +534,12 @@ func runSim(seed int64, fl Fleet, workers int) (*Result, *sim.Sim, error) {
 }
 
 // startDevice spawns device d's arrival generator on its event shard.
-// The generator owns the device's rng, its admission decisions, and
-// its fairness queues' tails.
-func startDevice(sys *core.System, bk backend, fl Fleet, seed int64, d int, ds *devState, dr *DevResult, fail func(error)) {
+// The generator owns the device's rng and its admission decisions: a
+// user pick, the door's token bucket and queue cap, and the user's
+// fairness class. Everything it writes per arrival is built inside its
+// proc, so a parallel drain never shares a cache line between two
+// devices' generators.
+func startDevice(sys *core.System, fl Fleet, seed int64, d int, q *workload.Queue, dr *DevResult) {
 	shard := sys.M.Nodes[d].Shard
 	ndev := fl.Devices
 	part := partSize(fl.Users, ndev, d)
@@ -588,16 +549,7 @@ func startDevice(sys *core.System, bk backend, fl Fleet, seed int64, d int, ds *
 
 	sys.Sim.SpawnOn(shard, fmt.Sprintf("frontend-gen-%d", d), func(g *sim.Proc) {
 		rng := rand.New(rand.NewSource(seed*104729 + int64(d)*7919 + 29))
-		stream, err := workload.NewStream(workload.StreamConfig{
-			RateOps: fl.RateOps / float64(ndev),
-			Shape:   fl.Shape,
-		})
-		if err != nil {
-			fail(err)
-			ds.genDone = true
-			ds.more.Broadcast()
-			return
-		}
+		stream, _ := workload.NewStream(fl.stream()) // normalized checked it
 		zipf := workload.NewZipf(part, workload.DefaultZipfTheta)
 		// Coverage walk: a seeded affine bijection over the device's
 		// user partition, so the non-hot arrivals visit every user the
@@ -610,25 +562,9 @@ func startDevice(sys *core.System, bk backend, fl Fleet, seed int64, d int, ds *
 		var walkI, hotMark uint64
 
 		tokenRate := fl.TokenRate / float64(ndev) // tokens/sec for this device
-		ds.tokens = float64(fl.TokenBurst)
-		inj := sys.M.Faults
-		burst := 0
-		for i := 0; i < reqs && !ds.abort; i++ {
-			if burst > 0 {
-				burst--
-			} else {
-				if gap := stream.Next(rng, g.Now()); gap > 0 {
-					g.Sleep(gap)
-				}
-				if inj.Fire(faults.SiteTenantBurst) {
-					burst = faults.BurstArrivals - 1
-					dr.Bursts++
-				}
-			}
-			now := g.Now()
-			if dr.Start == 0 {
-				dr.Start = now
-			}
+		tokens := float64(fl.TokenBurst)
+		var lastFill sim.Time
+		q.Generate(g, rng, stream, reqs, sys.M.Faults, func(i int, now sim.Time) (workload.Request, int) {
 			// User pick: the deterministic hot cadence keeps the walk's
 			// coverage guarantee exact at any seed.
 			var pidx uint64
@@ -647,42 +583,30 @@ func startDevice(sys *core.System, bk backend, fl Fleet, seed int64, d int, ds *
 			admit := true
 			switch fl.Admission {
 			case AdmitToken:
-				ds.tokens += float64(now-ds.lastFill) * tokenRate / 1e9
-				if ds.tokens > float64(fl.TokenBurst) {
-					ds.tokens = float64(fl.TokenBurst)
+				tokens += float64(now-lastFill) * tokenRate / 1e9
+				if tokens > float64(fl.TokenBurst) {
+					tokens = float64(fl.TokenBurst)
 				}
-				ds.lastFill = now
-				if fl.QueueCap > 0 && ds.backlog >= fl.QueueCap {
+				lastFill = now
+				if fl.QueueCap > 0 && q.Backlog() >= fl.QueueCap {
 					admit = false
-				} else if ds.tokens >= 1 {
-					ds.tokens--
+				} else if tokens >= 1 {
+					tokens--
 				} else {
 					admit = false
 				}
 			case AdmitCoDel:
-				admit = fl.QueueCap <= 0 || ds.backlog < fl.QueueCap
+				admit = fl.QueueCap <= 0 || q.Backlog() < fl.QueueCap
 			}
 			if !admit {
 				dr.ShedArrival++
 				mShed.Inc()
-				continue
+				return workload.Request{}, -1
 			}
 			dr.Admitted++
-			class := int((workload.Scramble(user) >> 32) % fairnessClasses)
-			ds.classes[class].q = append(ds.classes[class].q, request{
-				at:    now,
-				pidx:  pidx,
-				key:   workload.Scramble(user) % fl.StoreKeys,
-				write: write,
-			})
-			ds.backlog++
-			if ds.backlog > dr.PeakBacklog {
-				dr.PeakBacklog = ds.backlog
-			}
-			ds.more.Signal()
-		}
-		ds.genDone = true
-		ds.more.Broadcast()
+			h := workload.Scramble(user)
+			return workload.Request{Key: h % fl.StoreKeys, User: pidx, Write: write}, int((h >> 32) % fairnessClasses)
+		})
 	})
 }
 
@@ -708,52 +632,41 @@ func startWorker(sys *core.System, bk backend, fl Fleet, wi int, pr *kernel.Proc
 	sys.Sim.SpawnOn(shard, fmt.Sprintf("frontend-w%d", wi), func(w *sim.Proc) {
 		abort := func(err error) {
 			fail(err)
-			ds.abort = true
-			ds.more.Broadcast()
+			ds.q.Abort()
 		}
 		srv, err := bk.newServer(w, sys, pr, d, fl)
 		if err != nil {
 			abort(err)
 			return
 		}
-		for !ds.abort {
-			if ds.backlog > 0 {
-				req := ds.dequeue()
-				if fl.Admission == AdmitCoDel && ds.codelDrop(w.Now(), req.at, target, interval) {
-					dr.ShedQueue++
-					mShed.Inc()
-					continue
-				}
-				if route > 0 {
-					w.Sleep(route)
-				}
-				if err := srv.do(w, req.key, req.write); err != nil {
-					abort(fmt.Errorf("frontend: worker %d: %w", wi, err))
-					return
-				}
-				now := w.Now()
-				soj := now - req.at
-				dr.Sojourn.Add(soj)
-				dr.Completed++
-				mDone.Inc()
-				mSojourn.Observe(soj)
-				if fl.SLO > 0 && soj <= fl.SLO {
-					dr.SLOMet++
-				}
-				ds.served[req.pidx/64] |= 1 << (req.pidx % 64)
-				if now > dr.End {
-					dr.End = now
-				}
-				continue
+		serve := func(r workload.Request) bool {
+			if fl.Admission == AdmitCoDel && ds.codelDrop(w.Now(), r.At, target, interval) {
+				dr.ShedQueue++
+				mShed.Inc()
+				return false
 			}
-			// Empty queue: the overload (if any) has drained; re-arm the
-			// CoDel controller.
-			ds.tripped, ds.firstAbove = false, 0
-			if ds.genDone {
-				return
+			if route > 0 {
+				w.Sleep(route)
 			}
-			ds.more.Wait(w)
+			if err := srv.do(w, r.Key, r.Write); err != nil {
+				abort(fmt.Errorf("frontend: worker %d: %w", wi, err))
+				return false
+			}
+			return true
 		}
+		count := func(r workload.Request, soj sim.Time) {
+			dr.Completed++
+			mDone.Inc()
+			mSojourn.Observe(soj)
+			if fl.SLO > 0 && soj <= fl.SLO {
+				dr.SLOMet++
+			}
+			ds.served[r.User/64] |= 1 << (r.User % 64)
+		}
+		// An empty queue means the overload (if any) has drained:
+		// re-arm the CoDel controller.
+		idle := func() { ds.tripped, ds.firstAbove = false, 0 }
+		ds.q.Serve(w, serve, count, idle)
 	})
 }
 

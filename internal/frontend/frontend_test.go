@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -65,14 +64,14 @@ func TestFleetJSONRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := workload.Load[Fleet](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != fl {
 		t.Fatalf("round trip changed the fleet:\n%+v\nvs\n%+v", got, fl)
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := workload.Load[Fleet](filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file loaded")
 	}
 }
@@ -300,8 +299,6 @@ func TestMillionUsers(t *testing.T) {
 		t.Fatalf("served %d distinct users, want %d", got, 1<<17)
 	}
 }
-
-var _ = sim.Time(0)
 
 // TestFleetEventCounts pins exactly what the FrontendThroughput
 // benchmark's token fleet costs the simulator at seed 1: events

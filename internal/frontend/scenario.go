@@ -1,9 +1,7 @@
 package frontend
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -81,20 +79,6 @@ func ByName(name string) (Fleet, bool) {
 		}
 	}
 	return Fleet{}, false
-}
-
-// Load reads a fleet from a JSON file (the bypassd-bench -frontend
-// config format; see EXPERIMENTS.md for the schema).
-func Load(path string) (Fleet, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Fleet{}, err
-	}
-	var fl Fleet
-	if err := json.Unmarshal(data, &fl); err != nil {
-		return Fleet{}, fmt.Errorf("frontend: %s: %w", path, err)
-	}
-	return fl, nil
 }
 
 // ReportTable renders a fleet run: one row per device plus a fleet

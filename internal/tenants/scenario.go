@@ -1,9 +1,7 @@
 package tenants
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/nvme"
@@ -145,20 +143,6 @@ func ByName(name string) (Scenario, bool) {
 		}
 	}
 	return Scenario{}, false
-}
-
-// Load reads a scenario from a JSON file (the bypassd-bench -tenants
-// config format; see EXPERIMENTS.md for the schema).
-func Load(path string) (Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Scenario{}, err
-	}
-	var sc Scenario
-	if err := json.Unmarshal(data, &sc); err != nil {
-		return Scenario{}, fmt.Errorf("tenants: %s: %w", path, err)
-	}
-	return sc, nil
 }
 
 // ReportTable renders per-tenant results — achieved load, sojourn

@@ -43,24 +43,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Arrival selects a tenant's arrival process: workload.Poisson (the
-// default) or workload.Fixed, shared with the frontend service tier.
-type Arrival = workload.Process
-
 // Tenant describes one client of the shared device.
 type Tenant struct {
 	Name   string      `json:"name"`
 	Engine core.Engine `json:"engine"`
 
-	Arrival   Arrival  `json:"arrival,omitempty"` // default Poisson
-	RateOps   float64  `json:"rate_ops"`          // offered load, requests/sec
-	Ops       int      `json:"ops"`               // arrivals to generate
-	BS        int      `json:"bs"`                // request size, bytes
-	WriteFrac float64  `json:"write_frac,omitempty"`
-	FileBytes int64    `json:"file_bytes"`
-	QD        int      `json:"qd,omitempty"` // service contexts; default 1
-	QoS       nvme.QoS `json:"qos,omitempty"`
-	SLO       sim.Time `json:"slo_ns,omitempty"` // per-request target; 0 = none
+	Arrival   workload.Process `json:"arrival,omitempty"` // default Poisson
+	RateOps   float64          `json:"rate_ops"`          // offered load, requests/sec
+	Ops       int              `json:"ops"`               // arrivals to generate
+	BS        int              `json:"bs"`                // request size, bytes
+	WriteFrac float64          `json:"write_frac,omitempty"`
+	FileBytes int64            `json:"file_bytes"`
+	QD        int              `json:"qd,omitempty"` // service contexts; default 1
+	QoS       nvme.QoS         `json:"qos,omitempty"`
+	SLO       sim.Time         `json:"slo_ns,omitempty"` // per-request target; 0 = none
 }
 
 // Scenario is a complete multi-tenant run.
@@ -106,27 +102,20 @@ func (sc Scenario) placement(ti int) int { return ti % sc.NumDevices() }
 type Result struct {
 	Tenant Tenant
 
-	Ops   int64
-	Bytes int64
-	Start sim.Time // first arrival
-	End   sim.Time // last completion
+	workload.Tally // first arrival, last completion, sojourn, peak backlog
 
-	// Sojourn is the arrival-to-completion latency distribution; on an
-	// open-loop tenant this includes time spent queued behind the
-	// tenant's own backlog, which closed-loop harnesses cannot see.
-	Sojourn *stats.Histogram
-
-	Compliant   int64 // requests with sojourn <= SLO (when SLO > 0)
-	PeakBacklog int   // largest generated-but-unclaimed backlog observed
+	Ops       int64
+	Bytes     int64
+	Compliant int64 // requests with sojourn <= SLO (when SLO > 0)
 
 	// Lib is the tenant's UserLib degradation counters (BypassD
 	// tenants only; zero value otherwise).
 	Lib userlib.Stats
 
-	// The pad rounds the 208 B of fields up to whole cache lines: the
+	// The pad rounds the 216 B of fields up to whole cache lines: the
 	// tenants' results are allocated side by side, and each tenant's
 	// procs write its counters on every request of a parallel drain.
-	_ [4*sim.CacheLine - 208]byte
+	_ [4*sim.CacheLine - 216]byte
 }
 
 // Elapsed is the tenant's active window.
@@ -147,26 +136,6 @@ func (r *Result) Compliance() float64 {
 	return 100 * float64(r.Compliant) / float64(r.Ops)
 }
 
-// request is one generated arrival.
-type request struct {
-	at    sim.Time
-	off   int64
-	write bool
-}
-
-// tenantState is the generator→worker hand-off queue. Only procs on
-// the tenant's shard touch it, so plain fields suffice; the pad gives
-// it a cache line of its own, apart from other tenants' states that
-// setup allocates next to it.
-type tenantState struct {
-	queue   []request
-	head    int
-	genDone bool
-	abort   bool
-	more    *sim.Cond
-	_       [sim.CacheLine - 48]byte
-}
-
 func (t *Tenant) validate() error {
 	if t.Name == "" {
 		return fmt.Errorf("tenants: tenant needs a name")
@@ -177,16 +146,18 @@ func (t *Tenant) validate() error {
 	if t.FileBytes < int64(t.BS) {
 		return fmt.Errorf("tenants: %s: file smaller than one request", t.Name)
 	}
-	if t.RateOps <= 0 {
-		return fmt.Errorf("tenants: %s: rate must be positive", t.Name)
-	}
 	if t.Ops <= 0 {
 		return fmt.Errorf("tenants: %s: ops must be positive", t.Name)
 	}
-	if !workload.ValidProcess(t.Arrival) {
-		return fmt.Errorf("tenants: %s: unknown arrival process %q", t.Name, t.Arrival)
+	if _, err := workload.NewStream(t.stream()); err != nil {
+		return fmt.Errorf("tenants: %s: %w", t.Name, err)
 	}
 	return nil
+}
+
+// stream is the tenant's arrival stream.
+func (t *Tenant) stream() workload.StreamConfig {
+	return workload.StreamConfig{RateOps: t.RateOps, Process: t.Arrival}
 }
 
 // RunCountedWorkers executes a scenario on one freshly booted system
@@ -261,7 +232,7 @@ func runSim(seed int64, sc Scenario, workers int) ([]*Result, *sim.Sim, error) {
 	results := make([]*Result, len(sc.Tenants))
 	procs := make([]*kernel.Process, len(sc.Tenants))
 	for i := range sc.Tenants {
-		results[i] = &Result{Tenant: sc.Tenants[i], Sojourn: stats.NewHistogram()}
+		results[i] = &Result{Tenant: sc.Tenants[i]}
 	}
 	// Tenant pipelines are device-affine (everything a tenant does
 	// happens on its device's shard), which is exactly the confinement
@@ -317,15 +288,12 @@ func tenantPath(ti int) string { return fmt.Sprintf("/tenants/t%d", ti) }
 // workers on the scenario's simulation. The tenant's procs run on its
 // device's event shard, keeping each device's whole stream — arrivals,
 // submissions, completions — in one lane of the deterministic merge.
+// A tenant's queue is one class that admits every arrival.
 func startTenant(sys *core.System, pr *kernel.Process, t *Tenant, ti int, seed int64, res *Result, fail func(error)) {
 	shard := sys.M.Nodes[pr.Node()].Shard
-	st := &tenantState{more: sys.Sim.NewCond()}
+	q := workload.NewQueue(sys.Sim, 1, &res.Tally)
 	path := tenantPath(ti)
 	writable := t.WriteFrac > 0
-	qd := t.QD
-	if qd < 1 {
-		qd = 1
-	}
 	reg := sys.M.Metrics
 	mOps := reg.Counter("tenant_ops_total", "tenant", t.Name)
 	mMiss := reg.Counter("tenant_slo_miss_total", "tenant", t.Name)
@@ -335,45 +303,21 @@ func startTenant(sys *core.System, pr *kernel.Process, t *Tenant, ti int, seed i
 		// One stream per tenant, drawn only here: arrival instants and
 		// request contents never depend on service order.
 		rng := rand.New(rand.NewSource(seed*7919 + int64(ti)*104729 + 17))
+		stream, _ := workload.NewStream(t.stream()) // validate checked it
 		blocks := t.FileBytes / int64(t.BS)
-		inj := sys.M.Faults
-		burst := 0
-		for i := 0; i < t.Ops && !st.abort; i++ {
-			if burst > 0 {
-				burst--
-			} else {
-				if gap := workload.Interarrival(rng, t.Arrival, t.RateOps); gap > 0 {
-					g.Sleep(gap)
-				}
-				if inj.Fire(faults.SiteTenantBurst) {
-					// Arrival spike: this and the next faults.BurstArrivals-1
-					// requests land at one instant.
-					burst = faults.BurstArrivals - 1
-				}
-			}
-			if res.Start == 0 {
-				res.Start = g.Now()
-			}
-			st.queue = append(st.queue, request{
-				at:    g.Now(),
-				off:   rng.Int63n(blocks) * int64(t.BS),
-				write: rng.Float64() < t.WriteFrac,
-			})
-			if backlog := len(st.queue) - st.head; backlog > res.PeakBacklog {
-				res.PeakBacklog = backlog
-			}
-			st.more.Signal()
-		}
-		st.genDone = true
-		st.more.Broadcast()
+		q.Generate(g, rng, stream, t.Ops, sys.M.Faults, func(int, sim.Time) (workload.Request, int) {
+			return workload.Request{
+				Key:   uint64(rng.Int63n(blocks) * int64(t.BS)),
+				Write: rng.Float64() < t.WriteFrac,
+			}, 0
+		})
 	})
 
-	for wi := 0; wi < qd; wi++ {
+	for wi := 0; wi < max(t.QD, 1); wi++ {
 		sys.Sim.SpawnOn(shard, fmt.Sprintf("tenant-%s-w%d", t.Name, wi), func(w *sim.Proc) {
 			abort := func(err error) {
 				fail(err)
-				st.abort = true
-				st.more.Broadcast()
+				q.Abort()
 			}
 			io, err := sys.NewFileIO(w, pr, t.Engine)
 			if err != nil {
@@ -386,44 +330,33 @@ func startTenant(sys *core.System, pr *kernel.Process, t *Tenant, ti int, seed i
 				return
 			}
 			buf := make([]byte, t.BS)
-			for !st.abort {
-				if st.head < len(st.queue) {
-					req := st.queue[st.head]
-					st.head++
-					var err error
-					if req.write {
-						_, err = io.Pwrite(w, fd, buf, req.off)
-					} else {
-						_, err = io.Pread(w, fd, buf, req.off)
-					}
-					if err != nil {
-						abort(fmt.Errorf("tenants: %s: %w", t.Name, err))
-						return
-					}
-					now := w.Now()
-					soj := now - req.at
-					res.Sojourn.Add(soj)
-					res.Ops++
-					res.Bytes += int64(t.BS)
-					mOps.Inc()
-					mSojourn.Observe(soj)
-					if t.SLO > 0 {
-						if soj <= t.SLO {
-							res.Compliant++
-						} else {
-							mMiss.Inc()
-						}
-					}
-					if now > res.End {
-						res.End = now
-					}
-					continue
+			serve := func(r workload.Request) bool {
+				var err error
+				if r.Write {
+					_, err = io.Pwrite(w, fd, buf, int64(r.Key))
+				} else {
+					_, err = io.Pread(w, fd, buf, int64(r.Key))
 				}
-				if st.genDone {
-					return
+				if err != nil {
+					abort(fmt.Errorf("tenants: %s: %w", t.Name, err))
+					return false
 				}
-				st.more.Wait(w)
+				return true
 			}
+			count := func(_ workload.Request, soj sim.Time) {
+				res.Ops++
+				res.Bytes += int64(t.BS)
+				mOps.Inc()
+				mSojourn.Observe(soj)
+				if t.SLO > 0 {
+					if soj <= t.SLO {
+						res.Compliant++
+					} else {
+						mMiss.Inc()
+					}
+				}
+			}
+			q.Serve(w, serve, count, nil)
 		})
 	}
 }

@@ -191,7 +191,7 @@ func TestScenarioJSON(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := workload.Load[Scenario](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestScenarioJSON(t *testing.T) {
 	if got.Tenants[0].QoS != sc.Tenants[0].QoS || got.Tenants[0].SLO != sc.Tenants[0].SLO {
 		t.Fatalf("tenant fields lost: %+v", got.Tenants[0])
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := workload.Load[Scenario](filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("loading a missing file succeeded")
 	}
 }
@@ -228,23 +228,32 @@ func TestBuiltinsRunnable(t *testing.T) {
 	}
 }
 
-// TestStormEventCounts pins exactly what the TenantStorm benchmark's
-// noisy-neighbor scenario costs the simulator at seed 1: events
+// TestStormEventCounts pins exactly what the TenantStorm and Sharded
+// benchmarks' scenarios cost the simulator at seed 1: events
 // dispatched, proc resumes among them, and resumes that switched
 // coroutines. The goldens pin only virtual time, so this is what
 // catches a refactor that adds or drops an event, a resume or a switch
-// without moving a latency. The scenario is single-device and never
-// arms the parallel drain, so the counts hold at every worker count.
+// without moving a latency. The noisy-neighbor scenario is
+// single-device and never arms the parallel drain; the four-SSD
+// scale-out runs its traffic under the drain. Both counts hold at
+// every worker count.
 func TestStormEventCounts(t *testing.T) {
-	sc := NoisyNeighbor("wrr", 2, 200, 200)
-	for _, workers := range []int{1, 2, 4} {
-		_, s, err := runSim(1, sc, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev, res, sw := s.Processed(), s.Resumed(), s.Switched(); ev != 5084 || res != 3208 || sw != 2361 {
-			t.Errorf("tenant storm at %d workers: %d events, %d resumes, %d switches; want 5084, 3208, 2361",
-				workers, ev, res, sw)
+	for _, c := range []struct {
+		sc                        Scenario
+		events, resumes, switches uint64
+	}{
+		{NoisyNeighbor("wrr", 2, 200, 200), 5084, 3208, 2361},
+		{ScaleOut(4, 400, 400), 26380, 16524, 11272},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			_, s, err := runSim(1, c.sc, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev, res, sw := s.Processed(), s.Resumed(), s.Switched(); ev != c.events || res != c.resumes || sw != c.switches {
+				t.Errorf("%s at %d workers: %d events, %d resumes, %d switches; want %d, %d, %d",
+					c.sc.Name, workers, ev, res, sw, c.events, c.resumes, c.switches)
+			}
 		}
 	}
 }

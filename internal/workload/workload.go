@@ -1,23 +1,34 @@
-// Package workload is the shared traffic-generation toolkit: seeded
-// arrival processes, bounded Zipf popularity, and time-varying load
-// shapes, all on the virtual clock.
+// Package workload is the open-loop traffic engine both traffic
+// planes run on — internal/tenants (tens of tenants, each a full
+// process) and internal/frontend (millions of simulated users over a
+// bounded worker pool) — plus the pieces it draws from: seeded arrival
+// streams, bounded Zipf popularity and time-varying load shapes, all
+// on the virtual clock.
 //
-// Both traffic tiers draw from here — internal/tenants (tens of
-// tenants, each a full process) and internal/frontend (millions of
-// simulated users over a bounded worker pool) — so an arrival process
-// has exactly one implementation and one determinism argument: every
-// draw comes from a caller-owned *rand.Rand seeded from the scenario,
-// consumed only by the generator that owns it, so a fixed seed
-// replays every arrival instant at any host parallelism. The Zipf
-// sampler is the YCSB generator (Gray et al.'s algorithm) that
-// internal/ycsb has always used, now shared so key-popularity skew in
-// the service tier and in the KV benchmarks is the same distribution.
+// The engine is a Queue of round-robin FIFO classes with one arrival
+// loop (Queue.Generate) and one worker loop (Queue.Serve). A plane
+// supplies only what differs, as hooks: how an arrival becomes a
+// request and which class it joins, or whether it is shed; how a
+// worker serves one; what it counts per served request; and what it
+// does when it finds the queue idle. Tenants use one class and admit
+// everything; the frontend uses 32 fairness classes with token-bucket
+// admission at the door and CoDel drops at dequeue.
+//
+// Determinism: every draw comes from a caller-owned *rand.Rand seeded
+// from the scenario and consumed only by the generator proc that owns
+// it, so a fixed seed replays every arrival instant at any host
+// parallelism. The Zipf sampler is the YCSB generator (Gray et al.'s
+// algorithm) that internal/ycsb has always used, shared so key
+// popularity skew in the service tier and in the KV benchmarks is the
+// same distribution.
 package workload
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sync"
 
 	"repro/internal/sim"
@@ -34,28 +45,6 @@ const (
 	// Fixed spaces arrivals exactly 1/rate apart.
 	Fixed Process = "fixed"
 )
-
-// Interarrival draws the next gap for an arrival process offering
-// rateOps requests/sec. An empty (or unknown) process is Poisson, the
-// historical tenants default. Poisson consumes exactly one ExpFloat64
-// draw from rng; Fixed consumes none.
-func Interarrival(rng *rand.Rand, proc Process, rateOps float64) sim.Time {
-	period := 1e9 / rateOps
-	if proc == Fixed {
-		return sim.Time(period)
-	}
-	return sim.Time(rng.ExpFloat64() * period)
-}
-
-// ValidProcess reports whether name is a supported arrival process
-// ("" reads as Poisson).
-func ValidProcess(name Process) bool {
-	switch name {
-	case "", Poisson, Fixed:
-		return true
-	}
-	return false
-}
 
 // DefaultZipfTheta is the YCSB skew parameter.
 const DefaultZipfTheta = 0.99
@@ -174,20 +163,11 @@ const (
 	Bursty Shape = "bursty"
 )
 
-// ValidShape reports whether name is a supported shape ("" reads as
-// Steady).
-func ValidShape(name Shape) bool {
-	switch name {
-	case "", Steady, Diurnal, Bursty:
-		return true
-	}
-	return false
-}
-
 // StreamConfig describes one arrival stream.
 type StreamConfig struct {
 	RateOps float64 // mean offered rate, requests/sec
 	Shape   Shape   // default Steady
+	Process Process // default Poisson; Fixed ignores Shape
 }
 
 // The load shapes' fixed parameters.
@@ -220,8 +200,15 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	if cfg.RateOps <= 0 {
 		return nil, fmt.Errorf("workload: rate must be positive, got %g", cfg.RateOps)
 	}
-	if !ValidShape(cfg.Shape) {
+	switch cfg.Shape {
+	case "", Steady, Diurnal, Bursty:
+	default:
 		return nil, fmt.Errorf("workload: unknown load shape %q", cfg.Shape)
+	}
+	switch cfg.Process {
+	case "", Poisson, Fixed:
+	default:
+		return nil, fmt.Errorf("workload: unknown arrival process %q", cfg.Process)
 	}
 	s := &Stream{cfg: cfg, peak: cfg.RateOps}
 	switch cfg.Shape {
@@ -273,18 +260,42 @@ func (s *Stream) rateAt(rng *rand.Rand, t sim.Time) float64 {
 	}
 }
 
-// Next returns the gap from now to the stream's next arrival. Steady
-// streams draw Poisson interarrivals; shaped streams thin a Poisson
+// Next returns the gap from now to the stream's next arrival. Fixed
+// streams space arrivals exactly 1/rate apart and draw nothing; steady
+// streams draw one Poisson interarrival; shaped streams thin a Poisson
 // envelope at the peak rate.
 func (s *Stream) Next(rng *rand.Rand, now sim.Time) sim.Time {
+	if s.cfg.Process == Fixed {
+		return sim.Time(1e9 / s.cfg.RateOps)
+	}
 	if s.cfg.Shape == "" || s.cfg.Shape == Steady {
-		return Interarrival(rng, Poisson, s.cfg.RateOps)
+		return poisson(rng, s.cfg.RateOps)
 	}
 	t := now
 	for {
-		t += Interarrival(rng, Poisson, s.peak)
+		t += poisson(rng, s.peak)
 		if rng.Float64()*s.peak <= s.rateAt(rng, t) {
 			return t - now
 		}
 	}
+}
+
+// poisson draws an exponential interarrival gap at rateOps
+// requests/sec from exactly one ExpFloat64 draw.
+func poisson(rng *rand.Rand, rateOps float64) sim.Time {
+	return sim.Time(rng.ExpFloat64() * (1e9 / rateOps))
+}
+
+// Load reads a JSON scenario file into a T: the config format of
+// bypassd-bench's -tenants and -frontend flags (see EXPERIMENTS.md).
+func Load[T any](path string) (T, error) {
+	var v T
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return v, err
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return v, fmt.Errorf("%s: %w", path, err)
+	}
+	return v, nil
 }

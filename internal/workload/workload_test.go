@@ -9,11 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// The refactor contract: Interarrival must reproduce the historical
-// internal/tenants draw stream bit for bit — same rng consumption,
-// same rounding — for both processes, across seeds and rates. The
-// reference below is the pre-refactor tenants implementation,
-// verbatim.
+// The refactor contract: a steady Stream's interarrival gaps must
+// reproduce the historical internal/tenants draw stream bit for bit —
+// same rng consumption, same rounding — for both processes, across
+// seeds and rates. The reference below is the pre-refactor tenants
+// implementation, verbatim.
 func TestInterarrivalMatchesHistoricalTenantsFormula(t *testing.T) {
 	reference := func(rng *rand.Rand, fixed bool, rateOps float64) sim.Time {
 		period := 1e9 / rateOps
@@ -25,10 +25,14 @@ func TestInterarrivalMatchesHistoricalTenantsFormula(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, rate := range []float64{1, 999.5, 20_000, 1.49e6} {
 			for _, proc := range []Process{Poisson, "", Fixed} {
+				s, err := NewStream(StreamConfig{RateOps: rate, Process: proc})
+				if err != nil {
+					t.Fatal(err)
+				}
 				a := rand.New(rand.NewSource(seed))
 				b := rand.New(rand.NewSource(seed))
 				for i := 0; i < 200; i++ {
-					got := Interarrival(a, proc, rate)
+					got := s.Next(a, sim.Time(i))
 					want := reference(b, proc == Fixed, rate)
 					if got != want {
 						t.Fatalf("seed %d rate %g proc %q draw %d: got %v want %v",
@@ -206,16 +210,21 @@ func TestStreamValidation(t *testing.T) {
 		{RateOps: 0},
 		{RateOps: -5},
 		{RateOps: 10, Shape: "square"},
+		{RateOps: 10, Process: "x"},
 	} {
 		if _, err := NewStream(cfg); err == nil {
 			t.Fatalf("NewStream(%+v) accepted invalid config", cfg)
 		}
 	}
-	if !ValidProcess("") || !ValidProcess(Poisson) || ValidProcess("x") {
-		t.Fatal("ValidProcess broken")
-	}
-	if !ValidShape("") || !ValidShape(Bursty) || ValidShape("x") {
-		t.Fatal("ValidShape broken")
+	for _, cfg := range []StreamConfig{
+		{RateOps: 10},
+		{RateOps: 10, Shape: Bursty},
+		{RateOps: 10, Process: Poisson},
+		{RateOps: 10, Process: Fixed},
+	} {
+		if _, err := NewStream(cfg); err != nil {
+			t.Fatalf("NewStream(%+v): %v", cfg, err)
+		}
 	}
 }
 
