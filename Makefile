@@ -1,6 +1,6 @@
 GO ?= go
 FUZZTIME ?= 10s
-FUZZ_TARGETS := ./internal/ext4:FuzzExtentTree ./internal/ext4:FuzzRename ./internal/experiments:FuzzReproSpec
+FUZZ_TARGETS := ./internal/ext4:FuzzExtentTree ./internal/ext4:FuzzNamespace ./internal/experiments:FuzzReproSpec
 
 .PHONY: all build test race vet bench bench-json bench-check parallel-equivalence profile fuzz check trace-smoke repro-smoke topology-smoke frontend-smoke faults-smoke golden-full clean
 

@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ext4"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // Re-exported core types. The simulation kernel's Proc is the handle
@@ -49,8 +48,6 @@ type (
 	Time = sim.Time
 	// Cred is a user identity for permission checks.
 	Cred = ext4.Cred
-	// Store is a raw device image (for snapshots).
-	Store = storage.Store
 )
 
 // The evaluated engines.
@@ -70,12 +67,6 @@ var RootCred = ext4.Root
 // kernel stack.
 func New(capacityBytes int64) (*System, error) {
 	return core.New(capacityBytes)
-}
-
-// NewFromImage boots a system over an existing storage image (e.g. a
-// snapshot from System.Snapshot).
-func NewFromImage(capacityBytes int64, img *Store) (*System, error) {
-	return core.Boot(core.Config{Capacity: capacityBytes, Image: img})
 }
 
 // Run spawns fn as a simulated thread and drives the simulation until

@@ -62,47 +62,3 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	sys.Sim.Shutdown()
 }
-
-func TestSnapshotAPI(t *testing.T) {
-	sys, err := New(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var img *Store
-	Run(sys, "build", func(p *Proc) {
-		pr := sys.NewProcess(RootCred)
-		fd, _ := pr.Create(p, "/kept", 0o644)
-		_, _ = pr.Pwrite(p, fd, []byte("kept"), 0)
-		_ = pr.Fsync(p, fd)
-		_ = pr.Close(p, fd)
-		snap, err := sys.Snapshot(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		img = snap
-	})
-	sys.Sim.Shutdown()
-	if img == nil {
-		t.Fatal("no snapshot")
-	}
-
-	sys2, err := NewFromImage(1<<30, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Run(sys2, "check", func(p *Proc) {
-		pr := sys2.NewProcess(RootCred)
-		fd, err := pr.Open(p, "/kept", false)
-		if err != nil {
-			t.Errorf("file lost across snapshot: %v", err)
-			return
-		}
-		buf := make([]byte, 4)
-		_, _ = pr.Pread(p, fd, buf, 0)
-		if string(buf) != "kept" {
-			t.Errorf("data = %q", buf)
-		}
-	})
-	sys2.Sim.Shutdown()
-}

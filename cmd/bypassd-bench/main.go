@@ -281,7 +281,6 @@ func run() int {
 				*trials, *seed)
 		}
 		runner := &experiments.Runner{
-			Parallelism: workers,
 			OnStart: func(e experiments.Experiment) {
 				fmt.Fprintf(os.Stderr, "== running %s: %s\n", e.ID, e.Title)
 			},

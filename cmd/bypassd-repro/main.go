@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 
 	"repro/internal/experiments"
@@ -50,6 +51,9 @@ func run() int {
 		traceOut = flag.String("trace", "", "write per-request spans to this file (Chrome trace-event JSON)")
 	)
 	flag.Parse()
+	if *parallel <= 0 {
+		*parallel = runtime.GOMAXPROCS(0)
+	}
 
 	if *gates {
 		return runGates(flag.Args(), experiments.Options{

@@ -4,7 +4,8 @@
 // package-level func, method, struct field, const, var and type of a
 // non-test file that no non-test file uses. Not uses: those inside the
 // name's own declaration (recursion, a type's own methods),
-// compile-time assertions (var _ I = (*T)(nil)), and writes to a field.
+// compile-time assertions (var _ I = (*T)(nil)), and writes to a field
+// (sync/atomic Add and Store calls included).
 // A nested module (bench/) is a caller: its uses count, its names are
 // not reported. Never reported: methods that implement an interface
 // method production code calls; String, Error and sort/heap methods,
@@ -412,7 +413,8 @@ func (c *checker) markUses(info *types.Info, skip []span, ifaceCalls map[string]
 // notUses returns the spans in files that name a definition without
 // using it: compile-time assertions (var _ I = (*T)(nil)), which check
 // a type, and writes to a field (assigned, incremented, set by a keyed
-// literal, or its map or slice elements assigned).
+// literal, its map or slice elements assigned, or its address passed
+// to a sync/atomic Add or Store call whose result is dropped).
 func notUses(info *types.Info, files []*ast.File) []span {
 	var spans []span
 	var write func(ast.Expr)
@@ -437,6 +439,12 @@ func notUses(info *types.Info, files []*ast.File) []span {
 				}
 			case *ast.IncDecStmt:
 				write(n.X)
+			case *ast.ExprStmt:
+				if call, ok := n.X.(*ast.CallExpr); ok && atomicWrite(info, call) {
+					if addr, ok := call.Args[0].(*ast.UnaryExpr); ok && addr.Op == token.AND {
+						write(addr.X)
+					}
+				}
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {
 					if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
@@ -448,6 +456,19 @@ func notUses(info *types.Info, files []*ast.File) []span {
 		})
 	}
 	return spans
+}
+
+// atomicWrite reports whether call is to one of sync/atomic's Add or
+// Store functions, which write through their first argument.
+func atomicWrite(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
+		fn.Type().(*types.Signature).Recv() == nil &&
+		(strings.HasPrefix(fn.Name(), "Add") || strings.HasPrefix(fn.Name(), "Store"))
 }
 
 // markStructural marks the fields no identifier names: those of struct

@@ -12,18 +12,20 @@ import (
 // assertion names and the field only a test reads, and none of the
 // interface method, the sort/String methods, the json-tagged field,
 // the map-key and unkeyed-literal fields, the recursive helper, or the
-// func only the nested bench module calls.
+// func only the nested bench module calls. Of two fields sync/atomic
+// adds to, it reports the one nothing loads.
 func TestFixture(t *testing.T) {
 	hits, err := check("testdata/mod")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
-		"lib/lib.go:13:6: fixture/lib.TestOnly: only tests use it",
-		"lib/lib.go:16:6: fixture/lib.Orphan: nothing uses it",
-		"lib/lib.go:39:17: fixture/lib.Square.Len: nothing uses it",
-		"lib/lib.go:52:6: fixture/lib.asserted: nothing uses it",
-		"lib/lib.go:83:20: fixture/lib.tally.decodes: only tests use it",
+		"lib/lib.go:14:6: fixture/lib.TestOnly: only tests use it",
+		"lib/lib.go:17:6: fixture/lib.Orphan: nothing uses it",
+		"lib/lib.go:40:17: fixture/lib.Square.Len: nothing uses it",
+		"lib/lib.go:53:6: fixture/lib.asserted: nothing uses it",
+		"lib/lib.go:84:20: fixture/lib.tally.decodes: only tests use it",
+		"lib/lib.go:107:23: fixture/lib.counters.added: nothing uses it",
 	}
 	if got := report(hits, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("hits:\n%q\nwant:\n%q", got, want)

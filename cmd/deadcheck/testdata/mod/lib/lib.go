@@ -4,6 +4,7 @@ package lib
 import (
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 )
 
 // Used has a production caller.
@@ -90,6 +91,8 @@ func Decode(data []byte) (string, error) {
 	err := json.Unmarshal(data, &ev)
 	seen[key{}]++
 	stats.decodes++
+	atomic.AddInt64(&retries.added, 1)
+	atomic.AddInt64(&retries.loaded, 1)
 	if (pair{1, 2}) == (pair{}) {
 		return "", nil
 	}
@@ -98,3 +101,12 @@ func Decode(data []byte) (string, error) {
 
 // Sorted is the byLen conversion the sort package needs.
 func Sorted(s []string) byLen { return byLen(s) }
+
+// counters' fields are both added to atomically, but only loaded is
+// read: added is a hit.
+type counters struct{ added, loaded int64 }
+
+var retries counters
+
+// Retries reads the loaded counter.
+func Retries() int64 { return atomic.LoadInt64(&retries.loaded) }

@@ -158,16 +158,6 @@ func (sys *System) SPDK() (*spdk.Driver, error) {
 	return sys.spdk, nil
 }
 
-// Snapshot commits outstanding metadata and returns a deep copy of
-// the storage image, used to rerun application benchmarks from the
-// same starting state.
-func (sys *System) Snapshot(p *sim.Proc) (*storage.Store, error) {
-	if err := sys.M.FS.Unmount(p); err != nil {
-		return nil, err
-	}
-	return sys.M.Dev.Store().Clone(), nil
-}
-
 // FileIO is the uniform per-thread interface over all engines. A
 // FileIO must only be used from the thread (sim.Proc) it was created
 // for.

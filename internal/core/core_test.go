@@ -155,49 +155,3 @@ func TestSPDKCannotCoexistWithSharing(t *testing.T) {
 		t.Fatal("device claimed twice")
 	}
 }
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	sys, err := New(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Sim.Spawn("main", func(p *sim.Proc) {
-		pr := sys.NewProcess(ext4.Root)
-		fd, _ := pr.Create(p, "/persist", 0o644)
-		_, _ = pr.Pwrite(p, fd, []byte("snapshot me"), 0)
-		_ = pr.Fsync(p, fd)
-		_ = pr.Close(p, fd)
-		st, err := sys.Snapshot(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// Boot a second system from the snapshot on a fresh sim.
-		sys2, err := Boot(Config{Capacity: 1 << 30, Image: st})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		s2 := sys2.Sim
-		s2.Spawn("check", func(q *sim.Proc) {
-			pr2 := sys2.NewProcess(ext4.Root)
-			fd2, err := pr2.Open(q, "/persist", false)
-			if err != nil {
-				t.Errorf("snapshot lost file: %v", err)
-				return
-			}
-			buf := make([]byte, 11)
-			if _, err := pr2.Pread(q, fd2, buf, 0); err != nil {
-				t.Error(err)
-				return
-			}
-			if string(buf) != "snapshot me" {
-				t.Errorf("snapshot data = %q", buf)
-			}
-		})
-		s2.Run()
-		s2.Shutdown()
-	})
-	sys.Sim.Run()
-	sys.Sim.Shutdown()
-}

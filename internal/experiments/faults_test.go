@@ -26,7 +26,7 @@ func runWith(t *testing.T, id string, o Options) string {
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	res := (&Runner{Parallelism: 1}).Run([]Experiment{e}, o)
+	res := (&Runner{}).Run([]Experiment{e}, o)
 	if res[0].Err != nil {
 		t.Fatalf("%s under %q: %v", id, o.Faults, res[0].Err)
 	}
@@ -90,7 +90,7 @@ func TestCleanRunUnaffectedByPriorFaults(t *testing.T) {
 		t.Fatal("F6 not registered")
 	}
 	clean := func() string {
-		res := (&Runner{Parallelism: 1}).Run([]Experiment{e},
+		res := (&Runner{}).Run([]Experiment{e},
 			Options{Quick: true, Seed: 1, Parallelism: 1})
 		if res[0].Err != nil {
 			t.Fatalf("clean run: %v", res[0].Err)
@@ -112,7 +112,7 @@ func TestCleanRunUnaffectedByPriorFaults(t *testing.T) {
 // experiment rather than silently running un-faulted.
 func TestRunUnknownFaultProfile(t *testing.T) {
 	e, _ := ByID("F5")
-	res := (&Runner{Parallelism: 1}).Run([]Experiment{e},
+	res := (&Runner{}).Run([]Experiment{e},
 		Options{Quick: true, Seed: 1, Faults: "no-such-profile"})
 	if res[0].Err == nil {
 		t.Fatal("expected error for unknown profile")
@@ -156,7 +156,7 @@ func TestConcurrentFaultProfiles(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			e, _ := ByID(r.id)
-			res := (&Runner{Parallelism: 1}).Run([]Experiment{e},
+			res := (&Runner{}).Run([]Experiment{e},
 				Options{Quick: true, Seed: 5, Parallelism: 2, Faults: r.profile})
 			if res[0].Err == nil {
 				got[i] = res[0].Report.String()

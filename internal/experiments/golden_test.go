@@ -58,7 +58,7 @@ func renderGoldenSuite(t *testing.T, s goldenSuite) string {
 		exps[i] = e
 	}
 	var b strings.Builder
-	for _, r := range (&Runner{Parallelism: 2}).Run(exps, s.o) {
+	for _, r := range (&Runner{}).Run(exps, s.o) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Experiment.ID, r.Err)
 		}

@@ -240,7 +240,7 @@ func RunRepro(sp ReproSpec, run Options) (*ReproRun, error) {
 		headers = decl.tables[0].headers(multi)
 		e.Run = func(o Options) (*Report, error) { return decl.only(sp.Match, multi).run(e.ID, o) }
 	}
-	res := (&Runner{Parallelism: o.Parallelism}).Run([]Experiment{e}, o)
+	res := (&Runner{}).Run([]Experiment{e}, o)
 	if res[0].Err != nil {
 		return nil, res[0].Err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,20 +15,20 @@ type RunResult struct {
 	Wall       time.Duration
 }
 
-// Runner executes a set of experiments over sweepMap's worker pool.
-// Workers pull the next unstarted experiment from a shared index
-// (dynamic scheduling: a worker that finishes a short harness
-// immediately steals the next one rather than idling behind a long
-// one), and results are returned in the callers' submission order, so
-// rendering them is byte-identical to a sequential run.
+// Runner executes a set of experiments over sweepMap's worker pool,
+// Options.Parallelism wide: the same size bounds the experiments in
+// flight and each one's sweep cells. Workers pull the next unstarted
+// experiment from a shared index (dynamic scheduling: a worker that
+// finishes a short harness immediately steals the next one rather
+// than idling behind a long one), and results are returned in the
+// callers' submission order, so rendering them is byte-identical to a
+// sequential run.
 //
 // Every experiment boots its own simulated systems and shares no
 // mutable state with the others, which is what makes this safe — the
 // same shared-nothing argument BypassD itself makes for per-thread
 // queue pairs (§6.3).
 type Runner struct {
-	// Parallelism is the worker-pool size; <= 0 means GOMAXPROCS.
-	Parallelism int
 	// OnStart, when set, is called as each experiment begins
 	// (serialized; use for progress output).
 	OnStart func(e Experiment)
@@ -53,12 +52,8 @@ func (r *Runner) Run(exps []Experiment, o Options) []RunResult {
 		}
 		return results
 	}
-	workers := r.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// runOne never fails: each experiment's error stays in its result.
-	results, _ := sweepMap(Options{Parallelism: workers}, len(exps), func(i int) (RunResult, error) {
+	results, _ := sweepMap(o, len(exps), func(i int) (RunResult, error) {
 		return r.runOne(exps[i], o), nil
 	})
 	return results

@@ -81,8 +81,8 @@ func TestRunnerIndexAligned(t *testing.T) {
 		})
 	}
 	var done atomic.Int64
-	r := &Runner{Parallelism: 6, OnDone: func(RunResult) { done.Add(1) }}
-	results := r.Run(exps, Options{})
+	r := &Runner{OnDone: func(RunResult) { done.Add(1) }}
+	results := r.Run(exps, Options{Parallelism: 6})
 	if len(results) != 6 {
 		t.Fatalf("len=%d", len(results))
 	}
@@ -106,7 +106,7 @@ func TestRunnerKeepsErrorsPerExperiment(t *testing.T) {
 		{ID: "ok", Run: func(Options) (*Report, error) { return &Report{ID: "ok"}, nil }},
 		{ID: "bad", Run: func(Options) (*Report, error) { return nil, boom }},
 	}
-	results := (&Runner{Parallelism: 2}).Run(exps, Options{})
+	results := (&Runner{}).Run(exps, Options{Parallelism: 2})
 	if results[0].Err != nil || results[0].Report.ID != "ok" {
 		t.Fatalf("results[0] = %+v", results[0])
 	}

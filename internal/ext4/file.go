@@ -313,9 +313,6 @@ func (fs *FS) Sync(p *sim.Proc) error {
 	return fs.Commit(p)
 }
 
-// Unmount commits outstanding metadata.
-func (fs *FS) Unmount(p *sim.Proc) error { return fs.Sync(p) }
-
 // FileTable returns the inode's cached shared file table, building it
 // from the extent map on first use. The second result reports whether
 // this call built it (a cold fmap); the kernel charges the per-PTE

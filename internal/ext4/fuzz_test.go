@@ -149,24 +149,26 @@ func FuzzExtentTree(f *testing.F) {
 	})
 }
 
-func FuzzRename(f *testing.F) {
-	// Seeds: simple rename, rename into a subdirectory, chained
-	// renames, rename-over-existing, and unlink/recreate churn.
-	f.Add([]byte{0, 0, 2, 0, 1, 4})
-	f.Add([]byte{1, 4, 0, 0, 2, 0, 5, 4})
-	f.Add([]byte{0, 0, 2, 0, 1, 2, 1, 2, 2, 2, 3, 4})
-	f.Add([]byte{0, 0, 0, 1, 2, 0, 1, 4, 3, 1})
-	f.Add([]byte{1, 4, 1, 5, 0, 0, 2, 0, 4, 2, 4, 5, 3, 4, 4})
+func FuzzNamespace(f *testing.F) {
+	// Seeds: create then unlink, a file inside a new directory, churn
+	// across both directories, unlink/recreate under commits, and a
+	// create that collides with a directory.
+	f.Add([]byte{0, 0, 2, 0, 3, 0, 0, 3})
+	f.Add([]byte{1, 3, 0, 5, 3, 0, 2, 5, 3, 0})
+	f.Add([]byte{1, 3, 1, 4, 0, 5, 0, 6, 2, 5, 0, 5, 3, 0, 2, 6, 3, 0})
+	f.Add([]byte{0, 0, 0, 1, 2, 0, 3, 0, 0, 0, 2, 1, 3, 0})
+	f.Add([]byte{1, 3, 0, 3, 2, 3, 0, 3, 3, 0, 2, 3, 1, 3})
 
-	// A small closed set of names keeps the op space dense: renames
-	// frequently collide, cross directories, and hit occupied targets.
+	// A small closed set of names keeps the op space dense: creates
+	// collide, parents go missing, and files and directories share
+	// names.
 	names := []string{"/a", "/b", "/c", "/d1", "/d2", "/d1/x", "/d2/y"}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		fs, st := fuzzFS(t)
 		for len(prog) > 0 {
 			var hdr []byte
 			hdr, prog = take(prog, 1)
-			op := hdr[0] % 5
+			op := hdr[0] % 4
 			var arg []byte
 			arg, prog = take(prog, 1)
 			path := names[int(arg[0])%len(names)]
@@ -179,13 +181,9 @@ func FuzzRename(f *testing.F) {
 				}
 			case 1: // mkdir (may fail: exists, parent missing)
 				_, _ = fs.Mkdir(nil, path, 0o755, Root)
-			case 2: // rename (may fail: missing source, bad target)
-				var arg2 []byte
-				arg2, prog = take(prog, 1)
-				_ = fs.Rename(nil, path, names[int(arg2[0])%len(names)], Root)
-			case 3: // unlink (may fail: missing, is-dir)
+			case 2: // unlink (may fail: missing, is-dir)
 				_ = fs.Unlink(nil, path, Root)
-			case 4: // commit + fsck
+			case 3: // commit + fsck
 				if err := fs.Commit(nil); err != nil {
 					t.Fatalf("commit: %v", err)
 				}
@@ -209,6 +207,16 @@ func FuzzRename(f *testing.F) {
 		}
 		if err := fs2.Check(nil); err != nil {
 			t.Fatalf("fsck after remount: %v", err)
+		}
+		for _, path := range names {
+			in, err := fs2.Lookup(nil, path, Root)
+			if err != nil || in.IsDir() {
+				continue
+			}
+			got := make([]byte, len(path)+1)
+			if n, _ := fs2.ReadAt(nil, in, 0, got); string(got[:n]) != path {
+				t.Fatalf("%s reads back %q after remount", path, got[:n])
+			}
 		}
 	})
 }

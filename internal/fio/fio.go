@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/iommu"
 	"repro/internal/kernel"
@@ -230,8 +229,8 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 				rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(th.gi)*104729 + int64(th.ti)))
 				// Pooled worker buffer; cleared so written file
 				// content matches a fresh zero-filled allocation.
-				buf := device.GetDMABuf(g.BS)
-				defer device.PutDMABuf(buf)
+				buf := storage.GetBuf(g.BS)
+				defer storage.PutBuf(buf)
 				clear(buf)
 				blocks := g.FileBytes / int64(g.BS)
 				if res.Start == 0 {

@@ -1,12 +1,12 @@
 package kernel
 
 import (
-	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/faults"
 	"repro/internal/nvme"
 	"repro/internal/pagetable"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // The BypassD kernel module: creates user-mapped queue pairs bound to
@@ -37,7 +37,7 @@ func (pr *Process) AllocDMABuffer(p *sim.Proc, size int) []byte {
 	pr.enter(p)
 	defer pr.exit(p)
 	pr.M.CPU.Compute(p, 1*sim.Microsecond)
-	buf := device.GetDMABuf(size)
+	buf := storage.GetBuf(size)
 	// Track for recycling at machine teardown (core.System.Close).
 	pr.M.mu.Lock()
 	pr.M.dmaBufs = append(pr.M.dmaBufs, buf)

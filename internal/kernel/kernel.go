@@ -17,7 +17,6 @@ package kernel
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/device"
 	"repro/internal/ext4"
@@ -121,15 +120,12 @@ type Machine struct {
 	// series from at boot. Nil is inert.
 	Metrics *metrics.Registry
 
-	// BlockRetries counts transient device errors the kernel block
-	// layer absorbed by resubmitting. Updated atomically: kernel block
-	// I/O can retry on any node's shard.
-	BlockRetries int64
-
 	// Trace is the machine's span tracer, registered at boot with the
 	// boot config's trace collector. Nil is inert.
 	Trace *trace.Tracer
 
+	// mBlockRetries counts the transient device errors the block
+	// layer absorbed by resubmitting.
 	mBlockRetries *metrics.Counter
 
 	nextPID   int
@@ -169,7 +165,7 @@ func (m *Machine) ReleaseResources() {
 		n.FS.ReleaseResources()
 	}
 	for i, b := range m.dmaBufs {
-		device.PutDMABuf(b)
+		storage.PutBuf(b)
 		m.dmaBufs[i] = nil
 	}
 	m.dmaBufs = nil
@@ -515,7 +511,6 @@ func (k *kernelQueue) submitRetry(p *sim.Proc, e nvme.SQE) nvme.Status {
 		if st.OK() || !st.Transient() || attempt >= blockRetries {
 			return st
 		}
-		atomic.AddInt64(&k.m.BlockRetries, 1)
 		k.m.mBlockRetries.Inc()
 	}
 }

@@ -49,7 +49,7 @@ type Driver struct {
 // pool. Only a teardown path that owns the whole machine may call it.
 func (d *Driver) ReleaseResources() {
 	for i, b := range d.dmaBufs {
-		device.PutDMABuf(b)
+		storage.PutBuf(b)
 		d.dmaBufs[i] = nil
 	}
 	d.dmaBufs = nil
@@ -102,7 +102,7 @@ func (d *Driver) NewQueue(p *sim.Proc) (*Queue, error) {
 		return nil, err
 	}
 	p.Sleep(2 * sim.Microsecond) // queue mapping setup
-	dma := device.GetDMABuf(device.DMABufBytes)
+	dma := storage.GetBuf(device.DMABufBytes)
 	d.dmaBufs = append(d.dmaBufs, dma)
 	return &Queue{d: d, q: q, dma: dma}, nil
 }

@@ -2,13 +2,15 @@ package storage
 
 import "sync"
 
-// Scratch-buffer recycling for boot-time structures whose size repeats
-// across the thousands of systems an experiment sweep brings up —
-// ext4's block bitmap is the main client. Buffers recycle dirty; a
-// caller that needs zeroed contents clears what it uses.
+// Buffer recycling for structures whose size repeats across the
+// thousands of systems an experiment sweep brings up: ext4's block
+// bitmap and staging buffers, and the megabyte-class DMA buffer every
+// UserLib thread and SPDK queue pins, whose allocation (and zeroing)
+// once dominated boot cost. Buffers recycle dirty; a caller that needs
+// zeroed contents clears what it uses.
 //
-// One pool per size class (size -> *sync.Pool of *[]byte), mirroring
-// the device package's DMA-buffer pool.
+// One pool per size class (size -> *sync.Pool of *[]byte); distinct
+// configs see distinct pools, and an odd one-off size simply misses.
 var bufPools sync.Map
 
 // GetBuf returns a buffer of the given size, recycled when one is

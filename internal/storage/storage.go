@@ -183,8 +183,8 @@ func (s *Store) Release() {
 	}
 }
 
-// Clone returns a deep copy, used to reuse prebuilt images (database
-// files, file-system layouts) across benchmark runs.
+// Clone returns a deep copy: the image of a crashed device, for a
+// fresh system to remount through core.Config.Image.
 func (s *Store) Clone() *Store {
 	c := New(s.sectors)
 	for k, v := range s.chunks {

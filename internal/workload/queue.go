@@ -31,7 +31,8 @@ type Tally struct {
 	Bursts      int64 // injected arrival spikes (faults.SiteTenantBurst)
 }
 
-// class is one FIFO class. A drained class reuses its storage, so its
+// class is one FIFO class. A drained class reuses its storage, and a
+// backlogged one drops its served head before it grows, so its
 // capacity follows the backlog, not the arrival count. The pad gives
 // each class a cache line of its own.
 type class struct {
@@ -104,6 +105,10 @@ func (q *Queue) Generate(g *sim.Proc, rng *rand.Rand, s *Stream, n int, inj *fau
 		}
 		r.At = now
 		cl := &q.classes[c]
+		if len(cl.q) == cap(cl.q) && cl.head > 0 {
+			cl.q = cl.q[:copy(cl.q, cl.q[cl.head:])]
+			cl.head = 0
+		}
 		cl.q = append(cl.q, r)
 		q.backlog++
 		if q.backlog > t.PeakBacklog {

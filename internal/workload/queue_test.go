@@ -146,6 +146,38 @@ func TestQueueDrainedClassReusesStorage(t *testing.T) {
 	}
 }
 
+// TestQueueBackloggedClassBoundsStorage: a class that never drains
+// (one arrival per microsecond, served at 1.34 µs each) drops its
+// served head before it grows, so its capacity follows the peak
+// backlog, not the arrival count, and FIFO order holds across it.
+func TestQueueBackloggedClassBoundsStorage(t *testing.T) {
+	const n = 2000
+	r := newQueueRig(1)
+	r.generate(t, n, func(i int, _ sim.Time) (Request, int) { return Request{Key: uint64(i)}, 0 })
+	next := uint64(0)
+	r.s.Spawn("worker", func(w *sim.Proc) {
+		r.q.Serve(w, func(req Request) bool {
+			if req.Key != next {
+				t.Errorf("served key %d, want %d", req.Key, next)
+			}
+			next++
+			w.Sleep(1340 * sim.Nanosecond)
+			return true
+		}, func(Request, sim.Time) {}, nil)
+	})
+	r.s.Run()
+	k := r.tally.PeakBacklog
+	if k < n/5 || k > n/3 {
+		t.Fatalf("peak backlog %d; the test needs a backlog that builds for the whole run", k)
+	}
+	if c := cap(r.q.classes[0].q); c > 2*k {
+		t.Fatalf("class capacity %d after %d arrivals at peak backlog %d; want at most %d", c, n, k, 2*k)
+	}
+	if next != n {
+		t.Fatalf("served %d of %d", next, n)
+	}
+}
+
 // TestQueueWholeCacheLines: setup allocates one queue per tenant or
 // device side by side, and the drain writes each on every request, so
 // a queue and each of its classes must occupy whole cache lines.
